@@ -27,6 +27,7 @@ from dataclasses import dataclass
 ALIGN = 4
 SNIP_OVERHEAD = 16  # declared per-snip metadata cost, counted in `used`
 MIN_ARENA_CAPACITY = 256
+MAX_CHAIN = 1 << 16  # chains are finite by invariant; longer means a cycle
 
 
 class ProtocolType(enum.IntEnum):
@@ -104,7 +105,7 @@ class Snip:
             yield snip
             snip = snip.next
             seen += 1
-            if seen > 1 << 16:  # chains are finite by invariant
+            if seen > MAX_CHAIN:
                 raise RuntimeError("snip chain cycle")
 
     def __repr__(self):
@@ -120,7 +121,15 @@ class PacketChain:
 
     @property
     def total_size(self) -> int:
-        return sum(s.size for s in self.head)
+        size = seen = 0
+        snip = self.head
+        while snip is not None:
+            size += snip.size
+            snip = snip.next
+            seen += 1
+            if seen > MAX_CHAIN:
+                raise RuntimeError("snip chain cycle")
+        return size
 
     def to_bytes(self) -> bytes:
         """Serialize the chain contents.  Not a counted payload copy by
@@ -202,20 +211,29 @@ class PacketBuffer:
 
     def hold(self, snip: Snip) -> None:
         """Add one holder to every snip in the chain."""
+        seen = 0
         with self._lock:
-            for s in snip:
-                if s.users == 0:
+            while snip is not None:
+                if snip.users == 0:
                     raise ReleaseUnheld("hold on freed snip")
-                s.users += 1
+                snip.users += 1
+                snip = snip.next
+                seen += 1
+                if seen > MAX_CHAIN:
+                    raise RuntimeError("snip chain cycle")
 
     def release(self, snip: Snip) -> None:
         """Drop one holder from every snip in the chain; at 0 the memory
         returns to the arena."""
+        chain = []
         with self._lock:
-            chain = list(snip)
-            for s in chain:
-                if s.users == 0:
+            while snip is not None:  # check every snip before changing any
+                if snip.users == 0:
                     raise ReleaseUnheld("release on freed snip")
+                chain.append(snip)
+                snip = snip.next
+                if len(chain) > MAX_CHAIN:
+                    raise RuntimeError("snip chain cycle")
             for s in chain:
                 s.users -= 1
                 if s.users == 0:

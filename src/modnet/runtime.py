@@ -7,10 +7,16 @@ shared packet buffer contents reachable from chains they hold).
 Two schedulers implement the same surface:
 
 * ``DetScheduler`` -- a single-threaded event loop over a simulated
-  microsecond clock.  Identical inputs produce identical traces; this mode
+  microsecond clock.  Contexts with mail wait in a FIFO of ready work; a
+  heap holds only timers.  Every event takes a sequence number when it is
+  queued, and events due at the same time run in sequence order, whichever
+  queue holds them.  Identical inputs produce identical traces; this mode
   drives all reproducible tests.
 * ``ThreadScheduler`` -- one OS thread per context plus a timer thread,
   used for race detection.  Traces are unordered.
+
+Both record one trace entry per accepted message in a ``TraceLog``, which
+keeps plain records and renders text lines only when they are read.
 
 Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV, counted,
 packet released) but never control messages -- option traffic back-pressures
@@ -30,6 +36,8 @@ from dataclasses import dataclass
 from . import netapi
 from .metrics import Metrics
 from .netapi import MsgKind, NetMessage
+
+_MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV  # as in netapi: fast reads
 
 
 class RuntimeError_(Exception):
@@ -186,10 +194,45 @@ class Node:
         yield from self.aux.values()
 
 
+def _render(record) -> str:
+    t, node, src, dst, kind, proto, size = record
+    kind = kind if isinstance(kind, str) else kind.name
+    proto = proto if isinstance(proto, str) else proto.name
+    return (f"t={t} node={node} {src}->{dst} "
+            f"kind={kind} proto={proto} size={size}")
+
+
+class TraceLog:
+    """One record per accepted message: ``(t, node, src, dst, kind, proto,
+    size)`` with the kind and protocol enums kept as they are.
+
+    Reads render the records to text lines; indexing, slicing and iteration
+    give the same strings the lines always had.  ``size`` is taken when the
+    message is posted, since handlers later grow and shrink the chain.
+    """
+
+    __slots__ = ("_records", "append")
+
+    def __init__(self):
+        self._records: list[tuple] = []
+        self.append = self._records.append
+
+    def __len__(self):
+        return len(self._records)
+
+    def __iter__(self):
+        return map(_render, self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_render(r) for r in self._records[index]]
+        return _render(self._records[index])
+
+
 class _SchedulerBase:
     def __init__(self, metrics: Metrics | None = None, trace_enabled=True):
         self.metrics = metrics if metrics is not None else Metrics()
-        self.trace: list[str] = []
+        self.trace = TraceLog()
         self.trace_enabled = trace_enabled
         self._trace_lock = threading.Lock()
 
@@ -203,37 +246,39 @@ class _SchedulerBase:
         src_name = src.name if src is not None else "ext"
         node_name = target.node.name if target.node is not None else "-"
         if isinstance(msg, NetMessage):
-            kind = msg.kind.name
-            if msg.pkt is not None:
-                proto = msg.pkt.head.proto.name
-                size = msg.pkt.total_size
+            kind = msg.kind
+            pkt = msg.pkt
+            if pkt is not None:
+                proto = pkt.head.proto
+                size = pkt.total_size
             else:
                 proto, size = "-", 0
         else:
             kind, proto, size = type(msg).__name__, "-", 0
-        line = (f"t={self.now_us} node={node_name} {src_name}->{target.name} "
-                f"kind={kind} proto={proto} size={size}")
+        record = (self.now_us, node_name, src_name, target.name, kind, proto,
+                  size)
         with self._trace_lock:
-            self.trace.append(line)
-
-    def _classify(self, msg) -> bool:
-        """True if the message is droppable data."""
-        kind = getattr(msg, "kind", None)
-        return kind is MsgKind.MSG_SND or kind is MsgKind.MSG_RCV
+            self.trace.append(record)
 
 
 class DetScheduler(_SchedulerBase):
     """Single-threaded deterministic event loop over simulated microseconds.
 
-    Events at the same timestamp run in insertion order; one mailbox message
-    is serviced per event, so module interleaving is fair and reproducible.
-    Supports nested stepping for the synchronous command helper.
+    A context that receives mail joins the ready FIFO; timers go on a heap.
+    Both take a number from one sequence when queued.  Ready work is always
+    due now, so a timer due now runs before the ready head exactly when its
+    sequence number is lower: events at the same timestamp run in the order
+    they were queued, and later timers wait until no ready work is left.
+    One mailbox message is serviced per event, so module interleaving is
+    fair and reproducible.  Supports nested stepping for the synchronous
+    command helper.
     """
 
     def __init__(self, metrics=None, trace_enabled=True):
         super().__init__(metrics, trace_enabled)
         self.now_us = 0
-        self._heap: list = []
+        self._heap: list = []  # (t_us, seq, fn) timers
+        self._ready: deque = deque()  # (seq, ctx) contexts due now
         self._seq = itertools.count()
         self._ctx_stack: list[ModuleContext] = []
         self.steps = 0
@@ -248,21 +293,31 @@ class DetScheduler(_SchedulerBase):
         self.call_at(self.now_us + dt_us, fn)
 
     def step(self) -> bool:
-        if not self._heap:
+        ready, heap = self._ready, self._heap
+        # ready work is due now: it waits only for a due timer queued first
+        if ready and not (heap and heap[0][0] <= self.now_us
+                          and heap[0][1] < ready[0][0]):
+            self.steps += 1
+            self._service(ready.popleft()[1])
+            return True
+        if not heap:
             return False
-        t, _, fn = heapq.heappop(self._heap)
-        self.now_us = max(self.now_us, t)
+        t, _, fn = heapq.heappop(heap)
+        if t > self.now_us:
+            self.now_us = t
         self.steps += 1
         fn()
         return True
 
     def pending_events(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._ready)
 
     def run_until(self, t_us: int | None = None, quiescent: bool = False) -> int:
         processed = 0
-        while self._heap:
-            if t_us is not None and self._heap[0][0] > t_us:
+        ready, heap = self._ready, self._heap
+        while ready or heap:
+            if t_us is not None and (
+                    self.now_us if ready else heap[0][0]) > t_us:
                 break
             self.step()
             processed += 1
@@ -272,20 +327,22 @@ class DetScheduler(_SchedulerBase):
 
     def wait_for(self, pred, timeout_us: int, box=None) -> bool:
         deadline = self.now_us + timeout_us
-        heap = self._heap
+        ready, heap = self._ready, self._heap
         if box is not None:  # fast path for command replies
-            pop = heapq.heappop
+            service = self._service
             while box.msg is None:
-                if not heap or heap[0][0] > deadline:
-                    return box.msg is not None
-                t, _, fn = pop(heap)
-                if t > self.now_us:
-                    self.now_us = t
-                self.steps += 1
-                fn()
+                # step()'s ready branch, inlined for the round trip
+                if ready and not (heap and heap[0][0] <= self.now_us
+                                  and heap[0][1] < ready[0][0]):
+                    self.steps += 1
+                    service(ready.popleft()[1])
+                elif not heap or heap[0][0] > deadline:
+                    return False
+                else:
+                    self.step()
             return True
         while not pred():
-            if not heap or heap[0][0] > deadline:
+            if not ready and (not heap or heap[0][0] > deadline):
                 return pred()
             self.step()
         return True
@@ -305,7 +362,7 @@ class DetScheduler(_SchedulerBase):
             _release_pkt(msg)
             return False
         kind = getattr(msg, "kind", None)
-        if kind is MsgKind.MSG_SND or kind is MsgKind.MSG_RCV:
+        if kind is _MSG_SND or kind is _MSG_RCV:
             if not ctx.mailbox.put_data(msg):
                 self.metrics.count("mailbox_drops")
                 _release_pkt(msg)
@@ -317,15 +374,8 @@ class DetScheduler(_SchedulerBase):
         # the mailbox is non-empty by construction here
         if not ctx._scheduled:
             ctx._scheduled = True
-            heapq.heappush(self._heap, (self.now_us, next(self._seq),
-                                        lambda: self._service(ctx)))
+            self._ready.append((next(self._seq), ctx))
         return True
-
-    def _schedule_service(self, ctx):
-        mailbox = ctx.mailbox
-        if not ctx._scheduled and (mailbox._ctrl or mailbox._data):
-            ctx._scheduled = True
-            self.call_at(self.now_us, lambda: self._service(ctx))
 
     def _service(self, ctx):
         ctx._scheduled = False
@@ -342,7 +392,10 @@ class DetScheduler(_SchedulerBase):
         finally:
             self._ctx_stack.pop()
             ctx._busy = False
-            self._schedule_service(ctx)
+            mailbox = ctx.mailbox
+            if not ctx._scheduled and (mailbox._ctrl or mailbox._data):
+                ctx._scheduled = True
+                self._ready.append((next(self._seq), ctx))
 
     def stop(self):
         pass
@@ -450,7 +503,8 @@ class ThreadScheduler(_SchedulerBase):
             _release_pkt(msg)
             return False
         self._work_added()
-        if self._classify(msg):
+        kind = getattr(msg, "kind", None)
+        if kind is _MSG_SND or kind is _MSG_RCV:
             if not ctx.mailbox.put_data(msg):
                 self._work_done()
                 self.metrics.count("mailbox_drops")

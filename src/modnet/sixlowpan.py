@@ -252,7 +252,7 @@ class SixlowpanModule:
         return self._tag
 
     def __call__(self, ctx, msg):
-        if not isinstance(msg, object) or not hasattr(msg, "kind"):
+        if not hasattr(msg, "kind"):
             return
         if msg.kind == MsgKind.MSG_SND:
             self._send(ctx, msg)

@@ -84,6 +84,55 @@ def test_dispatch_two_receivers_holds_twice():
     assert node.pktbuf.stats().used == 0
 
 
+def test_lookup_sees_every_registry_change():
+    _, node = make_node()
+    handler, _ = collector()
+    c1 = node.spawn_module(ModuleDesc("m1", handler))
+    c2 = node.spawn_module(ModuleDesc("m2", handler))
+    reg, udp = node.registry, ProtocolType.UDP
+    assert reg.lookup(udp, 7) == []
+    reg.register(udp, 7, c1)
+    assert reg.lookup(udp, 7) == [c1]
+    reg.unregister(udp, 7, c1)
+    assert reg.lookup(udp, 7) == []
+    reg.register(udp, DEMUX_ALL, c1)
+    assert reg.lookup(udp, 7) == [c1]
+    reg.unregister_target(c1)
+    assert reg.lookup(udp, 7) == []
+    reg.apply([("register", udp, 7, c2)])
+    assert reg.lookup(udp, 7) == [c2]
+    reg.apply([("unregister", udp, 7, c2)])
+    assert reg.lookup(udp, 7) == []
+    reg.register(udp, 7, c2)
+    assert reg.lookup(udp, 7) == [c2]
+    node.shutdown_module(c2)
+    assert reg.lookup(udp, 7) == []
+
+
+def test_lookup_returns_a_fresh_list():
+    _, node = make_node()
+    handler, _ = collector()
+    c1 = node.spawn_module(ModuleDesc("m1", handler))
+    c2 = node.spawn_module(ModuleDesc("m2", handler))
+    node.registry.register(ProtocolType.UDP, 7, c1)
+    first = node.registry.lookup(ProtocolType.UDP, 7)
+    first.append(c2)
+    assert node.registry.lookup(ProtocolType.UDP, 7) == [c1]
+    node.registry.lookup(ProtocolType.UDP, 7).clear()
+    assert node.registry.lookup(ProtocolType.UDP, 7) == [c1]
+
+
+def test_lookup_cache_stays_bounded():
+    _, node = make_node()
+    handler, _ = collector()
+    ctx = node.spawn_module(ModuleDesc("m", handler))
+    node.registry.register(ProtocolType.UDP, 7, ctx)
+    for port in range(3 * Registry.CACHE_KEYS):
+        expected = [ctx] if port == 7 else []
+        assert node.registry.lookup(ProtocolType.UDP, port) == expected
+    assert len(node.registry._cache) <= Registry.CACHE_KEYS
+
+
 def test_dispatch_no_receivers():
     sched, node = make_node()
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
@@ -274,6 +323,84 @@ def test_idle_scheduler_does_no_work():
     sched.run_until(t_us=10_000)
     assert sched.handler_invocations == before
     assert sched.steps == 0
+
+
+def test_same_time_timers_and_ready_contexts_run_in_queue_order():
+    sched, node = make_node()
+    order = []
+    ctx = node.spawn_module(ModuleDesc("m", lambda c, m: order.append("m")))
+    sched.call_at(sched.now_us, lambda: order.append("timer before"))
+    sched.post(ctx, NetMessage(kind=MsgKind.MSG_SET, option=(1, b"")))
+    sched.call_at(sched.now_us, lambda: order.append("timer after"))
+    sched.call_later(5, lambda: order.append("later"))
+    assert sched.pending_events() == 4
+    assert sched.run_until() == 4
+    assert order == ["timer before", "m", "timer after", "later"]
+    assert sched.steps == 4
+    assert sched.pending_events() == 0
+    assert sched.now_us == 5
+
+
+def test_command_reply_wait_keeps_the_queue_order():
+    sched, node = make_node()
+    order = []
+
+    def server(ctx, msg):
+        order.append("server")
+        msg.ack(OK)
+
+    ctx = node.spawn_module(ModuleDesc("server", server))
+    sched.call_at(0, lambda: order.append("timer before"))
+    ack = send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
+                                          option=(1, b"")))
+    assert ack.status == OK
+    assert order == ["timer before", "server"]
+    assert sched.steps == 2
+
+
+def test_trace_records_render_the_lines_at_post_time():
+    sched, node = make_node()
+    handler, _ = collector()
+    ctx = node.spawn_module(ModuleDesc("m", handler))
+
+    def relay(rctx, msg):
+        sched.post(ctx, msg)
+
+    relay_ctx = node.spawn_module(ModuleDesc("relay", relay))
+    pkt = PacketChain(node.pktbuf.alloc_snip(size=10,
+                                             proto=ProtocolType.UDP))
+    node.pktbuf.hold(pkt.head)  # one holder per message below
+    sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
+    grown = node.pktbuf.prepend_header(pkt, 8, proto=ProtocolType.IPV6)
+    assert grown.total_size == 18
+    sched.post(relay_ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=grown))
+    sched.post(ctx, NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")))
+    sched.run_until()
+    expected = [
+        "t=0 node=n0 ext->m kind=MSG_RCV proto=UDP size=10",
+        "t=0 node=n0 ext->relay kind=MSG_RCV proto=IPV6 size=18",
+        "t=0 node=n0 ext->m kind=MSG_GET proto=- size=0",
+        "t=0 node=n0 relay->m kind=MSG_RCV proto=IPV6 size=18",
+    ]
+    assert len(sched.trace) == 4
+    assert list(sched.trace) == expected
+    assert sched.trace[0] == expected[0]
+    assert sched.trace[-1] == expected[-1]
+    assert sched.trace[1:3] == expected[1:3]
+    assert sched.trace[::-1] == expected[::-1]
+    assert node.pktbuf.stats().used == 0
+
+
+def test_trace_names_the_type_of_other_messages():
+    sched, node = make_node()
+    ctx = node.spawn_module(ModuleDesc("m", lambda c, m: None))
+
+    class Wakeup:
+        pass
+
+    sched.post(ctx, Wakeup())
+    assert list(sched.trace) == [
+        "t=0 node=n0 ext->m kind=Wakeup proto=- size=0"]
 
 
 def test_trace_line_format():

@@ -88,6 +88,32 @@ def test_release_unheld():
         buf.release(snip)
 
 
+def test_release_checks_whole_chain_before_changing_any_snip():
+    buf = buffer_create(2048)
+    tail = buf.alloc_snip(size=32)
+    pkt = buf.prepend_header(PacketChain(tail), 8, ProtocolType.UDP)
+    buf.release(tail)  # the tail is freed under the head
+    used = buf.stats().used
+    with pytest.raises(ReleaseUnheld):
+        buf.release(pkt.head)
+    assert pkt.head.users == 1
+    assert buf.stats().used == used
+
+
+def test_chain_walks_stop_on_a_cycle():
+    buf = buffer_create(2048)
+    a = buf.alloc_snip(size=8)
+    b = buf.alloc_snip(size=8)
+    a.next, b.next = b, a
+    with pytest.raises(RuntimeError, match="cycle"):
+        PacketChain(a).total_size
+    with pytest.raises(RuntimeError, match="cycle"):
+        buf.release(a)
+    assert a.users == b.users == 1
+    with pytest.raises(RuntimeError, match="cycle"):
+        buf.hold(a)
+
+
 def test_chain_release_frees_all():
     buf = buffer_create(2048)
     payload = buf.alloc_snip(size=100, proto=ProtocolType.APP)
