@@ -194,39 +194,45 @@ class Node:
         yield from self.aux.values()
 
 
-def _render(record) -> str:
-    t, node, src, dst, kind, proto, size = record
-    kind = kind if isinstance(kind, str) else kind.name
-    proto = proto if isinstance(proto, str) else proto.name
-    return (f"t={t} node={node} {src}->{dst} "
-            f"kind={kind} proto={proto} size={size}")
+_TRACE_LINE = "t=%s node=%s %s->%s kind=%s proto=%s size=%s"
+_TRACE_WIDTH = 7  # fields per record
 
 
 class TraceLog:
     """One record per accepted message: ``(t, node, src, dst, kind, proto,
-    size)`` with the kind and protocol enums kept as they are.
+    size)``, where kind and proto are the names the enum members carry.
 
     Reads render the records to text lines; indexing, slicing and iteration
     give the same strings the lines always had.  ``size`` is taken when the
     message is posted, since handlers later grow and shrink the chain.
+
+    The fields of all records sit in one flat list of ints and strings.  A
+    list of record tuples would leave one live object per message for the
+    garbage collector to count, and the extra collections showed up as host
+    latency outliers.
     """
 
-    __slots__ = ("_records", "append")
+    __slots__ = ("_fields", "append")
 
     def __init__(self):
-        self._records: list[tuple] = []
-        self.append = self._records.append
+        self._fields: list = []
+        self.append = self._fields.extend  # append(record) adds one record
 
     def __len__(self):
-        return len(self._records)
+        return len(self._fields) // _TRACE_WIDTH
+
+    def _line(self, start: int) -> str:
+        return _TRACE_LINE % tuple(self._fields[start:start + _TRACE_WIDTH])
 
     def __iter__(self):
-        return map(_render, self._records)
+        for start in range(0, len(self._fields), _TRACE_WIDTH):
+            yield self._line(start)
 
     def __getitem__(self, index):
+        starts = range(0, len(self._fields), _TRACE_WIDTH)[index]
         if isinstance(index, slice):
-            return [_render(r) for r in self._records[index]]
-        return _render(self._records[index])
+            return [self._line(start) for start in starts]
+        return self._line(starts)
 
 
 class _SchedulerBase:
@@ -246,10 +252,10 @@ class _SchedulerBase:
         src_name = src.name if src is not None else "ext"
         node_name = target.node.name if target.node is not None else "-"
         if isinstance(msg, NetMessage):
-            kind = msg.kind
+            kind = msg.kind._name_  # a plain attribute; .name is a property
             pkt = msg.pkt
             if pkt is not None:
-                proto = pkt.head.proto
+                proto = pkt.head.proto._name_
                 size = pkt.total_size
             else:
                 proto, size = "-", 0

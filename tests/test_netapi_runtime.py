@@ -388,6 +388,8 @@ def test_trace_records_render_the_lines_at_post_time():
     assert sched.trace[-1] == expected[-1]
     assert sched.trace[1:3] == expected[1:3]
     assert sched.trace[::-1] == expected[::-1]
+    with pytest.raises(IndexError):
+        sched.trace[4]
     assert node.pktbuf.stats().used == 0
 
 
