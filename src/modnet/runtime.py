@@ -37,7 +37,7 @@ from . import netapi
 from .metrics import Metrics
 from .netapi import MsgKind, NetMessage
 
-_MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV  # as in netapi: fast reads
+_MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV  # slow enum reads: see netapi
 
 
 class RuntimeError_(Exception):
