@@ -11,10 +11,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from . import netapi
-from .metrics import CopySite
-from .netapi import ENOTSUP, OK, DEMUX_RAW, MsgKind, OptionKey
-from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
+from .netapi import (DEMUX_RAW, ENOTSUP, OK, Module, MsgKind, NetMessage,
+                     OptionKey, drop, recopy, up)
+from .pktbuf import AllocPriority, NoBufferSpace, ProtocolType
 
 HEADER_LEN = 40
 NEXT_HEADER_UDP = 17
@@ -213,9 +212,11 @@ class ForwardingTable:
 
 # -- module ------------------------------------------------------------------
 
-class Ipv6Module:
+class Ipv6Module(Module):
     """Network-layer context: encode/route on the way down, demux or
     forward on the way up."""
+
+    layer = "ipv6"
 
     def __init__(self, primary_addr: bytes,
                  iface_addrs: dict[int, tuple[bytes, int]] | None = None,
@@ -227,21 +228,18 @@ class Ipv6Module:
         self.ncache = ncache if ncache is not None else RingNeighborCache()
         self.fwd = fwd if fwd is not None else ForwardingTable()
         self.hop_limit = hop_limit
-        self.ctx = None
         for iface, (addr, plen) in self.iface_addrs.items():
             self.fwd.add(addr, plen, iface, ON_LINK)
+        self._local = frozenset(
+            [primary_addr, ALL_NODES,
+             *(addr for addr, _ in self.iface_addrs.values())])
 
     def on_spawn(self, ctx):
         self.ctx = ctx
         ctx.node.registry.register(ProtocolType.IPV6, DEMUX_RAW, ctx)
 
-    def local_addrs(self):
-        yield self.primary_addr
-        for addr, _ in self.iface_addrs.values():
-            yield addr
-
     def is_local(self, dst: bytes) -> bool:
-        return dst in set(self.local_addrs()) or dst == ALL_NODES
+        return dst in self._local
 
     def route(self, dst: bytes):
         """Resolve (interface, next-hop link address) for a destination."""
@@ -252,33 +250,20 @@ class Ipv6Module:
             raise NeighborUnknown(f"no neighbor entry for {target_ip.hex()}")
         return iface, link_addr
 
-    def __call__(self, ctx, msg):
-        if msg.kind == MsgKind.MSG_SND:
-            self._send(ctx, msg)
-        elif msg.kind == MsgKind.MSG_RCV:
-            self._receive(ctx, msg)
-        elif msg.kind in (MsgKind.MSG_GET, MsgKind.MSG_SET):
-            self._option(msg)
-        else:
-            msg.ack(ENOTSUP)
-
     # -- TX -----------------------------------------------------------------
-    def _send(self, ctx, msg):
+    def on_snd(self, ctx, msg):
         node = ctx.node
         pkt = msg.pkt
         dst = msg.meta["dst_ip"]
         prio = msg.meta.get("prio", AllocPriority.SEND_APP)
         if pkt.total_size > MAX_PAYLOAD:
-            node.metrics.count("ipv6_tx_too_large")
-            node.pktbuf.release(pkt.head)
+            drop(ctx, pkt, "ipv6_tx_too_large")
             return
         try:
             iface, next_hop_link = self.route(dst)
         except (Unreachable, NeighborUnknown) as exc:
-            node.metrics.count("ipv6_unreachable"
-                               if isinstance(exc, Unreachable)
-                               else "ipv6_neighbor_unknown")
-            node.pktbuf.release(pkt.head)
+            drop(ctx, pkt, "ipv6_unreachable" if isinstance(exc, Unreachable)
+                 else "ipv6_neighbor_unknown")
             return
         hdr = Ipv6Header(src=self.primary_addr, dst=dst,
                          payload_length=pkt.total_size,
@@ -289,90 +274,70 @@ class Ipv6Module:
             out = node.pktbuf.prepend_header(pkt, HEADER_LEN,
                                              ProtocolType.IPV6, prio)
         except NoBufferSpace:
-            node.metrics.count("ipv6_tx_drops_nobuf")
-            node.pktbuf.release(pkt.head)
+            drop(ctx, pkt, "ipv6_tx_drops_nobuf")
             return
         out.head.data[:] = encode_header(hdr)
-        self._down(node, out, iface, next_hop_link, msg.meta, prio)
+        self._down(ctx, out, iface, next_hop_link, msg.meta, prio)
 
-    def _down(self, node, pkt, iface, next_hop_link, meta, prio):
+    def _down(self, ctx, pkt, iface, next_hop_link, meta, prio):
+        node = ctx.node
         adapt = node.wiring.get("adapt")
         if adapt is None:
-            node.metrics.count("ipv6_no_adapt")
-            node.pktbuf.release(pkt.head)
+            drop(ctx, pkt, "ipv6_no_adapt")
             return
-        node.sched.post(adapt, netapi.NetMessage(
+        node.sched.post(adapt, NetMessage(
             kind=MsgKind.MSG_SND, pkt=pkt,
             meta={"next_hop_link": next_hop_link, "iface": iface,
                   "packet_id": meta.get("packet_id"), "prio": prio}))
 
     # -- RX -----------------------------------------------------------------
-    def _receive(self, ctx, msg):
+    def on_rcv(self, ctx, msg):
         node = ctx.node
         data = msg.pkt.to_bytes()
         pid = msg.meta.get("packet_id")
         try:
             hdr, payload = decode(data)
         except Ipv6Error:
-            node.metrics.count("ipv6_rx_malformed")
-            node.pktbuf.release(msg.pkt.head)
+            drop(ctx, msg.pkt, "ipv6_rx_malformed")
             return
         if self.is_local(hdr.dst):
-            self._deliver_local(node, msg, hdr, payload, pid)
+            chain = recopy(ctx, msg.pkt, payload, ProtocolType.UDP, pid,
+                           "ipv6_rx_drops_nobuf")
+            if chain is not None:
+                meta = {"src_ip": hdr.src, "dst_ip": hdr.dst,
+                        "packet_id": pid, "hop_limit": hdr.hop_limit}
+                up(ctx, ProtocolType.IPV6, hdr.next_header, chain, meta,
+                   "ipv6_no_proto")
             return
         # forwarding path
         if hdr.hop_limit <= 1:
-            node.metrics.count("ipv6_hop_limit_drops")
-            node.pktbuf.release(msg.pkt.head)
+            drop(ctx, msg.pkt, "ipv6_hop_limit_drops")
             return
         try:
             iface, next_hop_link = self.route(hdr.dst)
         except (Unreachable, NeighborUnknown):
-            node.metrics.count("ipv6_forward_unroutable")
-            node.pktbuf.release(msg.pkt.head)
+            drop(ctx, msg.pkt, "ipv6_forward_unroutable")
             return
         # decrement hop limit in place; we hold the only reference by now
         msg.pkt.head.data[7] = hdr.hop_limit - 1
         node.metrics.count("ipv6_forwarded")
-        self._down(node, msg.pkt, iface, next_hop_link, msg.meta,
+        self._down(ctx, msg.pkt, iface, next_hop_link, msg.meta,
                    AllocPriority.RECEIVE)
 
-    def _deliver_local(self, node, msg, hdr, payload, pid):
-        node.pktbuf.release(msg.pkt.head)  # data survives in payload
-        try:
-            snip = node.pktbuf.alloc_snip(
-                payload=payload, proto=ProtocolType.UDP,
-                prio=AllocPriority.RECEIVE)
-        except NoBufferSpace:
-            node.metrics.count("ipv6_rx_drops_nobuf")
-            return
-        if pid is not None:
-            node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, len(payload))
-        meta = {"src_ip": hdr.src, "dst_ip": hdr.dst, "packet_id": pid,
-                "hop_limit": hdr.hop_limit}
-        matched = netapi.dispatch(node, ProtocolType.IPV6, hdr.next_header,
-                                  PacketChain(snip), meta)
-        node.pktbuf.release(snip)  # dispatch holds one ref per receiver
-        if matched == 0:
-            node.metrics.count("ipv6_no_proto")
-
     # -- options -------------------------------------------------------------
-    def _option(self, msg):
-        key, value = msg.option
-        if msg.kind == MsgKind.MSG_GET:
-            if key == OptionKey.HOP_LIMIT:
-                msg.ack(OK, self.hop_limit)
-            elif key == OptionKey.ADDRESS:
-                msg.ack(OK, self.primary_addr)
-            else:
-                msg.ack(ENOTSUP)
+    def on_option(self, ctx, msg):
+        kind = msg.kind
+        key, value = msg.option or (None, None)  # a stray MSG_ACK has none
+        if kind == MsgKind.MSG_GET and key == OptionKey.HOP_LIMIT:
+            msg.ack(OK, self.hop_limit)
+        elif kind == MsgKind.MSG_GET and key == OptionKey.ADDRESS:
+            msg.ack(OK, self.primary_addr)
+        elif kind == MsgKind.MSG_SET and key == OptionKey.HOP_LIMIT:
+            try:
+                self.hop_limit = int(value) & 0xFF
+            except (ValueError, TypeError):
+                msg.ack(ENOTSUP)  # value the option cannot parse
+                return
+            msg.ack(OK)
         else:
-            if key == OptionKey.HOP_LIMIT:
-                try:
-                    self.hop_limit = int(value) & 0xFF
-                except (ValueError, TypeError):
-                    msg.ack(ENOTSUP)  # value the option cannot parse
-                    return
-                msg.ack(OK)
-            else:
-                msg.ack(ENOTSUP)
+            msg.ack(ENOTSUP)

@@ -18,9 +18,8 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from . import netapi
 from .metrics import CopySite
-from .netapi import ENOTSUP, OK, DEMUX_ALL, MsgKind
+from .netapi import ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
 from .netdev import (BROADCAST_LONG, DevEventType, DevNotify, DevStatus,
                      Unsupported)
 from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
@@ -67,16 +66,18 @@ def link_decode(frame: bytes) -> LinkFrame:
     return LinkFrame(dst, src, seq, frame[HEADER_LEN:])
 
 
-class LinkModule:
+class LinkModule(Module):
     """Owns one device.  Downward: serialize chain + frame + dev_send.
     Upward: dev_recv into a RECEIVE-priority snip, dispatch to the
-    adaptation layer."""
+    adaptation layer.  Nothing sits below it, so ``MSG_RCV`` is the
+    base's counted drop."""
+
+    layer = "link"
 
     def __init__(self, device):
         self.device = device
         self._seq = 0
         self._pending: deque[bytes] = deque()  # frames waiting on TX slot
-        self.ctx = None
 
     def on_spawn(self, ctx):
         self.ctx = ctx
@@ -85,26 +86,19 @@ class LinkModule:
         self.device.node = ctx.node
 
     def __call__(self, ctx, msg):
+        # the device's markers are not NetMessages: they stop here
         if isinstance(msg, DevNotify):
             self._poll_events(ctx)
-            return
-        if msg.kind == MsgKind.MSG_SND:
-            self._send(ctx, msg)
-        elif msg.kind == MsgKind.MSG_RCV:
-            # nothing below the link layer
-            self._drop(ctx, msg, "link_unexpected_rcv")
-        elif msg.kind in (MsgKind.MSG_GET, MsgKind.MSG_SET):
-            self._option(msg)
         else:
-            msg.ack(ENOTSUP)
+            Module.__call__(self, ctx, msg)
 
     # -- TX ----------------------------------------------------------------
-    def _send(self, ctx, msg):
+    def on_snd(self, ctx, msg):
         node = ctx.node
         payload = msg.pkt.to_bytes()
         pid = msg.meta.get("packet_id")
         if not 1 <= len(payload) <= MAX_PAYLOAD:
-            self._drop(ctx, msg, "link_payload_too_large")
+            drop(ctx, msg.pkt, "link_payload_too_large")
             return
         if pid is not None:
             node.metrics.record_copy(CopySite.BUF_TO_DEV, pid, len(payload))
@@ -153,28 +147,20 @@ class LinkModule:
             return
         pid = node.metrics.new_packet_id()
         node.metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(frame.payload))
-        pkt = PacketChain(snip)
         meta = {"src_link": frame.src_long, "dst_link": frame.dst_long,
                 "iface": self.device.id, "packet_id": pid}
-        matched = netapi.dispatch(node, ProtocolType.SIXLOWPAN, DEMUX_ALL,
-                                  pkt, meta)
-        node.pktbuf.release(snip)  # dispatch holds one ref per receiver
-        if matched == 0:
-            node.metrics.count("link_rx_no_receiver")
+        up(ctx, ProtocolType.SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
+           "link_rx_no_receiver")
 
     # -- options -------------------------------------------------------------
-    def _option(self, msg):
-        key, value = msg.option
+    def on_option(self, ctx, msg):
         try:
             if msg.kind == MsgKind.MSG_GET:
-                msg.ack(OK, self.device.dev_get(key))
+                msg.ack(OK, self.device.dev_get(msg.option[0]))
+            elif msg.kind == MsgKind.MSG_SET:
+                msg.ack(self.device.dev_set(*msg.option))
             else:
-                msg.ack(self.device.dev_set(key, value))
+                msg.ack(ENOTSUP)
         except (Unsupported, ValueError, TypeError):
             # unknown key or a value the device cannot parse
             msg.ack(ENOTSUP)
-
-    def _drop(self, ctx, msg, counter):
-        ctx.node.metrics.count(counter)
-        if msg.pkt is not None:
-            ctx.node.pktbuf.release(msg.pkt.head)

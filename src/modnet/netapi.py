@@ -1,10 +1,18 @@
-"""Unified inter-module message protocol and the receive registry.
+"""Unified inter-module message protocol, the module skeleton and the
+receive registry.
 
 Every stack layer services the same small message set: data down
 (``MSG_SND``), data up (``MSG_RCV``), option request/reply (``MSG_SET`` /
 ``MSG_GET`` answered by ``MSG_ACK``).  A module implements whatever subset
 it wants and answers everything else with ``ENOTSUP`` -- the conformance
 suite fuzzes exactly this rule.
+
+``Module`` is that rule as a base class.  Its ``__call__`` routes
+``MSG_SND`` to ``on_snd``, ``MSG_RCV`` to ``on_rcv`` and every other kind
+to ``on_option``; the defaults count unexpected data as
+``<layer>_unexpected_snd`` or ``_rcv`` and release it, and answer
+``ENOTSUP``.  ``drop``, ``recopy`` and ``up`` hold the code layers share.
+Any plain ``handler(ctx, msg)`` callable still works as a module.
 
 Upward packet flow is composed through the registry: modules and sockets
 bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
@@ -17,7 +25,8 @@ import enum
 import threading
 from dataclasses import dataclass
 
-from .pktbuf import PacketChain
+from .metrics import CopySite
+from .pktbuf import AllocPriority, NoBufferSpace, PacketChain
 
 
 class MsgKind(enum.IntEnum):
@@ -30,7 +39,8 @@ class MsgKind(enum.IntEnum):
 
 # Reading a member off an enum class costs about three function calls on
 # CPython 3.11, so the per-message paths read these aliases instead.
-_MSG_RCV, _MSG_ACK = MsgKind.MSG_RCV, MsgKind.MSG_ACK
+_MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV
+_MSG_ACK = MsgKind.MSG_ACK
 _CMD_KINDS = (MsgKind.MSG_SET, MsgKind.MSG_GET)
 
 
@@ -254,3 +264,69 @@ def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
             f"no MSG_ACK from {getattr(target, 'name', target)} within "
             f"{timeout_us} us")
     return box.msg
+
+
+def drop(ctx, pkt: PacketChain | None, counter: str):
+    """Count a dropped message and release its chain, if it carries one."""
+    node = ctx.node
+    node.metrics.count(counter)
+    if pkt is not None:
+        node.pktbuf.release(pkt.head)
+
+
+def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
+           nobuf_counter: str) -> PacketChain | None:
+    """Release a received chain and copy ``payload``, the part the next
+    layer takes, into a fresh RECEIVE snip.  Returns None, counted as
+    ``nobuf_counter``, when the buffer refuses."""
+    node = ctx.node
+    node.pktbuf.release(pkt.head)  # the bytes survive in payload
+    try:
+        snip = node.pktbuf.alloc_snip(payload=payload, proto=proto,
+                                      prio=AllocPriority.RECEIVE)
+    except NoBufferSpace:
+        node.metrics.count(nobuf_counter)
+        return None
+    if pid is not None:
+        node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, len(payload))
+    return PacketChain(snip)
+
+
+def up(ctx, proto, demux_ctx, pkt: PacketChain, meta, miss_counter: str):
+    """Deliver a packet upward through the registry and give up the
+    caller's reference; counts ``miss_counter`` when nobody matched."""
+    node = ctx.node
+    # a global lookup, so a wrapper installed on ``netapi.dispatch`` sees it
+    matched = dispatch(node, proto, demux_ctx, pkt, meta)
+    node.pktbuf.release(pkt.head)  # dispatch holds one ref per receiver
+    if matched == 0:
+        node.metrics.count(miss_counter)
+
+
+class Module:
+    """Base of a stack layer: override the hooks the layer implements.
+    ``on_option`` also sees a stray ``MSG_ACK``: answer it ``ENOTSUP``."""
+
+    layer = "module"
+    ctx = None
+
+    def on_spawn(self, ctx):
+        self.ctx = ctx
+
+    def __call__(self, ctx, msg):
+        kind = msg.kind
+        if kind is _MSG_SND:
+            self.on_snd(ctx, msg)
+        elif kind is _MSG_RCV:
+            self.on_rcv(ctx, msg)
+        else:
+            self.on_option(ctx, msg)
+
+    def on_snd(self, ctx, msg):
+        drop(ctx, msg.pkt, f"{self.layer}_unexpected_snd")
+
+    def on_rcv(self, ctx, msg):
+        drop(ctx, msg.pkt, f"{self.layer}_unexpected_rcv")
+
+    def on_option(self, ctx, msg):
+        msg.ack(ENOTSUP)

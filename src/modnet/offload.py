@@ -5,51 +5,40 @@ services the unified message interface at the transport level, so a node
 needs only the socket layer and this module.  Datagrams either loop back
 locally or cross a private channel to a paired offload module on another
 node; the chip's internals are opaque by definition, so no link frames are
-involved.
+involved.  A datagram crossing the channel arrives as ``MSG_RCV`` carrying
+the chip's bytes in ``meta["raw"]`` and no chain.
 """
 
 from __future__ import annotations
 
-from . import netapi
 from .metrics import CopySite
-from .netapi import ENOTSUP, OK, MsgKind, NetMessage, OptionKey
+from .netapi import (ENOTSUP, OK, Module, MsgKind, NetMessage, OptionKey,
+                     drop, up)
 from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
 
 BRIDGE_DELAY_US = 10
 
 
-class OffloadModule:
-    """Accepts MSG_SND with (dst_ip, dst_port) metadata and answers
-    MSG_GET(ADDRESS); everything else is unsupported."""
+class OffloadModule(Module):
+    """Accepts MSG_SND with (dst_ip, dst_port) metadata from the sockets,
+    MSG_RCV from the channel, and answers MSG_GET(ADDRESS); everything
+    else is unsupported."""
+
+    layer = "offload"
 
     def __init__(self, addr: bytes):
         self.addr = addr
         self.peer = None  # paired offload module context, set after build
-        self.ctx = None
 
-    def on_spawn(self, ctx):
-        self.ctx = ctx
-
-    def __call__(self, ctx, msg):
-        if msg.kind == MsgKind.MSG_SND:
-            if "raw" in msg.meta:
-                self._ingress(ctx, msg)
-            else:
-                self._egress(ctx, msg)
-        elif msg.kind == MsgKind.MSG_GET:
-            key, _ = msg.option
-            if key == OptionKey.ADDRESS:
-                msg.ack(OK, self.addr)
-            else:
-                msg.ack(ENOTSUP)
-        elif msg.kind == MsgKind.MSG_RCV:
-            if msg.pkt is not None:
-                ctx.node.pktbuf.release(msg.pkt.head)
+    def on_option(self, ctx, msg):
+        if (msg.kind == MsgKind.MSG_GET and msg.option
+                and msg.option[0] == OptionKey.ADDRESS):
+            msg.ack(OK, self.addr)
         else:
             msg.ack(ENOTSUP)
 
     # -- TX: socket layer handed us a payload chain ------------------------
-    def _egress(self, ctx, msg):
+    def on_snd(self, ctx, msg):
         node = ctx.node
         data = msg.pkt.to_bytes()
         pid = msg.meta.get("packet_id")
@@ -68,12 +57,16 @@ class OffloadModule:
         node.sched.call_later(
             BRIDGE_DELAY_US,
             lambda: node.sched.post(target, NetMessage(
-                kind=MsgKind.MSG_SND, meta=bridge)))
+                kind=MsgKind.MSG_RCV, meta=bridge)))
 
     # -- RX: datagram arriving from the chip -------------------------------
-    def _ingress(self, ctx, msg):
+    def on_rcv(self, ctx, msg):
+        data = msg.meta.get("raw")
+        if data is None or msg.pkt is not None:
+            # not from the channel: a chain carries no chip bytes
+            drop(ctx, msg.pkt, "offload_unexpected_rcv")
+            return
         node = ctx.node
-        data = msg.meta["raw"]
         try:
             snip = node.pktbuf.alloc_snip(payload=data,
                                           proto=ProtocolType.APP,
@@ -86,8 +79,5 @@ class OffloadModule:
         meta = {"src_ip": msg.meta.get("src_ip"),
                 "src_port": msg.meta.get("src_port"),
                 "dst_port": msg.meta.get("dst_port"), "packet_id": pid}
-        matched = netapi.dispatch(node, ProtocolType.UDP, meta["dst_port"],
-                                  PacketChain(snip), meta)
-        node.pktbuf.release(snip)  # dispatch holds one ref per receiver
-        if matched == 0:
-            node.metrics.count("offload_rx_no_port")
+        up(ctx, ProtocolType.UDP, meta["dst_port"], PacketChain(snip), meta,
+           "offload_rx_no_port")

@@ -35,9 +35,7 @@ from dataclasses import dataclass
 
 from . import netapi
 from .metrics import Metrics
-from .netapi import MsgKind, NetMessage
-
-_MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV  # slow enum reads: see netapi
+from .netapi import _MSG_RCV, _MSG_SND, NetMessage
 
 
 class RuntimeError_(Exception):
@@ -318,7 +316,9 @@ class DetScheduler(_SchedulerBase):
     def pending_events(self) -> int:
         return len(self._heap) + len(self._ready)
 
-    def run_until(self, t_us: int | None = None, quiescent: bool = False) -> int:
+    def run_until(self, t_us: int | None = None) -> int:
+        """Run events up to simulated time ``t_us``, or until none are
+        left when no bound is given; returns the number run."""
         processed = 0
         ready, heap = self._ready, self._heap
         while ready or heap:
@@ -532,25 +532,22 @@ class ThreadScheduler(_SchedulerBase):
             time.sleep(0.001)
         return True
 
-    def run_until(self, t_us: int | None = None, quiescent: bool = False) -> int:
-        if quiescent:
-            idle_since = None
-            while True:
-                with self._pending_lock:
-                    idle = self._pending == 0
-                now = time.perf_counter()
-                if idle:
-                    if idle_since is None:
-                        idle_since = now
-                    elif now - idle_since >= self.GRACE_S:
-                        return 0
-                else:
-                    idle_since = None
-                time.sleep(0.005)
-        else:
-            while self.now_us < (t_us or 0):
+    def run_until(self, t_us: int | None = None) -> int:
+        """Wait until ``t_us`` on the wall clock, or, with no bound, until
+        no work has been outstanding for ``GRACE_S``.  Returns 0: events
+        run on the worker threads, which do not count them."""
+        if t_us is not None:
+            while self.now_us < t_us:
                 time.sleep(0.001)
             return 0
+        quiet_since = time.perf_counter()
+        while time.perf_counter() - quiet_since < self.GRACE_S:
+            time.sleep(0.005)
+            with self._pending_lock:
+                busy = self._pending
+            if busy:
+                quiet_since = time.perf_counter()
+        return 0
 
     def stop(self):
         self._stop = True

@@ -375,13 +375,7 @@ def run_scenario(scenario: Scenario, mode: str = "det",
     sim = build(scenario.topology, mode=mode)
     book = apply_workload(sim, scenario)
     try:
-        if until is None or until == "quiescent":
-            if mode == "det":
-                sim.run_until()
-            else:
-                sim.run_until(quiescent=True)
-        else:
-            sim.run_until(t_us=int(until))
+        sim.run_until(None if until in (None, "quiescent") else int(until))
         stats = collect_stats(sim, book)
     finally:
         if mode == "par":

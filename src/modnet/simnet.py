@@ -217,8 +217,9 @@ class Simulator:
     def step(self) -> bool:
         return self.sched.step()
 
-    def run_until(self, t_us: int | None = None, quiescent: bool = False):
-        return self.sched.run_until(t_us=t_us, quiescent=quiescent)
+    def run_until(self, t_us: int | None = None):
+        """Run to time ``t_us``, or to quiescence without one."""
+        return self.sched.run_until(t_us)
 
     def stop(self):
         self.sched.stop()

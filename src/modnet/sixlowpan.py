@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import netapi
 from .metrics import CopySite
-from .netapi import ENOTSUP, DEMUX_ALL, DEMUX_RAW, MsgKind
+from .netapi import DEMUX_ALL, DEMUX_RAW, Module, MsgKind, drop, recopy, up
 from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
 
 DISPATCH_UNCOMPRESSED = 0x41
@@ -226,8 +226,11 @@ class ReassemblyTable:
         return ReassemblyStatus.INCOMPLETE, None, entry.packet_id
 
 
-class SixlowpanModule:
-    """One adaptation-layer context per node, serving all interfaces."""
+class SixlowpanModule(Module):
+    """One adaptation-layer context per node, serving all interfaces.
+    Implements no options."""
+
+    layer = "sixlowpan"
 
     def __init__(self, link_payload_budget: int | None = None,
                  max_reassembly: int = DEFAULT_REASSEMBLY_ENTRIES,
@@ -238,7 +241,6 @@ class SixlowpanModule:
         self.timeout_us = timeout_us
         self.reassembly_table: ReassemblyTable | None = None
         self._tag = 0
-        self.ctx = None
 
     def on_spawn(self, ctx):
         self.ctx = ctx
@@ -251,28 +253,15 @@ class SixlowpanModule:
         self._tag = (self._tag + 1) & 0xFFFF
         return self._tag
 
-    def __call__(self, ctx, msg):
-        if not hasattr(msg, "kind"):
-            return
-        if msg.kind == MsgKind.MSG_SND:
-            self._send(ctx, msg)
-        elif msg.kind == MsgKind.MSG_RCV:
-            self._receive(ctx, msg)
-        elif msg.kind in (MsgKind.MSG_GET, MsgKind.MSG_SET):
-            msg.ack(ENOTSUP)
-        else:
-            msg.ack(ENOTSUP)
-
     # -- TX -----------------------------------------------------------------
-    def _send(self, ctx, msg):
+    def on_snd(self, ctx, msg):
         node = ctx.node
         pkt = msg.pkt
         prio = msg.meta.get("prio", AllocPriority.SEND_APP)
         iface = msg.meta.get("iface", 0)
         link_ctx = node.wiring.get(f"link{iface}")
         if link_ctx is None:
-            node.metrics.count("sixlowpan_no_link")
-            node.pktbuf.release(pkt.head)
+            drop(ctx, pkt, "sixlowpan_no_link")
             return
         size = pkt.total_size
         pid = msg.meta.get("packet_id")
@@ -283,8 +272,7 @@ class SixlowpanModule:
                 out = node.pktbuf.prepend_header(
                     pkt, 1, ProtocolType.SIXLOWPAN, prio)
             except NoBufferSpace:
-                node.metrics.count("sixlowpan_tx_drops_nobuf")
-                node.pktbuf.release(pkt.head)
+                drop(ctx, pkt, "sixlowpan_tx_drops_nobuf")
                 return
             out.head.data[0] = DISPATCH_UNCOMPRESSED
             node.sched.post(link_ctx, netapi.NetMessage(
@@ -322,59 +310,38 @@ class SixlowpanModule:
                 i, lambda m=message: node.sched.post(link_ctx, m))
 
     # -- RX -----------------------------------------------------------------
-    def _receive(self, ctx, msg):
+    def on_rcv(self, ctx, msg):
         node = ctx.node
         payload = msg.pkt.to_bytes()
         src = msg.meta.get("src_link", b"")
         dst = msg.meta.get("dst_link", b"")
         up_meta = {k: msg.meta[k] for k in ("src_link", "dst_link", "iface")
                    if k in msg.meta}
-        try:
-            parsed = parse_payload(payload)
-        except MalformedFragment:
-            node.metrics.count("sixlowpan_rx_malformed")
-            node.pktbuf.release(msg.pkt.head)
-            return
-        if parsed.kind == "uncompressed":
-            pid = msg.meta.get("packet_id")
-            node.pktbuf.release(msg.pkt.head)  # data survives in parsed.data
-            try:
-                snip = node.pktbuf.alloc_snip(
-                    payload=parsed.data, proto=ProtocolType.IPV6,
-                    prio=AllocPriority.RECEIVE)
-            except NoBufferSpace:
-                node.metrics.count("sixlowpan_rx_drops_nobuf")
-                return
-            if pid is not None:
-                node.metrics.record_copy(CopySite.BUF_INTERNAL, pid,
-                                         len(parsed.data))
-            self._deliver_up(node, PacketChain(snip), pid, up_meta)
-            return
-        # fragmented path
         table = self.reassembly_table
         try:
-            status, chain, entry_pid = table.step(
-                payload, src, dst, node.sched.now_us)
+            parsed = parse_payload(payload)
+            if parsed.kind != "uncompressed":
+                status, chain, entry_pid = table.step(
+                    payload, src, dst, node.sched.now_us)
         except MalformedFragment:
-            node.metrics.count("sixlowpan_rx_malformed")
-            node.pktbuf.release(msg.pkt.head)
+            drop(ctx, msg.pkt, "sixlowpan_rx_malformed")
             return
-        frame_pid = msg.meta.get("packet_id")
-        if entry_pid and frame_pid and entry_pid != frame_pid:
-            node.metrics.merge_packet(entry_pid, frame_pid)
+        pid = msg.meta.get("packet_id")
+        if parsed.kind == "uncompressed":
+            chain = recopy(ctx, msg.pkt, parsed.data, ProtocolType.IPV6, pid,
+                           "sixlowpan_rx_drops_nobuf")
+            if chain is not None:
+                up(ctx, ProtocolType.IPV6, DEMUX_RAW, chain,
+                   dict(up_meta, packet_id=pid), "sixlowpan_rx_no_receiver")
+            return
+        # fragmented path
+        if entry_pid and pid and entry_pid != pid:
+            node.metrics.merge_packet(entry_pid, pid)
         node.pktbuf.release(msg.pkt.head)
         if status == ReassemblyStatus.COMPLETE:
-            self._deliver_up(node, chain, entry_pid, up_meta)
+            up(ctx, ProtocolType.IPV6, DEMUX_RAW, chain,
+               dict(up_meta, packet_id=entry_pid), "sixlowpan_rx_no_receiver")
         elif status == ReassemblyStatus.INCOMPLETE:
             node.sched.call_later(
                 self.timeout_us + 1,
                 lambda: table.expire(node.sched.now_us))
-
-    def _deliver_up(self, node, chain, pid, up_meta):
-        meta = dict(up_meta)
-        meta["packet_id"] = pid
-        matched = netapi.dispatch(node, ProtocolType.IPV6, DEMUX_RAW,
-                                  chain, meta)
-        node.pktbuf.release(chain.head)  # dispatch holds one ref per receiver
-        if matched == 0:
-            node.metrics.count("sixlowpan_rx_no_receiver")

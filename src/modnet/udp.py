@@ -12,9 +12,8 @@ from __future__ import annotations
 import struct
 from collections import deque
 
-from . import netapi
 from .metrics import CopySite
-from .netapi import ENOTSUP, MsgKind, NetMessage
+from .netapi import Module, MsgKind, NetMessage, drop, recopy, up
 from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
 
 HEADER_LEN = 8
@@ -77,29 +76,20 @@ def udp_encode_header(src_port: int, dst_port: int, length: int,
     return struct.pack("!HHHH", src_port, dst_port, length, checksum)
 
 
-class UdpModule:
+class UdpModule(Module):
     """Transport context: prepend + checksum downward, verify + port demux
-    upward.  Registers for IPv6 next-header 17."""
+    upward.  Registers for IPv6 next-header 17; implements no options."""
+
+    layer = "udp"
 
     def __init__(self, local_addr: bytes):
         self.local_addr = local_addr
-        self.ctx = None
 
     def on_spawn(self, ctx):
         self.ctx = ctx
         ctx.node.registry.register(ProtocolType.IPV6, NEXT_HEADER_UDP, ctx)
 
-    def __call__(self, ctx, msg):
-        if msg.kind == MsgKind.MSG_SND:
-            self._send(ctx, msg)
-        elif msg.kind == MsgKind.MSG_RCV:
-            self._receive(ctx, msg)
-        elif msg.kind in (MsgKind.MSG_GET, MsgKind.MSG_SET):
-            msg.ack(ENOTSUP)
-        else:
-            msg.ack(ENOTSUP)
-
-    def _send(self, ctx, msg):
+    def on_snd(self, ctx, msg):
         node = ctx.node
         pkt = msg.pkt
         prio = msg.meta.get("prio", AllocPriority.SEND_APP)
@@ -108,8 +98,7 @@ class UdpModule:
             out = node.pktbuf.prepend_header(pkt, HEADER_LEN,
                                              ProtocolType.UDP, prio)
         except NoBufferSpace:
-            node.metrics.count("udp_tx_drops_nobuf")
-            node.pktbuf.release(pkt.head)
+            drop(ctx, pkt, "udp_tx_drops_nobuf")
             return
         out.head.data[:] = udp_encode_header(
             msg.meta["src_port"], msg.meta["dst_port"], length)
@@ -118,8 +107,7 @@ class UdpModule:
         struct.pack_into("!H", out.head.data, 6, csum)
         net = node.wiring.get("net")
         if net is None:
-            node.metrics.count("udp_no_net")
-            node.pktbuf.release(out.head)
+            drop(ctx, out, "udp_no_net")
             return
         node.sched.post(net, NetMessage(
             kind=MsgKind.MSG_SND, pkt=out,
@@ -127,46 +115,30 @@ class UdpModule:
                   "next_header": NEXT_HEADER_UDP,
                   "packet_id": msg.meta.get("packet_id"), "prio": prio}))
 
-    def _receive(self, ctx, msg):
-        node = ctx.node
+    def on_rcv(self, ctx, msg):
         data = msg.pkt.to_bytes()
         pid = msg.meta.get("packet_id")
-        if len(data) < HEADER_LEN:
-            node.metrics.count("udp_rx_malformed")
-            node.pktbuf.release(msg.pkt.head)
+        # the length field must match the bytes that arrived
+        if (len(data) < HEADER_LEN
+                or struct.unpack_from("!H", data, 4)[0] != len(data)):
+            drop(ctx, msg.pkt, "udp_rx_malformed")
             return
-        src_port, dst_port, length, _ = struct.unpack_from("!HHHH", data)
-        if length != len(data) or length < HEADER_LEN:
-            node.metrics.count("udp_rx_malformed")
-            node.pktbuf.release(msg.pkt.head)
-            return
+        src_port, dst_port = struct.unpack_from("!HH", data)
         if not udp_verify(msg.meta["src_ip"], msg.meta["dst_ip"], data):
-            node.metrics.count("udp_rx_bad_checksum")
-            node.pktbuf.release(msg.pkt.head)
+            drop(ctx, msg.pkt, "udp_rx_bad_checksum")
             return
         payload = data[HEADER_LEN:]
-        node.pktbuf.release(msg.pkt.head)  # data survives in payload
         if not payload:
-            node.metrics.count("udp_rx_empty")
+            drop(ctx, msg.pkt, "udp_rx_empty")
             return
-        try:
-            snip = node.pktbuf.alloc_snip(
-                payload=payload, proto=ProtocolType.APP,
-                prio=AllocPriority.RECEIVE)
-        except NoBufferSpace:
-            node.metrics.count("udp_rx_drops_nobuf")
+        chain = recopy(ctx, msg.pkt, payload, ProtocolType.APP, pid,
+                       "udp_rx_drops_nobuf")
+        if chain is None:
             return
-        if pid is not None:
-            node.metrics.record_copy(CopySite.BUF_INTERNAL, pid,
-                                     len(payload))
         meta = {"src_ip": msg.meta["src_ip"], "src_port": src_port,
                 "dst_port": dst_port, "packet_id": pid,
                 "hop_limit": msg.meta.get("hop_limit")}
-        matched = netapi.dispatch(node, ProtocolType.UDP, dst_port,
-                                  PacketChain(snip), meta)
-        node.pktbuf.release(snip)  # dispatch holds one ref per receiver
-        if matched == 0:
-            node.metrics.count("udp_rx_no_port")
+        up(ctx, ProtocolType.UDP, dst_port, chain, meta, "udp_rx_no_port")
 
 
 class Socket:
@@ -185,23 +157,24 @@ class Socket:
     # -- app API -------------------------------------------------------------
     def sendto(self, dst_ip: bytes, dst_port: int, payload: bytes) -> int:
         """Copy the payload into the buffer once and hand it to the current
-        transport wiring.  Raises NoBufferSpace as back-pressure; in that
-        case nothing was sent."""
-        assert not self.closed
+        transport wiring.  Raises NoBufferSpace as back-pressure and
+        UdpError for a refused datagram; in both cases nothing was sent
+        and nothing was recorded."""
+        if self.closed:
+            raise UdpError(f"port {self.port} is closed")
         if not payload:
             raise UdpError("empty payload")
         if len(payload) > MAX_PAYLOAD:
             raise PayloadTooLarge(f"{len(payload)} > {MAX_PAYLOAD}")
         node = self.layer.ctx.node
+        transport = node.wiring.get("transport")
+        if transport is None:
+            raise UdpError("no transport wired")
         pid = node.metrics.new_packet_id()
         snip = node.pktbuf.alloc_snip(payload=payload,
                                       proto=ProtocolType.APP,
                                       prio=AllocPriority.SEND_APP)
         node.metrics.record_copy(CopySite.APP_TO_BUF, pid, len(payload))
-        transport = node.wiring.get("transport")
-        if transport is None:
-            node.pktbuf.release(snip)
-            raise UdpError("no transport wired")
         node.metrics.count("udp_sent")
         node.sched.post(transport, NetMessage(
             kind=MsgKind.MSG_SND, pkt=PacketChain(snip),
@@ -213,7 +186,8 @@ class Socket:
     def recvfrom(self, timeout_us: int = 1_000_000):
         """Pop one datagram, copying the payload out of the buffer (the
         one buffer-to-app copy).  Raises SockTimeout when nothing arrives."""
-        assert not self.closed
+        if self.closed:
+            raise UdpError(f"port {self.port} is closed")
         node = self.layer.ctx.node
         if not self.queue:
             node.sched.wait_for(lambda: len(self.queue) > 0, timeout_us)
@@ -237,26 +211,24 @@ class Socket:
         self.layer.close(self)
 
     # -- called from the sock context ------------------------------------------
-    def _deliver(self, node, src_ip, src_port, pkt, pid, hop_limit=None):
+    def _deliver(self, ctx, src_ip, src_port, pkt, pid, hop_limit=None):
         if len(self.queue) >= self.queue_capacity:
-            _, _, old, _, _ = self.queue.popleft()
-            node.pktbuf.release(old.head)
-            node.metrics.count("sock_queue_drops")
+            drop(ctx, self.queue.popleft()[2], "sock_queue_drops")
         self.queue.append((src_ip, src_port, pkt, pid, hop_limit))
         if self.on_ready is not None:
             self.on_ready(self)
 
 
-class SocketLayer:
+class SocketLayer(Module):
     """App-facing context owning every socket on its node.  Each bound
-    socket is one registry entry (UDP, port) targeting this context."""
+    socket is one registry entry (UDP, port) targeting this context.
+    Apps call ``sendto`` directly, so nothing sends data down to it:
+    ``MSG_SND`` is the base's counted drop."""
+
+    layer = "sock"
 
     def __init__(self):
-        self.ctx = None
         self.ports: dict[int, Socket] = {}
-
-    def on_spawn(self, ctx):
-        self.ctx = ctx
 
     def open(self, port: int,
              queue_capacity: int = DEFAULT_SOCK_QUEUE) -> Socket:
@@ -278,22 +250,11 @@ class SocketLayer:
             _, _, pkt, _, _ = sock.queue.popleft()
             node.pktbuf.release(pkt.head)
 
-    def __call__(self, ctx, msg):
-        if msg.kind == MsgKind.MSG_RCV:
-            sock = self.ports.get(msg.meta.get("dst_port"))
-            if sock is None or sock.closed:
-                ctx.node.pktbuf.release(msg.pkt.head)
-                ctx.node.metrics.count("sock_no_port")
-                return
-            sock._deliver(ctx.node, msg.meta.get("src_ip"),
-                          msg.meta.get("src_port"), msg.pkt,
-                          msg.meta.get("packet_id"),
-                          msg.meta.get("hop_limit"))
-        elif msg.kind in (MsgKind.MSG_GET, MsgKind.MSG_SET):
-            msg.ack(ENOTSUP)
-        elif msg.kind == MsgKind.MSG_SND:
-            # apps call sendto directly; nothing routes data down to us
-            if msg.pkt is not None:
-                ctx.node.pktbuf.release(msg.pkt.head)
-        else:
-            msg.ack(ENOTSUP)
+    def on_rcv(self, ctx, msg):
+        sock = self.ports.get(msg.meta.get("dst_port"))
+        if sock is None or sock.closed:
+            drop(ctx, msg.pkt, "sock_no_port")
+            return
+        sock._deliver(ctx, msg.meta.get("src_ip"),
+                      msg.meta.get("src_port"), msg.pkt,
+                      msg.meta.get("packet_id"), msg.meta.get("hop_limit"))

@@ -1,0 +1,54 @@
+"""Every stack module follows the base contract: data it does not take is
+a counted drop that frees its chain, and unknown options answer ENOTSUP."""
+
+import pathlib
+
+import pytest
+
+from modnet.netapi import ENOTSUP, MsgKind, NetMessage, send_cmd
+from modnet.pktbuf import PacketChain, ProtocolType
+from modnet.scenario import load_scenario_file
+from modnet.simnet import build
+
+SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
+SCENARIOS = ("echo.json", "offload_echo.json")
+UNKNOWN_KEY = 0xBEEF
+
+# context kind -> (data kind it does not implement, counter of the drop)
+UNEXPECTED = {
+    "link": (MsgKind.MSG_RCV, "link_unexpected_rcv"),
+    "sock": (MsgKind.MSG_SND, "sock_unexpected_snd"),
+    "offload": (MsgKind.MSG_RCV, "offload_unexpected_rcv"),
+}
+
+
+def build_scenario(name):
+    return build(load_scenario_file(str(SCENARIO_DIR / name)).topology)
+
+
+def every_context():
+    for name in SCENARIOS:
+        for node in build_scenario(name).nodes.values():
+            for ctx in node.all_contexts():
+                yield pytest.param(name, node.name, ctx.name,
+                                   id=f"{name}:{node.name}/{ctx.name}")
+
+
+@pytest.mark.parametrize("scenario,node_name,ctx_name", every_context())
+def test_module_follows_the_base_contract(scenario, node_name, ctx_name):
+    sim = build_scenario(scenario)
+    node = sim.nodes[node_name]
+    ctx = next(c for c in node.all_contexts() if c.name == ctx_name)
+    kind_of_ctx = "link" if ctx_name.startswith("link") else ctx_name
+    if kind_of_ctx in UNEXPECTED:
+        kind, counter = UNEXPECTED[kind_of_ctx]
+        snip = node.pktbuf.alloc_snip(payload=b"\x2a", proto=ProtocolType.APP)
+        assert sim.sched.post(ctx, NetMessage(kind=kind,
+                                              pkt=PacketChain(snip)))
+        sim.run_until()
+        assert sim.metrics.get(counter) == 1
+    assert node.pktbuf.used == 0
+    for kind in (MsgKind.MSG_GET, MsgKind.MSG_SET):
+        ack = send_cmd(sim.sched, ctx,
+                       NetMessage(kind=kind, option=(UNKNOWN_KEY, b"")))
+        assert ack.status == ENOTSUP

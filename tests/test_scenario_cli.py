@@ -161,3 +161,13 @@ def test_cli_fuzz_clean_and_deterministic(tmp_path, capsys):
     assert report["crashes"] == []
     assert report["unknown_key_non_enotsup"] == []
     assert report["enotsup"] > 0
+
+
+def test_par_run_reaches_quiescence():
+    # run_until() with no bound means "until idle" in par mode as in det
+    sim, stats = run_scenario(load_scenario(load_doc("echo.json")),
+                              mode="par")
+    assert not sim.sched.errors
+    assert stats["counters"]["udp_delivered"] == 2  # request + echo
+    assert stats["sockets"]["a:40000"]["received"] == 1
+    assert all(node.pktbuf.used == 0 for node in sim.nodes.values())

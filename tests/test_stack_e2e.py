@@ -1,7 +1,10 @@
 """Whole-stack integration: echo, fragmentation, forwarding, offload."""
 
+import pytest
+
 from modnet.metrics import CopySite
 from modnet.simnet import build
+from modnet.udp import UdpError
 from topo import (IP_A, IP_A2, IP_B, IP_B2, echo_on, offload_pair,
                   three_node_router, two_node)
 
@@ -110,3 +113,21 @@ def test_identical_seeds_identical_traces():
         sim.run_until()
         traces.append(list(sim.sched.trace))
     assert traces[0] == traces[1]
+
+
+def test_refused_sendto_leaves_no_trace():
+    sim = build(two_node())
+    node = sim.nodes["a"]
+    sock = sim.socket_layer("a").open(40000)
+    transport = node.wiring.pop("transport")
+    with pytest.raises(UdpError, match="no transport"):
+        sock.sendto(IP_B, 7, pattern(20))
+    node.wiring["transport"] = transport
+    sock.close()
+    with pytest.raises(UdpError, match="closed"):
+        sock.sendto(IP_B, 7, pattern(20))
+    with pytest.raises(UdpError, match="closed"):
+        sock.recvfrom(timeout_us=0)
+    assert sim.metrics.packet_ids() == []
+    assert sim.metrics.get("udp_sent") == 0
+    assert node.pktbuf.used == 0
