@@ -11,9 +11,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .netapi import (DEMUX_RAW, ENOTSUP, OK, Module, MsgKind, NetMessage,
-                     OptionKey, drop, recopy, up)
-from .pktbuf import AllocPriority, NoBufferSpace, ProtocolType
+from .netapi import (_MSG_SND, DEMUX_RAW, ENOTSUP, OK, Module, MsgKind,
+                     NetMessage, OptionKey, drop, recopy, up)
+from .pktbuf import (_IPV6, _RECEIVE, _SEND_APP, _UDP, NoBufferSpace,
+                     ProtocolType)
 
 HEADER_LEN = 40
 NEXT_HEADER_UDP = 17
@@ -255,7 +256,7 @@ class Ipv6Module(Module):
         node = ctx.node
         pkt = msg.pkt
         dst = msg.meta["dst_ip"]
-        prio = msg.meta.get("prio", AllocPriority.SEND_APP)
+        prio = msg.meta.get("prio", _SEND_APP)
         if pkt.total_size > MAX_PAYLOAD:
             drop(ctx, pkt, "ipv6_tx_too_large")
             return
@@ -271,8 +272,7 @@ class Ipv6Module(Module):
                                                   NEXT_HEADER_UDP),
                          hop_limit=self.hop_limit)
         try:
-            out = node.pktbuf.prepend_header(pkt, HEADER_LEN,
-                                             ProtocolType.IPV6, prio)
+            out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _IPV6, prio)
         except NoBufferSpace:
             drop(ctx, pkt, "ipv6_tx_drops_nobuf")
             return
@@ -286,7 +286,7 @@ class Ipv6Module(Module):
             drop(ctx, pkt, "ipv6_no_adapt")
             return
         node.sched.post(adapt, NetMessage(
-            kind=MsgKind.MSG_SND, pkt=pkt,
+            kind=_MSG_SND, pkt=pkt,
             meta={"next_hop_link": next_hop_link, "iface": iface,
                   "packet_id": meta.get("packet_id"), "prio": prio}))
 
@@ -301,13 +301,12 @@ class Ipv6Module(Module):
             drop(ctx, msg.pkt, "ipv6_rx_malformed")
             return
         if self.is_local(hdr.dst):
-            chain = recopy(ctx, msg.pkt, payload, ProtocolType.UDP, pid,
+            chain = recopy(ctx, msg.pkt, payload, _UDP, pid,
                            "ipv6_rx_drops_nobuf")
             if chain is not None:
                 meta = {"src_ip": hdr.src, "dst_ip": hdr.dst,
                         "packet_id": pid, "hop_limit": hdr.hop_limit}
-                up(ctx, ProtocolType.IPV6, hdr.next_header, chain, meta,
-                   "ipv6_no_proto")
+                up(ctx, _IPV6, hdr.next_header, chain, meta, "ipv6_no_proto")
             return
         # forwarding path
         if hdr.hop_limit <= 1:
@@ -321,8 +320,7 @@ class Ipv6Module(Module):
         # decrement hop limit in place; we hold the only reference by now
         msg.pkt.head.data[7] = hdr.hop_limit - 1
         node.metrics.count("ipv6_forwarded")
-        self._down(ctx, msg.pkt, iface, next_hop_link, msg.meta,
-                   AllocPriority.RECEIVE)
+        self._down(ctx, msg.pkt, iface, next_hop_link, msg.meta, _RECEIVE)
 
     # -- options -------------------------------------------------------------
     def on_option(self, ctx, msg):

@@ -18,11 +18,11 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .metrics import CopySite
+from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
 from .netapi import ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
-from .netdev import (BROADCAST_LONG, DevEventType, DevNotify, DevStatus,
-                     Unsupported)
-from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
+from .netdev import (_BUSY, _RX_READY, _TOO_LARGE, _TX_DONE, BROADCAST_LONG,
+                     DevNotify, Unsupported)
+from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
 
 HEADER_LEN = 17
 MAX_FRAME = 127
@@ -101,7 +101,7 @@ class LinkModule(Module):
             drop(ctx, msg.pkt, "link_payload_too_large")
             return
         if pid is not None:
-            node.metrics.record_copy(CopySite.BUF_TO_DEV, pid, len(payload))
+            node.metrics.record_copy(_BUF_TO_DEV, pid, len(payload))
         node.pktbuf.release(msg.pkt.head)
         dst = msg.meta.get("dst_link", BROADCAST_LONG)
         frame = link_encode(dst, self.device.addr_long, self._seq, payload)
@@ -110,9 +110,9 @@ class LinkModule(Module):
 
     def _transmit(self, ctx, frame):
         status = self.device.dev_send(frame)
-        if status == DevStatus.BUSY:
+        if status is _BUSY:
             self._pending.append(frame)
-        elif status == DevStatus.TOO_LARGE:
+        elif status is _TOO_LARGE:
             ctx.node.metrics.count("link_tx_too_large")
 
     # -- RX / events ---------------------------------------------------------
@@ -121,10 +121,10 @@ class LinkModule(Module):
         # DevNotify, and servicing them one at a time lets upper layers
         # drain between frame arrivals instead of piling RX snips up
         ev = self.device.dev_poll_event()
-        if ev == DevEventType.TX_DONE:
+        if ev is _TX_DONE:
             if self._pending:
                 self._transmit(ctx, self._pending.popleft())
-        elif ev == DevEventType.RX_READY:
+        elif ev is _RX_READY:
             self._receive(ctx)
 
     def _receive(self, ctx):
@@ -140,16 +140,15 @@ class LinkModule(Module):
             return
         try:
             snip = node.pktbuf.alloc_snip(
-                payload=frame.payload, proto=ProtocolType.SIXLOWPAN,
-                prio=AllocPriority.RECEIVE)
+                payload=frame.payload, proto=_SIXLOWPAN, prio=_RECEIVE)
         except NoBufferSpace:
             node.metrics.count("link_rx_drops_nobuf")
             return
         pid = node.metrics.new_packet_id()
-        node.metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(frame.payload))
+        node.metrics.record_copy(_DEV_TO_BUF, pid, len(frame.payload))
         meta = {"src_link": frame.src_long, "dst_link": frame.dst_long,
                 "iface": self.device.id, "packet_id": pid}
-        up(ctx, ProtocolType.SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
+        up(ctx, _SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
            "link_rx_no_receiver")
 
     # -- options -------------------------------------------------------------

@@ -26,6 +26,9 @@ class CopySite(enum.Enum):
 
 BOUNDARY_SITES = (CopySite.APP_TO_BUF, CopySite.BUF_TO_DEV,
                   CopySite.DEV_TO_BUF, CopySite.BUF_TO_APP)
+# aliases for the per-frame paths (see ``pktbuf``)
+_APP_TO_BUF, _BUF_TO_DEV, _DEV_TO_BUF, _BUF_TO_APP = BOUNDARY_SITES
+_BUF_INTERNAL = CopySite.BUF_INTERNAL
 
 
 class Metrics:

@@ -25,8 +25,8 @@ import enum
 import threading
 from dataclasses import dataclass
 
-from .metrics import CopySite
-from .pktbuf import AllocPriority, NoBufferSpace, PacketChain
+from .metrics import _BUF_INTERNAL
+from .pktbuf import _RECEIVE, NoBufferSpace, PacketChain
 
 
 class MsgKind(enum.IntEnum):
@@ -283,12 +283,12 @@ def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
     node.pktbuf.release(pkt.head)  # the bytes survive in payload
     try:
         snip = node.pktbuf.alloc_snip(payload=payload, proto=proto,
-                                      prio=AllocPriority.RECEIVE)
+                                      prio=_RECEIVE)
     except NoBufferSpace:
         node.metrics.count(nobuf_counter)
         return None
     if pid is not None:
-        node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, len(payload))
+        node.metrics.record_copy(_BUF_INTERNAL, pid, len(payload))
     return PacketChain(snip)
 
 

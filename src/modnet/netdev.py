@@ -27,6 +27,12 @@ class DevEventType(enum.Enum):
     TX_DONE = 2
 
 
+# aliases for the per-frame paths (see ``pktbuf``)
+_DEV_OK, _TOO_LARGE, _BUSY = DevStatus.OK, DevStatus.TOO_LARGE, DevStatus.BUSY
+_EV_NONE, _RX_READY, _TX_DONE = (DevEventType.NONE, DevEventType.RX_READY,
+                                 DevEventType.TX_DONE)
+
+
 class NoFrame(Exception):
     pass
 
@@ -86,19 +92,19 @@ class SimRadioDevice:
     def dev_send(self, frame: bytes) -> DevStatus:
         self._check_owner()
         if len(frame) > self.mtu:
-            return DevStatus.TOO_LARGE
+            return _TOO_LARGE
         if self._tx_busy:
-            return DevStatus.BUSY
+            return _BUSY
         self._tx_busy = True
         if self.medium is not None:
             self.medium.transmit(self, bytes(frame))
-        return DevStatus.OK
+        return _DEV_OK
 
     def dev_poll_event(self) -> DevEventType:
         self._check_owner()
         if self._events:
             return self._events.pop(0)
-        return DevEventType.NONE
+        return _EV_NONE
 
     def dev_recv(self) -> bytes:
         """Copy the oldest received frame out of the device (the one
@@ -140,11 +146,11 @@ class SimRadioDevice:
     # -- medium callbacks (scheduler context) ------------------------------
     def _tx_done(self):
         self._tx_busy = False
-        self._push_event(DevEventType.TX_DONE)
+        self._push_event(_TX_DONE)
 
     def _rx_frame(self, frame: bytes):
         self._rx.append(frame)
-        self._push_event(DevEventType.RX_READY)
+        self._push_event(_RX_READY)
 
     def _push_event(self, ev: DevEventType):
         self._events.append(ev)

@@ -12,6 +12,10 @@ Two interchangeable backends satisfy the same contract: a statically sized
 arena with a first-fit free list (the constrained-device model) and a
 dynamic backend that allocates from the host heap under the same byte cap.
 
+Every snip's ``data`` is exactly ``size`` bytes long (a memoryview of its
+arena block, or its own bytearray), so ``to_bytes`` joins the views as they
+are.
+
 Allocations carry a priority class.  A configurable reserve (default 25% of
 capacity) is off limits to ``SEND_APP`` allocations so that inbound frames
 and control traffic can always make progress while applications are
@@ -45,6 +49,14 @@ class AllocPriority(enum.IntEnum):
     SEND_APP = 0
     RECEIVE = 1
     CONTROL = 2
+
+
+# Reading a member off an enum class costs about three function calls on
+# CPython 3.11: the per-frame paths of every layer read module aliases.
+_SEND_APP, _RECEIVE, _CONTROL = (AllocPriority.SEND_APP,
+                                 AllocPriority.RECEIVE, AllocPriority.CONTROL)
+_SIXLOWPAN, _IPV6, _UDP, _APP = (ProtocolType.SIXLOWPAN, ProtocolType.IPV6,
+                                 ProtocolType.UDP, ProtocolType.APP)
 
 
 class Backend(enum.Enum):
@@ -134,7 +146,10 @@ class PacketChain:
     def to_bytes(self) -> bytes:
         """Serialize the chain contents.  Not a counted payload copy by
         itself; call sites tag the movement via metrics."""
-        return b"".join(bytes(s.data[: s.size]) for s in self.head)
+        head = self.head
+        if head.next is None:
+            return bytes(head.data)
+        return b"".join([s.data for s in head])
 
     def __len__(self):
         return self.total_size
@@ -185,12 +200,13 @@ class PacketBuffer:
             size = len(payload)
         if size is None or size <= 0:
             raise InvalidSize(f"snip size must be > 0, got {size}")
-        cost = _block_cost(size)
+        cost = SNIP_OVERHEAD + ((size + ALIGN - 1) & ~(ALIGN - 1))
         with self._lock:
             cap = self.capacity
-            if prio == AllocPriority.SEND_APP:
+            if prio == _SEND_APP:
                 cap -= self.reserve
-            if self.used + cost > cap:
+            used = self.used + cost
+            if used > cap:
                 self.failed_allocs[prio] += 1
                 raise NoBufferSpace(
                     f"{size} B at {prio.name}: used={self.used}/{self.capacity}")
@@ -199,8 +215,9 @@ class PacketBuffer:
                 self.failed_allocs[prio] += 1
                 raise NoBufferSpace(
                     f"{size} B at {prio.name}: no contiguous block")
-            self.used += cost
-            self.peak = max(self.peak, self.used)
+            self.used = used
+            if used > self.peak:
+                self.peak = used
             snip = self._make_snip(placement, size, proto)
         if payload is not None:
             snip.data[:size] = payload
@@ -225,8 +242,19 @@ class PacketBuffer:
     def release(self, snip: Snip) -> None:
         """Drop one holder from every snip in the chain; at 0 the memory
         returns to the arena."""
-        chain = []
         with self._lock:
+            if snip.next is None:  # one-snip chain: no walk, no list
+                users = snip.users
+                if users == 0:
+                    raise ReleaseUnheld("release on freed snip")
+                snip.users = users - 1
+                if users == 1:
+                    cost = SNIP_OVERHEAD + ((snip.size + ALIGN - 1)
+                                            & ~(ALIGN - 1))
+                    self._release_block(snip, cost)
+                    self.used -= cost
+                return
+            chain = []
             while snip is not None:  # check every snip before changing any
                 if snip.users == 0:
                     raise ReleaseUnheld("release on freed snip")
@@ -279,6 +307,7 @@ class ArenaBuffer(PacketBuffer):
                 f"arena needs >= {MIN_ARENA_CAPACITY} B, got {capacity}")
         super().__init__(capacity, reserve_frac)
         self._arena = bytearray(capacity)
+        self._view = memoryview(self._arena)  # sliced per snip
         self._free: list[list[int]] = [[0, capacity]]  # [offset, length]
 
     def _acquire(self, cost):
@@ -314,8 +343,8 @@ class ArenaBuffer(PacketBuffer):
 
     def _make_snip(self, placement, size, proto):
         start = placement + SNIP_OVERHEAD
-        view = memoryview(self._arena)[start:start + size]
-        return Snip(view, size, proto, self, offset=placement)
+        return Snip(self._view[start:start + size], size, proto, self,
+                    placement)
 
     def free_list(self):
         """Snapshot of (offset, length) free blocks, for oracle checks."""

@@ -17,6 +17,9 @@ Two schedulers implement the same surface:
 
 Both record one trace entry per accepted message in a ``TraceLog``, which
 keeps plain records and renders text lines only when they are read.
+``DetScheduler.post`` builds its record inline and appends it without a
+lock, since everything it runs is on one thread; ``ThreadScheduler``
+appends under ``_trace_lock`` through ``_trace_msg``.
 
 Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV, counted,
 packet released) but never control messages -- option traffic back-pressures
@@ -375,8 +378,17 @@ class DetScheduler(_SchedulerBase):
                 return False
         else:
             ctx.mailbox.put_ctrl(msg)
-        if self.trace_enabled:
-            self._trace_msg(ctx, msg)
+        if self.trace_enabled:  # _trace_msg inline: one thread, no lock
+            stack, node, pkt = self._ctx_stack, ctx.node, None
+            if isinstance(msg, NetMessage):
+                kind, pkt = kind._name_, msg.pkt
+            else:
+                kind = type(msg).__name__
+            self.trace.append((
+                self.now_us, node.name if node is not None else "-",
+                stack[-1].name if stack else "ext", ctx.name, kind,
+                "-" if pkt is None else pkt.head.proto._name_,
+                0 if pkt is None else pkt.total_size))
         # the mailbox is non-empty by construction here
         if not ctx._scheduled:
             ctx._scheduled = True

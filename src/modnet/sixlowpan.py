@@ -20,10 +20,11 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
-from . import netapi
-from .metrics import CopySite
-from .netapi import DEMUX_ALL, DEMUX_RAW, Module, MsgKind, drop, recopy, up
-from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
+from .metrics import _BUF_INTERNAL
+from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
+                     recopy, up)
+from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
+                     PacketChain, ProtocolType)
 
 DISPATCH_UNCOMPRESSED = 0x41
 FRAG1_DISPATCH = 0b11000
@@ -119,6 +120,12 @@ class ReassemblyStatus(enum.Enum):
     DROPPED = "dropped"
 
 
+# aliases for the per-frame paths (see ``pktbuf``)
+_INCOMPLETE, _COMPLETE, _DROPPED = (ReassemblyStatus.INCOMPLETE,
+                                    ReassemblyStatus.COMPLETE,
+                                    ReassemblyStatus.DROPPED)
+
+
 @dataclass
 class ReassemblyEntry:
     key: tuple
@@ -186,14 +193,13 @@ class ReassemblyTable:
         if entry is None:
             if len(self.entries) >= self.max_entries:
                 self._count("reassembly_table_full")
-                return ReassemblyStatus.DROPPED, None, None
+                return _DROPPED, None, None
             try:
                 snip = self.buffer.alloc_snip(
-                    size=size, proto=ProtocolType.IPV6,
-                    prio=AllocPriority.CONTROL)
+                    size=size, proto=_IPV6, prio=_CONTROL)
             except NoBufferSpace:
                 self._count("reassembly_drops_nobuf")
-                return ReassemblyStatus.DROPPED, None, None
+                return _DROPPED, None, None
             pid = (self.metrics.new_packet_id()
                    if self.metrics is not None else 0)
             entry = ReassemblyEntry(key, size, snip,
@@ -211,19 +217,18 @@ class ReassemblyTable:
             if current != parsed.data:
                 self._drop_entry(entry)
                 self._count("reassembly_overlap_drops")
-                return ReassemblyStatus.DROPPED, None, None
+                return _DROPPED, None, None
         entry.snip.data[parsed.offset:parsed.offset + len(parsed.data)] = \
             parsed.data
         entry.received.update(units)
         if self.metrics is not None:
-            self.metrics.record_copy(CopySite.BUF_INTERNAL, entry.packet_id,
+            self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id,
                                      len(parsed.data))
 
         if len(entry.received) == entry.units():
             self.entries.pop(key, None)
-            return (ReassemblyStatus.COMPLETE, PacketChain(entry.snip),
-                    entry.packet_id)
-        return ReassemblyStatus.INCOMPLETE, None, entry.packet_id
+            return _COMPLETE, PacketChain(entry.snip), entry.packet_id
+        return _INCOMPLETE, None, entry.packet_id
 
 
 class SixlowpanModule(Module):
@@ -257,7 +262,7 @@ class SixlowpanModule(Module):
     def on_snd(self, ctx, msg):
         node = ctx.node
         pkt = msg.pkt
-        prio = msg.meta.get("prio", AllocPriority.SEND_APP)
+        prio = msg.meta.get("prio", _SEND_APP)
         iface = msg.meta.get("iface", 0)
         link_ctx = node.wiring.get(f"link{iface}")
         if link_ctx is None:
@@ -270,13 +275,13 @@ class SixlowpanModule(Module):
         if size <= self.budget - 1:
             try:
                 out = node.pktbuf.prepend_header(
-                    pkt, 1, ProtocolType.SIXLOWPAN, prio)
+                    pkt, 1, _SIXLOWPAN, prio)
             except NoBufferSpace:
                 drop(ctx, pkt, "sixlowpan_tx_drops_nobuf")
                 return
             out.head.data[0] = DISPATCH_UNCOMPRESSED
-            node.sched.post(link_ctx, netapi.NetMessage(
-                kind=MsgKind.MSG_SND, pkt=out, meta=down_meta))
+            node.sched.post(link_ctx, NetMessage(
+                kind=_MSG_SND, pkt=out, meta=down_meta))
             return
         # fragment: slice datagram bytes into per-frame snips; the source
         # chain is freed first so peak usage is one datagram, not two
@@ -291,7 +296,7 @@ class SixlowpanModule(Module):
         try:
             for frag in frags:
                 snips.append(node.pktbuf.alloc_snip(
-                    payload=frag, proto=ProtocolType.SIXLOWPAN, prio=prio))
+                    payload=frag, proto=_SIXLOWPAN, prio=prio))
         except NoBufferSpace:
             for s in snips:
                 node.pktbuf.release(s)
@@ -301,11 +306,9 @@ class SixlowpanModule(Module):
         # on large datagrams
         for i, snip in enumerate(snips):
             if pid is not None:
-                node.metrics.record_copy(CopySite.BUF_INTERNAL, pid,
-                                         snip.size)
-            message = netapi.NetMessage(kind=MsgKind.MSG_SND,
-                                        pkt=PacketChain(snip),
-                                        meta=dict(down_meta))
+                node.metrics.record_copy(_BUF_INTERNAL, pid, snip.size)
+            message = NetMessage(kind=_MSG_SND, pkt=PacketChain(snip),
+                                 meta=dict(down_meta))
             node.sched.call_later(
                 i, lambda m=message: node.sched.post(link_ctx, m))
 
@@ -318,30 +321,33 @@ class SixlowpanModule(Module):
         up_meta = {k: msg.meta[k] for k in ("src_link", "dst_link", "iface")
                    if k in msg.meta}
         table = self.reassembly_table
+        # each frame is parsed once: by parse_payload or inside step
+        unfragmented = bool(payload) and payload[0] == DISPATCH_UNCOMPRESSED
         try:
-            parsed = parse_payload(payload)
-            if parsed.kind != "uncompressed":
+            if unfragmented:
+                parsed = parse_payload(payload)
+            else:
                 status, chain, entry_pid = table.step(
                     payload, src, dst, node.sched.now_us)
         except MalformedFragment:
             drop(ctx, msg.pkt, "sixlowpan_rx_malformed")
             return
         pid = msg.meta.get("packet_id")
-        if parsed.kind == "uncompressed":
-            chain = recopy(ctx, msg.pkt, parsed.data, ProtocolType.IPV6, pid,
+        if unfragmented:
+            chain = recopy(ctx, msg.pkt, parsed.data, _IPV6, pid,
                            "sixlowpan_rx_drops_nobuf")
             if chain is not None:
-                up(ctx, ProtocolType.IPV6, DEMUX_RAW, chain,
+                up(ctx, _IPV6, DEMUX_RAW, chain,
                    dict(up_meta, packet_id=pid), "sixlowpan_rx_no_receiver")
             return
         # fragmented path
         if entry_pid and pid and entry_pid != pid:
             node.metrics.merge_packet(entry_pid, pid)
         node.pktbuf.release(msg.pkt.head)
-        if status == ReassemblyStatus.COMPLETE:
-            up(ctx, ProtocolType.IPV6, DEMUX_RAW, chain,
+        if status is _COMPLETE:
+            up(ctx, _IPV6, DEMUX_RAW, chain,
                dict(up_meta, packet_id=entry_pid), "sixlowpan_rx_no_receiver")
-        elif status == ReassemblyStatus.INCOMPLETE:
+        elif status is _INCOMPLETE:
             node.sched.call_later(
                 self.timeout_us + 1,
                 lambda: table.expire(node.sched.now_us))

@@ -12,9 +12,10 @@ from __future__ import annotations
 import struct
 from collections import deque
 
-from .metrics import CopySite
-from .netapi import Module, MsgKind, NetMessage, drop, recopy, up
-from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
+from .metrics import _APP_TO_BUF, _BUF_TO_APP
+from .netapi import _MSG_SND, Module, NetMessage, drop, recopy, up
+from .pktbuf import (_APP, _SEND_APP, _UDP, NoBufferSpace, PacketChain,
+                     ProtocolType)
 
 HEADER_LEN = 8
 MAX_PAYLOAD = 1192  # 1240 - 40 (IPv6) - 8 (UDP)
@@ -39,12 +40,16 @@ class PayloadTooLarge(UdpError):
 
 
 def _ones_complement_sum(data: bytes) -> int:
+    """The 16-bit one's-complement sum of ``data`` read as big-endian words,
+    an odd tail padded with a zero byte.  Since 2**16 is 1 modulo 0xFFFF,
+    the whole number that the words spell is congruent to their sum; a
+    nonzero multiple of 0xFFFF sums to 0xFFFF (negative zero), and only
+    all-zero input sums to 0."""
+    number = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+        number <<= 8
+    total = number % 0xFFFF
+    return 0xFFFF if total == 0 and number else total
 
 
 def _pseudo_header(src_ip: bytes, dst_ip: bytes, udp_len: int) -> bytes:
@@ -92,11 +97,10 @@ class UdpModule(Module):
     def on_snd(self, ctx, msg):
         node = ctx.node
         pkt = msg.pkt
-        prio = msg.meta.get("prio", AllocPriority.SEND_APP)
+        prio = msg.meta.get("prio", _SEND_APP)
         length = HEADER_LEN + pkt.total_size
         try:
-            out = node.pktbuf.prepend_header(pkt, HEADER_LEN,
-                                             ProtocolType.UDP, prio)
+            out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _UDP, prio)
         except NoBufferSpace:
             drop(ctx, pkt, "udp_tx_drops_nobuf")
             return
@@ -110,7 +114,7 @@ class UdpModule(Module):
             drop(ctx, out, "udp_no_net")
             return
         node.sched.post(net, NetMessage(
-            kind=MsgKind.MSG_SND, pkt=out,
+            kind=_MSG_SND, pkt=out,
             meta={"dst_ip": msg.meta["dst_ip"],
                   "next_header": NEXT_HEADER_UDP,
                   "packet_id": msg.meta.get("packet_id"), "prio": prio}))
@@ -131,14 +135,14 @@ class UdpModule(Module):
         if not payload:
             drop(ctx, msg.pkt, "udp_rx_empty")
             return
-        chain = recopy(ctx, msg.pkt, payload, ProtocolType.APP, pid,
+        chain = recopy(ctx, msg.pkt, payload, _APP, pid,
                        "udp_rx_drops_nobuf")
         if chain is None:
             return
         meta = {"src_ip": msg.meta["src_ip"], "src_port": src_port,
                 "dst_port": dst_port, "packet_id": pid,
                 "hop_limit": msg.meta.get("hop_limit")}
-        up(ctx, ProtocolType.UDP, dst_port, chain, meta, "udp_rx_no_port")
+        up(ctx, _UDP, dst_port, chain, meta, "udp_rx_no_port")
 
 
 class Socket:
@@ -171,16 +175,15 @@ class Socket:
         if transport is None:
             raise UdpError("no transport wired")
         pid = node.metrics.new_packet_id()
-        snip = node.pktbuf.alloc_snip(payload=payload,
-                                      proto=ProtocolType.APP,
-                                      prio=AllocPriority.SEND_APP)
-        node.metrics.record_copy(CopySite.APP_TO_BUF, pid, len(payload))
+        snip = node.pktbuf.alloc_snip(payload=payload, proto=_APP,
+                                      prio=_SEND_APP)
+        node.metrics.record_copy(_APP_TO_BUF, pid, len(payload))
         node.metrics.count("udp_sent")
         node.sched.post(transport, NetMessage(
-            kind=MsgKind.MSG_SND, pkt=PacketChain(snip),
+            kind=_MSG_SND, pkt=PacketChain(snip),
             meta={"src_port": self.port, "dst_port": dst_port,
                   "dst_ip": dst_ip, "packet_id": pid,
-                  "prio": AllocPriority.SEND_APP}))
+                  "prio": _SEND_APP}))
         return pid
 
     def recvfrom(self, timeout_us: int = 1_000_000):
@@ -197,7 +200,7 @@ class Socket:
         self.last_hop_limit = hop_limit
         payload = pkt.to_bytes()
         if pid is not None:
-            node.metrics.record_copy(CopySite.BUF_TO_APP, pid, len(payload))
+            node.metrics.record_copy(_BUF_TO_APP, pid, len(payload))
         node.metrics.count("udp_delivered")
         node.pktbuf.release(pkt.head)
         return src_ip, src_port, payload

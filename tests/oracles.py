@@ -29,6 +29,18 @@ def checksum_oracle(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> int:
     return 0xFFFF if result == 0 else result
 
 
+def ones_complement_sum_oracle(data: bytes) -> int:
+    """16-bit one's-complement sum of big-endian words, word by word with
+    the end-around carry folded at every step; an odd tail is padded."""
+    total = 0
+    for i in range(0, len(data), 2):
+        word = data[i] << 8 | (data[i + 1] if i + 1 < len(data) else 0)
+        total += word
+        if total > 0xFFFF:
+            total = (total & 0xFFFF) + 1
+    return total
+
+
 def fragment_oracle(datagram: bytes, budget: int, tag: int) -> list[bytes]:
     """Brute-force slicer applying the 8-byte-unit rules directly."""
     assert budget >= 16

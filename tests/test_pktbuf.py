@@ -114,6 +114,98 @@ def test_chain_walks_stop_on_a_cycle():
         buf.hold(a)
 
 
+BACKENDS = [Backend.STATIC_ARENA, Backend.DYNAMIC]
+
+
+def free_state(buf):
+    stats = buf.stats()
+    blocks = buf.free_list() if isinstance(buf, ArenaBuffer) else None
+    return stats.used, stats.peak, stats.largest_free_block, blocks
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_release_freed_one_snip_chain_changes_nothing(backend):
+    buf = buffer_create(2048, backend)
+    a = buf.alloc_snip(size=64)
+    buf.alloc_snip(size=40)  # keeps the free list in more than one piece
+    buf.release(a)
+    before = free_state(buf)
+    with pytest.raises(ReleaseUnheld):
+        buf.release(a)
+    assert a.users == 0
+    assert free_state(buf) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_release_one_snip_cycle_is_caught(backend):
+    buf = buffer_create(2048, backend)
+    a = buf.alloc_snip(size=8)
+    a.next = a
+    used = buf.stats().used
+    with pytest.raises(RuntimeError, match="cycle"):
+        buf.release(a)
+    assert a.users == 1
+    assert buf.stats().used == used
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("headers", [0, 1, 2])
+def test_to_bytes_joins_snips(backend, headers):
+    buf = buffer_create(2048, backend)
+    pkt = PacketChain(buf.alloc_snip(payload=b"payload!" * 5))
+    expected = b"payload!" * 5
+    for n in range(headers):
+        hdr = bytes([0xA0 + n]) * (8 + n)
+        pkt = buf.prepend_header(pkt, len(hdr), ProtocolType.UDP)
+        pkt.head.data[:] = hdr
+        expected = hdr + expected
+    out = pkt.to_bytes()
+    assert type(out) is bytes
+    assert out == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_to_bytes_after_prepend_on_shared_head(backend):
+    buf = buffer_create(2048, backend)
+    shared = PacketChain(buf.alloc_snip(payload=b"shared"))
+    buf.hold(shared.head)  # two receivers hold the same head
+    one = buf.prepend_header(shared, 2, ProtocolType.UDP)
+    two = buf.prepend_header(shared, 3, ProtocolType.IPV6)
+    one.head.data[:] = b"\x01\x01"
+    two.head.data[:] = b"\x02\x02\x02"
+    assert one.to_bytes() == b"\x01\x01shared"
+    assert two.to_bytes() == b"\x02\x02\x02shared"
+    assert type(shared.to_bytes()) is bytes
+    assert shared.to_bytes() == b"shared"
+    buf.release(one.head)
+    buf.release(two.head)
+    assert buf.stats().used == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_send_app_reserve_edge(backend):
+    buf = buffer_create(2048, backend)
+    edge = buf.capacity - buf.reserve
+    # one ALIGN past the edge: refused for SEND_APP, granted for RECEIVE
+    with pytest.raises(NoBufferSpace):
+        buf.alloc_snip(size=edge + ALIGN - SNIP_OVERHEAD,
+                       prio=AllocPriority.SEND_APP)
+    assert buf.stats().used == 0
+    buf.release(buf.alloc_snip(size=edge + ALIGN - SNIP_OVERHEAD,
+                               prio=AllocPriority.RECEIVE))
+    # exactly at the edge: granted for SEND_APP
+    buf.alloc_snip(size=edge - SNIP_OVERHEAD, prio=AllocPriority.SEND_APP)
+    assert buf.stats().used == edge
+    # at the edge, the smallest SEND_APP snip is refused, RECEIVE is not
+    with pytest.raises(NoBufferSpace):
+        buf.alloc_snip(size=1, prio=AllocPriority.SEND_APP)
+    assert buf.stats().failed_allocs[AllocPriority.SEND_APP] == 2
+    assert buf.stats().used == edge
+    buf.alloc_snip(size=1, prio=AllocPriority.RECEIVE)
+    assert buf.stats().used == edge + _block_cost(1)
+    assert buf.stats().failed_allocs[AllocPriority.RECEIVE] == 0
+
+
 def test_chain_release_frees_all():
     buf = buffer_create(2048)
     payload = buf.alloc_snip(size=100, proto=ProtocolType.APP)

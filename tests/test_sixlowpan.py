@@ -213,3 +213,26 @@ def test_fragment_shuffle_reassemble_identity(size, budget, rng):
     status, chain, _ = last
     assert status == ReassemblyStatus.COMPLETE
     assert chain.to_bytes() == datagram
+
+
+# -- receive path ------------------------------------------------------------
+
+@pytest.mark.parametrize("name, frames", [("echo.json", 2),
+                                          ("echo_frag.json", 14)])
+def test_each_received_frame_parsed_once(monkeypatch, name, frames):
+    # on_rcv parses an unfragmented frame and step() parses a fragment;
+    # neither frame is parsed a second time
+    from modnet import sixlowpan
+    from modnet.scenario import load_scenario_file, run_scenario
+    calls = []
+
+    def counted(payload):
+        calls.append(len(payload))
+        return parse_payload(payload)
+
+    monkeypatch.setattr(sixlowpan, "parse_payload", counted)
+    scenario = load_scenario_file(str(pathlib.Path(__file__).parent.parent
+                                      / "scenarios" / name))
+    _, stats = run_scenario(scenario)
+    assert stats["counters"]["frames_delivered"] == frames
+    assert len(calls) == frames

@@ -5,9 +5,9 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modnet.udp import (HEADER_LEN, MAX_PAYLOAD, udp_checksum,
-                        udp_encode_header, udp_verify)
-from oracles import checksum_oracle
+from modnet.udp import (HEADER_LEN, MAX_PAYLOAD, _ones_complement_sum,
+                        udp_checksum, udp_encode_header, udp_verify)
+from oracles import checksum_oracle, ones_complement_sum_oracle
 
 SRC = bytes.fromhex("fd000000000000000000000000000001")
 DST = bytes.fromhex("fd000000000000000000000000000002")
@@ -88,6 +88,32 @@ def test_single_byte_flip_detected(payload, pos_seed, flip):
     # a flip can only go undetected if it leaves the word sum unchanged,
     # which a single-byte xor never does
     assert not udp_verify(SRC, DST, bytes(dg))
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"", 0),
+    (b"\x00", 0),
+    (bytes(7), 0),
+    (bytes(1240), 0),
+    (b"\x01", 0x0100),  # odd tail padded with a zero byte
+    (b"\x12\x34\x56", 0x1234 + 0x5600),
+    (b"\xff", 0xFF00),
+    # nonzero multiples of 0xFFFF sum to 0xFFFF, never to 0
+    (b"\xff\xff", 0xFFFF),
+    (b"\x80\x00\x7f\xff", 0xFFFF),
+    (b"\xff\xff" * 620, 0xFFFF),
+    (b"\x00\x00\xff\xff\x00", 0xFFFF),
+    (b"\xff\xfe\x00\x01", 0xFFFF),
+])
+def test_ones_complement_sum_edges(data, expected):
+    assert ones_complement_sum_oracle(data) == expected
+    assert _ones_complement_sum(data) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=0, max_size=1300))
+def test_ones_complement_sum_matches_oracle(data):
+    assert _ones_complement_sum(data) == ones_complement_sum_oracle(data)
 
 
 def test_max_payload_constant():
