@@ -30,13 +30,13 @@ def _cmd_run(args) -> int:
         return EXIT_SCENARIO
     if args.seed is not None:
         scenario.topology.seed = args.seed
-    until = args.until
-    if until != "quiescent":
+    until = None
+    if args.until != "quiescent":
         try:
-            until = int(until)
+            until = int(args.until)
         except ValueError:
             print(f"--until must be 'quiescent' or a time in us, got "
-                  f"{until!r}", file=sys.stderr)
+                  f"{args.until!r}", file=sys.stderr)
             return EXIT_SCENARIO
     try:
         sim, stats = run_scenario(scenario, mode=args.mode, until=until)

@@ -113,37 +113,17 @@ class NetMessage:
 
 
 class ReplyBox:
-    """One-shot rendezvous for a command reply; works for both the
-    deterministic scheduler (polled) and real threads (event wait).
+    """One-shot slot for a command reply.  The scheduler's ``wait_for``
+    watches ``msg``; the first reply wins."""
 
-    The event is created lazily so the common polled path pays nothing
-    for it.
-    """
-
-    __slots__ = ("msg", "_event")
+    __slots__ = ("msg",)
 
     def __init__(self):
         self.msg: NetMessage | None = None
-        self._event: threading.Event | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.msg is not None
 
     def complete(self, msg: NetMessage):
         if self.msg is None:
             self.msg = msg
-            event = self._event
-            if event is not None:
-                event.set()
-
-    def wait(self, timeout_s: float) -> bool:
-        if self.msg is not None:
-            return True
-        event = self._event = threading.Event()
-        if self.msg is not None:
-            return True
-        return event.wait(timeout_s)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,17 @@ Two schedulers implement the same surface:
   queued, and events due at the same time run in sequence order, whichever
   queue holds them.  Identical inputs produce identical traces; this mode
   drives all reproducible tests.
-* ``ThreadScheduler`` -- one OS thread per context plus a timer thread,
-  used for race detection.  Traces are unordered.
+* ``ThreadScheduler`` -- a fixed pool of ``WORKERS`` threads over the
+  wall clock, used for race detection.  The workers drain one queue of
+  ready contexts and one timer heap, so the thread count does not grow
+  with the topology.  Traces are unordered.
 
-Both record one trace entry per accepted message in a ``TraceLog``, which
-keeps plain records and renders text lines only when they are read.
-``DetScheduler.post`` builds its record inline and appends it without a
-lock, since everything it runs is on one thread; ``ThreadScheduler``
-appends under ``_trace_lock`` through ``_trace_msg``.
+Under both, at most one handler of a context runs at a time, and a handler
+runs one message.  Both record one trace entry per accepted message in a
+``TraceLog``, which keeps plain records and renders text lines only when
+they are read.  ``DetScheduler.post`` appends without a lock, since
+everything it runs is on one thread; ``ThreadScheduler.post`` appends under
+the pool's condition, together with the mailbox put.
 
 Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV, counted,
 packet released) but never control messages -- option traffic back-pressures
@@ -60,9 +63,8 @@ class ModuleDesc:
 class Mailbox:
     """Bounded FIFO for data messages plus an unbounded control lane.
 
-    Deque append/popleft are atomic, so puts and gets need no lock; the
-    event only wakes a blocked ``get`` (worker threads also poll with a
-    short timeout, which covers the small wakeup race).
+    Control messages are taken first.  The mailbox does no locking or
+    waking: the schedulers decide who puts and takes, and when.
     """
 
     def __init__(self, capacity: int):
@@ -70,23 +72,15 @@ class Mailbox:
         self.capacity = capacity
         self._data: deque = deque()
         self._ctrl: deque = deque()
-        self._event = threading.Event()
-        self._waiting = False
-
-    def _wake(self):
-        if self._waiting:
-            self._event.set()
 
     def put_data(self, msg) -> bool:
         if len(self._data) >= self.capacity:
             return False
         self._data.append(msg)
-        self._wake()
         return True
 
     def put_ctrl(self, msg):
         self._ctrl.append(msg)
-        self._wake()
 
     def get_nowait(self):
         try:
@@ -97,16 +91,6 @@ class Mailbox:
             return self._data.popleft()
         except IndexError:
             return None
-
-    def get(self, timeout: float | None = None):
-        msg = self.get_nowait()
-        if msg is not None:
-            return msg
-        self._waiting = True
-        self._event.wait(timeout)
-        self._event.clear()
-        self._waiting = False
-        return self.get_nowait()
 
     def drain(self) -> list:
         items = []
@@ -132,7 +116,6 @@ class ModuleContext:
         self.closed = False
         self._scheduled = False
         self._busy = False
-        self._thread: threading.Thread | None = None
 
     def __repr__(self):
         return f"<ModuleContext {self.node.name}/{self.name}>"
@@ -164,7 +147,6 @@ class Node:
             raise DuplicateName(f"{self.name}/{desc.name}")
         ctx = ModuleContext(self, desc)
         (self.aux if aux else self.modules)[desc.name] = ctx
-        self.sched.attach(ctx)
         if hasattr(desc.handler, "on_spawn"):
             desc.handler.on_spawn(ctx)
         return ctx
@@ -178,7 +160,6 @@ class Node:
             _release_pkt(msg)
         self.modules.pop(ctx.name, None)
         self.aux.pop(ctx.name, None)
-        self.sched.detach(ctx)
 
     def rewire(self, edits):
         """Apply registry edits atomically; ('wire', key, ctx) edits retarget
@@ -241,31 +222,9 @@ class _SchedulerBase:
         self.metrics = metrics if metrics is not None else Metrics()
         self.trace = TraceLog()
         self.trace_enabled = trace_enabled
-        self._trace_lock = threading.Lock()
 
     def current_ctx(self):
         raise NotImplementedError
-
-    def _trace_msg(self, target: ModuleContext, msg):
-        if not self.trace_enabled:
-            return
-        src = self.current_ctx()
-        src_name = src.name if src is not None else "ext"
-        node_name = target.node.name if target.node is not None else "-"
-        if isinstance(msg, NetMessage):
-            kind = msg.kind._name_  # a plain attribute; .name is a property
-            pkt = msg.pkt
-            if pkt is not None:
-                proto = pkt.head.proto._name_
-                size = pkt.total_size
-            else:
-                proto, size = "-", 0
-        else:
-            kind, proto, size = type(msg).__name__, "-", 0
-        record = (self.now_us, node_name, src_name, target.name, kind, proto,
-                  size)
-        with self._trace_lock:
-            self.trace.append(record)
 
 
 class DetScheduler(_SchedulerBase):
@@ -360,12 +319,6 @@ class DetScheduler(_SchedulerBase):
         return self._ctx_stack[-1] if self._ctx_stack else None
 
     # -- context plumbing ------------------------------------------------
-    def attach(self, ctx):
-        pass
-
-    def detach(self, ctx):
-        pass
-
     def post(self, ctx: ModuleContext, msg) -> bool:
         if ctx.closed:
             _release_pkt(msg)
@@ -420,30 +373,43 @@ class DetScheduler(_SchedulerBase):
 
 
 class ThreadScheduler(_SchedulerBase):
-    """One worker thread per context plus a timer thread.
+    """A fixed pool of ``WORKERS`` threads over the wall clock.
 
-    Quiescence is tracked by a counter of outstanding work items (queued
-    messages, scheduled timer events, running handlers).
+    The workers share one condition, one FIFO of ready contexts and one
+    timer heap.  ``post`` puts the message in the mailbox, records the trace
+    entry and queues the context in one hold of the condition.  A worker
+    takes a due timer or the ready head and runs one event.  A context stays
+    marked ``_scheduled`` while its handler runs, so no other worker can take
+    it; when the handler returns, the context goes back in the queue if it
+    has mail and is unmarked otherwise.  Idle workers wait on the condition
+    until the next timer is due; every finished event notifies all waiters.
+
+    The pool is idle when no context is queued, no timer is pending and no
+    event is running; ``run_until()`` without a bound waits for that.  A
+    handler waiting in ``send_cmd`` holds its worker, so command chains
+    nested deeper than ``WORKERS - 1`` handlers time out.
     """
 
-    GRACE_S = 0.05
+    WORKERS = 2
 
     def __init__(self, metrics=None):
         super().__init__(metrics)
         self._t0 = time.perf_counter()
         self._local = threading.local()
+        self._cond = threading.Condition()
+        self._ready: deque = deque()  # contexts with mail, not running
+        self._timers: list = []  # (t_us, seq, fn)
+        self._seq = itertools.count()
+        self._running = 0  # events taken by a worker and not finished
         self._stop = False
-        self._pending = 0
-        self._pending_lock = threading.Lock()
-        self._timer_heap: list = []
-        self._timer_seq = itertools.count()
-        self._timer_cond = threading.Condition()
-        self._threads: list[threading.Thread] = []
         self.errors: list[BaseException] = []
-        self._timer_thread = threading.Thread(
-            target=self._timer_loop, name="modnet-timer", daemon=True)
-        self._timer_thread.start()
         self.handler_invocations = 0
+        self._workers = [
+            threading.Thread(target=self._work, name=f"modnet-worker{i}",
+                             daemon=True)
+            for i in range(self.WORKERS)]
+        for worker in self._workers:
+            worker.start()
 
     @property
     def now_us(self) -> int:
@@ -452,117 +418,124 @@ class ThreadScheduler(_SchedulerBase):
     def current_ctx(self):
         return getattr(self._local, "ctx", None)
 
-    def _work_added(self):
-        with self._pending_lock:
-            self._pending += 1
-
-    def _work_done(self):
-        with self._pending_lock:
-            self._pending -= 1
-
-    # -- timers ----------------------------------------------------------
     def call_at(self, t_us: int, fn):
-        self._work_added()
-        with self._timer_cond:
-            heapq.heappush(self._timer_heap,
-                           (int(t_us), next(self._timer_seq), fn))
-            self._timer_cond.notify()
+        with self._cond:
+            heapq.heappush(self._timers, (int(t_us), next(self._seq), fn))
+            self._cond.notify_all()
 
     def call_later(self, dt_us: int, fn):
         self.call_at(self.now_us + dt_us, fn)
-
-    def _timer_loop(self):
-        while not self._stop:
-            with self._timer_cond:
-                if not self._timer_heap:
-                    self._timer_cond.wait(0.02)
-                    continue
-                t_us, _, fn = self._timer_heap[0]
-                delay = (t_us - self.now_us) / 1e6
-                if delay > 0:
-                    self._timer_cond.wait(min(delay, 0.02))
-                    continue
-                heapq.heappop(self._timer_heap)
-            try:
-                fn()
-            except BaseException as exc:  # surfaced by run_until
-                self.errors.append(exc)
-            finally:
-                self._work_done()
-
-    # -- contexts --------------------------------------------------------
-    def attach(self, ctx: ModuleContext):
-        thread = threading.Thread(target=self._worker, args=(ctx,),
-                                  name=f"modnet-{ctx.node.name}-{ctx.name}",
-                                  daemon=True)
-        ctx._thread = thread
-        self._threads.append(thread)
-        thread.start()
-
-    def detach(self, ctx: ModuleContext):
-        pass  # worker observes ctx.closed and exits
-
-    def _worker(self, ctx: ModuleContext):
-        self._local.ctx = ctx
-        while not self._stop and not ctx.closed:
-            msg = ctx.mailbox.get(timeout=0.02)
-            if msg is None:
-                continue
-            self.handler_invocations += 1
-            try:
-                ctx.handler(ctx, msg)
-            except BaseException as exc:
-                self.errors.append(exc)
-            finally:
-                self._work_done()
 
     def post(self, ctx: ModuleContext, msg) -> bool:
         if ctx.closed:
             _release_pkt(msg)
             return False
-        self._work_added()
         kind = getattr(msg, "kind", None)
-        if kind is _MSG_SND or kind is _MSG_RCV:
-            if not ctx.mailbox.put_data(msg):
-                self._work_done()
-                self.metrics.count("mailbox_drops")
-                _release_pkt(msg)
-                return False
+        with self._cond:
+            if kind is _MSG_SND or kind is _MSG_RCV:
+                accepted = ctx.mailbox.put_data(msg)
+            else:
+                ctx.mailbox.put_ctrl(msg)
+                accepted = True
+            if accepted:
+                if self.trace_enabled:
+                    self._trace_msg(ctx, msg)
+                if not ctx._scheduled:
+                    ctx._scheduled = True
+                    self._ready.append(ctx)
+                    self._cond.notify_all()
+        if not accepted:
+            self.metrics.count("mailbox_drops")
+            _release_pkt(msg)
+        return accepted
+
+    def _trace_msg(self, target: ModuleContext, msg):
+        src = self.current_ctx()
+        node = target.node
+        if isinstance(msg, NetMessage):
+            kind = msg.kind._name_  # a plain attribute; .name is a property
+            pkt = msg.pkt
+            if pkt is not None:
+                proto = pkt.head.proto._name_
+                size = pkt.total_size
+            else:
+                proto, size = "-", 0
         else:
-            ctx.mailbox.put_ctrl(msg)
-        self._trace_msg(ctx, msg)
-        return True
+            kind, proto, size = type(msg).__name__, "-", 0
+        self.trace.append((
+            self.now_us, node.name if node is not None else "-",
+            src.name if src is not None else "ext", target.name, kind, proto,
+            size))
+
+    def _take(self):
+        """Under the condition: wait for a due timer or a context with mail
+        and return ``(ctx, event)``, ``ctx`` None for a timer; None once
+        stopped."""
+        ready, timers = self._ready, self._timers
+        while not self._stop:
+            now = self.now_us
+            if timers and timers[0][0] <= now:
+                return None, heapq.heappop(timers)[2]
+            if ready:
+                ctx = ready.popleft()
+                msg = None if ctx.closed else ctx.mailbox.get_nowait()
+                if msg is not None:
+                    self.handler_invocations += 1
+                    return ctx, msg
+                ctx._scheduled = False
+                continue
+            self._cond.wait((timers[0][0] - now) / 1e6 if timers else None)
+        return None
+
+    def _work(self):
+        cond, local = self._cond, self._local
+        while True:
+            with cond:
+                job = self._take()
+                if job is None:
+                    return
+                self._running += 1
+            ctx, event = job
+            local.ctx = ctx
+            try:
+                if ctx is None:
+                    event()
+                else:
+                    ctx.handler(ctx, event)
+            except BaseException as exc:  # surfaced by the caller
+                self.errors.append(exc)
+            finally:
+                local.ctx = None
+                with cond:
+                    self._running -= 1
+                    if ctx is not None:
+                        if ctx.mailbox and not ctx.closed:
+                            self._ready.append(ctx)
+                        else:
+                            ctx._scheduled = False
+                    cond.notify_all()
 
     def wait_for(self, pred, timeout_us: int, box=None) -> bool:
-        if box is not None:
-            box.wait(timeout_us / 1e6)
-            return box.done
-        deadline = time.perf_counter() + timeout_us / 1e6
-        while not pred():
-            if time.perf_counter() > deadline:
-                return pred()
-            time.sleep(0.001)
-        return True
+        done = pred if box is None else (lambda: box.msg is not None)
+        with self._cond:
+            return self._cond.wait_for(done, timeout_us / 1e6)
 
     def run_until(self, t_us: int | None = None) -> int:
         """Wait until ``t_us`` on the wall clock, or, with no bound, until
-        no work has been outstanding for ``GRACE_S``.  Returns 0: events
-        run on the worker threads, which do not count them."""
+        the pool is idle.  Returns 0: events run on the workers, which do
+        not count them."""
         if t_us is not None:
-            while self.now_us < t_us:
-                time.sleep(0.001)
+            while (delay := (t_us - self.now_us) / 1e6) > 0:
+                time.sleep(delay)
             return 0
-        quiet_since = time.perf_counter()
-        while time.perf_counter() - quiet_since < self.GRACE_S:
-            time.sleep(0.005)
-            with self._pending_lock:
-                busy = self._pending
-            if busy:
-                quiet_since = time.perf_counter()
+        with self._cond:
+            self._cond.wait_for(
+                lambda: not (self._ready or self._timers or self._running))
         return 0
 
     def stop(self):
-        self._stop = True
-        for t in self._threads:
-            t.join(timeout=1.0)
-        self._timer_thread.join(timeout=1.0)
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
+        for worker in self._workers:
+            worker.join(timeout=1.0)

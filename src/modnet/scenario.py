@@ -370,14 +370,14 @@ def collect_stats(sim: Simulator, book: dict) -> dict:
 
 
 def run_scenario(scenario: Scenario, mode: str = "det",
-                 until=None) -> tuple[Simulator, dict]:
-    """Build, run to quiescence (or a time bound), and collect stats."""
+                 until: int | None = None) -> tuple[Simulator, dict]:
+    """Build, run to quiescence (or to the time bound ``until``), and
+    collect stats."""
     sim = build(scenario.topology, mode=mode)
     book = apply_workload(sim, scenario)
     try:
-        sim.run_until(None if until in (None, "quiescent") else int(until))
+        sim.run_until(until)
         stats = collect_stats(sim, book)
     finally:
-        if mode == "par":
-            sim.stop()
+        sim.stop()
     return sim, stats

@@ -214,9 +214,6 @@ class Simulator:
     def socket_layer(self, node_name: str) -> SocketLayer:
         return self.nodes[node_name].config["sock_layer"]
 
-    def step(self) -> bool:
-        return self.sched.step()
-
     def run_until(self, t_us: int | None = None):
         """Run to time ``t_us``, or to quiescence without one."""
         return self.sched.run_until(t_us)
