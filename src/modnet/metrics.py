@@ -31,73 +31,85 @@ _APP_TO_BUF, _BUF_TO_DEV, _DEV_TO_BUF, _BUF_TO_APP = BOUNDARY_SITES
 _BUF_INTERNAL = CopySite.BUF_INTERNAL
 
 
-class Metrics:
-    """Per-simulation counters.  Internally synchronized; handed to every
-    node so the ledger spans the whole topology."""
+def lock_methods(obj, lock, names):
+    """Shadow each named method of ``obj`` with one that runs the class's
+    method, looked up per call, under ``lock``.  An object left alone calls
+    its class's methods directly and never enters a ``with`` block."""
+    cls = type(obj)
 
-    def __init__(self):
-        self._lock = threading.Lock()
+    def locked(name):
+        def call(*args, **kwargs):
+            with lock:
+                return getattr(cls, name)(obj, *args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(obj, name, locked(name))
+
+
+class Metrics:
+    """Per-simulation counters, handed to every node so the ledger spans
+    the whole topology.  Locked only for the par pool (``locked``): the det
+    scheduler runs every handler on one thread, where a lock would cost
+    more than the counter update it guards."""
+
+    _LOCKED = ("new_packet_id", "record_copy", "merge_packet", "copy_report",
+               "copy_bytes", "packet_ids", "count", "get", "as_dict")
+
+    def __init__(self, locked: bool = True):
         self._copies: dict[int, list[tuple[CopySite, int]]] = defaultdict(list)
         self._next_packet_id = 1
         self.counters: Counter[str] = Counter()
+        if locked:
+            lock_methods(self, threading.Lock(), self._LOCKED)
 
     # -- packet ids ------------------------------------------------------
     def new_packet_id(self) -> int:
-        with self._lock:
-            pid = self._next_packet_id
-            self._next_packet_id += 1
-            return pid
+        pid = self._next_packet_id
+        self._next_packet_id = pid + 1
+        return pid
 
     # -- copy ledger -----------------------------------------------------
     def record_copy(self, site: CopySite, packet_id: int, nbytes: int):
-        with self._lock:
-            self._copies[packet_id].append((site, nbytes))
+        self._copies[packet_id].append((site, nbytes))
 
     def merge_packet(self, into_id: int, from_id: int):
         """Fold one packet's records into another (reassembly adopts the
         first fragment's id)."""
-        if into_id == from_id:
-            return
-        with self._lock:
+        if into_id != from_id:
             self._copies[into_id].extend(self._copies.pop(from_id, ()))
 
     def copy_report(self, packet_id: int) -> dict[CopySite, int]:
-        with self._lock:
-            report: Counter[CopySite] = Counter()
-            for site, _ in self._copies.get(packet_id, ()):
-                report[site] += 1
-            return dict(report)
+        report: Counter[CopySite] = Counter()
+        for site, _ in self._copies.get(packet_id, ()):
+            report[site] += 1
+        return dict(report)
 
     def copy_bytes(self, packet_id: int) -> dict[CopySite, int]:
-        with self._lock:
-            out: Counter[CopySite] = Counter()
-            for site, n in self._copies.get(packet_id, ()):
-                out[site] += n
-            return dict(out)
+        out: Counter[CopySite] = Counter()
+        for site, n in self._copies.get(packet_id, ()):
+            out[site] += n
+        return dict(out)
 
     def packet_ids(self):
-        with self._lock:
-            return list(self._copies)
+        return list(self._copies)
 
     # -- generic counters ------------------------------------------------
     def count(self, name: str, n: int = 1):
-        with self._lock:
-            self.counters[name] += n
+        self.counters[name] += n
 
     def get(self, name: str) -> int:
-        with self._lock:
-            return self.counters.get(name, 0)
+        return self.counters.get(name, 0)
 
     def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "counters": dict(self.counters),
-                "packets": {
-                    str(pid): {site.value: n
-                               for site, n in Counter(s for s, _ in recs).items()}
-                    for pid, recs in self._copies.items()
-                },
-            }
+        return {
+            "counters": dict(self.counters),
+            "packets": {
+                str(pid): {site.value: n
+                           for site, n in Counter(s for s, _ in recs).items()}
+                for pid, recs in self._copies.items()
+            },
+        }
 
 
 REGISTRY_ENTRY_BYTES = 12  # proto(1) + demux(4) + target ref(4) + pad
@@ -153,7 +165,7 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
             noop()
         call_samples.append((time.perf_counter_ns() - t0) / batch)
 
-    sched = DetScheduler(metrics=Metrics(), trace_enabled=False)
+    sched = DetScheduler(trace_enabled=False)
     node = Node("bench", sched, buffer=None, metrics=sched.metrics)
 
     def ponger(ctx, msg):

@@ -25,7 +25,7 @@ import enum
 import threading
 from dataclasses import dataclass
 
-from .metrics import _BUF_INTERNAL
+from .metrics import _BUF_INTERNAL, lock_methods
 from .pktbuf import _RECEIVE, NoBufferSpace, PacketChain
 
 
@@ -138,74 +138,74 @@ class Registry:
 
     Multiple targets per key are allowed; exact triples are unique.
     Registration changes take effect for packets dispatched after the call
-    returns; dispatch takes a consistent snapshot under the same lock.
-    Lookups are cached per (proto, demux) key, and every change clears the
-    cache under that lock.
+    returns.  Lookups are cached per (proto, demux) key, and every change
+    clears the cache.
+
+    Locked only for the par pool (``locked``): there a lookup sees a
+    consistent snapshot, and the lock is re-entrant so that ``apply`` is
+    atomic.  The det scheduler's one thread cannot interleave two calls.
     """
 
     CACHE_KEYS = 256  # demux values come from received packets: bound them
+    _LOCKED = ("register", "unregister", "unregister_target", "lookup",
+               "apply")
 
-    def __init__(self, capacity: int = 32):
+    def __init__(self, capacity: int = 32, locked: bool = True):
         self.capacity = capacity
         self._entries: list[RegistryEntry] = []
         self._cache: dict[tuple, tuple] = {}
-        self._lock = threading.RLock()
+        if locked:
+            lock_methods(self, threading.RLock(), self._LOCKED)
 
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
+    def __len__(self):  # one len() of a list: atomic, even under par
+        return len(self._entries)
 
     def register(self, proto, demux_ctx, target):
         entry = RegistryEntry(proto, demux_ctx, target)
-        with self._lock:
-            if entry in self._entries:
-                return
-            if len(self._entries) >= self.capacity:
-                raise RegistryFull(f"registry capacity {self.capacity} reached")
-            self._entries.append(entry)
-            self._cache.clear()
+        if entry in self._entries:
+            return
+        if len(self._entries) >= self.capacity:
+            raise RegistryFull(f"registry capacity {self.capacity} reached")
+        self._entries.append(entry)
+        self._cache.clear()
 
     def unregister(self, proto, demux_ctx, target):
         entry = RegistryEntry(proto, demux_ctx, target)
-        with self._lock:
-            try:
-                self._entries.remove(entry)
-            except ValueError:
-                pass  # idempotent
-            self._cache.clear()
+        try:
+            self._entries.remove(entry)
+        except ValueError:
+            pass  # idempotent
+        self._cache.clear()
 
     def unregister_target(self, target):
-        with self._lock:
-            self._entries = [e for e in self._entries if e.target is not target]
-            self._cache.clear()
+        self._entries = [e for e in self._entries if e.target is not target]
+        self._cache.clear()
 
     def lookup(self, proto, demux_ctx) -> list:
         key = (proto, demux_ctx)
-        with self._lock:
-            targets = self._cache.get(key)
-            if targets is None:
-                targets = tuple(
-                    e.target for e in self._entries
-                    if e.proto == proto
-                    and (e.demux_ctx == demux_ctx
-                         or e.demux_ctx == DEMUX_ALL
-                         or demux_ctx == DEMUX_ALL))
-                if len(self._cache) >= self.CACHE_KEYS:
-                    self._cache.clear()
-                self._cache[key] = targets
-            return list(targets)
+        targets = self._cache.get(key)
+        if targets is None:
+            targets = tuple(
+                e.target for e in self._entries
+                if e.proto == proto
+                and (e.demux_ctx == demux_ctx
+                     or e.demux_ctx == DEMUX_ALL
+                     or demux_ctx == DEMUX_ALL))
+            if len(self._cache) >= self.CACHE_KEYS:
+                self._cache.clear()
+            self._cache[key] = targets
+        return list(targets)
 
     def apply(self, edits):
         """Apply a batch of (un)register edits atomically w.r.t. dispatch."""
-        with self._lock:
-            for edit in edits:
-                op, proto, demux_ctx, target = edit
-                if op == "register":
-                    self.register(proto, demux_ctx, target)
-                elif op == "unregister":
-                    self.unregister(proto, demux_ctx, target)
-                else:
-                    raise ValueError(f"unknown registry edit {op!r}")
+        for edit in edits:
+            op, proto, demux_ctx, target = edit
+            if op == "register":
+                self.register(proto, demux_ctx, target)
+            elif op == "unregister":
+                self.unregister(proto, demux_ctx, target)
+            else:
+                raise ValueError(f"unknown registry edit {op!r}")
 
 
 def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:

@@ -28,6 +28,8 @@ import enum
 import threading
 from dataclasses import dataclass
 
+from .metrics import lock_methods
+
 ALIGN = 4
 SNIP_OVERHEAD = 16  # declared per-snip metadata cost, counted in `used`
 MIN_ARENA_CAPACITY = 256
@@ -172,15 +174,22 @@ class BufferStats:
 
 
 class PacketBuffer:
-    """Shared contract of both backends.  Internally synchronized."""
+    """Shared contract of both backends.  Locked only for the par pool
+    (``locked``), whose workers allocate at once: the det scheduler runs
+    every handler on one thread, where a lock would cost more than most
+    operations it guards."""
 
-    def __init__(self, capacity: int, reserve_frac: float = 0.25):
+    _LOCKED = ("alloc_snip", "hold", "release", "stats")
+
+    def __init__(self, capacity: int, reserve_frac: float = 0.25,
+                 locked: bool = True):
         self.capacity = capacity
         self.reserve = int(capacity * reserve_frac)
-        self._lock = threading.RLock()
         self.used = 0
         self.peak = 0
         self.failed_allocs = {p: 0 for p in AllocPriority}
+        if locked:
+            lock_methods(self, threading.RLock(), self._LOCKED)
 
     # -- backend hooks --------------------------------------------------
     def _acquire(self, cost: int):
@@ -201,24 +210,23 @@ class PacketBuffer:
         if size is None or size <= 0:
             raise InvalidSize(f"snip size must be > 0, got {size}")
         cost = SNIP_OVERHEAD + ((size + ALIGN - 1) & ~(ALIGN - 1))
-        with self._lock:
-            cap = self.capacity
-            if prio == _SEND_APP:
-                cap -= self.reserve
-            used = self.used + cost
-            if used > cap:
-                self.failed_allocs[prio] += 1
-                raise NoBufferSpace(
-                    f"{size} B at {prio.name}: used={self.used}/{self.capacity}")
-            placement = self._acquire(cost)
-            if placement is None:  # arena fragmentation
-                self.failed_allocs[prio] += 1
-                raise NoBufferSpace(
-                    f"{size} B at {prio.name}: no contiguous block")
-            self.used = used
-            if used > self.peak:
-                self.peak = used
-            snip = self._make_snip(placement, size, proto)
+        cap = self.capacity
+        if prio == _SEND_APP:
+            cap -= self.reserve
+        used = self.used + cost
+        if used > cap:
+            self.failed_allocs[prio] += 1
+            raise NoBufferSpace(
+                f"{size} B at {prio.name}: used={self.used}/{self.capacity}")
+        placement = self._acquire(cost)
+        if placement is None:  # arena fragmentation
+            self.failed_allocs[prio] += 1
+            raise NoBufferSpace(
+                f"{size} B at {prio.name}: no contiguous block")
+        self.used = used
+        if used > self.peak:
+            self.peak = used
+        snip = self._make_snip(placement, size, proto)
         if payload is not None:
             snip.data[:size] = payload
         return snip
@@ -229,45 +237,43 @@ class PacketBuffer:
     def hold(self, snip: Snip) -> None:
         """Add one holder to every snip in the chain."""
         seen = 0
-        with self._lock:
-            while snip is not None:
-                if snip.users == 0:
-                    raise ReleaseUnheld("hold on freed snip")
-                snip.users += 1
-                snip = snip.next
-                seen += 1
-                if seen > MAX_CHAIN:
-                    raise RuntimeError("snip chain cycle")
+        while snip is not None:
+            if snip.users == 0:
+                raise ReleaseUnheld("hold on freed snip")
+            snip.users += 1
+            snip = snip.next
+            seen += 1
+            if seen > MAX_CHAIN:
+                raise RuntimeError("snip chain cycle")
 
     def release(self, snip: Snip) -> None:
         """Drop one holder from every snip in the chain; at 0 the memory
         returns to the arena."""
-        with self._lock:
-            if snip.next is None:  # one-snip chain: no walk, no list
-                users = snip.users
-                if users == 0:
-                    raise ReleaseUnheld("release on freed snip")
-                snip.users = users - 1
-                if users == 1:
-                    cost = SNIP_OVERHEAD + ((snip.size + ALIGN - 1)
-                                            & ~(ALIGN - 1))
-                    self._release_block(snip, cost)
-                    self.used -= cost
-                return
-            chain = []
-            while snip is not None:  # check every snip before changing any
-                if snip.users == 0:
-                    raise ReleaseUnheld("release on freed snip")
-                chain.append(snip)
-                snip = snip.next
-                if len(chain) > MAX_CHAIN:
-                    raise RuntimeError("snip chain cycle")
-            for s in chain:
-                s.users -= 1
-                if s.users == 0:
-                    cost = _block_cost(s.size)
-                    self._release_block(s, cost)
-                    self.used -= cost
+        if snip.next is None:  # one-snip chain: no walk, no list
+            users = snip.users
+            if users == 0:
+                raise ReleaseUnheld("release on freed snip")
+            snip.users = users - 1
+            if users == 1:
+                cost = SNIP_OVERHEAD + ((snip.size + ALIGN - 1)
+                                        & ~(ALIGN - 1))
+                self._release_block(snip, cost)
+                self.used -= cost
+            return
+        chain = []
+        while snip is not None:  # check every snip before changing any
+            if snip.users == 0:
+                raise ReleaseUnheld("release on freed snip")
+            chain.append(snip)
+            snip = snip.next
+            if len(chain) > MAX_CHAIN:
+                raise RuntimeError("snip chain cycle")
+        for s in chain:
+            s.users -= 1
+            if s.users == 0:
+                cost = _block_cost(s.size)
+                self._release_block(s, cost)
+                self.used -= cost
 
     def prepend_header(self, pkt: PacketChain, header_size: int,
                        proto=ProtocolType.UNDEF,
@@ -284,14 +290,13 @@ class PacketBuffer:
         return PacketChain(snip)
 
     def stats(self) -> BufferStats:
-        with self._lock:
-            return BufferStats(
-                capacity=self.capacity,
-                used=self.used,
-                peak=self.peak,
-                largest_free_block=self._largest_free_block(),
-                failed_allocs=dict(self.failed_allocs),
-            )
+        return BufferStats(
+            capacity=self.capacity,
+            used=self.used,
+            peak=self.peak,
+            largest_free_block=self._largest_free_block(),
+            failed_allocs=dict(self.failed_allocs),
+        )
 
 
 class ArenaBuffer(PacketBuffer):
@@ -301,11 +306,13 @@ class ArenaBuffer(PacketBuffer):
     ``SNIP_OVERHEAD`` bytes into its block and stays 4-byte aligned.
     """
 
-    def __init__(self, capacity, reserve_frac=0.25):
+    _LOCKED = PacketBuffer._LOCKED + ("free_list",)
+
+    def __init__(self, capacity, reserve_frac=0.25, locked=True):
         if capacity < MIN_ARENA_CAPACITY:
             raise CapacityTooSmall(
                 f"arena needs >= {MIN_ARENA_CAPACITY} B, got {capacity}")
-        super().__init__(capacity, reserve_frac)
+        super().__init__(capacity, reserve_frac, locked)
         self._arena = bytearray(capacity)
         self._view = memoryview(self._arena)  # sliced per snip
         self._free: list[list[int]] = [[0, capacity]]  # [offset, length]
@@ -348,8 +355,7 @@ class ArenaBuffer(PacketBuffer):
 
     def free_list(self):
         """Snapshot of (offset, length) free blocks, for oracle checks."""
-        with self._lock:
-            return [tuple(b) for b in self._free]
+        return [tuple(b) for b in self._free]
 
 
 class DynamicBuffer(PacketBuffer):
@@ -369,7 +375,8 @@ class DynamicBuffer(PacketBuffer):
 
 
 def buffer_create(capacity: int, backend: Backend = Backend.STATIC_ARENA,
-                  reserve_frac: float = 0.25) -> PacketBuffer:
+                  reserve_frac: float = 0.25,
+                  locked: bool = True) -> PacketBuffer:
     if backend == Backend.STATIC_ARENA:
-        return ArenaBuffer(capacity, reserve_frac)
-    return DynamicBuffer(capacity, reserve_frac)
+        return ArenaBuffer(capacity, reserve_frac, locked)
+    return DynamicBuffer(capacity, reserve_frac, locked)

@@ -24,6 +24,11 @@ they are read.  ``DetScheduler.post`` appends without a lock, since
 everything it runs is on one thread; ``ThreadScheduler.post`` appends under
 the pool's condition, together with the mailbox put.
 
+Only ``ThreadScheduler`` is ``parallel``, and only then do the structures
+contexts share (``Metrics``, each node's ``Registry`` and ``PacketBuffer``)
+take a lock.  Under ``DetScheduler`` they take none: its handlers run on
+one thread, and a CPython lock costs more than most calls it guards.
+
 Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV, counted,
 packet released) but never control messages -- option traffic back-pressures
 the sender instead of disappearing, which keeps the control plane deadlock-
@@ -135,7 +140,8 @@ class Node:
         self.sched = sched
         self.pktbuf = buffer
         self.metrics = metrics if metrics is not None else sched.metrics
-        self.registry = netapi.Registry(registry_capacity)
+        self.registry = netapi.Registry(registry_capacity,
+                                        locked=sched.parallel)
         self.modules: dict[str, ModuleContext] = {}
         self.aux: dict[str, ModuleContext] = {}  # non-protocol contexts
         self.devices: list = []
@@ -218,8 +224,11 @@ class TraceLog:
 
 
 class _SchedulerBase:
+    parallel = False  # True when handlers of two contexts can run at once
+
     def __init__(self, metrics: Metrics | None = None, trace_enabled=True):
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = (metrics if metrics is not None
+                        else Metrics(locked=self.parallel))
         self.trace = TraceLog()
         self.trace_enabled = trace_enabled
 
@@ -391,6 +400,7 @@ class ThreadScheduler(_SchedulerBase):
     """
 
     WORKERS = 2
+    parallel = True
 
     def __init__(self, metrics=None):
         super().__init__(metrics)

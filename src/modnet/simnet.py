@@ -116,24 +116,26 @@ class Simulator:
             raise ValueError(f"mode must be 'det' or 'par', got {mode!r}")
         self.topology = topology
         self.mode = mode
-        self.metrics = Metrics()
-        self.sched = (DetScheduler(self.metrics) if mode == "det"
-                      else ThreadScheduler(self.metrics))
+        self.sched = DetScheduler() if mode == "det" else ThreadScheduler()
+        self.metrics = self.sched.metrics
         self.rng = random.Random(topology.seed)
         self.medium = Medium(self.sched, self.rng, self.metrics)
         self.nodes: dict[str, Node] = {}
         self._offload_mods: dict[str, OffloadModule] = {}
-
-        names = [nd.name for nd in topology.nodes]
-        if len(names) != len(set(names)):
-            raise InvalidTopology("duplicate node names")
-        for nd in topology.nodes:
-            self._build_node(nd)
-        self._pair_offloads(topology)
-        for ld in topology.links:
-            dev_a = self._resolve_endpoint(ld.a)
-            dev_b = self._resolve_endpoint(ld.b)
-            self.medium.link(dev_a, dev_b, ld.loss, ld.delay_us)
+        try:
+            names = [nd.name for nd in topology.nodes]
+            if len(names) != len(set(names)):
+                raise InvalidTopology("duplicate node names")
+            for nd in topology.nodes:
+                self._build_node(nd)
+            self._pair_offloads(topology)
+            for ld in topology.links:
+                dev_a = self._resolve_endpoint(ld.a)
+                dev_b = self._resolve_endpoint(ld.b)
+                self.medium.link(dev_a, dev_b, ld.loss, ld.delay_us)
+        except BaseException:
+            self.sched.stop()  # nobody else can stop a par pool's workers
+            raise
 
     # -- construction -----------------------------------------------------
     def _resolve_endpoint(self, spec: str) -> SimRadioDevice:
@@ -147,7 +149,8 @@ class Simulator:
         return devices[i]
 
     def _build_node(self, nd: NodeDesc):
-        buf = buffer_create(nd.buffer_capacity, nd.backend, nd.reserve_frac)
+        buf = buffer_create(nd.buffer_capacity, nd.backend, nd.reserve_frac,
+                            locked=self.sched.parallel)
         node = Node(nd.name, self.sched, buf, self.metrics)
         self.nodes[nd.name] = node
         for i, dd in enumerate(nd.devices):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .metrics import _BUF_INTERNAL
+from .metrics import _BUF_INTERNAL, REASSEMBLY_ENTRY_OVERHEAD
 from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
                      recopy, up)
 from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
@@ -133,10 +133,7 @@ class ReassemblyEntry:
     snip: object  # CONTROL-priority buffer snip of datagram_size
     deadline_us: int
     packet_id: int
-    received: set = field(default_factory=set)  # 8-byte unit indices
-
-    def units(self) -> int:
-        return (self.size + 7) // 8
+    received: int = 0  # bitmap: bit u set once 8-byte unit u has arrived
 
 
 class ReassemblyTable:
@@ -153,7 +150,6 @@ class ReassemblyTable:
         self.entries: dict[tuple, ReassemblyEntry] = {}
 
     def memory_bytes(self) -> int:
-        from .metrics import REASSEMBLY_ENTRY_OVERHEAD
         return sum(e.size + REASSEMBLY_ENTRY_OVERHEAD
                    for e in self.entries.values())
 
@@ -206,26 +202,27 @@ class ReassemblyTable:
                                     now_us + self.timeout_us, pid)
             self.entries[key] = entry
 
-        start_unit = parsed.offset // 8
-        n_units = (len(parsed.data) + 7) // 8
-        units = range(start_unit, start_unit + n_units)
-        overlap = [u for u in units if u in entry.received]
+        offset, data = parsed.offset, parsed.data
+        end = offset + len(data)
+        mask = ((1 << ((len(data) + 7) // 8)) - 1) << (offset // 8)
+        overlap = entry.received & mask
         if overlap:
-            # duplicates must be byte-identical; divergence poisons the entry
-            current = bytes(entry.snip.data[parsed.offset:
-                                            parsed.offset + len(parsed.data)])
-            if current != parsed.data:
-                self._drop_entry(entry)
-                self._count("reassembly_overlap_drops")
-                return _DROPPED, None, None
-        entry.snip.data[parsed.offset:parsed.offset + len(parsed.data)] = \
-            parsed.data
-        entry.received.update(units)
+            # received units must match byte for byte, or the entry is dropped
+            view = entry.snip.data
+            for lo in range(offset, end, 8):
+                hi = min(lo + 8, end)
+                if (overlap >> (lo // 8) & 1
+                        and view[lo:hi] != data[lo - offset:hi - offset]):
+                    self._drop_entry(entry)
+                    self._count("reassembly_overlap_drops")
+                    return _DROPPED, None, None
+        entry.snip.data[offset:end] = data
+        entry.received |= mask
         if self.metrics is not None:
             self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id,
-                                     len(parsed.data))
+                                     len(data))
 
-        if len(entry.received) == entry.units():
+        if entry.received == (1 << ((size + 7) // 8)) - 1:
             self.entries.pop(key, None)
             return _COMPLETE, PacketChain(entry.snip), entry.packet_id
         return _INCOMPLETE, None, entry.packet_id

@@ -3,14 +3,16 @@ vectors, and the reassembly table's drop/timeout behavior."""
 
 import pathlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modnet.pktbuf import Backend, buffer_create
-from modnet.sixlowpan import (BudgetTooSmall, DatagramTooLarge,
-                              MalformedFragment, ReassemblyStatus,
-                              ReassemblyTable, fragment, parse_payload)
+from modnet.sixlowpan import (FRAGN_DISPATCH, BudgetTooSmall,
+                              DatagramTooLarge, MalformedFragment,
+                              ReassemblyStatus, ReassemblyTable, fragment,
+                              parse_payload)
 from oracles import fragment_oracle, reassemble_oracle
 
 SRC = b"\x00" * 7 + b"\x01"
@@ -138,6 +140,40 @@ def test_overlap_with_differing_content_drops_entry():
     table.step(frags[0], SRC, DST, 0)
     poisoned = frags[0][:4] + bytes(len(frags[0]) - 4)
     status, _, _ = table.step(poisoned, SRC, DST, 0)
+    assert status == ReassemblyStatus.DROPPED
+    assert not table.entries
+    assert table.buffer.stats().used == 0
+
+
+def fragn(datagram, tag, offset, length):
+    """A FRAGN carrying ``datagram[offset:offset + length]``."""
+    return (struct.pack("!HHB", (FRAGN_DISPATCH << 11) | len(datagram), tag,
+                        offset // 8) + datagram[offset:offset + length])
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_partial_overlap_with_identical_bytes_completes(backend):
+    datagram = pattern(300)
+    frags = fragment(datagram, 110, 4)  # FRAG1 holds units 0-12
+    table = ReassemblyTable(buffer_create(8192, backend))
+    table.step(frags[0], SRC, DST, 0)
+    # unit 12 was received, unit 13 was not: only unit 12 is compared
+    status, _, _ = table.step(fragn(datagram, 4, 96, 16), SRC, DST, 0)
+    assert status == ReassemblyStatus.INCOMPLETE
+    status, chain, _ = feed_all(table, frags[1:])
+    assert status == ReassemblyStatus.COMPLETE
+    assert chain.to_bytes() == datagram
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_partial_overlap_with_differing_bytes_drops_entry(backend):
+    datagram = pattern(300)
+    frags = fragment(datagram, 110, 4)
+    table = ReassemblyTable(buffer_create(8192, backend))
+    table.step(frags[0], SRC, DST, 0)
+    altered = bytearray(datagram)
+    altered[100] ^= 0xFF  # inside unit 12, which FRAG1 delivered
+    status, _, _ = table.step(fragn(bytes(altered), 4, 96, 16), SRC, DST, 0)
     assert status == ReassemblyStatus.DROPPED
     assert not table.entries
     assert table.buffer.stats().used == 0

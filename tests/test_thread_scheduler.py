@@ -6,13 +6,19 @@ through ``send_cmd``, ``wait_for`` or ``run_until()``.
 
 import hashlib
 import pathlib
+import sys
 import threading
+import time
 
-from modnet.netapi import MsgKind, NetMessage, OK, send_cmd
-from modnet.pktbuf import buffer_create
+import pytest
+
+from modnet.metrics import CopySite, Metrics
+from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
+from modnet.pktbuf import AllocPriority, Backend, ProtocolType, buffer_create
 from modnet.runtime import ModuleDesc, Node, ThreadScheduler
 from modnet.scenario import load_scenario_file
-from modnet.simnet import build
+from modnet.simnet import InvalidTopology, LinkDesc, build
+from topo import two_node
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -110,3 +116,98 @@ def test_thread_count_is_the_pool_size():
     finally:
         sim.stop()
     assert not any(t.is_alive() for t in started)
+
+
+def test_failed_build_stops_the_pool():
+    before = pool_threads()
+    topology = two_node()
+    topology.links.append(LinkDesc("a", "zz"))
+    with pytest.raises(InvalidTopology):
+        build(topology, mode="par")
+    assert pool_threads() == before
+
+
+def test_shared_structures_lock_under_the_pool():
+    """Two contexts hammer the node's metrics, buffer and registry on both
+    workers while this thread edits the registry in two-entry batches.  A
+    tiny switch interval makes an unlocked read-modify-write lose updates
+    and lets a lookup see half a batch."""
+    sched, node = make_node()
+    metrics, buf, registry = sched.metrics, node.pktbuf, node.registry
+    rounds = 2000
+    ids, torn, finished = [], [], []
+    pair = (object(), object())
+    register = [("register", ProtocolType.UDP, 7, t) for t in pair]
+    unregister = [("unregister", ProtocolType.UDP, 7, t) for t in pair]
+
+    def hammer(ctx, msg):
+        mine = []
+        for r in range(rounds):
+            pid = metrics.new_packet_id()
+            mine.append(pid)
+            metrics.count("hits")
+            metrics.count(f"pair{pid // 2}")  # a new key, raced for by both
+            metrics.record_copy(CopySite.BUF_INTERNAL, 0, 1)
+            for _ in range(3):
+                snip = buf.alloc_snip(size=40, prio=AllocPriority.CONTROL)
+                buf.hold(snip)
+                buf.release(snip)
+                buf.release(snip)
+            if len(registry.lookup(ProtocolType.UDP, 7)) == 1:
+                torn.append(r)
+        ids.extend(mine)
+        finished.append(ctx.name)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name in ("a", "b"):
+            sched.post(node.spawn_module(ModuleDesc(name, hammer)), "go")
+        edits, deadline = 0, time.monotonic() + 60
+        while (len(finished) < 2 and not sched.errors
+               and time.monotonic() < deadline):
+            registry.apply(register)
+            registry.apply(unregister)
+            edits += 1
+        sched.run_until()  # the handlers' loops are finite
+    finally:
+        sys.setswitchinterval(old_interval)
+        sched.stop()
+    assert not sched.errors
+    assert sorted(finished) == ["a", "b"] and edits > 0
+    assert torn == []
+    counters = metrics.as_dict()["counters"]
+    assert counters.pop("hits") == 2 * rounds
+    assert sum(counters.values()) == 2 * rounds  # the pair* keys
+    assert sorted(ids) == list(range(1, 2 * rounds + 1))
+    assert metrics.copy_bytes(0) == {CopySite.BUF_INTERNAL: 2 * rounds}
+    assert buf.used == 0
+    assert buf.free_list() == [(0, buf.capacity)]
+    assert registry.lookup(ProtocolType.UDP, 7) == []
+
+
+def locked(obj):
+    """Whether ``obj`` got its lock wrappers: each shadows a class method."""
+    shadowed = {name for name in type(obj)._LOCKED if name in vars(obj)}
+    assert shadowed in (set(), set(type(obj)._LOCKED))
+    return bool(shadowed)
+
+
+@pytest.mark.parametrize("mode", ["det", "par"])
+def test_only_the_par_pool_locks_shared_structures(mode):
+    sim = build(two_node(), mode=mode)
+    try:
+        shared = [sim.metrics]
+        for node in sim.nodes.values():
+            shared += [node.registry, node.pktbuf]
+        assert [locked(obj) for obj in shared] == [mode == "par"] * 5
+    finally:
+        sim.stop()
+
+
+def test_pool_nodes_and_unspecified_structures_lock():
+    sched, node = make_node()  # the buffer is not told its scheduler
+    sched.stop()
+    for obj in (sched.metrics, node.registry, node.pktbuf, Metrics(),
+                Registry(), buffer_create(2048, Backend.DYNAMIC)):
+        assert locked(obj)
