@@ -161,12 +161,14 @@ class SortedNeighborCache(NeighborCache):
         return len(self._entries)
 
 
-def make_neighbor_cache(kind: str, capacity=NeighborCache.DEFAULT_CAPACITY):
-    if kind.upper() == "RING":
-        return RingNeighborCache(capacity)
-    if kind.upper() == "SORTED":
-        return SortedNeighborCache(capacity)
-    raise ValueError(f"unknown neighbor cache kind {kind!r}")
+NEIGHBOR_CACHES = {"RING": RingNeighborCache, "SORTED": SortedNeighborCache}
+
+
+def make_neighbor_cache(kind: str) -> NeighborCache:
+    try:
+        return NEIGHBOR_CACHES[kind]()
+    except KeyError:
+        raise ValueError(f"unknown neighbor cache kind {kind!r}") from None
 
 
 # -- forwarding --------------------------------------------------------------
@@ -220,15 +222,13 @@ class Ipv6Module(Module):
     layer = "ipv6"
 
     def __init__(self, primary_addr: bytes,
-                 iface_addrs: dict[int, tuple[bytes, int]] | None = None,
-                 ncache: NeighborCache | None = None,
-                 fwd: ForwardingTable | None = None,
-                 hop_limit: int = DEFAULT_HOP_LIMIT):
+                 iface_addrs: dict[int, tuple[bytes, int]],
+                 ncache: NeighborCache, fwd: ForwardingTable):
         self.primary_addr = primary_addr
-        self.iface_addrs = iface_addrs or {0: (primary_addr, 64)}
-        self.ncache = ncache if ncache is not None else RingNeighborCache()
-        self.fwd = fwd if fwd is not None else ForwardingTable()
-        self.hop_limit = hop_limit
+        self.iface_addrs = iface_addrs
+        self.ncache = ncache
+        self.fwd = fwd
+        self.hop_limit = DEFAULT_HOP_LIMIT
         for iface, (addr, plen) in self.iface_addrs.items():
             self.fwd.add(addr, plen, iface, ON_LINK)
         self._local = frozenset(

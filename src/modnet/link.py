@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
 from .netapi import ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
 from .netdev import (_BUSY, _RX_READY, _TOO_LARGE, _TX_DONE, BROADCAST_LONG,
-                     DevNotify, Unsupported)
+                     MAX_FRAME, DevNotify, Unsupported)
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
 
 HEADER_LEN = 17
-MAX_FRAME = 127
 MAX_PAYLOAD = MAX_FRAME - HEADER_LEN  # 110
 
 
@@ -103,7 +102,7 @@ class LinkModule(Module):
         if pid is not None:
             node.metrics.record_copy(_BUF_TO_DEV, pid, len(payload))
         node.pktbuf.release(msg.pkt.head)
-        dst = msg.meta.get("dst_link", BROADCAST_LONG)
+        dst = msg.meta.get("dst_link") or BROADCAST_LONG
         frame = link_encode(dst, self.device.addr_long, self._seq, payload)
         self._seq = (self._seq + 1) & 0xFF
         self._transmit(ctx, frame)

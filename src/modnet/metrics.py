@@ -119,6 +119,8 @@ REASSEMBLY_ENTRY_OVERHEAD = 32  # key + bitmap + deadline bookkeeping
 def memory_report(node) -> dict:
     """RAM-budget analog for one node: central buffer plus declared module
     context budgets plus measured table overheads."""
+    from .sixlowpan import DEFAULT_REASSEMBLY_ENTRIES
+
     stats = node.pktbuf.stats()
     stack_notes = sum(ctx.desc.stack_note for ctx in node.modules.values())
     registry_bytes = len(node.registry) * REGISTRY_ENTRY_BYTES
@@ -136,7 +138,7 @@ def memory_report(node) -> dict:
         "registry_bytes": registry_bytes,
         "reassembly_bytes": reassembly_bytes,
         "total_budget": stats.capacity + stack_notes + registry_bytes
-        + REASSEMBLY_ENTRY_OVERHEAD * 2,
+        + REASSEMBLY_ENTRY_OVERHEAD * DEFAULT_REASSEMBLY_ENTRIES,
     }
 
 
@@ -166,7 +168,7 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
         call_samples.append((time.perf_counter_ns() - t0) / batch)
 
     sched = DetScheduler(trace_enabled=False)
-    node = Node("bench", sched, buffer=None, metrics=sched.metrics)
+    node = Node("bench", sched, buffer=None)
 
     def ponger(ctx, msg):
         if msg.kind == MsgKind.MSG_GET:

@@ -55,6 +55,7 @@ class DevNotify:
 
 
 BROADCAST_LONG = b"\xff" * 8
+MAX_FRAME = 127  # 802.15.4 frame limit, the radio's MTU by default
 
 
 class SimRadioDevice:
@@ -62,7 +63,7 @@ class SimRadioDevice:
     per-device loss (sim-only, on top of link loss)."""
 
     def __init__(self, dev_id: int, addr_short: bytes, addr_long: bytes,
-                 mtu: int = 127):
+                 mtu: int = MAX_FRAME):
         assert len(addr_short) == 2 and len(addr_long) == 8
         self.id = dev_id
         self.mtu = mtu

@@ -16,10 +16,10 @@ Every snip's ``data`` is exactly ``size`` bytes long (a memoryview of its
 arena block, or its own bytearray), so ``to_bytes`` joins the views as they
 are.
 
-Allocations carry a priority class.  A configurable reserve (default 25% of
-capacity) is off limits to ``SEND_APP`` allocations so that inbound frames
-and control traffic can always make progress while applications are
-back-pressured; nothing ever blocks waiting for memory.
+Allocations carry a priority class.  A reserve (``RESERVE_FRAC`` of
+capacity by default) is off limits to ``SEND_APP`` allocations so that
+inbound frames and control traffic can always make progress while
+applications are back-pressured; nothing ever blocks waiting for memory.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ ALIGN = 4
 SNIP_OVERHEAD = 16  # declared per-snip metadata cost, counted in `used`
 MIN_ARENA_CAPACITY = 256
 MAX_CHAIN = 1 << 16  # chains are finite by invariant; longer means a cycle
+RESERVE_FRAC = 0.25  # share of capacity that SEND_APP allocations may not use
 
 
 class ProtocolType(enum.IntEnum):
@@ -92,6 +93,20 @@ def _aligned(size: int) -> int:
 
 def _block_cost(size: int) -> int:
     return SNIP_OVERHEAD + _aligned(size)
+
+
+def _checked_chain(snip: Snip, op: str) -> list:
+    """The snips of a chain, each checked to be held before the caller
+    changes any of them."""
+    chain = []
+    while snip is not None:
+        if snip.users == 0:
+            raise ReleaseUnheld(f"{op} on freed snip")
+        chain.append(snip)
+        snip = snip.next
+        if len(chain) > MAX_CHAIN:
+            raise RuntimeError("snip chain cycle")
+    return chain
 
 
 class Snip:
@@ -181,7 +196,7 @@ class PacketBuffer:
 
     _LOCKED = ("alloc_snip", "hold", "release", "stats")
 
-    def __init__(self, capacity: int, reserve_frac: float = 0.25,
+    def __init__(self, capacity: int, reserve_frac: float = RESERVE_FRAC,
                  locked: bool = True):
         self.capacity = capacity
         self.reserve = int(capacity * reserve_frac)
@@ -235,16 +250,15 @@ class PacketBuffer:
         raise NotImplementedError
 
     def hold(self, snip: Snip) -> None:
-        """Add one holder to every snip in the chain."""
-        seen = 0
-        while snip is not None:
+        """Add one holder to every snip in the chain, or to none when one
+        of them is already freed."""
+        if snip.next is None:  # one-snip chain: no walk, no list
             if snip.users == 0:
                 raise ReleaseUnheld("hold on freed snip")
             snip.users += 1
-            snip = snip.next
-            seen += 1
-            if seen > MAX_CHAIN:
-                raise RuntimeError("snip chain cycle")
+            return
+        for s in _checked_chain(snip, "hold"):
+            s.users += 1
 
     def release(self, snip: Snip) -> None:
         """Drop one holder from every snip in the chain; at 0 the memory
@@ -260,15 +274,7 @@ class PacketBuffer:
                 self._release_block(snip, cost)
                 self.used -= cost
             return
-        chain = []
-        while snip is not None:  # check every snip before changing any
-            if snip.users == 0:
-                raise ReleaseUnheld("release on freed snip")
-            chain.append(snip)
-            snip = snip.next
-            if len(chain) > MAX_CHAIN:
-                raise RuntimeError("snip chain cycle")
-        for s in chain:
+        for s in _checked_chain(snip, "release"):
             s.users -= 1
             if s.users == 0:
                 cost = _block_cost(s.size)
@@ -308,7 +314,7 @@ class ArenaBuffer(PacketBuffer):
 
     _LOCKED = PacketBuffer._LOCKED + ("free_list",)
 
-    def __init__(self, capacity, reserve_frac=0.25, locked=True):
+    def __init__(self, capacity, reserve_frac=RESERVE_FRAC, locked=True):
         if capacity < MIN_ARENA_CAPACITY:
             raise CapacityTooSmall(
                 f"arena needs >= {MIN_ARENA_CAPACITY} B, got {capacity}")
@@ -375,7 +381,7 @@ class DynamicBuffer(PacketBuffer):
 
 
 def buffer_create(capacity: int, backend: Backend = Backend.STATIC_ARENA,
-                  reserve_frac: float = 0.25,
+                  reserve_frac: float = RESERVE_FRAC,
                   locked: bool = True) -> PacketBuffer:
     if backend == Backend.STATIC_ARENA:
         return ArenaBuffer(capacity, reserve_frac, locked)

@@ -18,10 +18,10 @@ Two schedulers implement the same surface:
   with the topology.  Traces are unordered.
 
 Under both, at most one handler of a context runs at a time, and a handler
-runs one message.  Both record one trace entry per accepted message in a
-``TraceLog``, which keeps plain records and renders text lines only when
-they are read.  ``DetScheduler.post`` appends without a lock, since
-everything it runs is on one thread; ``ThreadScheduler.post`` appends under
+runs one message.  Both record one trace entry per accepted message with
+``TraceLog.record``, which keeps plain fields and renders text lines only
+when they are read.  ``DetScheduler.post`` records without a lock, since
+everything it runs is on one thread; ``ThreadScheduler.post`` records under
 the pool's condition, together with the mailbox put.
 
 Only ``ThreadScheduler`` is ``parallel``, and only then do the structures
@@ -57,11 +57,14 @@ class DuplicateName(RuntimeError_):
     pass
 
 
+MAILBOX_CAPACITY = 8  # data messages a context's mailbox holds by default
+
+
 @dataclass
 class ModuleDesc:
     name: str
     handler: object  # callable(ctx, msg)
-    mailbox_capacity: int = 8
+    mailbox_capacity: int = MAILBOX_CAPACITY
     stack_note: int = 1024  # declared context budget in bytes, for accounting
 
 
@@ -135,18 +138,16 @@ def _release_pkt(msg):
 class Node:
     """One simulated device: registry, packet buffer, module contexts."""
 
-    def __init__(self, name, sched, buffer, metrics=None, registry_capacity=32):
+    def __init__(self, name, sched, buffer):
         self.name = name
         self.sched = sched
         self.pktbuf = buffer
-        self.metrics = metrics if metrics is not None else sched.metrics
-        self.registry = netapi.Registry(registry_capacity,
-                                        locked=sched.parallel)
+        self.metrics = sched.metrics
+        self.registry = netapi.Registry(locked=sched.parallel)
         self.modules: dict[str, ModuleContext] = {}
         self.aux: dict[str, ModuleContext] = {}  # non-protocol contexts
         self.devices: list = []
         self.wiring: dict[str, ModuleContext] = {}  # downward targets
-        self.config: dict = {}
 
     def spawn_module(self, desc: ModuleDesc, aux: bool = False) -> ModuleContext:
         if desc.name in self.modules or desc.name in self.aux:
@@ -200,11 +201,23 @@ class TraceLog:
     latency outliers.
     """
 
-    __slots__ = ("_fields", "append")
+    __slots__ = ("_fields",)
 
     def __init__(self):
         self._fields: list = []
-        self.append = self._fields.extend  # append(record) adds one record
+
+    def record(self, now_us: int, src, target, msg):
+        """Record ``msg`` as posted at ``now_us`` from context ``src``
+        (None outside any handler) to context ``target``."""
+        pkt = None
+        if isinstance(msg, NetMessage):
+            kind, pkt = msg.kind._name_, msg.pkt  # .name is a property
+        else:
+            kind = type(msg).__name__
+        self._fields.extend((
+            now_us, target.node.name, "ext" if src is None else src.name,
+            target.name, kind, "-" if pkt is None else pkt.head.proto._name_,
+            0 if pkt is None else pkt.total_size))
 
     def __len__(self):
         return len(self._fields) // _TRACE_WIDTH
@@ -226,14 +239,16 @@ class TraceLog:
 class _SchedulerBase:
     parallel = False  # True when handlers of two contexts can run at once
 
-    def __init__(self, metrics: Metrics | None = None, trace_enabled=True):
-        self.metrics = (metrics if metrics is not None
-                        else Metrics(locked=self.parallel))
+    def __init__(self, trace_enabled=True):
+        self.metrics = Metrics(locked=self.parallel)
         self.trace = TraceLog()
         self.trace_enabled = trace_enabled
 
     def current_ctx(self):
         raise NotImplementedError
+
+    def call_later(self, dt_us: int, fn):
+        self.call_at(self.now_us + dt_us, fn)
 
 
 class DetScheduler(_SchedulerBase):
@@ -249,8 +264,8 @@ class DetScheduler(_SchedulerBase):
     command helper.
     """
 
-    def __init__(self, metrics=None, trace_enabled=True):
-        super().__init__(metrics, trace_enabled)
+    def __init__(self, trace_enabled=True):
+        super().__init__(trace_enabled)
         self.now_us = 0
         self._heap: list = []  # (t_us, seq, fn) timers
         self._ready: deque = deque()  # (seq, ctx) contexts due now
@@ -263,9 +278,6 @@ class DetScheduler(_SchedulerBase):
     def call_at(self, t_us: int, fn):
         heapq.heappush(self._heap, (max(int(t_us), self.now_us),
                                     next(self._seq), fn))
-
-    def call_later(self, dt_us: int, fn):
-        self.call_at(self.now_us + dt_us, fn)
 
     def step(self) -> bool:
         ready, heap = self._ready, self._heap
@@ -305,6 +317,7 @@ class DetScheduler(_SchedulerBase):
     def wait_for(self, pred, timeout_us: int, box=None) -> bool:
         deadline = self.now_us + timeout_us
         ready, heap = self._ready, self._heap
+        # kept beside the predicate loop: folding it in cost check 11 ~10%
         if box is not None:  # fast path for command replies
             service = self._service
             while box.msg is None:
@@ -340,17 +353,10 @@ class DetScheduler(_SchedulerBase):
                 return False
         else:
             ctx.mailbox.put_ctrl(msg)
-        if self.trace_enabled:  # _trace_msg inline: one thread, no lock
-            stack, node, pkt = self._ctx_stack, ctx.node, None
-            if isinstance(msg, NetMessage):
-                kind, pkt = kind._name_, msg.pkt
-            else:
-                kind = type(msg).__name__
-            self.trace.append((
-                self.now_us, node.name if node is not None else "-",
-                stack[-1].name if stack else "ext", ctx.name, kind,
-                "-" if pkt is None else pkt.head.proto._name_,
-                0 if pkt is None else pkt.total_size))
+        if self.trace_enabled:  # one thread: no lock
+            stack = self._ctx_stack
+            self.trace.record(self.now_us, stack[-1] if stack else None,
+                              ctx, msg)
         # the mailbox is non-empty by construction here
         if not ctx._scheduled:
             ctx._scheduled = True
@@ -402,8 +408,8 @@ class ThreadScheduler(_SchedulerBase):
     WORKERS = 2
     parallel = True
 
-    def __init__(self, metrics=None):
-        super().__init__(metrics)
+    def __init__(self):
+        super().__init__()
         self._t0 = time.perf_counter()
         self._local = threading.local()
         self._cond = threading.Condition()
@@ -433,9 +439,6 @@ class ThreadScheduler(_SchedulerBase):
             heapq.heappush(self._timers, (int(t_us), next(self._seq), fn))
             self._cond.notify_all()
 
-    def call_later(self, dt_us: int, fn):
-        self.call_at(self.now_us + dt_us, fn)
-
     def post(self, ctx: ModuleContext, msg) -> bool:
         if ctx.closed:
             _release_pkt(msg)
@@ -449,7 +452,8 @@ class ThreadScheduler(_SchedulerBase):
                 accepted = True
             if accepted:
                 if self.trace_enabled:
-                    self._trace_msg(ctx, msg)
+                    self.trace.record(self.now_us, self.current_ctx(), ctx,
+                                      msg)
                 if not ctx._scheduled:
                     ctx._scheduled = True
                     self._ready.append(ctx)
@@ -458,24 +462,6 @@ class ThreadScheduler(_SchedulerBase):
             self.metrics.count("mailbox_drops")
             _release_pkt(msg)
         return accepted
-
-    def _trace_msg(self, target: ModuleContext, msg):
-        src = self.current_ctx()
-        node = target.node
-        if isinstance(msg, NetMessage):
-            kind = msg.kind._name_  # a plain attribute; .name is a property
-            pkt = msg.pkt
-            if pkt is not None:
-                proto = pkt.head.proto._name_
-                size = pkt.total_size
-            else:
-                proto, size = "-", 0
-        else:
-            kind, proto, size = type(msg).__name__, "-", 0
-        self.trace.append((
-            self.now_us, node.name if node is not None else "-",
-            src.name if src is not None else "ext", target.name, kind, proto,
-            size))
 
     def _take(self):
         """Under the condition: wait for a due timer or a context with mail

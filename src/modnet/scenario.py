@@ -4,7 +4,8 @@ workload, validated against a schema with JSON-pointer error reporting.
 A scenario is the unit the command line runs: nodes (with their stack
 flavor and addressing), links, a seed, and a list of timed socket
 operations.  Loading produces the same ``Topology`` the tests build by
-hand, so behavior is identical either way.
+hand, so behavior is identical either way: a field the document leaves
+out is not passed, and the description's own default applies.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from ipaddress import IPv6Address
 
 import jsonschema
 
+from .ipv6 import NEIGHBOR_CACHES
 from .pktbuf import Backend
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
                      Topology, build)
@@ -102,10 +104,10 @@ SCHEMA = {
                     },
                     "offload_peer": {"type": "string"},
                     "buffer_capacity": {"type": "integer", "minimum": 256},
-                    "backend": {"enum": ["STATIC_ARENA", "DYNAMIC"]},
+                    "backend": {"enum": [b.name for b in Backend]},
                     "reserve_frac": {"type": "number",
                                      "minimum": 0.0, "maximum": 0.9},
-                    "neighbor_cache": {"enum": ["RING", "SORTED"]},
+                    "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
                     "mailbox_capacity": {"type": "integer", "minimum": 1},
                 },
             },
@@ -219,6 +221,11 @@ def validate_document(doc: dict) -> None:
                                 f"/workload/{i}/args" + _pointer(err))
 
 
+def _given(doc: dict, *keys) -> dict:
+    """The named fields that ``doc`` sets, to pass on as keywords."""
+    return {k: doc[k] for k in keys if k in doc}
+
+
 def _node_desc(nj: dict, index: int, names: set[str]) -> NodeDesc:
     base = f"/nodes/{index}"
     offload = "offload" in nj["modules"]
@@ -232,7 +239,7 @@ def _node_desc(nj: dict, index: int, names: set[str]) -> NodeDesc:
                if "address" in nj else None)
     devices = [DeviceDesc(addr_short=bytes.fromhex(dj["addr_short"]),
                           addr_long=bytes.fromhex(dj["addr_long"]),
-                          mtu=dj.get("mtu", 127))
+                          **_given(dj, "mtu"))
                for dj in nj.get("devices", ())]
     for j, dev in enumerate(devices):
         if len(dev.addr_short) != 2 or len(dev.addr_long) != 8:
@@ -255,15 +262,14 @@ def _node_desc(nj: dict, index: int, names: set[str]) -> NodeDesc:
     peer = nj.get("offload_peer")
     if peer is not None and peer not in names:
         raise ScenarioError(f"unknown node {peer!r}", base + "/offload_peer")
+    opts = _given(nj, "buffer_capacity", "reserve_frac", "neighbor_cache",
+                  "mailbox_capacity")
+    if "backend" in nj:
+        opts["backend"] = Backend[nj["backend"]]
     return NodeDesc(
         name=nj["name"], devices=devices, address=address,
         iface_addrs=iface_addrs, routes=routes, neighbors=neighbors,
-        offload=offload, offload_peer=peer,
-        buffer_capacity=nj.get("buffer_capacity", 2048),
-        backend=Backend[nj.get("backend", "STATIC_ARENA")],
-        reserve_frac=nj.get("reserve_frac", 0.25),
-        neighbor_cache=nj.get("neighbor_cache", "RING"),
-        mailbox_capacity=nj.get("mailbox_capacity", 8))
+        offload=offload, offload_peer=peer, **opts)
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -272,9 +278,8 @@ def load_scenario(doc: dict) -> Scenario:
     if len(names) != len(doc["nodes"]):
         raise ScenarioError("duplicate node names", "/nodes")
     nodes = [_node_desc(nj, i, names) for i, nj in enumerate(doc["nodes"])]
-    links = [LinkDesc(a=lj["a"], b=lj["b"], loss=lj.get("loss", 0.0),
-                      delay_us=lj.get("delay_us", 1))
-             for lj in doc.get("links", ())]
+    # the schema admits exactly the fields of LinkDesc
+    links = [LinkDesc(**lj) for lj in doc.get("links", ())]
     workload = []
     for i, wj in enumerate(doc.get("workload", ())):
         if wj["node"] not in names:
@@ -282,7 +287,7 @@ def load_scenario(doc: dict) -> Scenario:
                                 f"/workload/{i}/node")
         workload.append(WorkloadOp(t_us=wj["t_us"], node=wj["node"],
                                    op=wj["op"], args=wj.get("args", {})))
-    topology = Topology(nodes=nodes, links=links, seed=doc.get("seed", 1))
+    topology = Topology(nodes=nodes, links=links, **_given(doc, "seed"))
     return Scenario(topology=topology, workload=workload)
 
 
@@ -313,7 +318,7 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
     def do_open(op: WorkloadOp):
         layer = sim.socket_layer(op.node)
         sock = layer.open(op.args["port"],
-                          op.args.get("queue_capacity", 4))
+                          **_given(op.args, "queue_capacity"))
         key = (op.node, op.args["port"])
         if op.args.get("app") == "echo":
             def bounce(s):

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from .ipv6 import (ForwardingTable, Ipv6Module, ON_LINK, make_neighbor_cache)
 from .link import LinkModule
 from .metrics import Metrics
-from .netdev import SimRadioDevice
+from .netdev import MAX_FRAME, SimRadioDevice
 from .offload import OffloadModule
-from .pktbuf import Backend, buffer_create
-from .runtime import DetScheduler, ModuleDesc, Node, ThreadScheduler
+from .pktbuf import RESERVE_FRAC, Backend, buffer_create
+from .runtime import (MAILBOX_CAPACITY, DetScheduler, ModuleDesc, Node,
+                      ThreadScheduler)
 from .sixlowpan import SixlowpanModule
 from .udp import SocketLayer, UdpModule
 
@@ -30,7 +31,7 @@ class InvalidTopology(Exception):
 class DeviceDesc:
     addr_short: bytes
     addr_long: bytes
-    mtu: int = 127
+    mtu: int = MAX_FRAME
 
 
 @dataclass
@@ -53,9 +54,9 @@ class NodeDesc:
     offload_peer: str | None = None
     buffer_capacity: int = 2048
     backend: Backend = Backend.STATIC_ARENA
-    reserve_frac: float = 0.25
+    reserve_frac: float = RESERVE_FRAC
     neighbor_cache: str = "RING"
-    mailbox_capacity: int = 8
+    mailbox_capacity: int = MAILBOX_CAPACITY
 
 
 @dataclass
@@ -85,7 +86,7 @@ class Medium:
         self._adj: dict[int, list[tuple[SimRadioDevice, float, int]]] = {}
 
     def link(self, dev_a: SimRadioDevice, dev_b: SimRadioDevice,
-             loss: float = 0.0, delay_us: int = 1):
+             loss: float, delay_us: int):
         if not 0.0 <= loss <= 1.0:
             raise InvalidTopology(f"loss {loss} out of [0, 1]")
         if delay_us < 0:
@@ -151,19 +152,16 @@ class Simulator:
     def _build_node(self, nd: NodeDesc):
         buf = buffer_create(nd.buffer_capacity, nd.backend, nd.reserve_frac,
                             locked=self.sched.parallel)
-        node = Node(nd.name, self.sched, buf, self.metrics)
+        node = Node(nd.name, self.sched, buf)
         self.nodes[nd.name] = node
         for i, dd in enumerate(nd.devices):
             dev = SimRadioDevice(i, dd.addr_short, dd.addr_long, dd.mtu)
             node.devices.append(dev)
             dev.medium = self.medium
 
-        sock_layer = SocketLayer()
-        sock_ctx = node.spawn_module(
-            ModuleDesc("sock", sock_layer, mailbox_capacity=16,
-                       stack_note=0), aux=True)
-        node.config["sock_layer"] = sock_layer
-        node.config["desc"] = nd
+        node.spawn_module(ModuleDesc("sock", SocketLayer(),
+                                     mailbox_capacity=16, stack_note=0),
+                          aux=True)
 
         if nd.offload:
             if nd.address is None:
@@ -215,7 +213,7 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
     def socket_layer(self, node_name: str) -> SocketLayer:
-        return self.nodes[node_name].config["sock_layer"]
+        return self.nodes[node_name].aux["sock"].handler
 
     def run_until(self, t_us: int | None = None):
         """Run to time ``t_us``, or to quiescence without one."""

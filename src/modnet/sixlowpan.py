@@ -20,6 +20,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
+from .link import MAX_PAYLOAD
 from .metrics import _BUF_INTERNAL, REASSEMBLY_ENTRY_OVERHEAD
 from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
                      recopy, up)
@@ -233,22 +234,16 @@ class SixlowpanModule(Module):
     Implements no options."""
 
     layer = "sixlowpan"
+    budget = MAX_PAYLOAD  # adaptation-layer bytes per link frame
 
-    def __init__(self, link_payload_budget: int | None = None,
-                 max_reassembly: int = DEFAULT_REASSEMBLY_ENTRIES,
-                 timeout_us: int = DEFAULT_REASSEMBLY_TIMEOUT_US):
-        from .link import MAX_PAYLOAD
-        self.budget = link_payload_budget or MAX_PAYLOAD
-        self.max_reassembly = max_reassembly
-        self.timeout_us = timeout_us
+    def __init__(self):
         self.reassembly_table: ReassemblyTable | None = None
         self._tag = 0
 
     def on_spawn(self, ctx):
         self.ctx = ctx
-        self.reassembly_table = ReassemblyTable(
-            ctx.node.pktbuf, ctx.node.metrics,
-            self.max_reassembly, self.timeout_us)
+        self.reassembly_table = ReassemblyTable(ctx.node.pktbuf,
+                                                ctx.node.metrics)
         ctx.node.registry.register(ProtocolType.SIXLOWPAN, DEMUX_ALL, ctx)
 
     def _next_tag(self):
@@ -346,5 +341,5 @@ class SixlowpanModule(Module):
                dict(up_meta, packet_id=entry_pid), "sixlowpan_rx_no_receiver")
         elif status is _INCOMPLETE:
             node.sched.call_later(
-                self.timeout_us + 1,
+                table.timeout_us + 1,
                 lambda: table.expire(node.sched.now_us))

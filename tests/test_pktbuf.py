@@ -137,6 +137,22 @@ def test_release_freed_one_snip_chain_changes_nothing(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_hold_checks_whole_chain_before_changing_any_snip(backend):
+    buf = buffer_create(2048, backend)
+    tail = buf.alloc_snip(size=40)
+    pkt = buf.prepend_header(PacketChain(tail), 8, ProtocolType.UDP)
+    buf.release(tail)  # the tail is freed under the head
+    with pytest.raises(ReleaseUnheld):
+        buf.hold(tail)
+    with pytest.raises(ReleaseUnheld):
+        buf.hold(pkt.head)
+    assert pkt.head.users == 1 and tail.users == 0
+    pkt.head.next = None
+    buf.release(pkt.head)
+    assert buf.stats().used == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_release_one_snip_cycle_is_caught(backend):
     buf = buffer_create(2048, backend)
     a = buf.alloc_snip(size=8)

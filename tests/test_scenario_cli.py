@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from modnet.cli import main
+from modnet.simnet import DeviceDesc, LinkDesc, NodeDesc, Topology
 from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario)
 
@@ -83,6 +84,21 @@ def test_bad_send_args_pointer():
     with pytest.raises(ScenarioError) as exc:
         load_scenario(doc)
     assert exc.value.pointer.startswith("/workload/2/args")
+
+
+def test_minimal_document_loads_to_the_dataclass_defaults():
+    doc = {"version": 1,
+           "nodes": [{"name": "a", "modules": ["link", "6lowpan", "ipv6",
+                                               "udp"],
+                      "devices": [{"addr_short": "000a",
+                                   "addr_long": "000000000000000a"}]},
+                     {"name": "b", "modules": ["offload"]}],
+           "links": [{"a": "a", "b": "b"}]}
+    dev = DeviceDesc(addr_short=bytes.fromhex("000a"),
+                     addr_long=bytes.fromhex("000000000000000a"))
+    assert load_scenario(doc).topology == Topology(
+        nodes=[NodeDesc("a", devices=[dev]), NodeDesc("b", offload=True)],
+        links=[LinkDesc("a", "b")])
 
 
 def test_not_json(tmp_path):

@@ -3,6 +3,8 @@
 import pytest
 
 from modnet.metrics import CopySite
+from modnet.netapi import MsgKind, NetMessage
+from modnet.pktbuf import PacketChain, ProtocolType
 from modnet.simnet import build
 from modnet.udp import UdpError
 from topo import (IP_A, IP_A2, IP_B, IP_B2, echo_on, offload_pair,
@@ -131,3 +133,16 @@ def test_refused_sendto_leaves_no_trace():
     assert sim.metrics.packet_ids() == []
     assert sim.metrics.get("udp_sent") == 0
     assert node.pktbuf.used == 0
+
+
+def test_send_without_next_hop_goes_out_as_broadcast():
+    sim = build(two_node())
+    node = sim.nodes["a"]
+    snip = node.pktbuf.alloc_snip(payload=bytes(50), proto=ProtocolType.IPV6)
+    sim.sched.post(node.modules["6lo"],
+                   NetMessage(kind=MsgKind.MSG_SND, pkt=PacketChain(snip)))
+    sim.run_until()
+    assert sim.metrics.get("frames_sent") == 1
+    # b takes the broadcast frame, and 50 zero bytes are no IPv6 datagram
+    assert sim.metrics.get("ipv6_rx_malformed") == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())

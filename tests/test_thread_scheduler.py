@@ -16,7 +16,7 @@ from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.pktbuf import AllocPriority, Backend, ProtocolType, buffer_create
 from modnet.runtime import ModuleDesc, Node, ThreadScheduler
-from modnet.scenario import load_scenario_file
+from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import InvalidTopology, LinkDesc, build
 from topo import two_node
 
@@ -211,3 +211,24 @@ def test_pool_nodes_and_unspecified_structures_lock():
     for obj in (sched.metrics, node.registry, node.pktbuf, Metrics(),
                 Registry(), buffer_create(2048, Backend.DYNAMIC)):
         assert locked(obj)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        SCENARIO_DIR.glob("*.json")))
+def test_par_matches_det_on_shipped_scenario(name):
+    """``par`` delivers what ``det`` delivers, and both end with every
+    buffer byte released, no mailbox drop and, under ``par``, no handler
+    error.  ``echo_frag.json`` takes about 5 s of wall time: ``par`` waits
+    out its 5 s reassembly expiry timer on the wall clock."""
+    delivered = {}
+    for mode in ("det", "par"):
+        sim, stats = run_scenario(
+            load_scenario_file(str(SCENARIO_DIR / name)), mode=mode)
+        delivered[mode] = (
+            {sock: s["received"] for sock, s in stats["sockets"].items()},
+            stats["counters"].get("udp_delivered", 0))
+        assert [n.pktbuf.used for n in sim.nodes.values()] == \
+            [0] * len(sim.nodes)
+        assert "mailbox_drops" not in stats["counters"]
+        assert not getattr(sim.sched, "errors", [])
+    assert delivered["par"] == delivered["det"]
