@@ -1,7 +1,7 @@
 """Batch command line: run scenario files and fuzz the option plane.
 
-Exit codes for ``run``: 0 clean completion, 2 scenario/usage error,
-3 invariant violation raised by internal assertions while running.
+Exit codes: 0 clean completion, 2 scenario/usage error (named by its JSON
+pointer), 3 invariant violation while running or an unclean fuzz report.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ KNOWN_KEYS = [k.value for k in OptionKey]
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+    scenario = load_scenario_file(args.scenario)
     if args.seed is not None:
         scenario.topology.seed = args.seed
     until = None
@@ -40,9 +36,6 @@ def _cmd_run(args) -> int:
             return EXIT_SCENARIO
     try:
         sim, stats = run_scenario(scenario, mode=args.mode, until=until)
-    except InvalidTopology as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -106,12 +99,8 @@ def fuzz_enotsup(scenario, ops: int, seed: int) -> dict:
 
 
 def _cmd_fuzz(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    report = fuzz_enotsup(scenario, args.ops, args.seed)
+    report = fuzz_enotsup(load_scenario_file(args.scenario), args.ops,
+                          args.seed)
     out = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w") as fh:
@@ -153,7 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ScenarioError, InvalidTopology, OSError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
 
 
 if __name__ == "__main__":

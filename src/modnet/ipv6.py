@@ -19,6 +19,7 @@ from .pktbuf import (_IPV6, _RECEIVE, _SEND_APP, _UDP, NoBufferSpace,
 HEADER_LEN = 40
 NEXT_HEADER_UDP = 17
 DEFAULT_HOP_LIMIT = 64
+IFACE_PREFIX_LEN = 64  # of an interface address given without a length
 MAX_PAYLOAD = 1240  # fits the reassembly ceiling with the header
 
 ALL_NODES = bytes.fromhex("ff020000000000000000000000000001")
@@ -187,8 +188,8 @@ def _prefix_matches(addr: bytes, prefix: bytes, plen: int) -> bool:
 
 
 class ForwardingTable:
-    """Static longest-prefix-match table; a /64 on-link route per
-    configured interface address is inserted automatically."""
+    """Static longest-prefix-match table.  ``Ipv6Module`` adds an on-link
+    route for each interface address, with that address's prefix length."""
 
     def __init__(self):
         self._routes: list[tuple[bytes, int, int, object]] = []

@@ -56,7 +56,6 @@ class OptionKey(enum.IntEnum):
 
 OK = 0
 ENOTSUP = -95  # POSIX "operation not supported", negated result-code style
-EINVAL = -22
 
 DEMUX_ALL = 0xFFFFFFFF
 DEMUX_RAW = 0  # adaptation-layer ingress to the network layer

@@ -55,18 +55,16 @@ class DevNotify:
 
 
 BROADCAST_LONG = b"\xff" * 8
-MAX_FRAME = 127  # 802.15.4 frame limit, the radio's MTU by default
+MAX_FRAME = 127  # 802.15.4 frame limit, the radio's MTU
 
 
 class SimRadioDevice:
     """802.15.4-lite radio: 127-byte MTU, short + long address, seeded
     per-device loss (sim-only, on top of link loss)."""
 
-    def __init__(self, dev_id: int, addr_short: bytes, addr_long: bytes,
-                 mtu: int = MAX_FRAME):
+    def __init__(self, dev_id: int, addr_short: bytes, addr_long: bytes):
         assert len(addr_short) == 2 and len(addr_long) == 8
         self.id = dev_id
-        self.mtu = mtu
         self.addr_short = addr_short
         self.addr_long = addr_long
         self.event_sink = None  # owner module context
@@ -92,7 +90,7 @@ class SimRadioDevice:
     # -- driver calls ------------------------------------------------------
     def dev_send(self, frame: bytes) -> DevStatus:
         self._check_owner()
-        if len(frame) > self.mtu:
+        if len(frame) > MAX_FRAME:
             return _TOO_LARGE
         if self._tx_busy:
             return _BUSY
@@ -119,7 +117,7 @@ class SimRadioDevice:
         from .netapi import OptionKey
         self._check_owner()
         if key == OptionKey.MTU:
-            return self.mtu
+            return MAX_FRAME
         if key == OptionKey.ADDRESS:
             return self.addr_short
         if key == OptionKey.ADDRESS_LONG:

@@ -17,7 +17,7 @@ arena block, or its own bytearray), so ``to_bytes`` joins the views as they
 are.
 
 Allocations carry a priority class.  A reserve (``RESERVE_FRAC`` of
-capacity by default) is off limits to ``SEND_APP`` allocations so that
+capacity) is off limits to ``SEND_APP`` allocations so that
 inbound frames and control traffic can always make progress while
 applications are back-pressured; nothing ever blocks waiting for memory.
 """
@@ -196,10 +196,9 @@ class PacketBuffer:
 
     _LOCKED = ("alloc_snip", "hold", "release", "stats")
 
-    def __init__(self, capacity: int, reserve_frac: float = RESERVE_FRAC,
-                 locked: bool = True):
+    def __init__(self, capacity: int, locked: bool = True):
         self.capacity = capacity
-        self.reserve = int(capacity * reserve_frac)
+        self.reserve = int(capacity * RESERVE_FRAC)
         self.used = 0
         self.peak = 0
         self.failed_allocs = {p: 0 for p in AllocPriority}
@@ -314,11 +313,11 @@ class ArenaBuffer(PacketBuffer):
 
     _LOCKED = PacketBuffer._LOCKED + ("free_list",)
 
-    def __init__(self, capacity, reserve_frac=RESERVE_FRAC, locked=True):
+    def __init__(self, capacity, locked=True):
         if capacity < MIN_ARENA_CAPACITY:
             raise CapacityTooSmall(
                 f"arena needs >= {MIN_ARENA_CAPACITY} B, got {capacity}")
-        super().__init__(capacity, reserve_frac, locked)
+        super().__init__(capacity, locked)
         self._arena = bytearray(capacity)
         self._view = memoryview(self._arena)  # sliced per snip
         self._free: list[list[int]] = [[0, capacity]]  # [offset, length]
@@ -381,8 +380,7 @@ class DynamicBuffer(PacketBuffer):
 
 
 def buffer_create(capacity: int, backend: Backend = Backend.STATIC_ARENA,
-                  reserve_frac: float = RESERVE_FRAC,
                   locked: bool = True) -> PacketBuffer:
     if backend == Backend.STATIC_ARENA:
-        return ArenaBuffer(capacity, reserve_frac, locked)
-    return DynamicBuffer(capacity, reserve_frac, locked)
+        return ArenaBuffer(capacity, locked)
+    return DynamicBuffer(capacity, locked)

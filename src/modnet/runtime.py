@@ -81,14 +81,17 @@ class Mailbox:
         self._data: deque = deque()
         self._ctrl: deque = deque()
 
-    def put_data(self, msg) -> bool:
-        if len(self._data) >= self.capacity:
-            return False
-        self._data.append(msg)
+    def put(self, msg) -> bool:
+        """Admit ``msg``: MSG_SND and MSG_RCV go in the data lane, False
+        when it is full; anything else goes in the control lane."""
+        kind = getattr(msg, "kind", None)
+        if kind is _MSG_SND or kind is _MSG_RCV:
+            if len(self._data) >= self.capacity:
+                return False
+            self._data.append(msg)
+        else:
+            self._ctrl.append(msg)
         return True
-
-    def put_ctrl(self, msg):
-        self._ctrl.append(msg)
 
     def get_nowait(self):
         try:
@@ -101,12 +104,10 @@ class Mailbox:
             return None
 
     def drain(self) -> list:
-        items = []
-        while True:
-            msg = self.get_nowait()
-            if msg is None:
-                return items
-            items.append(msg)
+        items = [*self._ctrl, *self._data]
+        self._ctrl.clear()
+        self._data.clear()
+        return items
 
     def __len__(self):
         return len(self._ctrl) + len(self._data)
@@ -244,9 +245,6 @@ class _SchedulerBase:
         self.trace = TraceLog()
         self.trace_enabled = trace_enabled
 
-    def current_ctx(self):
-        raise NotImplementedError
-
     def call_later(self, dt_us: int, fn):
         self.call_at(self.now_us + dt_us, fn)
 
@@ -345,14 +343,10 @@ class DetScheduler(_SchedulerBase):
         if ctx.closed:
             _release_pkt(msg)
             return False
-        kind = getattr(msg, "kind", None)
-        if kind is _MSG_SND or kind is _MSG_RCV:
-            if not ctx.mailbox.put_data(msg):
-                self.metrics.count("mailbox_drops")
-                _release_pkt(msg)
-                return False
-        else:
-            ctx.mailbox.put_ctrl(msg)
+        if not ctx.mailbox.put(msg):
+            self.metrics.count("mailbox_drops")
+            _release_pkt(msg)
+            return False
         if self.trace_enabled:  # one thread: no lock
             stack = self._ctx_stack
             self.trace.record(self.now_us, stack[-1] if stack else None,
@@ -443,13 +437,8 @@ class ThreadScheduler(_SchedulerBase):
         if ctx.closed:
             _release_pkt(msg)
             return False
-        kind = getattr(msg, "kind", None)
         with self._cond:
-            if kind is _MSG_SND or kind is _MSG_RCV:
-                accepted = ctx.mailbox.put_data(msg)
-            else:
-                ctx.mailbox.put_ctrl(msg)
-                accepted = True
+            accepted = ctx.mailbox.put(msg)
             if accepted:
                 if self.trace_enabled:
                     self.trace.record(self.now_us, self.current_ctx(), ctx,

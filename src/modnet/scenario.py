@@ -5,7 +5,9 @@ A scenario is the unit the command line runs: nodes (with their stack
 flavor and addressing), links, a seed, and a list of timed socket
 operations.  Loading produces the same ``Topology`` the tests build by
 hand, so behavior is identical either way: a field the document leaves
-out is not passed, and the description's own default applies.
+out is not passed, and the description's own default applies.  The schema
+checks each field; ``simnet.check_topology`` checks at build time how they
+fit together, and its pointers are the same pointers into the document.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from ipaddress import IPv6Address
 
 import jsonschema
 
-from .ipv6 import NEIGHBOR_CACHES
+from .ipv6 import IFACE_PREFIX_LEN, NEIGHBOR_CACHES
 from .pktbuf import Backend
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
                      Topology, build)
@@ -59,7 +61,6 @@ SCHEMA = {
                             "properties": {
                                 "addr_short": _HEX,
                                 "addr_long": _HEX,
-                                "mtu": {"type": "integer", "minimum": 18},
                             },
                         },
                     },
@@ -105,8 +106,6 @@ SCHEMA = {
                     "offload_peer": {"type": "string"},
                     "buffer_capacity": {"type": "integer", "minimum": 256},
                     "backend": {"enum": [b.name for b in Backend]},
-                    "reserve_frac": {"type": "number",
-                                     "minimum": 0.0, "maximum": 0.9},
                     "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
                     "mailbox_capacity": {"type": "integer", "minimum": 1},
                 },
@@ -226,7 +225,7 @@ def _given(doc: dict, *keys) -> dict:
     return {k: doc[k] for k in keys if k in doc}
 
 
-def _node_desc(nj: dict, index: int, names: set[str]) -> NodeDesc:
+def _node_desc(nj: dict, index: int) -> NodeDesc:
     base = f"/nodes/{index}"
     offload = "offload" in nj["modules"]
     if offload and len(nj["modules"]) > 1:
@@ -238,16 +237,11 @@ def _node_desc(nj: dict, index: int, names: set[str]) -> NodeDesc:
     address = (_parse_ip(nj["address"], base + "/address")
                if "address" in nj else None)
     devices = [DeviceDesc(addr_short=bytes.fromhex(dj["addr_short"]),
-                          addr_long=bytes.fromhex(dj["addr_long"]),
-                          **_given(dj, "mtu"))
+                          addr_long=bytes.fromhex(dj["addr_long"]))
                for dj in nj.get("devices", ())]
-    for j, dev in enumerate(devices):
-        if len(dev.addr_short) != 2 or len(dev.addr_long) != 8:
-            raise ScenarioError("addresses must be 2 and 8 bytes",
-                                f"{base}/devices/{j}")
     iface_addrs = {ia["iface"]: (_parse_ip(ia["addr"],
                                            f"{base}/iface_addrs/{k}/addr"),
-                                 ia.get("prefix_len", 64))
+                                 ia.get("prefix_len", IFACE_PREFIX_LEN))
                    for k, ia in enumerate(nj.get("iface_addrs", ()))}
     routes = [RouteDesc(prefix=_parse_ip(rj["prefix"],
                                          f"{base}/routes/{k}/prefix"),
@@ -259,25 +253,20 @@ def _node_desc(nj: dict, index: int, names: set[str]) -> NodeDesc:
     neighbors = [(_parse_ip(ng["addr"], f"{base}/neighbors/{k}/addr"),
                   bytes.fromhex(ng["link"]))
                  for k, ng in enumerate(nj.get("neighbors", ()))]
-    peer = nj.get("offload_peer")
-    if peer is not None and peer not in names:
-        raise ScenarioError(f"unknown node {peer!r}", base + "/offload_peer")
-    opts = _given(nj, "buffer_capacity", "reserve_frac", "neighbor_cache",
+    opts = _given(nj, "offload_peer", "buffer_capacity", "neighbor_cache",
                   "mailbox_capacity")
     if "backend" in nj:
         opts["backend"] = Backend[nj["backend"]]
     return NodeDesc(
         name=nj["name"], devices=devices, address=address,
         iface_addrs=iface_addrs, routes=routes, neighbors=neighbors,
-        offload=offload, offload_peer=peer, **opts)
+        offload=offload, **opts)
 
 
 def load_scenario(doc: dict) -> Scenario:
     validate_document(doc)
     names = {nj["name"] for nj in doc["nodes"]}
-    if len(names) != len(doc["nodes"]):
-        raise ScenarioError("duplicate node names", "/nodes")
-    nodes = [_node_desc(nj, i, names) for i, nj in enumerate(doc["nodes"])]
+    nodes = [_node_desc(nj, i) for i, nj in enumerate(doc["nodes"])]
     # the schema admits exactly the fields of LinkDesc
     links = [LinkDesc(**lj) for lj in doc.get("links", ())]
     workload = []
@@ -302,7 +291,7 @@ def load_scenario_file(path: str) -> Scenario:
     return load_scenario(doc)
 
 
-def _resolve_dst(sim: Simulator, text: str, names: dict) -> bytes:
+def _resolve_dst(text: str, names: dict) -> bytes:
     if text in names:
         return names[text]
     return IPv6Address(text).packed
@@ -311,8 +300,7 @@ def _resolve_dst(sim: Simulator, text: str, names: dict) -> bytes:
 def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
     """Schedule the workload ops and return the bookkeeping dict that
     ``collect_stats`` later reads (opened sockets, expected sends)."""
-    addr_of = {nd.name: nd.address for nd in scenario.topology.nodes
-               if nd.address is not None}
+    addr_of = {nd.name: nd.address for nd in scenario.topology.nodes}
     book = {"sockets": {}, "sends": 0, "received": {}}
 
     def do_open(op: WorkloadOp):
@@ -339,7 +327,7 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
         if sock is None:
             sock = sim.socket_layer(op.node).open(op.args["src_port"])
             book["sockets"][key] = sock
-        dst = _resolve_dst(sim, op.args["dst"], addr_of)
+        dst = _resolve_dst(op.args["dst"], addr_of)
         payload = bytes((i * 7 + 13) & 0xFF
                         for i in range(op.args["size"]))
         count = op.args.get("count", 1)

@@ -1,6 +1,10 @@
 """Deterministic multi-node simulation: topology description, lossy/delayed
 medium between device handles, and full stack assembly per node.
 
+``check_topology`` holds every rule on how nodes, devices, neighbours and
+links fit together.  ``Simulator`` runs it before it creates anything, and
+it raises ``InvalidTopology`` with a JSON pointer such as ``/links/0/b``.
+
 Determinism contract: identical seed + topology + workload produce a
 bit-identical trace log in deterministic scheduler mode.  All loss draws
 come from the single seeded generator; event ties break by insertion order.
@@ -11,12 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .ipv6 import (ForwardingTable, Ipv6Module, ON_LINK, make_neighbor_cache)
+from .ipv6 import (IFACE_PREFIX_LEN, ON_LINK, ForwardingTable, Ipv6Module,
+                   make_neighbor_cache)
 from .link import LinkModule
 from .metrics import Metrics
-from .netdev import MAX_FRAME, SimRadioDevice
+from .netdev import SimRadioDevice
 from .offload import OffloadModule
-from .pktbuf import RESERVE_FRAC, Backend, buffer_create
+from .pktbuf import Backend, buffer_create
 from .runtime import (MAILBOX_CAPACITY, DetScheduler, ModuleDesc, Node,
                       ThreadScheduler)
 from .sixlowpan import SixlowpanModule
@@ -24,14 +29,17 @@ from .udp import SocketLayer, UdpModule
 
 
 class InvalidTopology(Exception):
-    pass
+    """A topology that cannot be built; ``pointer`` locates the field."""
+
+    def __init__(self, message: str, pointer: str):
+        super().__init__(f"{pointer}: {message}")
+        self.pointer = pointer
 
 
 @dataclass
 class DeviceDesc:
     addr_short: bytes
     addr_long: bytes
-    mtu: int = MAX_FRAME
 
 
 @dataclass
@@ -54,7 +62,6 @@ class NodeDesc:
     offload_peer: str | None = None
     buffer_capacity: int = 2048
     backend: Backend = Backend.STATIC_ARENA
-    reserve_frac: float = RESERVE_FRAC
     neighbor_cache: str = "RING"
     mailbox_capacity: int = MAILBOX_CAPACITY
 
@@ -74,6 +81,52 @@ class Topology:
     seed: int = 1
 
 
+def check_topology(topology: Topology) -> None:
+    """Raise ``InvalidTopology`` at the first field that breaks a rule."""
+    nodes: dict[str, NodeDesc] = {}
+    for i, nd in enumerate(topology.nodes):
+        at = f"/nodes/{i}"
+        if nd.name in nodes:
+            raise InvalidTopology(f"duplicate node name {nd.name!r}",
+                                  at + "/name")
+        nodes[nd.name] = nd
+        if nd.address is None:
+            raise InvalidTopology("every node needs an IPv6 address",
+                                  at + "/address")
+        for j, dd in enumerate(nd.devices):
+            if len(dd.addr_short) != 2 or len(dd.addr_long) != 8:
+                raise InvalidTopology("addresses must be 2 and 8 bytes",
+                                      f"{at}/devices/{j}")
+        for k, (_, link_addr) in enumerate(nd.neighbors):
+            if len(link_addr) != 8:
+                raise InvalidTopology("link address must be 8 bytes",
+                                      f"{at}/neighbors/{k}/link")
+    for i, nd in enumerate(topology.nodes):
+        peer = nodes.get(nd.offload_peer)
+        if nd.offload_peer is not None and not (
+                nd.offload and peer is not None and peer is not nd
+                and peer.offload):
+            raise InvalidTopology("an offload node's peer must be another "
+                                  "offload node", f"/nodes/{i}/offload_peer")
+    for i, ld in enumerate(topology.links):
+        at = f"/links/{i}"
+        for end in ("a", "b"):
+            spec = getattr(ld, end)
+            name, colon, idx = spec.partition(":")
+            if name not in nodes:
+                raise InvalidTopology(f"unknown node {name!r}", f"{at}/{end}")
+            if (colon and not (idx.isascii() and idx.isdigit())
+                    or int(idx or 0) >= len(nodes[name].devices)):
+                raise InvalidTopology(f"{spec!r} names no device",
+                                      f"{at}/{end}")
+        if not 0.0 <= ld.loss <= 1.0:
+            raise InvalidTopology(f"loss {ld.loss} out of [0, 1]",
+                                  at + "/loss")
+        if ld.delay_us < 0:
+            raise InvalidTopology(f"negative delay {ld.delay_us}",
+                                  at + "/delay_us")
+
+
 class Medium:
     """Point-to-point links between devices.  A transmit draws loss once
     and applies it to every attached link (star-of-links broadcast model);
@@ -87,10 +140,6 @@ class Medium:
 
     def link(self, dev_a: SimRadioDevice, dev_b: SimRadioDevice,
              loss: float, delay_us: int):
-        if not 0.0 <= loss <= 1.0:
-            raise InvalidTopology(f"loss {loss} out of [0, 1]")
-        if delay_us < 0:
-            raise InvalidTopology(f"negative delay {delay_us}")
         self._adj.setdefault(id(dev_a), []).append((dev_b, loss, delay_us))
         self._adj.setdefault(id(dev_b), []).append((dev_a, loss, delay_us))
 
@@ -115,6 +164,7 @@ class Simulator:
     def __init__(self, topology: Topology, mode: str = "det"):
         if mode not in ("det", "par"):
             raise ValueError(f"mode must be 'det' or 'par', got {mode!r}")
+        check_topology(topology)  # before a par pool has any worker
         self.topology = topology
         self.mode = mode
         self.sched = DetScheduler() if mode == "det" else ThreadScheduler()
@@ -124,12 +174,12 @@ class Simulator:
         self.nodes: dict[str, Node] = {}
         self._offload_mods: dict[str, OffloadModule] = {}
         try:
-            names = [nd.name for nd in topology.nodes]
-            if len(names) != len(set(names)):
-                raise InvalidTopology("duplicate node names")
             for nd in topology.nodes:
                 self._build_node(nd)
-            self._pair_offloads(topology)
+            mods = self._offload_mods
+            for nd in topology.nodes:
+                if nd.offload_peer is not None:
+                    mods[nd.name].peer = mods[nd.offload_peer].ctx
             for ld in topology.links:
                 dev_a = self._resolve_endpoint(ld.a)
                 dev_b = self._resolve_endpoint(ld.b)
@@ -141,21 +191,15 @@ class Simulator:
     # -- construction -----------------------------------------------------
     def _resolve_endpoint(self, spec: str) -> SimRadioDevice:
         name, _, idx = spec.partition(":")
-        if name not in self.nodes:
-            raise InvalidTopology(f"unknown node {name!r} in link")
-        devices = self.nodes[name].devices
-        i = int(idx) if idx else 0
-        if i >= len(devices):
-            raise InvalidTopology(f"node {name!r} has no device {i}")
-        return devices[i]
+        return self.nodes[name].devices[int(idx or 0)]
 
     def _build_node(self, nd: NodeDesc):
-        buf = buffer_create(nd.buffer_capacity, nd.backend, nd.reserve_frac,
+        buf = buffer_create(nd.buffer_capacity, nd.backend,
                             locked=self.sched.parallel)
         node = Node(nd.name, self.sched, buf)
         self.nodes[nd.name] = node
         for i, dd in enumerate(nd.devices):
-            dev = SimRadioDevice(i, dd.addr_short, dd.addr_long, dd.mtu)
+            dev = SimRadioDevice(i, dd.addr_short, dd.addr_long)
             node.devices.append(dev)
             dev.medium = self.medium
 
@@ -164,8 +208,6 @@ class Simulator:
                           aux=True)
 
         if nd.offload:
-            if nd.address is None:
-                raise InvalidTopology(f"offload node {nd.name} needs address")
             mod = OffloadModule(nd.address)
             ctx = node.spawn_module(ModuleDesc(
                 "offload", mod, mailbox_capacity=nd.mailbox_capacity))
@@ -173,9 +215,8 @@ class Simulator:
             self._offload_mods[nd.name] = mod
             return
 
-        if nd.address is None:
-            raise InvalidTopology(f"node {nd.name} needs an IPv6 address")
-        iface_addrs = dict(nd.iface_addrs) or {0: (nd.address, 64)}
+        iface_addrs = (dict(nd.iface_addrs)
+                       or {0: (nd.address, IFACE_PREFIX_LEN)})
         fwd = ForwardingTable()
         for rt in nd.routes:
             fwd.add(rt.prefix, rt.prefix_len, rt.iface,
@@ -200,16 +241,6 @@ class Simulator:
         node.wiring["adapt"] = adapt_ctx
         node.wiring["net"] = ipv6_ctx
         node.wiring["transport"] = udp_ctx
-
-    def _pair_offloads(self, topology: Topology):
-        for nd in topology.nodes:
-            if nd.offload and nd.offload_peer:
-                peer = self._offload_mods.get(nd.offload_peer)
-                if peer is None:
-                    raise InvalidTopology(
-                        f"offload peer {nd.offload_peer!r} of {nd.name} "
-                        "is not an offload node")
-                self._offload_mods[nd.name].peer = peer.ctx
 
     # -- execution --------------------------------------------------------
     def socket_layer(self, node_name: str) -> SocketLayer:

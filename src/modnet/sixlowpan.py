@@ -182,8 +182,6 @@ class ReassemblyTable:
         is_tail = parsed.offset + len(parsed.data) == size
         if len(parsed.data) % 8 != 0 and not is_tail:
             raise MalformedFragment("non-final fragment not 8-aligned")
-        if not parsed.data:
-            raise MalformedFragment("empty fragment")
 
         key = (bytes(src), bytes(dst), size, parsed.tag)
         entry = self.entries.get(key)

@@ -6,9 +6,11 @@ import pathlib
 import pytest
 
 from modnet.cli import main
-from modnet.simnet import DeviceDesc, LinkDesc, NodeDesc, Topology
+from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
+                           Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario)
+from topo import offload_pair, two_node
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -146,6 +148,55 @@ def test_cli_run_malformed_exit_2(tmp_path, capsys):
 
 def test_cli_run_missing_file_exit_2(capsys):
     assert main(["run", "/nonexistent/echo.json"]) == 2
+
+
+@pytest.mark.parametrize("pointer,value", [
+    ("/links/0/b", "zz"),  # no such node
+    ("/links/0/b", "b:x"),  # device index not a decimal
+    ("/links/0/b", "b:-1"),  # negative device index
+    ("/nodes/0/neighbors/0/link", "000b"),  # 2-byte neighbour link address
+    ("/nodes/0/offload_peer", "b"),  # peer of a stack node
+], ids=["unknown-node", "index-x", "index-minus-1", "short-neighbor-link",
+        "peer-on-stack-node"])
+def test_cli_topology_defect_exit_2(tmp_path, capsys, pointer, value):
+    doc = load_doc("echo.json")
+    *path, last = pointer[1:].split("/")
+    target = doc
+    for key in path:
+        target = target[int(key) if key.isdigit() else key]
+    target[last] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    for argv in (["run", str(scenario)],
+                 ["fuzz-enotsup", str(scenario), "--ops", "5"]):
+        assert main(argv) == 2
+        assert pointer in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make,path,value,pointer", [
+    (two_node, "nodes/1/name", "a", "/nodes/1/name"),
+    (two_node, "nodes/0/address", None, "/nodes/0/address"),
+    (two_node, "nodes/1/devices/0/addr_short", b"\x0b", "/nodes/1/devices/0"),
+    (two_node, "links/0/b", "b:", "/links/0/b"),
+    (two_node, "links/0/b", "b:+0", "/links/0/b"),
+    (two_node, "links/0/a", "a:1", "/links/0/a"),
+    (two_node, "links/0/loss", 1.5, "/links/0/loss"),
+    (two_node, "links/0/loss", float("nan"), "/links/0/loss"),
+    (two_node, "links/0/delay_us", -1, "/links/0/delay_us"),
+    (offload_pair, "nodes/0/offload_peer", "a", "/nodes/0/offload_peer"),
+    (offload_pair, "nodes/1/offload_peer", "zz", "/nodes/1/offload_peer"),
+])
+def test_hand_built_topology_rules(make, path, value, pointer):
+    topology = make()
+    *parents, last = path.split("/")
+    target = topology
+    for key in parents:
+        target = target[int(key)] if key.isdigit() else getattr(target, key)
+    setattr(target, last, value)
+    with pytest.raises(InvalidTopology) as exc:
+        build(topology)
+    assert exc.value.pointer == pointer
+    assert str(exc.value).startswith(pointer + ": ")
 
 
 def test_cli_run_stats_file(tmp_path):

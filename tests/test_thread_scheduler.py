@@ -122,7 +122,16 @@ def test_failed_build_stops_the_pool():
     before = pool_threads()
     topology = two_node()
     topology.links.append(LinkDesc("a", "zz"))
-    with pytest.raises(InvalidTopology):
+    with pytest.raises(InvalidTopology) as exc:
+        build(topology, mode="par")
+    assert exc.value.pointer == "/links/1/b"
+    assert pool_threads() == before
+
+
+def test_construction_error_past_the_check_stops_the_pool():
+    before = pool_threads()
+    topology = two_node(neighbor_cache="NOPE")  # no rule of check_topology
+    with pytest.raises(ValueError, match="neighbor cache"):
         build(topology, mode="par")
     assert pool_threads() == before
 
