@@ -217,14 +217,15 @@ class ForwardingTable:
 # -- module ------------------------------------------------------------------
 
 class Ipv6Module(Module):
-    """Network-layer context: encode/route on the way down, demux or
-    forward on the way up."""
+    """Network-layer context: encode/route down to ``adapt``, the
+    adaptation-layer context, and demux or forward on the way up."""
 
     layer = "ipv6"
 
     def __init__(self, primary_addr: bytes,
                  iface_addrs: dict[int, tuple[bytes, int]],
-                 ncache: NeighborCache, fwd: ForwardingTable):
+                 ncache: NeighborCache, fwd: ForwardingTable, adapt):
+        self.adapt = adapt
         self.primary_addr = primary_addr
         self.iface_addrs = iface_addrs
         self.ncache = ncache
@@ -281,12 +282,7 @@ class Ipv6Module(Module):
         self._down(ctx, out, iface, next_hop_link, msg.meta, prio)
 
     def _down(self, ctx, pkt, iface, next_hop_link, meta, prio):
-        node = ctx.node
-        adapt = node.wiring.get("adapt")
-        if adapt is None:
-            drop(ctx, pkt, "ipv6_no_adapt")
-            return
-        node.sched.post(adapt, NetMessage(
+        ctx.node.sched.post(self.adapt, NetMessage(
             kind=_MSG_SND, pkt=pkt,
             meta={"next_hop_link": next_hop_link, "iface": iface,
                   "packet_id": meta.get("packet_id"), "prio": prio}))

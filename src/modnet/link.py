@@ -81,8 +81,6 @@ class LinkModule(Module):
     def on_spawn(self, ctx):
         self.ctx = ctx
         self.device.owner = ctx
-        self.device.event_sink = ctx
-        self.device.node = ctx.node
 
     def __call__(self, ctx, msg):
         # the device's markers are not NetMessages: they stop here

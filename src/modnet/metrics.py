@@ -150,22 +150,13 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
     asserted downstream; absolute nanoseconds are host-dependent.
     """
     from .runtime import DetScheduler, ModuleDesc, Node
-    from .netapi import MsgKind, NetMessage
+    from .netapi import MsgKind, NetMessage, send_cmd
 
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
     def noop():
         return None
-
-    # direct calls, batched to keep timer overhead out of the medians
-    batch = 100
-    call_samples = []
-    for _ in range(max(1, iterations // batch)):
-        t0 = time.perf_counter_ns()
-        for _ in range(batch):
-            noop()
-        call_samples.append((time.perf_counter_ns() - t0) / batch)
 
     sched = DetScheduler(trace_enabled=False)
     node = Node("bench", sched, buffer=None)
@@ -175,13 +166,20 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
             msg.ack(0)
 
     ctx = node.spawn_module(ModuleDesc("pong", ponger))
-    msg_samples = []
-    from .netapi import send_cmd
+    # batched to keep timer overhead out of the medians; each call batch
+    # runs right beside its message batch, so a change in host speed
+    # during the run moves both sides of the ratio alike
+    batch = 100
+    call_samples, msg_samples = [], []
     for _ in range(max(1, iterations // batch)):
         t0 = time.perf_counter_ns()
         for _ in range(batch):
+            noop()
+        t1 = time.perf_counter_ns()
+        for _ in range(batch):
             send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET, option=(0, b"")))
-        msg_samples.append((time.perf_counter_ns() - t0) / batch)
+        call_samples.append((t1 - t0) / batch)
+        msg_samples.append((time.perf_counter_ns() - t1) / batch)
 
     call_ns = statistics.median(call_samples)
     msg_ns = statistics.median(msg_samples)

@@ -17,6 +17,8 @@ Any plain ``handler(ctx, msg)`` callable still works as a module.
 Upward packet flow is composed through the registry: modules and sockets
 bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
 fans packets out to every match, taking one buffer hold per receiver.
+Downward, a layer posts to the context below it, which ``simnet`` hands
+it when it builds the node.
 """
 
 from __future__ import annotations
@@ -141,20 +143,19 @@ class Registry:
     clears the cache.
 
     Locked only for the par pool (``locked``): there a lookup sees a
-    consistent snapshot, and the lock is re-entrant so that ``apply`` is
-    atomic.  The det scheduler's one thread cannot interleave two calls.
+    consistent snapshot.  The det scheduler's one thread cannot interleave
+    two calls.
     """
 
     CACHE_KEYS = 256  # demux values come from received packets: bound them
-    _LOCKED = ("register", "unregister", "unregister_target", "lookup",
-               "apply")
+    _LOCKED = ("register", "unregister", "unregister_target", "lookup")
 
     def __init__(self, capacity: int = 32, locked: bool = True):
         self.capacity = capacity
         self._entries: list[RegistryEntry] = []
         self._cache: dict[tuple, tuple] = {}
         if locked:
-            lock_methods(self, threading.RLock(), self._LOCKED)
+            lock_methods(self, threading.Lock(), self._LOCKED)
 
     def __len__(self):  # one len() of a list: atomic, even under par
         return len(self._entries)
@@ -195,30 +196,18 @@ class Registry:
             self._cache[key] = targets
         return list(targets)
 
-    def apply(self, edits):
-        """Apply a batch of (un)register edits atomically w.r.t. dispatch."""
-        for edit in edits:
-            op, proto, demux_ctx, target = edit
-            if op == "register":
-                self.register(proto, demux_ctx, target)
-            elif op == "unregister":
-                self.unregister(proto, demux_ctx, target)
-            else:
-                raise ValueError(f"unknown registry edit {op!r}")
-
 
 def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:
     """Fan a packet out to every registered receiver.
 
     Each delivery holds the chain once; with zero matches the caller keeps
-    sole ownership and must release the packet itself.
+    sole ownership and must release the packet itself.  Every receiver
+    gets the caller's ``meta`` dict itself, so no receiver may write it.
     """
     targets = node.registry.lookup(proto, demux_ctx)
     for target in targets:
         node.pktbuf.hold(pkt.head)
-        node.sched.post(target, NetMessage(
-            kind=_MSG_RCV, pkt=pkt,
-            meta=dict(meta) if meta else {}))
+        node.sched.post(target, NetMessage(kind=_MSG_RCV, pkt=pkt, meta=meta))
     return len(targets)
 
 

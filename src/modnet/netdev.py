@@ -67,9 +67,7 @@ class SimRadioDevice:
         self.id = dev_id
         self.addr_short = addr_short
         self.addr_long = addr_long
-        self.event_sink = None  # owner module context
-        self.owner = None
-        self.node = None
+        self.owner = None  # module context; it also takes the event markers
         self.medium = None
         self.loss_rate = 0.0  # sim-only knob
         self.channel = 11
@@ -79,9 +77,9 @@ class SimRadioDevice:
 
     # -- ownership contract ----------------------------------------------
     def _check_owner(self):
-        if self.owner is None or self.node is None:
-            return  # not yet wired into a stack; direct use in tests
-        current = self.node.sched.current_ctx()
+        if self.owner is None:
+            return  # not yet in a stack; direct use in tests
+        current = self.owner.node.sched.current_ctx()
         if current is not None and current is not self.owner:
             raise OwnershipViolation(
                 f"device {self.id} owned by {self.owner.name}, "
@@ -153,5 +151,5 @@ class SimRadioDevice:
 
     def _push_event(self, ev: DevEventType):
         self._events.append(ev)
-        if self.event_sink is not None and self.node is not None:
-            self.node.sched.post(self.event_sink, DevNotify(self))
+        if self.owner is not None:
+            self.owner.node.sched.post(self.owner, DevNotify(self))

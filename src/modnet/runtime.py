@@ -148,7 +148,6 @@ class Node:
         self.modules: dict[str, ModuleContext] = {}
         self.aux: dict[str, ModuleContext] = {}  # non-protocol contexts
         self.devices: list = []
-        self.wiring: dict[str, ModuleContext] = {}  # downward targets
 
     def spawn_module(self, desc: ModuleDesc, aux: bool = False) -> ModuleContext:
         if desc.name in self.modules or desc.name in self.aux:
@@ -168,16 +167,6 @@ class Node:
             _release_pkt(msg)
         self.modules.pop(ctx.name, None)
         self.aux.pop(ctx.name, None)
-
-    def rewire(self, edits):
-        """Apply registry edits atomically; ('wire', key, ctx) edits retarget
-        downward sends."""
-        registry_edits = [e for e in edits if e[0] in ("register", "unregister")]
-        self.registry.apply(registry_edits)
-        for edit in edits:
-            if edit[0] == "wire":
-                _, key, ctx = edit
-                self.wiring[key] = ctx
 
     def all_contexts(self):
         yield from self.modules.values()

@@ -6,7 +6,8 @@ flavor and addressing), links, a seed, and a list of timed socket
 operations.  Loading produces the same ``Topology`` the tests build by
 hand, so behavior is identical either way: a field the document leaves
 out is not passed, and the description's own default applies.  The schema
-checks each field; ``simnet.check_topology`` checks at build time how they
+checks each field, and loading checks the workload against the nodes;
+``simnet.check_topology`` checks at build time how the topology's fields
 fit together, and its pointers are the same pointers into the document.
 """
 
@@ -19,7 +20,7 @@ from ipaddress import IPv6Address
 import jsonschema
 
 from .ipv6 import IFACE_PREFIX_LEN, NEIGHBOR_CACHES
-from .pktbuf import Backend
+from .pktbuf import Backend, NoBufferSpace
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
                      Topology, build)
 
@@ -169,6 +170,13 @@ _SEND_ARGS = {
 }
 
 
+# JSON Schema counts 7.0 as an integer, and the stack needs an int
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int))
+
+
 class ScenarioError(Exception):
     """Invalid scenario document; ``pointer`` locates the offending field."""
 
@@ -185,12 +193,13 @@ class WorkloadOp:
     node: str
     op: str
     args: dict = field(default_factory=dict)
+    dst: bytes | None = None  # a send's destination address, resolved
 
 
 @dataclass
 class Scenario:
     topology: Topology
-    workload: list[WorkloadOp]
+    workload: list[WorkloadOp]  # by t_us, ties in document order
     version: int = SCHEMA_VERSION
 
 
@@ -206,7 +215,7 @@ def _parse_ip(text: str, pointer: str) -> bytes:
 
 
 def validate_document(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
+    validator = _Validator(SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
     if errors:
         err = errors[0]
@@ -214,7 +223,7 @@ def validate_document(doc: dict) -> None:
     # per-op argument shapes (schema conditionals kept out for readable errors)
     for i, item in enumerate(doc.get("workload", ())):
         sub = _OPEN_ARGS if item["op"] == "open" else _SEND_ARGS
-        args_validator = jsonschema.Draft202012Validator(sub)
+        args_validator = _Validator(sub)
         for err in args_validator.iter_errors(item.get("args", {})):
             raise ScenarioError(err.message,
                                 f"/workload/{i}/args" + _pointer(err))
@@ -239,10 +248,14 @@ def _node_desc(nj: dict, index: int) -> NodeDesc:
     devices = [DeviceDesc(addr_short=bytes.fromhex(dj["addr_short"]),
                           addr_long=bytes.fromhex(dj["addr_long"]))
                for dj in nj.get("devices", ())]
-    iface_addrs = {ia["iface"]: (_parse_ip(ia["addr"],
-                                           f"{base}/iface_addrs/{k}/addr"),
-                                 ia.get("prefix_len", IFACE_PREFIX_LEN))
-                   for k, ia in enumerate(nj.get("iface_addrs", ()))}
+    iface_addrs = {}
+    for k, ia in enumerate(nj.get("iface_addrs", ())):
+        at = f"{base}/iface_addrs/{k}"
+        if ia["iface"] in iface_addrs:  # one address per interface
+            raise ScenarioError(f"interface {ia['iface']} is given twice",
+                                at + "/iface")
+        iface_addrs[ia["iface"]] = (_parse_ip(ia["addr"], at + "/addr"),
+                                    ia.get("prefix_len", IFACE_PREFIX_LEN))
     routes = [RouteDesc(prefix=_parse_ip(rj["prefix"],
                                          f"{base}/routes/{k}/prefix"),
                         prefix_len=rj["prefix_len"], iface=rj["iface"],
@@ -265,17 +278,33 @@ def _node_desc(nj: dict, index: int) -> NodeDesc:
 
 def load_scenario(doc: dict) -> Scenario:
     validate_document(doc)
-    names = {nj["name"] for nj in doc["nodes"]}
     nodes = [_node_desc(nj, i) for i, nj in enumerate(doc["nodes"])]
+    addr_of = {nd.name: nd.address for nd in nodes}
     # the schema admits exactly the fields of LinkDesc
     links = [LinkDesc(**lj) for lj in doc.get("links", ())]
-    workload = []
-    for i, wj in enumerate(doc.get("workload", ())):
-        if wj["node"] not in names:
-            raise ScenarioError(f"unknown node {wj['node']!r}",
-                                f"/workload/{i}/node")
-        workload.append(WorkloadOp(t_us=wj["t_us"], node=wj["node"],
-                                   op=wj["op"], args=wj.get("args", {})))
+    # ops in the order apply_workload runs them: by t_us, ties in document
+    # order.  A send opens its src_port unless it is open already, so only
+    # an open can find its port taken.
+    workload, opened = [], set()
+    for i, wj in sorted(enumerate(doc.get("workload", ())),
+                        key=lambda item: item[1]["t_us"]):
+        at = f"/workload/{i}"
+        if wj["node"] not in addr_of:
+            raise ScenarioError(f"unknown node {wj['node']!r}", at + "/node")
+        op = WorkloadOp(t_us=wj["t_us"], node=wj["node"], op=wj["op"],
+                        args=wj.get("args", {}))
+        if op.op == "open":
+            key = (op.node, op.args["port"])
+            if key in opened:
+                raise ScenarioError(f"port {key[1]} of node {op.node!r} is "
+                                    "already open", at + "/args/port")
+        else:
+            key = (op.node, op.args["src_port"])
+            dst = op.args["dst"]
+            op.dst = (addr_of[dst] if dst in addr_of
+                      else _parse_ip(dst, at + "/args/dst"))
+        opened.add(key)
+        workload.append(op)
     topology = Topology(nodes=nodes, links=links, **_given(doc, "seed"))
     return Scenario(topology=topology, workload=workload)
 
@@ -291,17 +320,19 @@ def load_scenario_file(path: str) -> Scenario:
     return load_scenario(doc)
 
 
-def _resolve_dst(text: str, names: dict) -> bytes:
-    if text in names:
-        return names[text]
-    return IPv6Address(text).packed
-
-
 def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
     """Schedule the workload ops and return the bookkeeping dict that
     ``collect_stats`` later reads (opened sockets, expected sends)."""
-    addr_of = {nd.name: nd.address for nd in scenario.topology.nodes}
     book = {"sockets": {}, "sends": 0, "received": {}}
+
+    def send(sock, dst, port, payload) -> bool:
+        """Send as an app does: a full buffer refuses the datagram."""
+        try:
+            sock.sendto(dst, port, payload)
+        except NoBufferSpace:
+            sim.metrics.count("app_send_drops_nobuf")
+            return False
+        return True
 
     def do_open(op: WorkloadOp):
         layer = sim.socket_layer(op.node)
@@ -311,7 +342,7 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
         if op.args.get("app") == "echo":
             def bounce(s):
                 src_ip, src_port, payload = s.recvfrom(timeout_us=0)
-                s.sendto(src_ip, src_port, payload)
+                send(s, src_ip, src_port, payload)
             sock.on_ready = bounce
         elif op.args.get("app") == "sink":
             # consume immediately so queued payloads never hold the buffer
@@ -327,21 +358,20 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
         if sock is None:
             sock = sim.socket_layer(op.node).open(op.args["src_port"])
             book["sockets"][key] = sock
-        dst = _resolve_dst(op.args["dst"], addr_of)
         payload = bytes((i * 7 + 13) & 0xFF
                         for i in range(op.args["size"]))
         count = op.args.get("count", 1)
         interval = op.args.get("interval_us", 0)
 
         def fire(k=0):
-            sock.sendto(dst, op.args["dst_port"], payload)
-            book["sends"] += 1
+            if send(sock, op.dst, op.args["dst_port"], payload):
+                book["sends"] += 1
             if k + 1 < count:
                 sim.sched.call_later(max(interval, 1), lambda: fire(k + 1))
 
         fire()
 
-    for op in sorted(scenario.workload, key=lambda o: o.t_us):
+    for op in scenario.workload:
         fn = do_open if op.op == "open" else do_send
         sim.sched.call_at(op.t_us, lambda o=op, f=fn: f(o))
     return book

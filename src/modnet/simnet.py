@@ -101,6 +101,12 @@ def check_topology(topology: Topology) -> None:
             if len(link_addr) != 8:
                 raise InvalidTopology("link address must be 8 bytes",
                                       f"{at}/neighbors/{k}/link")
+        for key, ifaces in (("iface_addrs", list(nd.iface_addrs)),
+                            ("routes", [rt.iface for rt in nd.routes])):
+            for k, iface in enumerate(ifaces):
+                if not (nd.offload or 0 <= iface < len(nd.devices)):
+                    raise InvalidTopology(f"interface {iface} names no "
+                                          "device", f"{at}/{key}/{k}/iface")
     for i, nd in enumerate(topology.nodes):
         peer = nodes.get(nd.offload_peer)
         if nd.offload_peer is not None and not (
@@ -203,44 +209,37 @@ class Simulator:
             node.devices.append(dev)
             dev.medium = self.medium
 
-        node.spawn_module(ModuleDesc("sock", SocketLayer(),
-                                     mailbox_capacity=16, stack_note=0),
-                          aux=True)
-
+        cap = nd.mailbox_capacity
         if nd.offload:
             mod = OffloadModule(nd.address)
-            ctx = node.spawn_module(ModuleDesc(
-                "offload", mod, mailbox_capacity=nd.mailbox_capacity))
-            node.wiring["transport"] = ctx
+            transport = node.spawn_module(ModuleDesc("offload", mod,
+                                                     mailbox_capacity=cap))
             self._offload_mods[nd.name] = mod
-            return
-
-        iface_addrs = (dict(nd.iface_addrs)
-                       or {0: (nd.address, IFACE_PREFIX_LEN)})
-        fwd = ForwardingTable()
-        for rt in nd.routes:
-            fwd.add(rt.prefix, rt.prefix_len, rt.iface,
-                    rt.next_hop if rt.next_hop is not None else ON_LINK)
-        ncache = make_neighbor_cache(nd.neighbor_cache)
-        for ip, link_addr in nd.neighbors:
-            ncache.insert(ip, link_addr)
-        ipv6_mod = Ipv6Module(nd.address, iface_addrs, ncache, fwd)
-        udp_mod = UdpModule(nd.address)
-
-        for dev in node.devices:
-            link_ctx = node.spawn_module(ModuleDesc(
-                f"link{dev.id}", LinkModule(dev),
-                mailbox_capacity=nd.mailbox_capacity))
-            node.wiring[f"link{dev.id}"] = link_ctx
-        adapt_ctx = node.spawn_module(ModuleDesc(
-            "6lo", SixlowpanModule(), mailbox_capacity=nd.mailbox_capacity))
-        ipv6_ctx = node.spawn_module(ModuleDesc(
-            "ipv6", ipv6_mod, mailbox_capacity=nd.mailbox_capacity))
-        udp_ctx = node.spawn_module(ModuleDesc(
-            "udp", udp_mod, mailbox_capacity=nd.mailbox_capacity))
-        node.wiring["adapt"] = adapt_ctx
-        node.wiring["net"] = ipv6_ctx
-        node.wiring["transport"] = udp_ctx
+        else:
+            iface_addrs = (dict(nd.iface_addrs)
+                           or {0: (nd.address, IFACE_PREFIX_LEN)})
+            fwd = ForwardingTable()
+            for rt in nd.routes:
+                fwd.add(rt.prefix, rt.prefix_len, rt.iface,
+                        rt.next_hop if rt.next_hop is not None else ON_LINK)
+            ncache = make_neighbor_cache(nd.neighbor_cache)
+            for ip, link_addr in nd.neighbors:
+                ncache.insert(ip, link_addr)
+            # bottom-up, so each layer is built with the context below it
+            links = {}
+            for dev in node.devices:
+                links[dev.id] = node.spawn_module(ModuleDesc(
+                    f"link{dev.id}", LinkModule(dev), mailbox_capacity=cap))
+            adapt = node.spawn_module(ModuleDesc(
+                "6lo", SixlowpanModule(links), mailbox_capacity=cap))
+            net = node.spawn_module(ModuleDesc(
+                "ipv6", Ipv6Module(nd.address, iface_addrs, ncache, fwd,
+                                   adapt), mailbox_capacity=cap))
+            transport = node.spawn_module(ModuleDesc(
+                "udp", UdpModule(nd.address, net), mailbox_capacity=cap))
+        node.spawn_module(ModuleDesc("sock", SocketLayer(transport),
+                                     mailbox_capacity=16, stack_note=0),
+                          aux=True)
 
     # -- execution --------------------------------------------------------
     def socket_layer(self, node_name: str) -> SocketLayer:

@@ -228,13 +228,15 @@ class ReassemblyTable:
 
 
 class SixlowpanModule(Module):
-    """One adaptation-layer context per node, serving all interfaces.
+    """One adaptation-layer context per node, serving all interfaces:
+    ``links`` maps each interface number to its link-layer context.
     Implements no options."""
 
     layer = "sixlowpan"
     budget = MAX_PAYLOAD  # adaptation-layer bytes per link frame
 
-    def __init__(self):
+    def __init__(self, links: dict):
+        self.links = links
         self.reassembly_table: ReassemblyTable | None = None
         self._tag = 0
 
@@ -254,7 +256,7 @@ class SixlowpanModule(Module):
         pkt = msg.pkt
         prio = msg.meta.get("prio", _SEND_APP)
         iface = msg.meta.get("iface", 0)
-        link_ctx = node.wiring.get(f"link{iface}")
+        link_ctx = self.links.get(iface)
         if link_ctx is None:
             drop(ctx, pkt, "sixlowpan_no_link")
             return

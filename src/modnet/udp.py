@@ -82,13 +82,15 @@ def udp_encode_header(src_port: int, dst_port: int, length: int,
 
 
 class UdpModule(Module):
-    """Transport context: prepend + checksum downward, verify + port demux
-    upward.  Registers for IPv6 next-header 17; implements no options."""
+    """Transport context: prepend + checksum downward to ``net``, the
+    network-layer context, and verify + port demux upward.  Registers for
+    IPv6 next-header 17; implements no options."""
 
     layer = "udp"
 
-    def __init__(self, local_addr: bytes):
+    def __init__(self, local_addr: bytes, net):
         self.local_addr = local_addr
+        self.net = net
 
     def on_spawn(self, ctx):
         self.ctx = ctx
@@ -109,11 +111,7 @@ class UdpModule(Module):
         csum = udp_checksum(self.local_addr, msg.meta["dst_ip"],
                             out.to_bytes())
         struct.pack_into("!H", out.head.data, 6, csum)
-        net = node.wiring.get("net")
-        if net is None:
-            drop(ctx, out, "udp_no_net")
-            return
-        node.sched.post(net, NetMessage(
+        node.sched.post(self.net, NetMessage(
             kind=_MSG_SND, pkt=out,
             meta={"dst_ip": msg.meta["dst_ip"],
                   "next_header": NEXT_HEADER_UDP,
@@ -160,8 +158,8 @@ class Socket:
 
     # -- app API -------------------------------------------------------------
     def sendto(self, dst_ip: bytes, dst_port: int, payload: bytes) -> int:
-        """Copy the payload into the buffer once and hand it to the current
-        transport wiring.  Raises NoBufferSpace as back-pressure and
+        """Copy the payload into the buffer once and hand it to the node's
+        transport context.  Raises NoBufferSpace as back-pressure and
         UdpError for a refused datagram; in both cases nothing was sent
         and nothing was recorded."""
         if self.closed:
@@ -171,15 +169,12 @@ class Socket:
         if len(payload) > MAX_PAYLOAD:
             raise PayloadTooLarge(f"{len(payload)} > {MAX_PAYLOAD}")
         node = self.layer.ctx.node
-        transport = node.wiring.get("transport")
-        if transport is None:
-            raise UdpError("no transport wired")
         pid = node.metrics.new_packet_id()
         snip = node.pktbuf.alloc_snip(payload=payload, proto=_APP,
                                       prio=_SEND_APP)
         node.metrics.record_copy(_APP_TO_BUF, pid, len(payload))
         node.metrics.count("udp_sent")
-        node.sched.post(transport, NetMessage(
+        node.sched.post(self.layer.transport, NetMessage(
             kind=_MSG_SND, pkt=PacketChain(snip),
             meta={"src_port": self.port, "dst_port": dst_port,
                   "dst_ip": dst_ip, "packet_id": pid,
@@ -224,13 +219,15 @@ class Socket:
 
 class SocketLayer(Module):
     """App-facing context owning every socket on its node.  Each bound
-    socket is one registry entry (UDP, port) targeting this context.
+    socket is one registry entry (UDP, port) targeting this context, and
+    ``sendto`` posts to ``transport``, the udp or the offload context.
     Apps call ``sendto`` directly, so nothing sends data down to it:
     ``MSG_SND`` is the base's counted drop."""
 
     layer = "sock"
 
-    def __init__(self):
+    def __init__(self, transport):
+        self.transport = transport
         self.ports: dict[int, Socket] = {}
 
     def open(self, port: int,

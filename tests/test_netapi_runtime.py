@@ -99,10 +99,6 @@ def test_lookup_sees_every_registry_change():
     assert reg.lookup(udp, 7) == [c1]
     reg.unregister_target(c1)
     assert reg.lookup(udp, 7) == []
-    reg.apply([("register", udp, 7, c2)])
-    assert reg.lookup(udp, 7) == [c2]
-    reg.apply([("unregister", udp, 7, c2)])
-    assert reg.lookup(udp, 7) == []
     reg.register(udp, 7, c2)
     assert reg.lookup(udp, 7) == [c2]
     node.shutdown_module(c2)
@@ -295,24 +291,6 @@ def test_shutdown_module_reclaims_and_unregisters():
     node.pktbuf.release(pkt2.head)
     sched.run_until()
     assert not received
-
-
-def test_rewire_batch_and_identity():
-    sched, node = make_node()
-    h1, _ = collector()
-    h2, r2 = collector()
-    c1 = node.spawn_module(ModuleDesc("old", h1))
-    c2 = node.spawn_module(ModuleDesc("new", h2))
-    node.registry.register(ProtocolType.UDP, 7, c1)
-    node.rewire([])  # identity
-    assert node.registry.lookup(ProtocolType.UDP, 7) == [c1]
-    node.rewire([("unregister", ProtocolType.UDP, 7, c1),
-                 ("register", ProtocolType.UDP, 7, c2)])
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=8))
-    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == 1
-    node.pktbuf.release(pkt.head)
-    sched.run_until()
-    assert len(r2) == 1
 
 
 def test_idle_scheduler_does_no_work():

@@ -72,7 +72,6 @@ def test_ownership_enforced():
     owner = node.spawn_module(ModuleDesc("owner", owner_handler))
     intruder = node.spawn_module(ModuleDesc("intruder", intruder_handler))
     dev.owner = owner
-    dev.node = node
     sched.post(owner, NetMessage(kind=MsgKind.MSG_SND))
     sched.run_until()
     assert seen == [DevStatus.OK]

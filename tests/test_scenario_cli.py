@@ -1,16 +1,20 @@
 """Scenario loading/validation and the command-line front end."""
 
+import copy
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modnet.cli import main
 from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
                            Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario)
-from topo import offload_pair, two_node
+from topo import (IP_R_A, IP_R_B, offload_pair, three_node_router,
+                  two_node)
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -150,27 +154,52 @@ def test_cli_run_missing_file_exit_2(capsys):
     assert main(["run", "/nonexistent/echo.json"]) == 2
 
 
-@pytest.mark.parametrize("pointer,value", [
-    ("/links/0/b", "zz"),  # no such node
-    ("/links/0/b", "b:x"),  # device index not a decimal
-    ("/links/0/b", "b:-1"),  # negative device index
-    ("/nodes/0/neighbors/0/link", "000b"),  # 2-byte neighbour link address
-    ("/nodes/0/offload_peer", "b"),  # peer of a stack node
+@pytest.mark.parametrize("name,at,value,pointer", [
+    ("echo.json", "/links/0/b", "zz", "/links/0/b"),  # no such node
+    ("echo.json", "/links/0/b", "b:x", "/links/0/b"),  # index not a decimal
+    ("echo.json", "/links/0/b", "b:-1", "/links/0/b"),  # negative index
+    ("echo.json", "/nodes/0/neighbors/0/link", "000b",
+     "/nodes/0/neighbors/0/link"),  # 2-byte neighbour link address
+    ("echo.json", "/nodes/0/offload_peer", "b",
+     "/nodes/0/offload_peer"),  # peer of a stack node
+    ("border_router.json", "/nodes/0/routes/0/iface", 3,
+     "/nodes/0/routes/0/iface"),  # a has one device
+    ("border_router.json", "/nodes/1/iface_addrs/1/iface", 2,
+     "/nodes/1/iface_addrs/1/iface"),  # r has two
+    ("border_router.json", "/nodes/1/iface_addrs/1/iface", 0,
+     "/nodes/1/iface_addrs/1/iface"),  # one address per interface
+    ("echo.json", "/workload/2/args/dst", "ghost",
+     "/workload/2/args/dst"),  # neither a node nor an address
+    ("echo.json", "/workload/2/t_us", 5,
+     "/workload/1/args/port"),  # the send opens a:40000 before the open
+    ("echo.json", "/workload/1",
+     {"t_us": 10, "node": "b", "op": "open", "args": {"port": 7}},
+     "/workload/1/args/port"),  # b:7 is opened twice
 ], ids=["unknown-node", "index-x", "index-minus-1", "short-neighbor-link",
-        "peer-on-stack-node"])
-def test_cli_topology_defect_exit_2(tmp_path, capsys, pointer, value):
-    doc = load_doc("echo.json")
-    *path, last = pointer[1:].split("/")
+        "peer-on-stack-node", "route-iface", "iface-addr-iface",
+        "iface-addr-twice", "unknown-dst", "open-after-send", "second-open"])
+def test_cli_topology_defect_exit_2(tmp_path, capsys, name, at, value,
+                                    pointer):
+    doc = load_doc(name)
+    *path, last = at[1:].split("/")
     target = doc
     for key in path:
         target = target[int(key) if key.isdigit() else key]
-    target[last] = value
+    target[int(last) if last.isdigit() else last] = value
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(doc))
     for argv in (["run", str(scenario)],
                  ["fuzz-enotsup", str(scenario), "--ops", "5"]):
         assert main(argv) == 2
         assert pointer in capsys.readouterr().err
+
+
+def test_send_the_buffer_refuses_is_counted():
+    doc = load_doc("echo_frag.json")
+    doc["nodes"][0]["buffer_capacity"] = 256  # the 600 B send cannot fit
+    _, stats = run_scenario(load_scenario(doc))
+    assert stats["counters"]["app_send_drops_nobuf"] == 1
+    assert stats["sends"] == 0
 
 
 @pytest.mark.parametrize("make,path,value,pointer", [
@@ -185,6 +214,10 @@ def test_cli_topology_defect_exit_2(tmp_path, capsys, pointer, value):
     (two_node, "links/0/delay_us", -1, "/links/0/delay_us"),
     (offload_pair, "nodes/0/offload_peer", "a", "/nodes/0/offload_peer"),
     (offload_pair, "nodes/1/offload_peer", "zz", "/nodes/1/offload_peer"),
+    (three_node_router, "nodes/0/routes/0/iface", 1,
+     "/nodes/0/routes/0/iface"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64), 2: (IP_R_B, 64)}, "/nodes/1/iface_addrs/1/iface"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()
@@ -238,3 +271,62 @@ def test_par_run_reaches_quiescence():
     assert stats["counters"]["udp_delivered"] == 2  # request + echo
     assert stats["sockets"]["a:40000"]["received"] == 1
     assert all(node.pktbuf.used == 0 for node in sim.nodes.values())
+
+
+# -- mutated shipped scenarios -------------------------------------------------
+
+SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
+MUTATIONS = ("drop", "duplicate", "retype", "range")
+
+
+def _locations(node, path=()):
+    """The path of every value below ``node``, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _locations(child, path + (key,))
+
+
+def _replacements(kind, value):
+    """Values that put ``value`` out of its type or its range."""
+    if kind == "retype":
+        return [v for v in (None, True, "7", 7, [], {}, [value],
+                            float(value) if type(value) is int else 0.5)
+                if type(v) is not type(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return [None]
+    if isinstance(value, str):
+        return ["", "ff" * 17]
+    if isinstance(value, float):
+        return [-0.5, 1.5]
+    # kept small: a capacity is allocated as given
+    return [-1, 0, 65536]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_scenario_exits_cleanly(data):
+    """Drop, duplicate, retype or put out of range one field of a shipped
+    scenario: each command still returns 0, 2 or 3 and raises nothing."""
+    doc = load_doc(data.draw(st.sampled_from(SHIPPED)))
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    paths = [p for p in _locations(doc)
+             if kind != "duplicate" or isinstance(p[-1], int)]
+    *parents, last = data.draw(st.sampled_from(paths))
+    target = doc
+    for key in parents:
+        target = target[key]
+    if kind == "drop":
+        del target[last]
+    elif kind == "duplicate":
+        target.insert(last, copy.deepcopy(target[last]))
+    else:
+        target[last] = data.draw(
+            st.sampled_from(_replacements(kind, target[last])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["run", str(path), "--until", "200000"],
+                     ["fuzz-enotsup", str(path), "--ops", "20"]):
+            assert main(argv) in (0, 2, 3)
