@@ -241,9 +241,6 @@ class Ipv6Module(Module):
         self.ctx = ctx
         ctx.node.registry.register(ProtocolType.IPV6, DEMUX_RAW, ctx)
 
-    def is_local(self, dst: bytes) -> bool:
-        return dst in self._local
-
     def route(self, dst: bytes):
         """Resolve (interface, next-hop link address) for a destination."""
         iface, nh = self.fwd.lookup(dst)
@@ -258,7 +255,6 @@ class Ipv6Module(Module):
         node = ctx.node
         pkt = msg.pkt
         dst = msg.meta["dst_ip"]
-        prio = msg.meta.get("prio", _SEND_APP)
         if pkt.total_size > MAX_PAYLOAD:
             drop(ctx, pkt, "ipv6_tx_too_large")
             return
@@ -270,34 +266,33 @@ class Ipv6Module(Module):
             return
         hdr = Ipv6Header(src=self.primary_addr, dst=dst,
                          payload_length=pkt.total_size,
-                         next_header=msg.meta.get("next_header",
-                                                  NEXT_HEADER_UDP),
                          hop_limit=self.hop_limit)
         try:
-            out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _IPV6, prio)
+            out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _IPV6, _SEND_APP)
         except NoBufferSpace:
             drop(ctx, pkt, "ipv6_tx_drops_nobuf")
             return
         out.head.data[:] = encode_header(hdr)
-        self._down(ctx, out, iface, next_hop_link, msg.meta, prio)
+        self._down(ctx, out, iface, next_hop_link, msg.meta["packet_id"],
+                   _SEND_APP)
 
-    def _down(self, ctx, pkt, iface, next_hop_link, meta, prio):
+    def _down(self, ctx, pkt, iface, next_hop_link, pid, prio):
         ctx.node.sched.post(self.adapt, NetMessage(
             kind=_MSG_SND, pkt=pkt,
             meta={"next_hop_link": next_hop_link, "iface": iface,
-                  "packet_id": meta.get("packet_id"), "prio": prio}))
+                  "packet_id": pid, "prio": prio}))
 
     # -- RX -----------------------------------------------------------------
     def on_rcv(self, ctx, msg):
         node = ctx.node
         data = msg.pkt.to_bytes()
-        pid = msg.meta.get("packet_id")
+        pid = msg.meta["packet_id"]
         try:
             hdr, payload = decode(data)
         except Ipv6Error:
             drop(ctx, msg.pkt, "ipv6_rx_malformed")
             return
-        if self.is_local(hdr.dst):
+        if hdr.dst in self._local:
             chain = recopy(ctx, msg.pkt, payload, _UDP, pid,
                            "ipv6_rx_drops_nobuf")
             if chain is not None:
@@ -317,7 +312,7 @@ class Ipv6Module(Module):
         # decrement hop limit in place; we hold the only reference by now
         msg.pkt.head.data[7] = hdr.hop_limit - 1
         node.metrics.count("ipv6_forwarded")
-        self._down(ctx, msg.pkt, iface, next_hop_link, msg.meta, _RECEIVE)
+        self._down(ctx, msg.pkt, iface, next_hop_link, pid, _RECEIVE)
 
     # -- options -------------------------------------------------------------
     def on_option(self, ctx, msg):

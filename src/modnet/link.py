@@ -144,7 +144,7 @@ class LinkModule(Module):
         pid = node.metrics.new_packet_id()
         node.metrics.record_copy(_DEV_TO_BUF, pid, len(frame.payload))
         meta = {"src_link": frame.src_long, "dst_link": frame.dst_long,
-                "iface": self.device.id, "packet_id": pid}
+                "packet_id": pid}
         up(ctx, _SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
            "link_rx_no_receiver")
 

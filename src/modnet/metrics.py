@@ -119,10 +119,11 @@ REASSEMBLY_ENTRY_OVERHEAD = 32  # key + bitmap + deadline bookkeeping
 def memory_report(node) -> dict:
     """RAM-budget analog for one node: central buffer plus declared module
     context budgets plus measured table overheads."""
-    from .sixlowpan import DEFAULT_REASSEMBLY_ENTRIES
+    from .runtime import STACK_NOTE
+    from .sixlowpan import ReassemblyTable
 
     stats = node.pktbuf.stats()
-    stack_notes = sum(ctx.desc.stack_note for ctx in node.modules.values())
+    stack_notes = STACK_NOTE * len(node.modules)
     registry_bytes = len(node.registry) * REGISTRY_ENTRY_BYTES
     reassembly_bytes = 0
     for ctx in node.modules.values():
@@ -138,7 +139,7 @@ def memory_report(node) -> dict:
         "registry_bytes": registry_bytes,
         "reassembly_bytes": reassembly_bytes,
         "total_budget": stats.capacity + stack_notes + registry_bytes
-        + REASSEMBLY_ENTRY_OVERHEAD * DEFAULT_REASSEMBLY_ENTRIES,
+        + REASSEMBLY_ENTRY_OVERHEAD * ReassemblyTable.max_entries,
     }
 
 
@@ -149,7 +150,7 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
     The architecture's claim is about relative cost, so only the ratio is
     asserted downstream; absolute nanoseconds are host-dependent.
     """
-    from .runtime import DetScheduler, ModuleDesc, Node
+    from .runtime import DetScheduler, Node
     from .netapi import MsgKind, NetMessage, send_cmd
 
     if iterations < 1:
@@ -165,7 +166,7 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
         if msg.kind == MsgKind.MSG_GET:
             msg.ack(0)
 
-    ctx = node.spawn_module(ModuleDesc("pong", ponger))
+    ctx = node.spawn_module("pong", ponger)
     # batched to keep timer overhead out of the medians; each call batch
     # runs right beside its message batch, so a change in host speed
     # during the run moves both sides of the ratio alike

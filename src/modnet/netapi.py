@@ -19,6 +19,20 @@ bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
 fans packets out to every match, taking one buffer hold per receiver.
 Downward, a layer posts to the context below it, which ``simnet`` hands
 it when it builds the node.
+
+A data message's ``meta`` carries exactly the keys its receiver reads, and
+no receiver writes it:
+
+    sock -> udp, offload     src_port dst_port dst_ip packet_id
+    udp -> ipv6              dst_ip packet_id
+    ipv6 -> 6lo              next_hop_link iface packet_id prio
+    6lo -> link              dst_link packet_id (one dict per datagram)
+    link -> 6lo              src_link dst_link packet_id
+    6lo -> ipv6              packet_id
+    ipv6 -> udp              src_ip dst_ip packet_id hop_limit
+    udp -> sock              src_ip src_port dst_port packet_id hop_limit
+    offload -> sock          src_ip src_port dst_port packet_id
+    offload -> peer offload  raw src_ip src_port dst_port (and no chain)
 """
 
 from __future__ import annotations
@@ -255,8 +269,7 @@ def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
     except NoBufferSpace:
         node.metrics.count(nobuf_counter)
         return None
-    if pid is not None:
-        node.metrics.record_copy(_BUF_INTERNAL, pid, len(payload))
+    node.metrics.record_copy(_BUF_INTERNAL, pid, len(payload))
     return PacketChain(snip)
 
 

@@ -41,10 +41,9 @@ class OffloadModule(Module):
     def on_snd(self, ctx, msg):
         node = ctx.node
         data = msg.pkt.to_bytes()
-        pid = msg.meta.get("packet_id")
-        if pid is not None:
-            # handover into the chip's own buffer: copy #2 of the TX path
-            node.metrics.record_copy(CopySite.BUF_TO_DEV, pid, len(data))
+        # handover into the chip's own buffer: copy #2 of the TX path
+        node.metrics.record_copy(CopySite.BUF_TO_DEV, msg.meta["packet_id"],
+                                 len(data))
         node.pktbuf.release(msg.pkt.head)
         bridge = {"raw": data, "src_ip": self.addr,
                   "src_port": msg.meta.get("src_port"),

@@ -42,30 +42,18 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from . import netapi
 from .metrics import Metrics
 from .netapi import _MSG_RCV, _MSG_SND, NetMessage
 
 
-class RuntimeError_(Exception):
-    pass
-
-
-class DuplicateName(RuntimeError_):
+class DuplicateName(Exception):
     pass
 
 
 MAILBOX_CAPACITY = 8  # data messages a context's mailbox holds by default
-
-
-@dataclass
-class ModuleDesc:
-    name: str
-    handler: object  # callable(ctx, msg)
-    mailbox_capacity: int = MAILBOX_CAPACITY
-    stack_note: int = 1024  # declared context budget in bytes, for accounting
+STACK_NOTE = 1024  # declared budget in bytes of a protocol module's context
 
 
 class Mailbox:
@@ -116,12 +104,11 @@ class Mailbox:
 class ModuleContext:
     """A spawned module: handler + mailbox + scheduling state."""
 
-    def __init__(self, node, desc: ModuleDesc):
+    def __init__(self, node, name: str, handler, mailbox_capacity: int):
         self.node = node
-        self.desc = desc
-        self.name = desc.name
-        self.handler = desc.handler
-        self.mailbox = Mailbox(desc.mailbox_capacity)
+        self.name = name
+        self.handler = handler  # callable(ctx, msg)
+        self.mailbox = Mailbox(mailbox_capacity)
         self.closed = False
         self._scheduled = False
         self._busy = False
@@ -149,13 +136,15 @@ class Node:
         self.aux: dict[str, ModuleContext] = {}  # non-protocol contexts
         self.devices: list = []
 
-    def spawn_module(self, desc: ModuleDesc, aux: bool = False) -> ModuleContext:
-        if desc.name in self.modules or desc.name in self.aux:
-            raise DuplicateName(f"{self.name}/{desc.name}")
-        ctx = ModuleContext(self, desc)
-        (self.aux if aux else self.modules)[desc.name] = ctx
-        if hasattr(desc.handler, "on_spawn"):
-            desc.handler.on_spawn(ctx)
+    def spawn_module(self, name: str, handler,
+                     mailbox_capacity: int = MAILBOX_CAPACITY,
+                     aux: bool = False) -> ModuleContext:
+        if name in self.modules or name in self.aux:
+            raise DuplicateName(f"{self.name}/{name}")
+        ctx = ModuleContext(self, name, handler, mailbox_capacity)
+        (self.aux if aux else self.modules)[name] = ctx
+        if hasattr(handler, "on_spawn"):
+            handler.on_spawn(ctx)
         return ctx
 
     def shutdown_module(self, ctx: ModuleContext):

@@ -105,10 +105,10 @@ SCHEMA = {
                         },
                     },
                     "offload_peer": {"type": "string"},
-                    "buffer_capacity": {"type": "integer", "minimum": 256},
+                    "buffer_capacity": {"type": "integer", "minimum": 256,
+                                        "maximum": 65536},
                     "backend": {"enum": [b.name for b in Backend]},
                     "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
-                    "mailbox_capacity": {"type": "integer", "minimum": 1},
                 },
             },
         },
@@ -266,8 +266,7 @@ def _node_desc(nj: dict, index: int) -> NodeDesc:
     neighbors = [(_parse_ip(ng["addr"], f"{base}/neighbors/{k}/addr"),
                   bytes.fromhex(ng["link"]))
                  for k, ng in enumerate(nj.get("neighbors", ()))]
-    opts = _given(nj, "offload_peer", "buffer_capacity", "neighbor_cache",
-                  "mailbox_capacity")
+    opts = _given(nj, "offload_peer", "buffer_capacity", "neighbor_cache")
     if "backend" in nj:
         opts["backend"] = Backend[nj["backend"]]
     return NodeDesc(

@@ -22,8 +22,7 @@ from .metrics import Metrics
 from .netdev import SimRadioDevice
 from .offload import OffloadModule
 from .pktbuf import Backend, buffer_create
-from .runtime import (MAILBOX_CAPACITY, DetScheduler, ModuleDesc, Node,
-                      ThreadScheduler)
+from .runtime import DetScheduler, Node, ThreadScheduler
 from .sixlowpan import SixlowpanModule
 from .udp import SocketLayer, UdpModule
 
@@ -63,7 +62,6 @@ class NodeDesc:
     buffer_capacity: int = 2048
     backend: Backend = Backend.STATIC_ARENA
     neighbor_cache: str = "RING"
-    mailbox_capacity: int = MAILBOX_CAPACITY
 
 
 @dataclass
@@ -114,8 +112,10 @@ def check_topology(topology: Topology) -> None:
                 and peer.offload):
             raise InvalidTopology("an offload node's peer must be another "
                                   "offload node", f"/nodes/{i}/offload_peer")
+    linked = set()  # each pair of devices, as {(node, device index), ...}
     for i, ld in enumerate(topology.links):
         at = f"/links/{i}"
+        ends = []
         for end in ("a", "b"):
             spec = getattr(ld, end)
             name, colon, idx = spec.partition(":")
@@ -125,6 +125,11 @@ def check_topology(topology: Topology) -> None:
                     or int(idx or 0) >= len(nodes[name].devices)):
                 raise InvalidTopology(f"{spec!r} names no device",
                                       f"{at}/{end}")
+            ends.append((name, int(idx or 0)))
+        if frozenset(ends) in linked:
+            raise InvalidTopology("an earlier link joins the same devices",
+                                  at)
+        linked.add(frozenset(ends))
         if not 0.0 <= ld.loss <= 1.0:
             raise InvalidTopology(f"loss {ld.loss} out of [0, 1]",
                                   at + "/loss")
@@ -178,14 +183,13 @@ class Simulator:
         self.rng = random.Random(topology.seed)
         self.medium = Medium(self.sched, self.rng, self.metrics)
         self.nodes: dict[str, Node] = {}
-        self._offload_mods: dict[str, OffloadModule] = {}
         try:
             for nd in topology.nodes:
                 self._build_node(nd)
-            mods = self._offload_mods
             for nd in topology.nodes:
                 if nd.offload_peer is not None:
-                    mods[nd.name].peer = mods[nd.offload_peer].ctx
+                    self.nodes[nd.name].modules["offload"].handler.peer = (
+                        self.nodes[nd.offload_peer].modules["offload"])
             for ld in topology.links:
                 dev_a = self._resolve_endpoint(ld.a)
                 dev_b = self._resolve_endpoint(ld.b)
@@ -209,12 +213,9 @@ class Simulator:
             node.devices.append(dev)
             dev.medium = self.medium
 
-        cap = nd.mailbox_capacity
         if nd.offload:
-            mod = OffloadModule(nd.address)
-            transport = node.spawn_module(ModuleDesc("offload", mod,
-                                                     mailbox_capacity=cap))
-            self._offload_mods[nd.name] = mod
+            transport = node.spawn_module("offload",
+                                          OffloadModule(nd.address))
         else:
             iface_addrs = (dict(nd.iface_addrs)
                            or {0: (nd.address, IFACE_PREFIX_LEN)})
@@ -226,20 +227,15 @@ class Simulator:
             for ip, link_addr in nd.neighbors:
                 ncache.insert(ip, link_addr)
             # bottom-up, so each layer is built with the context below it
-            links = {}
-            for dev in node.devices:
-                links[dev.id] = node.spawn_module(ModuleDesc(
-                    f"link{dev.id}", LinkModule(dev), mailbox_capacity=cap))
-            adapt = node.spawn_module(ModuleDesc(
-                "6lo", SixlowpanModule(links), mailbox_capacity=cap))
-            net = node.spawn_module(ModuleDesc(
-                "ipv6", Ipv6Module(nd.address, iface_addrs, ncache, fwd,
-                                   adapt), mailbox_capacity=cap))
-            transport = node.spawn_module(ModuleDesc(
-                "udp", UdpModule(nd.address, net), mailbox_capacity=cap))
-        node.spawn_module(ModuleDesc("sock", SocketLayer(transport),
-                                     mailbox_capacity=16, stack_note=0),
-                          aux=True)
+            links = {dev.id: node.spawn_module(f"link{dev.id}",
+                                               LinkModule(dev))
+                     for dev in node.devices}
+            adapt = node.spawn_module("6lo", SixlowpanModule(links))
+            net = node.spawn_module("ipv6", Ipv6Module(
+                nd.address, iface_addrs, ncache, fwd, adapt))
+            transport = node.spawn_module("udp", UdpModule(nd.address, net))
+        node.spawn_module("sock", SocketLayer(transport),
+                          mailbox_capacity=16, aux=True)
 
     # -- execution --------------------------------------------------------
     def socket_layer(self, node_name: str) -> SocketLayer:

@@ -35,9 +35,6 @@ FRAGN_HDR_LEN = 5
 MAX_DATAGRAM = 2047  # 11-bit size field
 MIN_BUDGET = 16  # must fit FRAGN header + one 8-byte unit
 
-DEFAULT_REASSEMBLY_ENTRIES = 2
-DEFAULT_REASSEMBLY_TIMEOUT_US = 5_000_000
-
 
 class SixlowpanError(Exception):
     pass
@@ -141,22 +138,17 @@ class ReassemblyTable:
     """At most ``max_entries`` concurrent datagrams; expired entries give
     their buffer back in full."""
 
-    def __init__(self, buffer, metrics=None,
-                 max_entries: int = DEFAULT_REASSEMBLY_ENTRIES,
-                 timeout_us: int = DEFAULT_REASSEMBLY_TIMEOUT_US):
+    max_entries = 2
+    timeout_us = 5_000_000
+
+    def __init__(self, buffer, metrics):
         self.buffer = buffer
         self.metrics = metrics
-        self.max_entries = max_entries
-        self.timeout_us = timeout_us
         self.entries: dict[tuple, ReassemblyEntry] = {}
 
     def memory_bytes(self) -> int:
         return sum(e.size + REASSEMBLY_ENTRY_OVERHEAD
                    for e in self.entries.values())
-
-    def _count(self, name):
-        if self.metrics is not None:
-            self.metrics.count(name)
 
     def _drop_entry(self, entry):
         self.entries.pop(entry.key, None)
@@ -167,7 +159,7 @@ class ReassemblyTable:
         stale = [e for e in self.entries.values() if now_us >= e.deadline_us]
         for entry in stale:
             self._drop_entry(entry)
-            self._count("reassembly_timeouts")
+            self.metrics.count("reassembly_timeouts")
         return len(stale)
 
     def step(self, payload: bytes, src, dst, now_us: int):
@@ -187,18 +179,16 @@ class ReassemblyTable:
         entry = self.entries.get(key)
         if entry is None:
             if len(self.entries) >= self.max_entries:
-                self._count("reassembly_table_full")
+                self.metrics.count("reassembly_table_full")
                 return _DROPPED, None, None
             try:
                 snip = self.buffer.alloc_snip(
                     size=size, proto=_IPV6, prio=_CONTROL)
             except NoBufferSpace:
-                self._count("reassembly_drops_nobuf")
+                self.metrics.count("reassembly_drops_nobuf")
                 return _DROPPED, None, None
-            pid = (self.metrics.new_packet_id()
-                   if self.metrics is not None else 0)
-            entry = ReassemblyEntry(key, size, snip,
-                                    now_us + self.timeout_us, pid)
+            entry = ReassemblyEntry(key, size, snip, now_us + self.timeout_us,
+                                    self.metrics.new_packet_id())
             self.entries[key] = entry
 
         offset, data = parsed.offset, parsed.data
@@ -213,13 +203,11 @@ class ReassemblyTable:
                 if (overlap >> (lo // 8) & 1
                         and view[lo:hi] != data[lo - offset:hi - offset]):
                     self._drop_entry(entry)
-                    self._count("reassembly_overlap_drops")
+                    self.metrics.count("reassembly_overlap_drops")
                     return _DROPPED, None, None
         entry.snip.data[offset:end] = data
         entry.received |= mask
-        if self.metrics is not None:
-            self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id,
-                                     len(data))
+        self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id, len(data))
 
         if entry.received == (1 << ((size + 7) // 8)) - 1:
             self.entries.pop(key, None)
@@ -233,7 +221,6 @@ class SixlowpanModule(Module):
     Implements no options."""
 
     layer = "sixlowpan"
-    budget = MAX_PAYLOAD  # adaptation-layer bytes per link frame
 
     def __init__(self, links: dict):
         self.links = links
@@ -253,18 +240,16 @@ class SixlowpanModule(Module):
     # -- TX -----------------------------------------------------------------
     def on_snd(self, ctx, msg):
         node = ctx.node
-        pkt = msg.pkt
-        prio = msg.meta.get("prio", _SEND_APP)
-        iface = msg.meta.get("iface", 0)
-        link_ctx = self.links.get(iface)
+        pkt, meta = msg.pkt, msg.meta
+        prio = meta.get("prio", _SEND_APP)
+        link_ctx = self.links.get(meta.get("iface", 0))
         if link_ctx is None:
             drop(ctx, pkt, "sixlowpan_no_link")
             return
-        size = pkt.total_size
-        pid = msg.meta.get("packet_id")
-        down_meta = {"dst_link": msg.meta.get("next_hop_link"),
-                     "iface": iface, "packet_id": pid, "prio": prio}
-        if size <= self.budget - 1:
+        pid = meta.get("packet_id")
+        # no receiver writes meta, so every fragment shares this dict
+        down_meta = {"dst_link": meta.get("next_hop_link"), "packet_id": pid}
+        if pkt.total_size <= MAX_PAYLOAD - 1:
             try:
                 out = node.pktbuf.prepend_header(
                     pkt, 1, _SIXLOWPAN, prio)
@@ -280,7 +265,7 @@ class SixlowpanModule(Module):
         datagram = pkt.to_bytes()
         node.pktbuf.release(pkt.head)
         try:
-            frags = fragment(datagram, self.budget, self._next_tag())
+            frags = fragment(datagram, MAX_PAYLOAD, self._next_tag())
         except SixlowpanError:
             node.metrics.count("sixlowpan_tx_too_large")
             return
@@ -300,7 +285,7 @@ class SixlowpanModule(Module):
             if pid is not None:
                 node.metrics.record_copy(_BUF_INTERNAL, pid, snip.size)
             message = NetMessage(kind=_MSG_SND, pkt=PacketChain(snip),
-                                 meta=dict(down_meta))
+                                 meta=down_meta)
             node.sched.call_later(
                 i, lambda m=message: node.sched.post(link_ctx, m))
 
@@ -308,10 +293,6 @@ class SixlowpanModule(Module):
     def on_rcv(self, ctx, msg):
         node = ctx.node
         payload = msg.pkt.to_bytes()
-        src = msg.meta.get("src_link", b"")
-        dst = msg.meta.get("dst_link", b"")
-        up_meta = {k: msg.meta[k] for k in ("src_link", "dst_link", "iface")
-                   if k in msg.meta}
         table = self.reassembly_table
         # each frame is parsed once: by parse_payload or inside step
         unfragmented = bool(payload) and payload[0] == DISPATCH_UNCOMPRESSED
@@ -320,25 +301,26 @@ class SixlowpanModule(Module):
                 parsed = parse_payload(payload)
             else:
                 status, chain, entry_pid = table.step(
-                    payload, src, dst, node.sched.now_us)
+                    payload, msg.meta["src_link"], msg.meta["dst_link"],
+                    node.sched.now_us)
         except MalformedFragment:
             drop(ctx, msg.pkt, "sixlowpan_rx_malformed")
             return
-        pid = msg.meta.get("packet_id")
+        pid = msg.meta["packet_id"]
         if unfragmented:
             chain = recopy(ctx, msg.pkt, parsed.data, _IPV6, pid,
                            "sixlowpan_rx_drops_nobuf")
             if chain is not None:
-                up(ctx, _IPV6, DEMUX_RAW, chain,
-                   dict(up_meta, packet_id=pid), "sixlowpan_rx_no_receiver")
+                up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": pid},
+                   "sixlowpan_rx_no_receiver")
             return
         # fragmented path
-        if entry_pid and pid and entry_pid != pid:
+        if entry_pid and entry_pid != pid:
             node.metrics.merge_packet(entry_pid, pid)
         node.pktbuf.release(msg.pkt.head)
         if status is _COMPLETE:
-            up(ctx, _IPV6, DEMUX_RAW, chain,
-               dict(up_meta, packet_id=entry_pid), "sixlowpan_rx_no_receiver")
+            up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": entry_pid},
+               "sixlowpan_rx_no_receiver")
         elif status is _INCOMPLETE:
             node.sched.call_later(
                 table.timeout_us + 1,

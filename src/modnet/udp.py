@@ -98,24 +98,20 @@ class UdpModule(Module):
 
     def on_snd(self, ctx, msg):
         node = ctx.node
-        pkt = msg.pkt
-        prio = msg.meta.get("prio", _SEND_APP)
+        pkt, meta = msg.pkt, msg.meta
         length = HEADER_LEN + pkt.total_size
         try:
-            out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _UDP, prio)
+            out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _UDP, _SEND_APP)
         except NoBufferSpace:
             drop(ctx, pkt, "udp_tx_drops_nobuf")
             return
         out.head.data[:] = udp_encode_header(
-            msg.meta["src_port"], msg.meta["dst_port"], length)
-        csum = udp_checksum(self.local_addr, msg.meta["dst_ip"],
-                            out.to_bytes())
+            meta["src_port"], meta["dst_port"], length)
+        csum = udp_checksum(self.local_addr, meta["dst_ip"], out.to_bytes())
         struct.pack_into("!H", out.head.data, 6, csum)
         node.sched.post(self.net, NetMessage(
             kind=_MSG_SND, pkt=out,
-            meta={"dst_ip": msg.meta["dst_ip"],
-                  "next_header": NEXT_HEADER_UDP,
-                  "packet_id": msg.meta.get("packet_id"), "prio": prio}))
+            meta={"dst_ip": meta["dst_ip"], "packet_id": meta["packet_id"]}))
 
     def on_rcv(self, ctx, msg):
         data = msg.pkt.to_bytes()
@@ -177,8 +173,7 @@ class Socket:
         node.sched.post(self.layer.transport, NetMessage(
             kind=_MSG_SND, pkt=PacketChain(snip),
             meta={"src_port": self.port, "dst_port": dst_port,
-                  "dst_ip": dst_ip, "packet_id": pid,
-                  "prio": _SEND_APP}))
+                  "dst_ip": dst_ip, "packet_id": pid}))
         return pid
 
     def recvfrom(self, timeout_us: int = 1_000_000):
@@ -194,8 +189,7 @@ class Socket:
         src_ip, src_port, pkt, pid, hop_limit = self.queue.popleft()
         self.last_hop_limit = hop_limit
         payload = pkt.to_bytes()
-        if pid is not None:
-            node.metrics.record_copy(_BUF_TO_APP, pid, len(payload))
+        node.metrics.record_copy(_BUF_TO_APP, pid, len(payload))
         node.metrics.count("udp_delivered")
         node.pktbuf.release(pkt.head)
         return src_ip, src_port, payload

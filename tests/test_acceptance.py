@@ -16,8 +16,8 @@ import pytest
 
 from modnet import cli
 from modnet.ipv6 import RingNeighborCache, SortedNeighborCache
-from modnet.metrics import (BOUNDARY_SITES, CopySite, ipc_overhead_bench,
-                            memory_report)
+from modnet.metrics import (BOUNDARY_SITES, CopySite, Metrics,
+                            ipc_overhead_bench, memory_report)
 from modnet.pktbuf import AllocPriority, NoBufferSpace, buffer_create
 from modnet.scenario import load_scenario_file
 from modnet.simnet import build
@@ -118,7 +118,7 @@ def test_04_fragmentation_matches_oracle():
     t0 = time.monotonic()
     rng = random.Random(4)
     buf = buffer_create(4096)
-    table = ReassemblyTable(buf)
+    table = ReassemblyTable(buf, Metrics(locked=False))
     mismatches = 0
 
     def check(size, budget, tag, reassemble_via_table):

@@ -52,3 +52,39 @@ def test_module_follows_the_base_contract(scenario, node_name, ctx_name):
         ack = send_cmd(sim.sched, ctx,
                        NetMessage(kind=kind, option=(UNKNOWN_KEY, b"")))
         assert ack.status == ENOTSUP
+
+
+# (receiver, kind) -> the meta keys each message on that edge carries
+MESSAGE_KEYS = {
+    ("udp", "MSG_SND"): {("dst_ip", "dst_port", "packet_id", "src_port")},
+    ("offload", "MSG_SND"): {("dst_ip", "dst_port", "packet_id", "src_port")},
+    ("ipv6", "MSG_SND"): {("dst_ip", "packet_id")},
+    ("6lo", "MSG_SND"): {("iface", "next_hop_link", "packet_id", "prio")},
+    ("link", "MSG_SND"): {("dst_link", "packet_id")},
+    ("6lo", "MSG_RCV"): {("dst_link", "packet_id", "src_link")},
+    ("ipv6", "MSG_RCV"): {("packet_id",)},
+    ("udp", "MSG_RCV"): {("dst_ip", "hop_limit", "packet_id", "src_ip")},
+    ("sock", "MSG_RCV"): {  # from udp, and from offload
+        ("dst_port", "hop_limit", "packet_id", "src_ip", "src_port"),
+        ("dst_port", "packet_id", "src_ip", "src_port")},
+    ("offload", "MSG_RCV"): {("dst_port", "raw", "src_ip", "src_port")},
+}
+
+
+def test_each_message_carries_only_what_its_receiver_reads(monkeypatch):
+    from modnet.runtime import DetScheduler
+    from modnet.scenario import run_scenario
+    seen = {}
+    post = DetScheduler.post
+
+    def recording_post(sched, ctx, msg):
+        if isinstance(msg, NetMessage):
+            receiver = "link" if ctx.name.startswith("link") else ctx.name
+            seen.setdefault((receiver, msg.kind.name), set()).add(
+                tuple(sorted(msg.meta)))
+        return post(sched, ctx, msg)
+
+    monkeypatch.setattr(DetScheduler, "post", recording_post)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        run_scenario(load_scenario_file(str(path)))
+    assert seen == MESSAGE_KEYS

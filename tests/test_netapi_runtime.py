@@ -8,7 +8,8 @@ from modnet.netapi import (CmdTimeout, DEMUX_ALL, ENOTSUP, MsgKind,
                           NetMessage, OK, Registry, RegistryFull, send_cmd)
 from modnet.pktbuf import (AllocPriority, PacketChain, ProtocolType,
                            buffer_create)
-from modnet.runtime import (DetScheduler, DuplicateName, ModuleDesc, Node)
+from modnet.metrics import memory_report
+from modnet.runtime import DetScheduler, DuplicateName, Node
 
 
 def make_node(name="n0", capacity=2048):
@@ -35,7 +36,7 @@ def collector():
 def test_register_then_dispatch_delivers():
     sched, node = make_node()
     handler, received = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     node.registry.register(ProtocolType.UDP, 5683, ctx)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
     n = netapi.dispatch(node, ProtocolType.UDP, 5683, pkt)
@@ -50,7 +51,7 @@ def test_register_then_dispatch_delivers():
 def test_unregister_idempotent():
     _, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     node.registry.register(ProtocolType.UDP, 7, ctx)
     node.registry.unregister(ProtocolType.UDP, 7, ctx)
     node.registry.unregister(ProtocolType.UDP, 7, ctx)  # no-op
@@ -60,7 +61,7 @@ def test_unregister_idempotent():
 def test_registry_capacity():
     _, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     for port in range(32):
         node.registry.register(ProtocolType.UDP, port, ctx)
     with pytest.raises(RegistryFull):
@@ -71,8 +72,8 @@ def test_dispatch_two_receivers_holds_twice():
     sched, node = make_node()
     h1, r1 = collector()
     h2, r2 = collector()
-    c1 = node.spawn_module(ModuleDesc("m1", h1))
-    c2 = node.spawn_module(ModuleDesc("m2", h2))
+    c1 = node.spawn_module("m1", h1)
+    c2 = node.spawn_module("m2", h2)
     node.registry.register(ProtocolType.UDP, 5683, c1)
     node.registry.register(ProtocolType.UDP, 5683, c2)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
@@ -87,8 +88,8 @@ def test_dispatch_two_receivers_holds_twice():
 def test_lookup_sees_every_registry_change():
     _, node = make_node()
     handler, _ = collector()
-    c1 = node.spawn_module(ModuleDesc("m1", handler))
-    c2 = node.spawn_module(ModuleDesc("m2", handler))
+    c1 = node.spawn_module("m1", handler)
+    c2 = node.spawn_module("m2", handler)
     reg, udp = node.registry, ProtocolType.UDP
     assert reg.lookup(udp, 7) == []
     reg.register(udp, 7, c1)
@@ -108,8 +109,8 @@ def test_lookup_sees_every_registry_change():
 def test_lookup_returns_a_fresh_list():
     _, node = make_node()
     handler, _ = collector()
-    c1 = node.spawn_module(ModuleDesc("m1", handler))
-    c2 = node.spawn_module(ModuleDesc("m2", handler))
+    c1 = node.spawn_module("m1", handler)
+    c2 = node.spawn_module("m2", handler)
     node.registry.register(ProtocolType.UDP, 7, c1)
     first = node.registry.lookup(ProtocolType.UDP, 7)
     first.append(c2)
@@ -121,7 +122,7 @@ def test_lookup_returns_a_fresh_list():
 def test_lookup_cache_stays_bounded():
     _, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     node.registry.register(ProtocolType.UDP, 7, ctx)
     for port in range(3 * Registry.CACHE_KEYS):
         expected = [ctx] if port == 7 else []
@@ -141,8 +142,8 @@ def test_dispatch_wildcard_union():
     sched, node = make_node()
     h1, r1 = collector()
     h2, r2 = collector()
-    c1 = node.spawn_module(ModuleDesc("wild", h1))
-    c2 = node.spawn_module(ModuleDesc("exact", h2))
+    c1 = node.spawn_module("wild", h1)
+    c2 = node.spawn_module("exact", h2)
     node.registry.register(ProtocolType.UDP, DEMUX_ALL, c1)
     node.registry.register(ProtocolType.UDP, 80, c2)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=4))
@@ -163,7 +164,7 @@ def test_send_cmd_roundtrip():
         elif msg.kind in (MsgKind.MSG_SET, MsgKind.MSG_GET):
             msg.ack(ENOTSUP)
 
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     ack = send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
                                           option=(3, b"")))
     assert ack.status == OK
@@ -173,7 +174,7 @@ def test_send_cmd_roundtrip():
 def test_send_cmd_unknown_key_enotsup():
     sched, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     ack = send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
                                           option=(0xFFFF, b"")))
     assert ack.status == ENOTSUP
@@ -185,7 +186,7 @@ def test_send_cmd_timeout_on_silent_module():
     def mute(ctx, msg):
         pass
 
-    ctx = node.spawn_module(ModuleDesc("mute", mute))
+    ctx = node.spawn_module("mute", mute)
     with pytest.raises(CmdTimeout):
         send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
                                         option=(1, b"")))
@@ -204,7 +205,7 @@ def test_send_cmd_to_self_asserts():
                 failures.append(exc)
                 msg.ack(ENOTSUP)
 
-    ctx = node.spawn_module(ModuleDesc("selfish", selfish))
+    ctx = node.spawn_module("selfish", selfish)
     send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")))
     assert failures
 
@@ -222,8 +223,8 @@ def test_send_cmd_between_modules_nested():
                              NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")))
             msg.ack(inner.status, inner.value)
 
-    server_ctx = node.spawn_module(ModuleDesc("server", server))
-    proxy_ctx = node.spawn_module(ModuleDesc("proxy", proxy))
+    server_ctx = node.spawn_module("server", server)
+    proxy_ctx = node.spawn_module("proxy", proxy)
     ack = send_cmd(sched, proxy_ctx, NetMessage(kind=MsgKind.MSG_GET,
                                                 option=(1, b"")))
     assert ack.status == OK
@@ -235,24 +236,23 @@ def test_send_cmd_between_modules_nested():
 def test_spawn_duplicate_name():
     _, node = make_node()
     handler, _ = collector()
-    node.spawn_module(ModuleDesc("m", handler))
+    node.spawn_module("m", handler)
     with pytest.raises(DuplicateName):
-        node.spawn_module(ModuleDesc("m", handler))
+        node.spawn_module("m", handler)
 
 
 def test_spawn_four_modules_accounting():
     _, node = make_node()
     handler, _ = collector()
     for name in ("udp", "ipv6", "6lo", "link"):
-        node.spawn_module(ModuleDesc(name, handler))
-    total = sum(c.desc.stack_note for c in node.modules.values())
-    assert total == 4 * 1024
+        node.spawn_module(name, handler)
+    assert memory_report(node)["stack_note_total"] == 4 * 1024
 
 
 def test_mailbox_flood_drops_data_but_not_control():
     sched, node = make_node()
     handler, received = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler, mailbox_capacity=8))
+    ctx = node.spawn_module("m", handler, mailbox_capacity=8)
     # stall the handler by not running the scheduler while posting
     for _ in range(20):
         sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV))
@@ -267,7 +267,7 @@ def test_mailbox_flood_drops_data_but_not_control():
 def test_mailbox_overflow_releases_packets():
     sched, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler, mailbox_capacity=1))
+    ctx = node.spawn_module("m", handler, mailbox_capacity=1)
     for _ in range(4):
         pkt = PacketChain(node.pktbuf.alloc_snip(size=16))
         sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
@@ -278,7 +278,7 @@ def test_mailbox_overflow_releases_packets():
 def test_shutdown_module_reclaims_and_unregisters():
     sched, node = make_node()
     handler, received = collector()
-    ctx = node.spawn_module(ModuleDesc("udp", handler))
+    ctx = node.spawn_module("udp", handler)
     node.registry.register(ProtocolType.UDP, 7, ctx)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=16))
     sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
@@ -296,7 +296,7 @@ def test_shutdown_module_reclaims_and_unregisters():
 def test_idle_scheduler_does_no_work():
     sched, node = make_node()
     handler, _ = collector()
-    node.spawn_module(ModuleDesc("m", handler))
+    node.spawn_module("m", handler)
     before = sched.handler_invocations
     sched.run_until(t_us=10_000)
     assert sched.handler_invocations == before
@@ -306,7 +306,7 @@ def test_idle_scheduler_does_no_work():
 def test_same_time_timers_and_ready_contexts_run_in_queue_order():
     sched, node = make_node()
     order = []
-    ctx = node.spawn_module(ModuleDesc("m", lambda c, m: order.append("m")))
+    ctx = node.spawn_module("m", lambda c, m: order.append("m"))
     sched.call_at(sched.now_us, lambda: order.append("timer before"))
     sched.post(ctx, NetMessage(kind=MsgKind.MSG_SET, option=(1, b"")))
     sched.call_at(sched.now_us, lambda: order.append("timer after"))
@@ -327,7 +327,7 @@ def test_command_reply_wait_keeps_the_queue_order():
         order.append("server")
         msg.ack(OK)
 
-    ctx = node.spawn_module(ModuleDesc("server", server))
+    ctx = node.spawn_module("server", server)
     sched.call_at(0, lambda: order.append("timer before"))
     ack = send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
                                           option=(1, b"")))
@@ -339,12 +339,12 @@ def test_command_reply_wait_keeps_the_queue_order():
 def test_trace_records_render_the_lines_at_post_time():
     sched, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
 
     def relay(rctx, msg):
         sched.post(ctx, msg)
 
-    relay_ctx = node.spawn_module(ModuleDesc("relay", relay))
+    relay_ctx = node.spawn_module("relay", relay)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10,
                                              proto=ProtocolType.UDP))
     node.pktbuf.hold(pkt.head)  # one holder per message below
@@ -373,7 +373,7 @@ def test_trace_records_render_the_lines_at_post_time():
 
 def test_trace_names_the_type_of_other_messages():
     sched, node = make_node()
-    ctx = node.spawn_module(ModuleDesc("m", lambda c, m: None))
+    ctx = node.spawn_module("m", lambda c, m: None)
 
     class Wakeup:
         pass
@@ -386,7 +386,7 @@ def test_trace_names_the_type_of_other_messages():
 def test_trace_line_format():
     sched, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module(ModuleDesc("m", handler))
+    ctx = node.spawn_module("m", handler)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10,
                                              proto=ProtocolType.UDP))
     sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))

@@ -10,7 +10,7 @@ from modnet.netapi import MsgKind, NetMessage, OptionKey
 from modnet.netdev import (DevEventType, DevStatus, NoFrame,
                            OwnershipViolation, SimRadioDevice, Unsupported)
 from modnet.pktbuf import buffer_create
-from modnet.runtime import DetScheduler, ModuleDesc, Node
+from modnet.runtime import DetScheduler, Node
 from modnet.simnet import Medium
 
 
@@ -69,8 +69,8 @@ def test_ownership_enforced():
     def intruder_handler(ctx, msg):
         dev.dev_send(b"not mine")
 
-    owner = node.spawn_module(ModuleDesc("owner", owner_handler))
-    intruder = node.spawn_module(ModuleDesc("intruder", intruder_handler))
+    owner = node.spawn_module("owner", owner_handler)
+    intruder = node.spawn_module("intruder", intruder_handler)
     dev.owner = owner
     sched.post(owner, NetMessage(kind=MsgKind.MSG_SND))
     sched.run_until()

@@ -175,9 +175,16 @@ def test_cli_run_missing_file_exit_2(capsys):
     ("echo.json", "/workload/1",
      {"t_us": 10, "node": "b", "op": "open", "args": {"port": 7}},
      "/workload/1/args/port"),  # b:7 is opened twice
+    ("echo.json", "/links", [{"a": "a", "b": "b"}] * 2,
+     "/links/1"),  # the same link twice
+    ("echo.json", "/links", [{"a": "a", "b": "b"}, {"a": "b:0", "b": "a"}],
+     "/links/1"),  # the same link twice, reversed
+    ("echo.json", "/nodes/0/buffer_capacity", 2**64,
+     "/nodes/0/buffer_capacity"),  # a buffer too large to allocate
 ], ids=["unknown-node", "index-x", "index-minus-1", "short-neighbor-link",
         "peer-on-stack-node", "route-iface", "iface-addr-iface",
-        "iface-addr-twice", "unknown-dst", "open-after-send", "second-open"])
+        "iface-addr-twice", "unknown-dst", "open-after-send", "second-open",
+        "duplicate-link", "duplicate-link-reversed", "huge-buffer"])
 def test_cli_topology_defect_exit_2(tmp_path, capsys, name, at, value,
                                     pointer):
     doc = load_doc(name)
@@ -218,6 +225,9 @@ def test_send_the_buffer_refuses_is_counted():
      "/nodes/0/routes/0/iface"),
     (three_node_router, "nodes/1/iface_addrs",
      {0: (IP_R_A, 64), 2: (IP_R_B, 64)}, "/nodes/1/iface_addrs/1/iface"),
+    (three_node_router, "links",
+     [LinkDesc("a", "r:0"), LinkDesc("r:1", "b"), LinkDesc("r", "a:0")],
+     "/links/2"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()

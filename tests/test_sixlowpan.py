@@ -8,6 +8,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modnet.metrics import Metrics
 from modnet.pktbuf import Backend, buffer_create
 from modnet.sixlowpan import (FRAGN_DISPATCH, BudgetTooSmall,
                               DatagramTooLarge, MalformedFragment,
@@ -23,8 +24,8 @@ def pattern(n):
     return bytes((i * 7 + 13) & 0xFF for i in range(n))
 
 
-def make_table(**kw):
-    return ReassemblyTable(buffer_create(8192, Backend.DYNAMIC), **kw)
+def make_table(backend=Backend.DYNAMIC):
+    return ReassemblyTable(buffer_create(8192, backend), Metrics(locked=False))
 
 
 def feed_all(table, frags, src=SRC, dst=DST, now=0):
@@ -155,7 +156,7 @@ def fragn(datagram, tag, offset, length):
 def test_partial_overlap_with_identical_bytes_completes(backend):
     datagram = pattern(300)
     frags = fragment(datagram, 110, 4)  # FRAG1 holds units 0-12
-    table = ReassemblyTable(buffer_create(8192, backend))
+    table = make_table(backend)
     table.step(frags[0], SRC, DST, 0)
     # unit 12 was received, unit 13 was not: only unit 12 is compared
     status, _, _ = table.step(fragn(datagram, 4, 96, 16), SRC, DST, 0)
@@ -169,7 +170,7 @@ def test_partial_overlap_with_identical_bytes_completes(backend):
 def test_partial_overlap_with_differing_bytes_drops_entry(backend):
     datagram = pattern(300)
     frags = fragment(datagram, 110, 4)
-    table = ReassemblyTable(buffer_create(8192, backend))
+    table = make_table(backend)
     table.step(frags[0], SRC, DST, 0)
     altered = bytearray(datagram)
     altered[100] ^= 0xFF  # inside unit 12, which FRAG1 delivered
@@ -180,7 +181,7 @@ def test_partial_overlap_with_differing_bytes_drops_entry(backend):
 
 
 def test_table_full_drops_new_datagram_only():
-    table = make_table(max_entries=2)
+    table = make_table()
     for tag in (1, 2):
         frags = fragment(pattern(300), 110, tag)
         table.step(frags[0], SRC, DST, 0)
@@ -191,7 +192,7 @@ def test_table_full_drops_new_datagram_only():
 
 
 def test_timeout_reclaims_buffer():
-    table = make_table(timeout_us=5_000_000)
+    table = make_table()
     frags = fragment(pattern(1280), 110, 7)
     feed_all(table, frags[:-1])  # one FRAGN missing
     assert table.buffer.stats().used > 0
@@ -211,7 +212,7 @@ def test_malformed_fragment_rejected():
 
 
 def test_concurrent_reassembly_two_sources():
-    table = make_table(max_entries=2)
+    table = make_table()
     d1, d2 = pattern(500), pattern(400)[::-1]
     f1 = fragment(d1, 110, 11)
     f2 = fragment(d2, 110, 12)

@@ -2,13 +2,16 @@
 
 import pytest
 
+from modnet.ipv6 import Ipv6Header, encode_header
+from modnet.link import link_encode
 from modnet.metrics import CopySite
 from modnet.netapi import MsgKind, NetMessage
 from modnet.pktbuf import PacketChain, ProtocolType
 from modnet.simnet import build
-from modnet.udp import UdpError
-from topo import (IP_A, IP_A2, IP_B, IP_B2, echo_on, offload_pair,
-                  three_node_router, two_node)
+from modnet.sixlowpan import DISPATCH_UNCOMPRESSED
+from modnet.udp import UdpError, udp_checksum, udp_encode_header
+from topo import (IP_A, IP_A2, IP_B, IP_B2, LONG_A, LONG_B, LONG_R0,
+                  echo_on, ip6, offload_pair, three_node_router, two_node)
 
 
 def pattern(n):
@@ -141,4 +144,50 @@ def test_send_without_next_hop_goes_out_as_broadcast():
     assert sim.metrics.get("frames_sent") == 1
     # b takes the broadcast frame, and 50 zero bytes are no IPv6 datagram
     assert sim.metrics.get("ipv6_rx_malformed") == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+# -- receive-path drops ------------------------------------------------------
+
+def udp_bytes(payload, flip_checksum=False):
+    """A datagram from IP_A port 40000 to IP_B port 7."""
+    header = udp_encode_header(40000, 7, 8 + len(payload))
+    csum = udp_checksum(IP_A, IP_B, header + payload) ^ flip_checksum
+    return udp_encode_header(40000, 7, 8 + len(payload), csum) + payload
+
+
+def frame(dst_long, dst_ip, udp, hop_limit=64):
+    """A link frame carrying one unfragmented IPv6 datagram."""
+    hdr = Ipv6Header(src=IP_A, dst=dst_ip, payload_length=len(udp),
+                     hop_limit=hop_limit)
+    return link_encode(dst_long, LONG_A, 0, bytes([DISPATCH_UNCOMPRESSED])
+                       + encode_header(hdr) + udp)
+
+
+RX_DROPS = [
+    (two_node, "b", bytes(5), "link_rx_malformed"),
+    (two_node, "b", frame(bytes(8), IP_B, udp_bytes(b"hi")),
+     "link_rx_filtered"),
+    (two_node, "b", link_encode(LONG_B, LONG_A, 0, b"\x00\x01"),
+     "sixlowpan_rx_malformed"),  # no such dispatch
+    (three_node_router, "r", frame(LONG_R0, IP_B2, udp_bytes(b"hi"), 1),
+     "ipv6_hop_limit_drops"),
+    (three_node_router, "r", frame(LONG_R0, ip6("fd00:0:0:3::1"),
+                                   udp_bytes(b"hi")),
+     "ipv6_forward_unroutable"),
+    (two_node, "b", frame(LONG_B, IP_B, udp_bytes(b"hi")[:6]),
+     "udp_rx_malformed"),
+    (two_node, "b", frame(LONG_B, IP_B, udp_bytes(b"hi", True)),
+     "udp_rx_bad_checksum"),
+    (two_node, "b", frame(LONG_B, IP_B, udp_bytes(b"")), "udp_rx_empty"),
+]
+
+
+@pytest.mark.parametrize("make,node,raw,counter", RX_DROPS,
+                         ids=[case[-1] for case in RX_DROPS])
+def test_crafted_frame_is_a_counted_drop(make, node, raw, counter):
+    sim = build(make())
+    sim.nodes[node].devices[0]._rx_frame(raw)
+    sim.run_until()
+    assert sim.metrics.get(counter) == 1
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())

@@ -15,7 +15,7 @@ import pytest
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.pktbuf import AllocPriority, Backend, ProtocolType, buffer_create
-from modnet.runtime import ModuleDesc, Node, ThreadScheduler
+from modnet.runtime import Node, ThreadScheduler
 from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import InvalidTopology, LinkDesc, build
 from topo import two_node
@@ -44,8 +44,8 @@ def test_nested_send_cmd():
                              NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")))
             msg.ack(inner.status, inner.value)
 
-        server_ctx = node.spawn_module(ModuleDesc("server", server))
-        proxy_ctx = node.spawn_module(ModuleDesc("proxy", proxy))
+        server_ctx = node.spawn_module("server", server)
+        proxy_ctx = node.spawn_module("proxy", proxy)
         ack = send_cmd(sched, proxy_ctx,
                        NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")))
         assert (ack.status, ack.value) == (OK, 42)
@@ -70,7 +70,7 @@ def test_one_handler_per_context_under_a_flood():
             seen["handled"] += 1
 
     try:
-        ctx = node.spawn_module(ModuleDesc("m", handler))
+        ctx = node.spawn_module("m", handler)
         for i in range(50):
             assert sched.post(ctx, ("note", i))  # control lane: unbounded
         sched.run_until()
@@ -91,7 +91,7 @@ def test_raising_handler_is_recorded_and_the_pool_keeps_serving():
         handled.append(msg)
 
     try:
-        ctx = node.spawn_module(ModuleDesc("m", handler))
+        ctx = node.spawn_module("m", handler)
         # more failures than workers: a worker lost to an exception shows
         for _ in range(ThreadScheduler.WORKERS + 1):
             sched.post(ctx, "boom")
@@ -168,7 +168,7 @@ def test_shared_structures_lock_under_the_pool():
     sys.setswitchinterval(1e-6)
     try:
         for name in ("a", "b"):
-            sched.post(node.spawn_module(ModuleDesc(name, hammer)), "go")
+            sched.post(node.spawn_module(name, hammer), "go")
         edits, deadline = 0, time.monotonic() + 60
         while (len(finished) < 2 and not sched.errors
                and time.monotonic() < deadline):

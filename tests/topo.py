@@ -29,17 +29,14 @@ def dev(short, long_addr):
 
 
 def two_node(loss=0.0, seed=1, buffer_capacity=2048,
-             backend=Backend.STATIC_ARENA, neighbor_cache="RING",
-             mailbox_capacity=8, delay_us=1):
+             backend=Backend.STATIC_ARENA, neighbor_cache="RING", delay_us=1):
     """A -- B on one shared /64, neighbor caches pre-populated."""
     a = NodeDesc("a", devices=[dev(b"\x00\x0a", LONG_A)], address=IP_A,
                  neighbors=[(IP_B, LONG_B)], buffer_capacity=buffer_capacity,
-                 backend=backend, neighbor_cache=neighbor_cache,
-                 mailbox_capacity=mailbox_capacity)
+                 backend=backend, neighbor_cache=neighbor_cache)
     b = NodeDesc("b", devices=[dev(b"\x00\x0b", LONG_B)], address=IP_B,
                  neighbors=[(IP_A, LONG_A)], buffer_capacity=buffer_capacity,
-                 backend=backend, neighbor_cache=neighbor_cache,
-                 mailbox_capacity=mailbox_capacity)
+                 backend=backend, neighbor_cache=neighbor_cache)
     return Topology(nodes=[a, b],
                     links=[LinkDesc("a", "b", loss=loss, delay_us=delay_us)],
                     seed=seed)
