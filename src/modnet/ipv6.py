@@ -317,7 +317,7 @@ class Ipv6Module(Module):
     # -- options -------------------------------------------------------------
     def on_option(self, ctx, msg):
         kind = msg.kind
-        key, value = msg.option or (None, None)  # a stray MSG_ACK has none
+        key, value = msg.option or (None, None)  # a command may carry none
         if kind == MsgKind.MSG_GET and key == OptionKey.HOP_LIMIT:
             msg.ack(OK, self.hop_limit)
         elif kind == MsgKind.MSG_GET and key == OptionKey.ADDRESS:

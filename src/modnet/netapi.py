@@ -1,10 +1,12 @@
 """Unified inter-module message protocol, the module skeleton and the
 receive registry.
 
-Every stack layer services the same small message set: data down
-(``MSG_SND``), data up (``MSG_RCV``), option request/reply (``MSG_SET`` /
-``MSG_GET`` answered by ``MSG_ACK``).  A module implements whatever subset
-it wants and answers everything else with ``ENOTSUP`` -- the conformance
+Every stack layer services the same four message kinds: data down
+(``MSG_SND``), data up (``MSG_RCV``) and option commands (``MSG_SET`` /
+``MSG_GET``).  A command is answered in place: the handler's ``ack``
+writes ``status`` and ``value`` onto the command itself, which the caller
+of ``send_cmd`` is waiting on.  A module implements whatever subset it
+wants and answers everything else with ``ENOTSUP`` -- the conformance
 suite fuzzes exactly this rule.
 
 ``Module`` is that rule as a base class.  Its ``__call__`` routes
@@ -50,13 +52,11 @@ class MsgKind(enum.IntEnum):
     MSG_RCV = 2
     MSG_SET = 3
     MSG_GET = 4
-    MSG_ACK = 5
 
 
 # Reading a member off an enum class costs about three function calls on
 # CPython 3.11, so the per-message paths read these aliases instead.
 _MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV
-_MSG_ACK = MsgKind.MSG_ACK
 _CMD_KINDS = (MsgKind.MSG_SET, MsgKind.MSG_GET)
 
 
@@ -77,68 +77,41 @@ DEMUX_ALL = 0xFFFFFFFF
 DEMUX_RAW = 0  # adaptation-layer ingress to the network layer
 
 
-class NetapiError(Exception):
+class RegistryFull(Exception):
     pass
 
 
-class RegistryFull(NetapiError):
-    pass
-
-
-class CmdTimeout(NetapiError):
+class CmdTimeout(Exception):
     """MSG_SET/MSG_GET went unanswered -- a non-conforming module."""
 
 
 class NetMessage:
     """One inter-module message.  Hand-rolled rather than a dataclass:
-    construction sits on the measured IPC round-trip."""
+    construction sits on the measured IPC round-trip.  ``status`` stays
+    None until a command's first ``ack``."""
 
-    __slots__ = ("kind", "pkt", "option", "reply_to", "status", "value",
-                 "meta")
+    __slots__ = ("kind", "pkt", "option", "status", "value", "meta")
 
     def __init__(self, kind: MsgKind, pkt: PacketChain | None = None,
                  option: tuple[int, bytes] | None = None,
-                 reply_to: "ReplyBox | None" = None, status: int = 0,
-                 value: bytes | None = None, meta: dict | None = None):
+                 meta: dict | None = None):
         self.kind = kind
         self.pkt = pkt
         self.option = option  # (OptionKey or raw int, value)
-        self.reply_to = reply_to
-        self.status = status
-        self.value = value  # MSG_ACK payload for MSG_GET
+        self.status = None
+        self.value = None  # a MSG_GET's answer
         self.meta = {} if meta is None else meta
 
     def __repr__(self):
         return (f"NetMessage(kind={self.kind!r}, status={self.status}, "
                 f"option={self.option!r})")
 
-    def ack(self, status: int, value: bytes | None = None):
-        """Answer a MSG_SET/MSG_GET.  Safe to call when nobody listens."""
-        if self.reply_to is not None:
-            # built by hand: this sits on the measured command round-trip
-            reply = NetMessage.__new__(NetMessage)
-            reply.kind = _MSG_ACK
-            reply.pkt = None
-            reply.option = None
-            reply.reply_to = None
-            reply.status = status
-            reply.value = value
-            reply.meta = {}
-            self.reply_to.complete(reply)
-
-
-class ReplyBox:
-    """One-shot slot for a command reply.  The scheduler's ``wait_for``
-    watches ``msg``; the first reply wins."""
-
-    __slots__ = ("msg",)
-
-    def __init__(self):
-        self.msg: NetMessage | None = None
-
-    def complete(self, msg: NetMessage):
-        if self.msg is None:
-            self.msg = msg
+    def ack(self, status: int, value=None):
+        """Answer a MSG_SET/MSG_GET in place.  The first answer wins, and
+        an answer nobody waits for any more is harmless."""
+        if self.status is None:
+            self.value = value  # before status, which a waiter watches
+            self.status = status
 
 
 @dataclass(frozen=True)
@@ -226,10 +199,10 @@ def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:
 
 
 def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
-    """Deliver a MSG_SET/MSG_GET and wait for the matching MSG_ACK.
+    """Deliver a MSG_SET/MSG_GET and wait for its answer.
 
-    Returns the ack message (status plus optional value).  Must not be
-    called from a module's own handler targeting itself.
+    Returns ``msg`` itself, answered: its ``status`` and ``value``.  Must
+    not be called from a module's own handler targeting itself.
     """
     if msg.kind not in _CMD_KINDS:
         raise ValueError("send_cmd is for MSG_SET/MSG_GET only")
@@ -238,14 +211,12 @@ def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
         raise AssertionError(
             f"send_cmd from {getattr(target, 'name', target)} to itself "
             "would self-deadlock")
-    box = ReplyBox()
-    msg.reply_to = box
     sched.post(target, msg)
-    if not sched.wait_for(None, timeout_us, box):
+    if not sched.wait_for(None, timeout_us, msg):
         raise CmdTimeout(
-            f"no MSG_ACK from {getattr(target, 'name', target)} within "
+            f"no answer from {getattr(target, 'name', target)} within "
             f"{timeout_us} us")
-    return box.msg
+    return msg
 
 
 def drop(ctx, pkt: PacketChain | None, counter: str):
@@ -286,7 +257,7 @@ def up(ctx, proto, demux_ctx, pkt: PacketChain, meta, miss_counter: str):
 
 class Module:
     """Base of a stack layer: override the hooks the layer implements.
-    ``on_option`` also sees a stray ``MSG_ACK``: answer it ``ENOTSUP``."""
+    ``on_option`` sees every command and answers ``ENOTSUP`` by default."""
 
     layer = "module"
     ctx = None

@@ -67,23 +67,19 @@ class Backend(enum.Enum):
     DYNAMIC = "dynamic"
 
 
-class BufferError_(Exception):
-    """Base class for packet buffer errors."""
-
-
-class CapacityTooSmall(BufferError_):
+class CapacityTooSmall(Exception):
     pass
 
 
-class NoBufferSpace(BufferError_):
+class NoBufferSpace(Exception):
     """Allocation denied; the caller must back-pressure, never block."""
 
 
-class InvalidSize(BufferError_):
+class InvalidSize(Exception):
     pass
 
 
-class ReleaseUnheld(BufferError_):
+class ReleaseUnheld(Exception):
     """users was already 0 -- a programming error, surfaced loudly."""
 
 

@@ -290,13 +290,13 @@ class DetScheduler(_SchedulerBase):
             self.now_us = max(self.now_us, t_us)
         return processed
 
-    def wait_for(self, pred, timeout_us: int, box=None) -> bool:
+    def wait_for(self, pred, timeout_us: int, cmd=None) -> bool:
         deadline = self.now_us + timeout_us
         ready, heap = self._ready, self._heap
         # kept beside the predicate loop: folding it in cost check 11 ~10%
-        if box is not None:  # fast path for command replies
+        if cmd is not None:  # fast path for a command's answer
             service = self._service
-            while box.msg is None:
+            while cmd.status is None:
                 # step()'s ready branch, inlined for the round trip
                 if ready and not (heap and heap[0][0] <= self.now_us
                                   and heap[0][1] < ready[0][0]):
@@ -478,8 +478,8 @@ class ThreadScheduler(_SchedulerBase):
                             ctx._scheduled = False
                     cond.notify_all()
 
-    def wait_for(self, pred, timeout_us: int, box=None) -> bool:
-        done = pred if box is None else (lambda: box.msg is not None)
+    def wait_for(self, pred, timeout_us: int, cmd=None) -> bool:
+        done = pred if cmd is None else (lambda: cmd.status is not None)
         with self._cond:
             return self._cond.wait_for(done, timeout_us / 1e6)
 

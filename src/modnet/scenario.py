@@ -19,6 +19,7 @@ from ipaddress import IPv6Address
 
 import jsonschema
 
+from . import udp
 from .ipv6 import IFACE_PREFIX_LEN, NEIGHBOR_CACHES
 from .pktbuf import Backend, NoBufferSpace
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
@@ -163,7 +164,8 @@ _SEND_ARGS = {
         "src_port": {"type": "integer", "minimum": 0, "maximum": 65535},
         "dst": {"type": "string"},
         "dst_port": {"type": "integer", "minimum": 0, "maximum": 65535},
-        "size": {"type": "integer", "minimum": 1, "maximum": 1192},
+        "size": {"type": "integer", "minimum": 1,
+                 "maximum": udp.MAX_PAYLOAD},
         "count": {"type": "integer", "minimum": 1},
         "interval_us": {"type": "integer", "minimum": 0},
     },

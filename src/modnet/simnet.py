@@ -91,6 +91,9 @@ def check_topology(topology: Topology) -> None:
         if nd.address is None:
             raise InvalidTopology("every node needs an IPv6 address",
                                   at + "/address")
+        if not (nd.offload or nd.devices):
+            raise InvalidTopology("a stack node needs a device",
+                                  at + "/devices")
         for j, dd in enumerate(nd.devices):
             if len(dd.addr_short) != 2 or len(dd.addr_long) != 8:
                 raise InvalidTopology("addresses must be 2 and 8 bytes",
@@ -126,6 +129,8 @@ def check_topology(topology: Topology) -> None:
                 raise InvalidTopology(f"{spec!r} names no device",
                                       f"{at}/{end}")
             ends.append((name, int(idx or 0)))
+        if ends[0] == ends[1]:
+            raise InvalidTopology("a link joins a device to itself", at)
         if frozenset(ends) in linked:
             raise InvalidTopology("an earlier link joins the same devices",
                                   at)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import struct
 from collections import deque
 
+from .ipv6 import NEXT_HEADER_UDP
 from .metrics import _APP_TO_BUF, _BUF_TO_APP
 from .netapi import _MSG_SND, Module, NetMessage, drop, recopy, up
 from .pktbuf import (_APP, _SEND_APP, _UDP, NoBufferSpace, PacketChain,
                      ProtocolType)
 
 HEADER_LEN = 8
-MAX_PAYLOAD = 1192  # 1240 - 40 (IPv6) - 8 (UDP)
-NEXT_HEADER_UDP = 17
+MAX_PAYLOAD = 1192  # a 1240-byte datagram; ipv6.MAX_PAYLOAD admits 1232
 DEFAULT_SOCK_QUEUE = 4
 
 

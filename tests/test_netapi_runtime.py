@@ -231,6 +231,50 @@ def test_send_cmd_between_modules_nested():
     assert ack.value == 42
 
 
+def test_send_cmd_returns_the_posted_message():
+    sched, node = make_node()
+    handler, _ = collector()
+    ctx = node.spawn_module("m", handler)
+    msg = NetMessage(kind=MsgKind.MSG_SET, option=(1, b""))
+    assert msg.status is None  # unanswered
+    assert send_cmd(sched, ctx, msg) is msg
+    assert msg.status == ENOTSUP
+
+
+def test_first_answer_wins():
+    sched, node = make_node()
+
+    def twice(ctx, msg):
+        msg.ack(OK, 1)
+        msg.ack(ENOTSUP, 2)
+
+    ctx = node.spawn_module("twice", twice)
+    ack = send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
+                                          option=(1, b"")))
+    assert (ack.status, ack.value) == (OK, 1)
+
+
+def test_answer_after_timeout_raises_nothing():
+    sched, node = make_node()
+    held = []
+
+    def slow(ctx, msg):
+        held.append(msg)
+        sched.call_later(2_000_000, lambda: msg.ack(OK, 7))
+
+    ctx = node.spawn_module("slow", slow)
+    with pytest.raises(CmdTimeout):
+        send_cmd(sched, ctx, NetMessage(kind=MsgKind.MSG_GET,
+                                        option=(1, b"")), timeout_us=1_000_000)
+    sched.run_until()
+    assert (held[0].status, held[0].value) == (OK, 7)
+
+
+def test_four_message_kinds():
+    assert [k.name for k in MsgKind] == [
+        "MSG_SND", "MSG_RCV", "MSG_SET", "MSG_GET"]
+
+
 # -- runtime ----------------------------------------------------------------
 
 def test_spawn_duplicate_name():

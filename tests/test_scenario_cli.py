@@ -181,10 +181,15 @@ def test_cli_run_missing_file_exit_2(capsys):
      "/links/1"),  # the same link twice, reversed
     ("echo.json", "/nodes/0/buffer_capacity", 2**64,
      "/nodes/0/buffer_capacity"),  # a buffer too large to allocate
+    ("echo.json", "/links", [{"a": "a", "b": "b"}, {"a": "a", "b": "a:0"}],
+     "/links/1"),  # a device linked to itself
+    ("echo.json", "/nodes/0/devices", [],
+     "/nodes/0/devices"),  # a stack node with no device
 ], ids=["unknown-node", "index-x", "index-minus-1", "short-neighbor-link",
         "peer-on-stack-node", "route-iface", "iface-addr-iface",
         "iface-addr-twice", "unknown-dst", "open-after-send", "second-open",
-        "duplicate-link", "duplicate-link-reversed", "huge-buffer"])
+        "duplicate-link", "duplicate-link-reversed", "huge-buffer",
+        "self-link", "no-device"])
 def test_cli_topology_defect_exit_2(tmp_path, capsys, name, at, value,
                                     pointer):
     doc = load_doc(name)
@@ -228,6 +233,9 @@ def test_send_the_buffer_refuses_is_counted():
     (three_node_router, "links",
      [LinkDesc("a", "r:0"), LinkDesc("r:1", "b"), LinkDesc("r", "a:0")],
      "/links/2"),
+    (three_node_router, "links",
+     [LinkDesc("a", "r:0"), LinkDesc("r:1", "r:1")], "/links/1"),
+    (two_node, "nodes/1/devices", [], "/nodes/1/devices"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()
