@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
 from .netapi import ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
-from .netdev import (_BUSY, _RX_READY, _TOO_LARGE, _TX_DONE, BROADCAST_LONG,
-                     MAX_FRAME, DevNotify, Unsupported)
+from .netdev import (_BUSY, _RX_READY, _TX_DONE, BROADCAST_LONG, MAX_FRAME,
+                     DevNotify, Unsupported)
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
 
 HEADER_LEN = 17
@@ -103,14 +103,12 @@ class LinkModule(Module):
         dst = msg.meta.get("dst_link") or BROADCAST_LONG
         frame = link_encode(dst, self.device.addr_long, self._seq, payload)
         self._seq = (self._seq + 1) & 0xFF
-        self._transmit(ctx, frame)
+        self._transmit(frame)
 
-    def _transmit(self, ctx, frame):
-        status = self.device.dev_send(frame)
-        if status is _BUSY:
+    def _transmit(self, frame):
+        # on_snd caps the payload, so no frame is TOO_LARGE for the device
+        if self.device.dev_send(frame) is _BUSY:
             self._pending.append(frame)
-        elif status is _TOO_LARGE:
-            ctx.node.metrics.count("link_tx_too_large")
 
     # -- RX / events ---------------------------------------------------------
     def _poll_events(self, ctx):
@@ -120,7 +118,7 @@ class LinkModule(Module):
         ev = self.device.dev_poll_event()
         if ev is _TX_DONE:
             if self._pending:
-                self._transmit(ctx, self._pending.popleft())
+                self._transmit(self._pending.popleft())
         elif ev is _RX_READY:
             self._receive(ctx)
 

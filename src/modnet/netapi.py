@@ -18,7 +18,11 @@ Any plain ``handler(ctx, msg)`` callable still works as a module.
 
 Upward packet flow is composed through the registry: modules and sockets
 bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
-fans packets out to every match, taking one buffer hold per receiver.
+fans packets out to every match, taking one buffer hold per receiver.  A
+packet dispatched under (proto, demux) matches the targets registered under
+that exact key, then those registered under (proto, ``DEMUX_ALL``), each
+in registration order; dispatching under ``DEMUX_ALL`` itself matches the
+wildcard targets once.
 Downward, a layer posts to the context below it, which ``simnet`` hands
 it when it builds the node.
 
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
 
 from .metrics import _BUF_INTERNAL, lock_methods
 from .pktbuf import _RECEIVE, NoBufferSpace, PacketChain
@@ -114,74 +117,64 @@ class NetMessage:
             self.status = status
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    proto: int
-    demux_ctx: int
-    target: object  # module context
-
-
 class Registry:
-    """Fixed-capacity table binding (proto, demux) to module mailboxes.
+    """A table of at most ``CAPACITY`` (proto, demux, target) registrations,
+    indexed by (proto, demux).
 
-    Multiple targets per key are allowed; exact triples are unique.
-    Registration changes take effect for packets dispatched after the call
-    returns.  Lookups are cached per (proto, demux) key, and every change
-    clears the cache.
+    Multiple targets per key are allowed; exact triples are unique.  Only
+    ``register`` adds a key, and a key whose last target leaves is deleted,
+    so the table holds exactly the registered keys.  ``lookup`` returns a
+    fresh list of the matches, by the rule in the module docstring.
+    Changes take effect for packets dispatched after the call returns.
 
     Locked only for the par pool (``locked``): there a lookup sees a
     consistent snapshot.  The det scheduler's one thread cannot interleave
-    two calls.
+    two calls.  The lock is not reentrant, so no locked method calls
+    another.
     """
 
-    CACHE_KEYS = 256  # demux values come from received packets: bound them
+    CAPACITY = 32
     _LOCKED = ("register", "unregister", "unregister_target", "lookup")
 
-    def __init__(self, capacity: int = 32, locked: bool = True):
-        self.capacity = capacity
-        self._entries: list[RegistryEntry] = []
-        self._cache: dict[tuple, tuple] = {}
+    def __init__(self, locked: bool = True):
+        self._table: dict[tuple, list] = {}  # (proto, demux) -> targets
+        self._count = 0
         if locked:
             lock_methods(self, threading.Lock(), self._LOCKED)
 
-    def __len__(self):  # one len() of a list: atomic, even under par
-        return len(self._entries)
+    def __len__(self):  # reads one int: atomic, even under par
+        return self._count
 
     def register(self, proto, demux_ctx, target):
-        entry = RegistryEntry(proto, demux_ctx, target)
-        if entry in self._entries:
+        key = (proto, demux_ctx)
+        if target in self._table.get(key, ()):
             return
-        if len(self._entries) >= self.capacity:
-            raise RegistryFull(f"registry capacity {self.capacity} reached")
-        self._entries.append(entry)
-        self._cache.clear()
+        if self._count >= self.CAPACITY:
+            raise RegistryFull(f"registry capacity {self.CAPACITY} reached")
+        self._table.setdefault(key, []).append(target)
+        self._count += 1
 
     def unregister(self, proto, demux_ctx, target):
-        entry = RegistryEntry(proto, demux_ctx, target)
-        try:
-            self._entries.remove(entry)
-        except ValueError:
-            pass  # idempotent
-        self._cache.clear()
+        key = (proto, demux_ctx)
+        if target in self._table.get(key, ()):  # else a no-op: idempotent
+            self._remove(key, target)
 
     def unregister_target(self, target):
-        self._entries = [e for e in self._entries if e.target is not target]
-        self._cache.clear()
+        for key in [k for k, ts in self._table.items() if target in ts]:
+            self._remove(key, target)
+
+    def _remove(self, key, target):
+        targets = self._table[key]
+        targets.remove(target)
+        if not targets:
+            del self._table[key]
+        self._count -= 1
 
     def lookup(self, proto, demux_ctx) -> list:
-        key = (proto, demux_ctx)
-        targets = self._cache.get(key)
-        if targets is None:
-            targets = tuple(
-                e.target for e in self._entries
-                if e.proto == proto
-                and (e.demux_ctx == demux_ctx
-                     or e.demux_ctx == DEMUX_ALL
-                     or demux_ctx == DEMUX_ALL))
-            if len(self._cache) >= self.CACHE_KEYS:
-                self._cache.clear()
-            self._cache[key] = targets
-        return list(targets)
+        get = self._table.get
+        if demux_ctx == DEMUX_ALL:
+            return list(get((proto, DEMUX_ALL), ()))
+        return [*get((proto, demux_ctx), ()), *get((proto, DEMUX_ALL), ())]
 
 
 def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:

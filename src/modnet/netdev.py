@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 
+from .netapi import OK, OptionKey
+
 
 class DevStatus(enum.Enum):
     OK = 0
@@ -112,7 +114,6 @@ class SimRadioDevice:
         return bytes(self._rx.pop(0))
 
     def dev_get(self, key):
-        from .netapi import OptionKey
         self._check_owner()
         if key == OptionKey.MTU:
             return MAX_FRAME
@@ -127,7 +128,6 @@ class SimRadioDevice:
         raise Unsupported(f"device option {key!r}")
 
     def dev_set(self, key, value):
-        from .netapi import OptionKey, OK
         self._check_owner()
         if key == OptionKey.CHANNEL:
             self.channel = int(value)

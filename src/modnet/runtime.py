@@ -248,7 +248,6 @@ class DetScheduler(_SchedulerBase):
         self._seq = itertools.count()
         self._ctx_stack: list[ModuleContext] = []
         self.steps = 0
-        self.handler_invocations = 0
 
     # -- time & events ---------------------------------------------------
     def call_at(self, t_us: int, fn):
@@ -344,7 +343,6 @@ class DetScheduler(_SchedulerBase):
             return
         ctx._busy = True
         self._ctx_stack.append(ctx)
-        self.handler_invocations += 1
         try:
             ctx.handler(ctx, msg)
         finally:
@@ -391,7 +389,6 @@ class ThreadScheduler(_SchedulerBase):
         self._running = 0  # events taken by a worker and not finished
         self._stop = False
         self.errors: list[BaseException] = []
-        self.handler_invocations = 0
         self._workers = [
             threading.Thread(target=self._work, name=f"modnet-worker{i}",
                              daemon=True)
@@ -443,7 +440,6 @@ class ThreadScheduler(_SchedulerBase):
                 ctx = ready.popleft()
                 msg = None if ctx.closed else ctx.mailbox.get_nowait()
                 if msg is not None:
-                    self.handler_invocations += 1
                     return ctx, msg
                 ctx._scheduled = False
                 continue

@@ -62,7 +62,7 @@ def test_registry_capacity():
     _, node = make_node()
     handler, _ = collector()
     ctx = node.spawn_module("m", handler)
-    for port in range(32):
+    for port in range(Registry.CAPACITY):
         node.registry.register(ProtocolType.UDP, port, ctx)
     with pytest.raises(RegistryFull):
         node.registry.register(ProtocolType.UDP, 99, ctx)
@@ -119,15 +119,39 @@ def test_lookup_returns_a_fresh_list():
     assert node.registry.lookup(ProtocolType.UDP, 7) == [c1]
 
 
-def test_lookup_cache_stays_bounded():
+def test_lookup_keeps_only_registered_keys():
     _, node = make_node()
     handler, _ = collector()
-    ctx = node.spawn_module("m", handler)
-    node.registry.register(ProtocolType.UDP, 7, ctx)
-    for port in range(3 * Registry.CACHE_KEYS):
-        expected = [ctx] if port == 7 else []
-        assert node.registry.lookup(ProtocolType.UDP, port) == expected
-    assert len(node.registry._cache) <= Registry.CACHE_KEYS
+    c1 = node.spawn_module("m1", handler)
+    c2 = node.spawn_module("m2", handler)
+    reg, udp = node.registry, ProtocolType.UDP
+    reg.register(udp, 7, c1)
+    reg.register(ProtocolType.IPV6, DEMUX_ALL, c2)
+    for port in range(768):
+        assert reg.lookup(udp, port) == ([c1] if port == 7 else [])
+        assert reg.lookup(ProtocolType.IPV6, port) == [c2]
+    assert set(reg._table) == {(udp, 7), (ProtocolType.IPV6, DEMUX_ALL)}
+    reg.unregister_target(c1)
+    assert set(reg._table) == {(ProtocolType.IPV6, DEMUX_ALL)}
+
+
+def test_lookup_lists_exact_then_wildcard_targets():
+    _, node = make_node()
+    handler, _ = collector()
+    w1, e1, w2, e2 = (node.spawn_module(name, handler)
+                      for name in ("w1", "e1", "w2", "e2"))
+    reg, udp = node.registry, ProtocolType.UDP
+    reg.register(udp, DEMUX_ALL, w1)
+    reg.register(udp, 80, e1)
+    reg.register(udp, DEMUX_ALL, w2)
+    reg.register(udp, 80, e2)
+    reg.register(udp, 80, e1)  # an exact triple registers once
+    assert reg.lookup(udp, 80) == [e1, e2, w1, w2]
+    assert reg.lookup(udp, 81) == [w1, w2]
+    assert reg.lookup(udp, DEMUX_ALL) == [w1, w2]
+    reg.lookup(udp, DEMUX_ALL).clear()  # a fresh list here too
+    assert reg.lookup(udp, 81) == [w1, w2]
+    assert len(reg) == 4
 
 
 def test_dispatch_no_receivers():
@@ -339,11 +363,10 @@ def test_shutdown_module_reclaims_and_unregisters():
 
 def test_idle_scheduler_does_no_work():
     sched, node = make_node()
-    handler, _ = collector()
+    handler, received = collector()
     node.spawn_module("m", handler)
-    before = sched.handler_invocations
     sched.run_until(t_us=10_000)
-    assert sched.handler_invocations == before
+    assert received == []
     assert sched.steps == 0
 
 

@@ -191,3 +191,27 @@ def test_crafted_frame_is_a_counted_drop(make, node, raw, counter):
     sim.run_until()
     assert sim.metrics.get(counter) == 1
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+# -- send-path drops ---------------------------------------------------------
+
+TX_DROPS = [  # (module on node a, chain size, meta, buffer capacity, counter)
+    ("ipv6", 1241, {"dst_ip": IP_B}, 2048, "ipv6_tx_too_large"),
+    ("6lo", 50, {"iface": 3}, 2048, "sixlowpan_no_link"),
+    ("6lo", 2048, {}, 4096, "sixlowpan_tx_too_large"),  # over 2,047 B
+    ("link0", 111, {}, 2048, "link_payload_too_large"),
+]
+
+
+@pytest.mark.parametrize("module,size,meta,capacity,counter", TX_DROPS,
+                         ids=[case[-1] for case in TX_DROPS])
+def test_crafted_send_is_a_counted_drop(module, size, meta, capacity,
+                                        counter):
+    sim = build(two_node(buffer_capacity=capacity))
+    node = sim.nodes["a"]
+    pkt = PacketChain(node.pktbuf.alloc_snip(size=size))
+    sim.sched.post(node.modules[module],
+                   NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta=meta))
+    sim.run_until()
+    assert sim.metrics.get(counter) == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())

@@ -140,7 +140,7 @@ def test_shared_structures_lock_under_the_pool():
     """Two contexts hammer the node's metrics, buffer and registry on both
     workers while this thread registers and unregisters one entry.  A tiny
     switch interval makes an unlocked read-modify-write lose updates, and
-    an unlocked lookup can cache a result that a change has made stale."""
+    an unlocked lookup can read a change half made."""
     sched, node = make_node()
     metrics, buf, registry = sched.metrics, node.pktbuf, node.registry
     rounds = 2000
@@ -189,6 +189,25 @@ def test_shared_structures_lock_under_the_pool():
     assert buf.used == 0
     assert buf.free_list() == [(0, buf.capacity)]
     assert registry.lookup(ProtocolType.UDP, 7) == []
+
+
+def test_shutdown_module_unregisters_under_the_pool():
+    """The registry's lock is not reentrant, so ``unregister_target``
+    calling another locked method would hang ``shutdown_module`` here."""
+    sched, node = make_node()
+    try:
+        ctx = node.spawn_module("udp", lambda ctx, msg: None)
+        node.registry.register(ProtocolType.UDP, 7, ctx)
+        node.registry.register(ProtocolType.IPV6, 17, ctx)
+        shutdown = threading.Thread(target=node.shutdown_module, args=(ctx,),
+                                    daemon=True)
+        shutdown.start()
+        shutdown.join(timeout=10)
+        assert not shutdown.is_alive()
+        assert len(node.registry) == 0
+        assert node.registry.lookup(ProtocolType.UDP, 7) == []
+    finally:
+        sched.stop()
 
 
 def locked(obj):
