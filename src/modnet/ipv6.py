@@ -210,9 +210,6 @@ class ForwardingTable:
             raise Unreachable(f"no route to {dst.hex()}")
         return best[1], best[2]
 
-    def __len__(self):
-        return len(self._routes)
-
 
 # -- module ------------------------------------------------------------------
 

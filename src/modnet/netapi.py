@@ -205,7 +205,7 @@ def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
             f"send_cmd from {getattr(target, 'name', target)} to itself "
             "would self-deadlock")
     sched.post(target, msg)
-    if not sched.wait_for(None, timeout_us, msg):
+    if not sched.wait_for(msg, timeout_us):
         raise CmdTimeout(
             f"no answer from {getattr(target, 'name', target)} within "
             f"{timeout_us} us")

@@ -164,9 +164,6 @@ class PacketChain:
             return bytes(head.data)
         return b"".join([s.data for s in head])
 
-    def __len__(self):
-        return self.total_size
-
 
 @dataclass
 class BufferStats:

@@ -24,6 +24,11 @@ when they are read.  ``DetScheduler.post`` records without a lock, since
 everything it runs is on one thread; ``ThreadScheduler.post`` records under
 the pool's condition, together with the mailbox put.
 
+Only a command's answer is waited for: ``wait_for(cmd, timeout_us)``, which
+``send_cmd`` calls, returns once ``cmd.status`` is set, or False at the
+timeout.  ``DetScheduler`` runs events nested inside the caller until then;
+``ThreadScheduler`` waits on the pool's condition.  Data never waits.
+
 Only ``ThreadScheduler`` is ``parallel``, and only then do the structures
 contexts share (``Metrics``, each node's ``Registry`` and ``PacketBuffer``)
 take a lock.  Under ``DetScheduler`` they take none: its handlers run on
@@ -236,8 +241,7 @@ class DetScheduler(_SchedulerBase):
     sequence number is lower: events at the same timestamp run in the order
     they were queued, and later timers wait until no ready work is left.
     One mailbox message is serviced per event, so module interleaving is
-    fair and reproducible.  Supports nested stepping for the synchronous
-    command helper.
+    fair and reproducible.
     """
 
     def __init__(self, trace_enabled=True):
@@ -289,27 +293,22 @@ class DetScheduler(_SchedulerBase):
             self.now_us = max(self.now_us, t_us)
         return processed
 
-    def wait_for(self, pred, timeout_us: int, cmd=None) -> bool:
+    def wait_for(self, cmd, timeout_us: int) -> bool:
+        """Run events until ``cmd`` is answered; False when no event due by
+        ``timeout_us`` from now is left to run."""
         deadline = self.now_us + timeout_us
         ready, heap = self._ready, self._heap
-        # kept beside the predicate loop: folding it in cost check 11 ~10%
-        if cmd is not None:  # fast path for a command's answer
-            service = self._service
-            while cmd.status is None:
-                # step()'s ready branch, inlined for the round trip
-                if ready and not (heap and heap[0][0] <= self.now_us
-                                  and heap[0][1] < ready[0][0]):
-                    self.steps += 1
-                    service(ready.popleft()[1])
-                elif not heap or heap[0][0] > deadline:
-                    return False
-                else:
-                    self.step()
-            return True
-        while not pred():
-            if not ready and (not heap or heap[0][0] > deadline):
-                return pred()
-            self.step()
+        service = self._service
+        while cmd.status is None:
+            # step()'s ready branch, inlined for the round trip
+            if ready and not (heap and heap[0][0] <= self.now_us
+                              and heap[0][1] < ready[0][0]):
+                self.steps += 1
+                service(ready.popleft()[1])
+            elif not heap or heap[0][0] > deadline:
+                return False
+            else:
+                self.step()
         return True
 
     def current_ctx(self):
@@ -474,10 +473,12 @@ class ThreadScheduler(_SchedulerBase):
                             ctx._scheduled = False
                     cond.notify_all()
 
-    def wait_for(self, pred, timeout_us: int, cmd=None) -> bool:
-        done = pred if cmd is None else (lambda: cmd.status is not None)
+    def wait_for(self, cmd, timeout_us: int) -> bool:
+        """Wait on the pool's condition until ``cmd`` is answered; False
+        after ``timeout_us`` on the wall clock."""
         with self._cond:
-            return self._cond.wait_for(done, timeout_us / 1e6)
+            return self._cond.wait_for(lambda: cmd.status is not None,
+                                       timeout_us / 1e6)
 
     def run_until(self, t_us: int | None = None) -> int:
         """Wait until ``t_us`` on the wall clock, or, with no bound, until

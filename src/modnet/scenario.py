@@ -342,7 +342,7 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
         key = (op.node, op.args["port"])
         if op.args.get("app") == "echo":
             def bounce(s):
-                src_ip, src_port, payload = s.recvfrom(timeout_us=0)
+                src_ip, src_port, payload = s.recvfrom()
                 send(s, src_ip, src_port, payload)
             sock.on_ready = bounce
         elif op.args.get("app") == "sink":

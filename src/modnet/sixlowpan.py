@@ -36,19 +36,15 @@ MAX_DATAGRAM = 2047  # 11-bit size field
 MIN_BUDGET = 16  # must fit FRAGN header + one 8-byte unit
 
 
-class SixlowpanError(Exception):
+class DatagramTooLarge(Exception):
     pass
 
 
-class DatagramTooLarge(SixlowpanError):
+class BudgetTooSmall(Exception):
     pass
 
 
-class BudgetTooSmall(SixlowpanError):
-    pass
-
-
-class MalformedFragment(SixlowpanError):
+class MalformedFragment(Exception):
     pass
 
 
@@ -249,7 +245,11 @@ class SixlowpanModule(Module):
         pid = meta.get("packet_id")
         # no receiver writes meta, so every fragment shares this dict
         down_meta = {"dst_link": meta.get("next_hop_link"), "packet_id": pid}
-        if pkt.total_size <= MAX_PAYLOAD - 1:
+        size = pkt.total_size
+        if size > MAX_DATAGRAM:
+            drop(ctx, pkt, "sixlowpan_tx_too_large")
+            return
+        if size <= MAX_PAYLOAD - 1:
             try:
                 out = node.pktbuf.prepend_header(
                     pkt, 1, _SIXLOWPAN, prio)
@@ -264,11 +264,7 @@ class SixlowpanModule(Module):
         # chain is freed first so peak usage is one datagram, not two
         datagram = pkt.to_bytes()
         node.pktbuf.release(pkt.head)
-        try:
-            frags = fragment(datagram, MAX_PAYLOAD, self._next_tag())
-        except SixlowpanError:
-            node.metrics.count("sixlowpan_tx_too_large")
-            return
+        frags = fragment(datagram, MAX_PAYLOAD, self._next_tag())
         snips = []
         try:
             for frag in frags:

@@ -5,6 +5,10 @@ The socket layer is where the copy-twice discipline starts and ends:
 ``sendto`` copies the payload into the central buffer exactly once, and
 ``recvfrom`` copies it out exactly once.  Everything between is header
 prepends and (for large datagrams) in-buffer slicing.
+
+A socket read never waits: ``recvfrom`` takes a queued datagram or raises
+``UdpError``, and runs no event.  Apps read in the socket's ``on_ready``
+callback, which runs as each datagram is queued, or poll ``recv_nowait``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ class UdpError(Exception):
 
 
 class PortInUse(UdpError):
-    pass
-
-
-class SockTimeout(UdpError):
     pass
 
 
@@ -176,16 +176,15 @@ class Socket:
                   "dst_ip": dst_ip, "packet_id": pid}))
         return pid
 
-    def recvfrom(self, timeout_us: int = 1_000_000):
-        """Pop one datagram, copying the payload out of the buffer (the
-        one buffer-to-app copy).  Raises SockTimeout when nothing arrives."""
+    def recvfrom(self):
+        """Pop one queued datagram, copying the payload out of the buffer
+        (the one buffer-to-app copy).  Never waits: raises UdpError when
+        the queue is empty."""
         if self.closed:
             raise UdpError(f"port {self.port} is closed")
-        node = self.layer.ctx.node
         if not self.queue:
-            node.sched.wait_for(lambda: len(self.queue) > 0, timeout_us)
-            if not self.queue:
-                raise SockTimeout(f"port {self.port}")
+            raise UdpError(f"port {self.port} has nothing queued")
+        node = self.layer.ctx.node
         src_ip, src_port, pkt, pid, hop_limit = self.queue.popleft()
         self.last_hop_limit = hop_limit
         payload = pkt.to_bytes()
@@ -197,7 +196,7 @@ class Socket:
     def recv_nowait(self):
         if not self.queue:
             return None
-        return self.recvfrom(timeout_us=0)
+        return self.recvfrom()
 
     def close(self):
         self.layer.close(self)

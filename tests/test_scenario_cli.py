@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modnet.cli import main
+from modnet.ipv6 import SortedNeighborCache
+from modnet.pktbuf import DynamicBuffer
 from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
                            Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
@@ -36,6 +38,19 @@ def test_echo_scenario_round_trip():
     _, stats = run_scenario(load_scenario(load_doc("echo.json")))
     assert stats["sockets"]["a:40000"]["received"] == 1
     assert stats["counters"]["udp_sent"] == 2  # request + echo
+
+
+def test_scenario_builds_the_dynamic_buffer_and_sorted_cache():
+    doc = load_doc("echo.json")
+    for nj in doc["nodes"]:
+        nj.update(backend="DYNAMIC", neighbor_cache="SORTED")
+    sim, stats = run_scenario(load_scenario(doc))
+    for node in sim.nodes.values():
+        assert isinstance(node.pktbuf, DynamicBuffer)
+        assert isinstance(node.modules["ipv6"].handler.ncache,
+                          SortedNeighborCache)
+        assert node.pktbuf.used == 0
+    assert stats["sockets"]["a:40000"]["received"] == 1
 
 
 def test_lossy_scenario_bookkeeping():

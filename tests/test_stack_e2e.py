@@ -1,5 +1,7 @@
 """Whole-stack integration: echo, fragmentation, forwarding, offload."""
 
+import struct
+
 import pytest
 
 from modnet.ipv6 import Ipv6Header, encode_header
@@ -8,10 +10,12 @@ from modnet.metrics import CopySite
 from modnet.netapi import MsgKind, NetMessage
 from modnet.pktbuf import PacketChain, ProtocolType
 from modnet.simnet import build
-from modnet.sixlowpan import DISPATCH_UNCOMPRESSED
+from modnet.sixlowpan import (DISPATCH_UNCOMPRESSED, FRAG1_DISPATCH,
+                              FRAGN_DISPATCH)
 from modnet.udp import UdpError, udp_checksum, udp_encode_header
 from topo import (IP_A, IP_A2, IP_B, IP_B2, LONG_A, LONG_B, LONG_R0,
-                  echo_on, ip6, offload_pair, three_node_router, two_node)
+                  echo_on, ip6, offload_pair, poll, three_node_router,
+                  two_node)
 
 
 def pattern(n):
@@ -66,7 +70,7 @@ def test_router_forwards_and_decrements_hop_limit():
     client = sim.socket_layer("a").open(40000)
     client.sendto(IP_B2, 7, pattern(30))
     sim.run_until()
-    src_ip, src_port, payload = sink.recvfrom(timeout_us=0)
+    src_ip, src_port, payload = sink.recvfrom()
     assert (src_ip, src_port, payload) == (IP_A2, 40000, pattern(30))
     assert sink.last_hop_limit == 63  # one forwarding hop
     assert sim.metrics.get("ipv6_forwarded") == 1
@@ -101,7 +105,7 @@ def test_threaded_mode_echo():
         client, _ = open_echo_pair(sim)
         payload = pattern(50)
         client.sendto(IP_B, 7, payload)
-        assert sim.sched.wait_for(lambda: len(client.queue) > 0, 2_000_000)
+        assert poll(lambda: client.queue, 2)
         assert client.recv_nowait() == (IP_B, 7, payload)
         assert not sim.sched.errors
     finally:
@@ -128,7 +132,7 @@ def test_refused_sendto_leaves_no_trace():
     with pytest.raises(UdpError, match="closed"):
         sock.sendto(IP_B, 7, pattern(20))
     with pytest.raises(UdpError, match="closed"):
-        sock.recvfrom(timeout_us=0)
+        sock.recvfrom()
     assert sim.metrics.packet_ids() == []
     assert sim.metrics.get("udp_sent") == 0
     assert node.pktbuf.used == 0
@@ -183,6 +187,27 @@ RX_DROPS = [
 ]
 
 
+def frag1(size, data):
+    return struct.pack("!HH", (FRAG1_DISPATCH << 11) | size, 1) + data
+
+
+def fragn(size, offset, data):
+    return struct.pack("!HHB", (FRAGN_DISPATCH << 11) | size, 1,
+                       offset // 8) + data
+
+
+# reassembly input checks: one counter, so each case names its frame
+RX_DROPS += [
+    pytest.param(two_node, "b", link_encode(LONG_B, LONG_A, 0, payload),
+                 "sixlowpan_rx_malformed", id=f"sixlowpan_rx_malformed-{name}")
+    for name, payload in [
+        ("fragn_past_datagram_end", fragn(64, 56, bytes(16))),
+        ("frag1_not_8_aligned", frag1(64, bytes(13))),
+        ("fragn_without_data", fragn(64, 8, b"")),
+        ("dispatch_without_datagram", bytes([DISPATCH_UNCOMPRESSED])),
+    ]]
+
+
 @pytest.mark.parametrize("make,node,raw,counter", RX_DROPS,
                          ids=[case[-1] for case in RX_DROPS])
 def test_crafted_frame_is_a_counted_drop(make, node, raw, counter):
@@ -214,4 +239,59 @@ def test_crafted_send_is_a_counted_drop(module, size, meta, capacity,
                    NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta=meta))
     sim.run_until()
     assert sim.metrics.get(counter) == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+# -- socket reads and release paths ------------------------------------------
+
+def test_recvfrom_on_an_empty_socket_runs_nothing():
+    sim = build(two_node())
+    client, _ = open_echo_pair(sim)
+    client.sendto(IP_B, 7, pattern(50))  # contexts are ready to run
+    steps = sim.sched.steps
+    with pytest.raises(UdpError, match="nothing queued"):
+        client.recvfrom()
+    assert sim.sched.steps == steps
+    sim.run_until()
+    assert client.recvfrom() == (IP_B, 7, pattern(50))
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_fragmentation_out_of_memory_releases_the_fragments():
+    sim = build(two_node(buffer_capacity=1024))
+    client, _ = open_echo_pair(sim)
+    client.sendto(IP_B, 7, pattern(600))  # fits; its fragments do not
+    sim.run_until()
+    assert sim.metrics.get("sixlowpan_tx_drops_nobuf") == 1
+    assert sim.metrics.get("frames_sent") == 0
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_close_releases_queued_datagrams():
+    sim = build(two_node())
+    sink = sim.socket_layer("b").open(7)
+    client = sim.socket_layer("a").open(40000)
+    for i in range(3):
+        client.sendto(IP_B, 7, pattern(20 + i))
+    sim.run_until()
+    assert len(sink.queue) == 3
+    assert sim.nodes["b"].pktbuf.used > 0
+    sink.close()
+    assert not sink.queue
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
+    sim = build(two_node())
+    node = sim.nodes["a"]
+    link = node.modules["link0"]
+    pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
+    sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
+    # the radio starts another frame before the link handler runs
+    node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
+    sim.sched.step()  # the link handler finds the radio busy
+    assert len(link.handler._pending) == 1
+    sim.run_until()
+    assert not link.handler._pending
+    assert sim.metrics.get("frames_sent") == 2
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())

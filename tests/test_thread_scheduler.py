@@ -1,7 +1,8 @@
 """The par scheduler: a fixed worker pool draining one ready queue.
 
 No test here sleeps to time anything: each waits on the scheduler itself,
-through ``send_cmd``, ``wait_for`` or ``run_until()``.
+through ``send_cmd`` or ``run_until()``, or polls a condition with
+``topo.poll``.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from modnet.pktbuf import AllocPriority, Backend, ProtocolType, buffer_create
 from modnet.runtime import Node, ThreadScheduler
 from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import InvalidTopology, LinkDesc, build
-from topo import two_node
+from topo import poll, two_node
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -97,7 +98,7 @@ def test_raising_handler_is_recorded_and_the_pool_keeps_serving():
             sched.post(ctx, "boom")
         sched.post(ctx, "after")
         # one handler at a time, in order: every error is in by "after"
-        assert sched.wait_for(lambda: handled, 5_000_000)
+        assert poll(lambda: handled, 5)
         assert handled == ["after"]
         assert len(sched.errors) == ThreadScheduler.WORKERS + 1
         assert all(isinstance(e, ValueError) for e in sched.errors)

@@ -1,5 +1,6 @@
 """Shared topology builders for integration and acceptance tests."""
 
+import time
 from ipaddress import IPv6Address
 
 from modnet.pktbuf import Backend
@@ -71,7 +72,17 @@ def offload_pair(seed=1):
 def echo_on(sock):
     """Install an echo responder: every datagram is sent straight back."""
     def bounce(s):
-        src_ip, src_port, payload = s.recvfrom(timeout_us=0)
+        src_ip, src_port, payload = s.recvfrom()
         s.sendto(src_ip, src_port, payload)
     sock.on_ready = bounce
     return sock
+
+
+def poll(pred, timeout_s):
+    """Poll ``pred`` on the wall clock until it holds or ``timeout_s``
+    passes, and return its last value.  Under ``par`` only a command's
+    answer can be waited for, so tests poll anything else."""
+    deadline = time.monotonic() + timeout_s
+    while not (done := pred()) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return done
