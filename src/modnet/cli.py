@@ -35,7 +35,9 @@ def _cmd_run(args) -> int:
                   f"{args.until!r}", file=sys.stderr)
             return EXIT_SCENARIO
     try:
-        sim, stats = run_scenario(scenario, mode=args.mode, until=until)
+        # the trace and the copy ledger are kept only when written out
+        sim, stats = run_scenario(scenario, mode=args.mode, until=until,
+                                  record=bool(args.trace or args.stats))
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

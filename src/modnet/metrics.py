@@ -51,13 +51,18 @@ class Metrics:
     """Per-simulation counters, handed to every node so the ledger spans
     the whole topology.  Locked only for the par pool (``locked``): the det
     scheduler runs every handler on one thread, where a lock would cost
-    more than the counter update it guards."""
+    more than the counter update it guards.
+
+    Counters and packet ids are always kept.  The per-packet copy ledger is
+    kept only with ``record=True``; otherwise ``record_copy`` and
+    ``merge_packet`` return at once and the ledger reads as empty."""
 
     _LOCKED = ("new_packet_id", "record_copy", "merge_packet", "copy_report",
                "copy_bytes", "packet_ids", "count", "get", "as_dict")
 
-    def __init__(self, locked: bool = True):
-        self._copies: dict[int, list[tuple[CopySite, int]]] = defaultdict(list)
+    def __init__(self, locked: bool = True, record: bool = False):
+        self._copies: dict[int, list[tuple[CopySite, int]]] | None = (
+            defaultdict(list) if record else None)
         self._next_packet_id = 1
         self.counters: Counter[str] = Counter()
         if locked:
@@ -71,28 +76,29 @@ class Metrics:
 
     # -- copy ledger -----------------------------------------------------
     def record_copy(self, site: CopySite, packet_id: int, nbytes: int):
-        self._copies[packet_id].append((site, nbytes))
+        if self._copies is not None:
+            self._copies[packet_id].append((site, nbytes))
 
     def merge_packet(self, into_id: int, from_id: int):
         """Fold one packet's records into another (reassembly adopts the
         first fragment's id)."""
-        if into_id != from_id:
+        if self._copies is not None and into_id != from_id:
             self._copies[into_id].extend(self._copies.pop(from_id, ()))
 
     def copy_report(self, packet_id: int) -> dict[CopySite, int]:
         report: Counter[CopySite] = Counter()
-        for site, _ in self._copies.get(packet_id, ()):
+        for site, _ in (self._copies or {}).get(packet_id, ()):
             report[site] += 1
         return dict(report)
 
     def copy_bytes(self, packet_id: int) -> dict[CopySite, int]:
         out: Counter[CopySite] = Counter()
-        for site, n in self._copies.get(packet_id, ()):
+        for site, n in (self._copies or {}).get(packet_id, ()):
             out[site] += n
         return dict(out)
 
     def packet_ids(self):
-        return list(self._copies)
+        return list(self._copies or ())
 
     # -- generic counters ------------------------------------------------
     def count(self, name: str, n: int = 1):
@@ -107,7 +113,7 @@ class Metrics:
             "packets": {
                 str(pid): {site.value: n
                            for site, n in Counter(s for s, _ in recs).items()}
-                for pid, recs in self._copies.items()
+                for pid, recs in (self._copies or {}).items()
             },
         }
 
@@ -159,7 +165,7 @@ def ipc_overhead_bench(iterations: int = 10_000) -> dict:
     def noop():
         return None
 
-    sched = DetScheduler(trace_enabled=False)
+    sched = DetScheduler()
     node = Node("bench", sched, buffer=None)
 
     def ponger(ctx, msg):

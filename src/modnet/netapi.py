@@ -258,6 +258,10 @@ class Module:
     def on_spawn(self, ctx):
         self.ctx = ctx
 
+    def on_shutdown(self, ctx):
+        """Give back what the layer holds; ``Node.shutdown_module`` calls
+        it after unregistering ``ctx``."""
+
     def __call__(self, ctx, msg):
         kind = msg.kind
         if kind is _MSG_SND:

@@ -18,11 +18,14 @@ Two schedulers implement the same surface:
   with the topology.  Traces are unordered.
 
 Under both, at most one handler of a context runs at a time, and a handler
-runs one message.  Both record one trace entry per accepted message with
-``TraceLog.record``, which keeps plain fields and renders text lines only
-when they are read.  ``DetScheduler.post`` records without a lock, since
-everything it runs is on one thread; ``ThreadScheduler.post`` records under
-the pool's condition, together with the mailbox put.
+runs one message.  A scheduler built with ``record=True`` keeps a
+``TraceLog`` with one entry per accepted message, and its ``Metrics`` keeps
+the per-packet copy ledger; otherwise ``trace`` is None and neither record
+is kept, so a run pays for them only when a caller asks.  ``TraceLog``
+keeps plain fields and renders text lines only when they are read.
+``DetScheduler.post`` records without a lock, since everything it runs is
+on one thread; ``ThreadScheduler.post`` records under the pool's condition,
+together with the mailbox put.
 
 Only a command's answer is waited for: ``wait_for(cmd, timeout_us)``, which
 ``send_cmd`` calls, returns once ``cmd.status`` is set, or False at the
@@ -157,6 +160,8 @@ class Node:
             return  # idempotent
         ctx.closed = True
         self.registry.unregister_target(ctx)
+        if hasattr(ctx.handler, "on_shutdown"):
+            ctx.handler.on_shutdown(ctx)
         for msg in ctx.mailbox.drain():
             _release_pkt(msg)
         self.modules.pop(ctx.name, None)
@@ -174,6 +179,7 @@ _TRACE_WIDTH = 7  # fields per record
 class TraceLog:
     """One record per accepted message: ``(t, node, src, dst, kind, proto,
     size)``, where kind and proto are the names the enum members carry.
+    A scheduler keeps one only when it is built with ``record=True``.
 
     Reads render the records to text lines; indexing, slicing and iteration
     give the same strings the lines always had.  ``size`` is taken when the
@@ -223,10 +229,9 @@ class TraceLog:
 class _SchedulerBase:
     parallel = False  # True when handlers of two contexts can run at once
 
-    def __init__(self, trace_enabled=True):
-        self.metrics = Metrics(locked=self.parallel)
-        self.trace = TraceLog()
-        self.trace_enabled = trace_enabled
+    def __init__(self, record: bool = False):
+        self.metrics = Metrics(locked=self.parallel, record=record)
+        self.trace = TraceLog() if record else None
 
     def call_later(self, dt_us: int, fn):
         self.call_at(self.now_us + dt_us, fn)
@@ -244,8 +249,8 @@ class DetScheduler(_SchedulerBase):
     fair and reproducible.
     """
 
-    def __init__(self, trace_enabled=True):
-        super().__init__(trace_enabled)
+    def __init__(self, record: bool = False):
+        super().__init__(record)
         self.now_us = 0
         self._heap: list = []  # (t_us, seq, fn) timers
         self._ready: deque = deque()  # (seq, ctx) contexts due now
@@ -323,7 +328,7 @@ class DetScheduler(_SchedulerBase):
             self.metrics.count("mailbox_drops")
             _release_pkt(msg)
             return False
-        if self.trace_enabled:  # one thread: no lock
+        if self.trace is not None:  # one thread: no lock
             stack = self._ctx_stack
             self.trace.record(self.now_us, stack[-1] if stack else None,
                               ctx, msg)
@@ -361,12 +366,13 @@ class ThreadScheduler(_SchedulerBase):
 
     The workers share one condition, one FIFO of ready contexts and one
     timer heap.  ``post`` puts the message in the mailbox, records the trace
-    entry and queues the context in one hold of the condition.  A worker
-    takes a due timer or the ready head and runs one event.  A context stays
-    marked ``_scheduled`` while its handler runs, so no other worker can take
-    it; when the handler returns, the context goes back in the queue if it
-    has mail and is unmarked otherwise.  Idle workers wait on the condition
-    until the next timer is due; every finished event notifies all waiters.
+    entry when recording, and queues the context in one hold of the
+    condition.  A worker takes a due timer or the ready head and runs one
+    event.  A context stays marked ``_scheduled`` while its handler runs, so
+    no other worker can take it; when the handler returns, the context goes
+    back in the queue if it has mail and is unmarked otherwise.  Idle workers
+    wait on the condition until the next timer is due; every finished event
+    notifies all waiters.
 
     The pool is idle when no context is queued, no timer is pending and no
     event is running; ``run_until()`` without a bound waits for that.  A
@@ -377,8 +383,8 @@ class ThreadScheduler(_SchedulerBase):
     WORKERS = 2
     parallel = True
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, record: bool = False):
+        super().__init__(record)
         self._t0 = time.perf_counter()
         self._local = threading.local()
         self._cond = threading.Condition()
@@ -414,7 +420,7 @@ class ThreadScheduler(_SchedulerBase):
         with self._cond:
             accepted = ctx.mailbox.put(msg)
             if accepted:
-                if self.trace_enabled:
+                if self.trace is not None:
                     self.trace.record(self.now_us, self.current_ctx(), ctx,
                                       msg)
                 if not ctx._scheduled:

@@ -389,15 +389,18 @@ def collect_stats(sim: Simulator, book: dict) -> dict:
     out["sockets"] = sockets
     out["sends"] = book["sends"]
     out["now_us"] = sim.sched.now_us
-    out["trace_lines"] = len(sim.sched.trace)
+    trace = sim.sched.trace
+    out["trace_lines"] = 0 if trace is None else len(trace)
     return out
 
 
 def run_scenario(scenario: Scenario, mode: str = "det",
-                 until: int | None = None) -> tuple[Simulator, dict]:
+                 until: int | None = None,
+                 record: bool = False) -> tuple[Simulator, dict]:
     """Build, run to quiescence (or to the time bound ``until``), and
-    collect stats."""
-    sim = build(scenario.topology, mode=mode)
+    collect stats.  Without ``record``, ``packets`` is empty and
+    ``trace_lines`` is 0."""
+    sim = build(scenario.topology, mode=mode, record=record)
     book = apply_workload(sim, scenario)
     try:
         sim.run_until(until)

@@ -177,13 +177,15 @@ class Medium:
 class Simulator:
     """Built topology: scheduler, nodes with assembled stacks, medium."""
 
-    def __init__(self, topology: Topology, mode: str = "det"):
+    def __init__(self, topology: Topology, mode: str = "det",
+                 record: bool = False):
         if mode not in ("det", "par"):
             raise ValueError(f"mode must be 'det' or 'par', got {mode!r}")
         check_topology(topology)  # before a par pool has any worker
         self.topology = topology
         self.mode = mode
-        self.sched = DetScheduler() if mode == "det" else ThreadScheduler()
+        self.sched = (DetScheduler if mode == "det" else ThreadScheduler)(
+            record=record)
         self.metrics = self.sched.metrics
         self.rng = random.Random(topology.seed)
         self.medium = Medium(self.sched, self.rng, self.metrics)
@@ -254,5 +256,8 @@ class Simulator:
         self.sched.stop()
 
 
-def build(topology: Topology, mode: str = "det") -> Simulator:
-    return Simulator(topology, mode)
+def build(topology: Topology, mode: str = "det",
+          record: bool = False) -> Simulator:
+    """Build ``topology``; ``record`` keeps the message trace and the
+    per-packet copy ledger (see ``runtime``)."""
+    return Simulator(topology, mode, record)

@@ -243,6 +243,10 @@ class SocketLayer(Module):
             _, _, pkt, _, _ = sock.queue.popleft()
             node.pktbuf.release(pkt.head)
 
+    def on_shutdown(self, ctx):
+        for sock in list(self.ports.values()):
+            self.close(sock)
+
     def on_rcv(self, ctx, msg):
         sock = self.ports.get(msg.meta.get("dst_port"))
         if sock is None or sock.closed:

@@ -53,7 +53,7 @@ def sink_on(sock, store):
 
 def test_01_copy_twice_boundary_counts():
     t0 = time.monotonic()
-    sim = build(two_node())
+    sim = build(two_node(), record=True)
     client = sim.socket_layer("a").open(40000)
     echo_on(sim.socket_layer("b").open(7))
     n = 20
@@ -338,17 +338,20 @@ def _exercise_sockets(sim):
 
 def _check_10(mode):
     baseline = _exercise_sockets(build(two_node()))
-    sim = build(offload_pair(), mode=mode)
+    sim = build(offload_pair(), mode=mode, record=True)
     try:
         offload = _exercise_sockets(sim)
     finally:
         sim.stop()
     offloaded = [line for line in sim.sched.trace
                  if "6lo" in line or "ipv6" in line]
-    ok = offload == baseline and not offloaded
+    # the trace saw the traffic, through the offload contexts
+    traced = sum("->offload" in line for line in sim.sched.trace)
+    ok = offload == baseline and not offloaded and traced > 0
     verdict(10, f"socket suite unchanged over the offload module ({mode}), "
             "no adaptation/network trace on the offload nodes", ok,
-            f"match={offload == baseline} stray={offloaded[:2]}")
+            f"match={offload == baseline} stray={offloaded[:2]} "
+            f"traced={traced}")
 
 
 def test_10_offload_rewiring_preserves_socket_behavior():

@@ -88,3 +88,23 @@ def test_each_message_carries_only_what_its_receiver_reads(monkeypatch):
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         run_scenario(load_scenario_file(str(path)))
     assert seen == MESSAGE_KEYS
+
+
+def test_shutting_down_sock_releases_queued_datagrams():
+    """``Node.shutdown_module`` lets the layer give back what it holds: the
+    sock context closes its sockets, so their queued datagrams go back to
+    the buffer."""
+    sim = build_scenario("echo.json")
+    b = sim.nodes["b"]
+    ip_b = sim.topology.nodes[1].address
+    server = sim.socket_layer("b").open(7)  # no app: datagrams stay queued
+    client = sim.socket_layer("a").open(40000)
+    for _ in range(3):
+        client.sendto(ip_b, 7, bytes(30))
+    sim.run_until()
+    assert len(server.queue) == 3 and b.pktbuf.used > 0
+    layer = sim.socket_layer("b")
+    b.shutdown_module(b.aux["sock"])
+    assert server.closed and layer.ports == {}
+    assert b.pktbuf.used == 0
+    assert b.registry.lookup(ProtocolType.UDP, 7) == []

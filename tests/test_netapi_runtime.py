@@ -12,8 +12,8 @@ from modnet.metrics import memory_report
 from modnet.runtime import DetScheduler, DuplicateName, Node
 
 
-def make_node(name="n0", capacity=2048):
-    sched = DetScheduler()
+def make_node(name="n0", capacity=2048, record=False):
+    sched = DetScheduler(record=record)
     node = Node(name, sched, buffer_create(capacity))
     return sched, node
 
@@ -404,7 +404,7 @@ def test_command_reply_wait_keeps_the_queue_order():
 
 
 def test_trace_records_render_the_lines_at_post_time():
-    sched, node = make_node()
+    sched, node = make_node(record=True)
     handler, _ = collector()
     ctx = node.spawn_module("m", handler)
 
@@ -439,7 +439,7 @@ def test_trace_records_render_the_lines_at_post_time():
 
 
 def test_trace_names_the_type_of_other_messages():
-    sched, node = make_node()
+    sched, node = make_node(record=True)
     ctx = node.spawn_module("m", lambda c, m: None)
 
     class Wakeup:
@@ -451,7 +451,7 @@ def test_trace_names_the_type_of_other_messages():
 
 
 def test_trace_line_format():
-    sched, node = make_node()
+    sched, node = make_node(record=True)
     handler, _ = collector()
     ctx = node.spawn_module("m", handler)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10,

@@ -133,7 +133,9 @@ def test_not_json(tmp_path):
 
 def test_cli_run_ok(capsys):
     assert main(["run", str(SCENARIO_DIR / "echo.json")]) == 0
-    assert "delivered" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "2 delivered" in out
+    assert ", 0 trace lines," in out  # a bare run records nothing
 
 
 def test_cli_run_determinism(tmp_path):
@@ -271,6 +273,23 @@ def test_cli_run_stats_file(tmp_path):
                  "--stats", str(path)]) == 0
     stats = json.loads(path.read_text())
     assert stats["sockets"]["a:40000"]["received"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        SCENARIO_DIR.glob("*.json")))
+def test_cli_stats_alone_records_what_stats_with_trace_does(name, tmp_path,
+                                                            capsys):
+    docs = []
+    for extra in ([], ["--trace", str(tmp_path / "trace.txt")]):
+        path = tmp_path / "stats.json"
+        assert main(["run", str(SCENARIO_DIR / name), "--stats", str(path),
+                     *extra]) == 0
+        docs.append(json.loads(path.read_text()))
+    capsys.readouterr()
+    assert docs[0]["packets"] and docs[0]["trace_lines"] > 0
+    assert docs[0] == docs[1]
+    lines = (tmp_path / "trace.txt").read_text().splitlines()
+    assert len(lines) == docs[1]["trace_lines"]
 
 
 def test_cli_run_time_bound():

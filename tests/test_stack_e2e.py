@@ -41,7 +41,7 @@ def test_two_node_echo():
 
 
 def test_echo_send_path_copies():
-    sim = build(two_node())
+    sim = build(two_node(), record=True)
     client, _ = open_echo_pair(sim)
     pid = client.sendto(IP_B, 7, pattern(50))
     sim.run_until()
@@ -115,17 +115,17 @@ def test_threaded_mode_echo():
 def test_identical_seeds_identical_traces():
     traces = []
     for _ in range(2):
-        sim = build(two_node(loss=0.2, seed=33))
+        sim = build(two_node(loss=0.2, seed=33), record=True)
         client, _ = open_echo_pair(sim)
         for i in range(10):
             client.sendto(IP_B, 7, pattern(40 + i))
         sim.run_until()
         traces.append(list(sim.sched.trace))
-    assert traces[0] == traces[1]
+    assert traces[0] and traces[0] == traces[1]
 
 
 def test_refused_sendto_leaves_no_trace():
-    sim = build(two_node())
+    sim = build(two_node(), record=True)
     node = sim.nodes["a"]
     sock = sim.socket_layer("a").open(40000)
     sock.close()
@@ -136,6 +136,27 @@ def test_refused_sendto_leaves_no_trace():
     assert sim.metrics.packet_ids() == []
     assert sim.metrics.get("udp_sent") == 0
     assert node.pktbuf.used == 0
+    # the ledger is live: a send that goes out is recorded
+    pid = sim.socket_layer("a").open(40001).sendto(IP_B, 7, pattern(20))
+    assert sim.metrics.packet_ids() == [pid]
+
+
+def test_nothing_is_recorded_by_default():
+    off, on = build(two_node()), build(two_node(), record=True)
+    for sim in (off, on):
+        client, _ = open_echo_pair(sim)
+        payload = pattern(50)
+        client.sendto(IP_B, 7, payload)
+        sim.run_until()
+        assert client.recv_nowait() == (IP_B, 7, payload)
+    assert off.sched.trace is None
+    assert off.metrics.packet_ids() == []
+    assert off.metrics.as_dict()["packets"] == {}
+    assert len(on.sched.trace) > 0 and on.metrics.packet_ids()
+    for sim in (off, on):
+        assert sim.metrics.get("udp_delivered") == 2  # request + echo
+        assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
+    assert off.metrics.counters == on.metrics.counters
 
 
 def test_send_without_next_hop_goes_out_as_broadcast():

@@ -24,8 +24,8 @@ from topo import poll, two_node
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
 
-def make_node():
-    sched = ThreadScheduler()
+def make_node(record=False):
+    sched = ThreadScheduler(record=record)
     return sched, Node("n0", sched, buffer_create(2048))
 
 
@@ -142,7 +142,7 @@ def test_shared_structures_lock_under_the_pool():
     workers while this thread registers and unregisters one entry.  A tiny
     switch interval makes an unlocked read-modify-write lose updates, and
     an unlocked lookup can read a change half made."""
-    sched, node = make_node()
+    sched, node = make_node(record=True)
     metrics, buf, registry = sched.metrics, node.pktbuf, node.registry
     rounds = 2000
     ids, finished = [], []
