@@ -13,9 +13,10 @@ Two schedulers implement the same surface:
   queue holds them.  Identical inputs produce identical traces; this mode
   drives all reproducible tests.
 * ``ThreadScheduler`` -- a fixed pool of ``WORKERS`` threads over the
-  wall clock, used for race detection.  The workers drain one queue of
-  ready contexts and one timer heap, so the thread count does not grow
-  with the topology.  Traces are unordered.
+  same simulated clock, used for race detection: handlers of two contexts
+  run at once, so traces are unordered, but a timer runs only once no
+  context is ready and no event is running, so time moves as under
+  ``det``.  The thread count does not grow with the topology.
 
 Under both, at most one handler of a context runs at a time, and a handler
 runs one message.  A scheduler built with ``record=True`` keeps a
@@ -48,7 +49,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-import time
 from collections import deque
 
 from . import netapi
@@ -90,14 +90,9 @@ class Mailbox:
         return True
 
     def get_nowait(self):
-        try:
+        if self._ctrl:
             return self._ctrl.popleft()
-        except IndexError:
-            pass
-        try:
-            return self._data.popleft()
-        except IndexError:
-            return None
+        return self._data.popleft() if self._data else None
 
     def drain(self) -> list:
         items = [*self._ctrl, *self._data]
@@ -232,6 +227,7 @@ class _SchedulerBase:
     def __init__(self, record: bool = False):
         self.metrics = Metrics(locked=self.parallel, record=record)
         self.trace = TraceLog() if record else None
+        self.now_us = 0  # simulated; only the scheduler moves it
 
     def call_later(self, dt_us: int, fn):
         self.call_at(self.now_us + dt_us, fn)
@@ -251,7 +247,6 @@ class DetScheduler(_SchedulerBase):
 
     def __init__(self, record: bool = False):
         super().__init__(record)
-        self.now_us = 0
         self._heap: list = []  # (t_us, seq, fn) timers
         self._ready: deque = deque()  # (seq, ctx) contexts due now
         self._seq = itertools.count()
@@ -362,22 +357,22 @@ class DetScheduler(_SchedulerBase):
 
 
 class ThreadScheduler(_SchedulerBase):
-    """A fixed pool of ``WORKERS`` threads over the wall clock.
+    """A fixed pool of ``WORKERS`` threads over det's simulated clock.
 
     The workers share one condition, one FIFO of ready contexts and one
     timer heap.  ``post`` puts the message in the mailbox, records the trace
     entry when recording, and queues the context in one hold of the
-    condition.  A worker takes a due timer or the ready head and runs one
-    event.  A context stays marked ``_scheduled`` while its handler runs, so
-    no other worker can take it; when the handler returns, the context goes
-    back in the queue if it has mail and is unmarked otherwise.  Idle workers
-    wait on the condition until the next timer is due; every finished event
-    notifies all waiters.
+    condition.  A worker takes the ready head first.  Only when no context
+    is ready and no event is running does it pop the earliest timer and
+    move ``now_us`` to it, and never one later than the bound of the last
+    ``run_until``: as under ``det``, timers run only inside ``run_until``.
+    A context stays marked ``_scheduled`` while its handler runs, so no
+    other worker can take it; when the handler returns, the context goes
+    back in the queue if it has mail and is unmarked otherwise.
 
-    The pool is idle when no context is queued, no timer is pending and no
-    event is running; ``run_until()`` without a bound waits for that.  A
-    handler waiting in ``send_cmd`` holds its worker, so command chains
-    nested deeper than ``WORKERS - 1`` handlers time out.
+    A handler waiting in ``send_cmd`` holds its worker and, as a running
+    event, holds back every timer; command chains nested deeper than
+    ``WORKERS - 1`` handlers time out.
     """
 
     WORKERS = 2
@@ -385,7 +380,7 @@ class ThreadScheduler(_SchedulerBase):
 
     def __init__(self, record: bool = False):
         super().__init__(record)
-        self._t0 = time.perf_counter()
+        self._bound = -1  # no timer later than this is taken
         self._local = threading.local()
         self._cond = threading.Condition()
         self._ready: deque = deque()  # contexts with mail, not running
@@ -401,16 +396,13 @@ class ThreadScheduler(_SchedulerBase):
         for worker in self._workers:
             worker.start()
 
-    @property
-    def now_us(self) -> int:
-        return int((time.perf_counter() - self._t0) * 1e6)
-
     def current_ctx(self):
         return getattr(self._local, "ctx", None)
 
     def call_at(self, t_us: int, fn):
         with self._cond:
-            heapq.heappush(self._timers, (int(t_us), next(self._seq), fn))
+            heapq.heappush(self._timers, (max(int(t_us), self.now_us),
+                                          next(self._seq), fn))
             self._cond.notify_all()
 
     def post(self, ctx: ModuleContext, msg) -> bool:
@@ -433,14 +425,10 @@ class ThreadScheduler(_SchedulerBase):
         return accepted
 
     def _take(self):
-        """Under the condition: wait for a due timer or a context with mail
-        and return ``(ctx, event)``, ``ctx`` None for a timer; None once
-        stopped."""
+        """Under the condition: wait for an event this worker may take; return
+        ``(ctx, event)``, ``ctx`` None for a timer, or None once stopped."""
         ready, timers = self._ready, self._timers
         while not self._stop:
-            now = self.now_us
-            if timers and timers[0][0] <= now:
-                return None, heapq.heappop(timers)[2]
             if ready:
                 ctx = ready.popleft()
                 msg = None if ctx.closed else ctx.mailbox.get_nowait()
@@ -448,7 +436,11 @@ class ThreadScheduler(_SchedulerBase):
                     return ctx, msg
                 ctx._scheduled = False
                 continue
-            self._cond.wait((timers[0][0] - now) / 1e6 if timers else None)
+            if not self._running and timers and timers[0][0] <= self._bound:
+                # call_at clamps, so no timer is earlier than now_us
+                self.now_us, _, fn = heapq.heappop(timers)
+                return None, fn
+            self._cond.wait()
         return None
 
     def _work(self):
@@ -487,16 +479,17 @@ class ThreadScheduler(_SchedulerBase):
                                        timeout_us / 1e6)
 
     def run_until(self, t_us: int | None = None) -> int:
-        """Wait until ``t_us`` on the wall clock, or, with no bound, until
-        the pool is idle.  Returns 0: events run on the workers, which do
-        not count them."""
-        if t_us is not None:
-            while (delay := (t_us - self.now_us) / 1e6) > 0:
-                time.sleep(delay)
-            return 0
+        """Let the workers take the timers due by ``t_us`` (all of them with
+        no bound), wait until none is left and no event is ready or running,
+        then move ``now_us`` to ``t_us``.  Returns 0: workers count nothing."""
+        bound = float("inf") if t_us is None else t_us
         with self._cond:
-            self._cond.wait_for(
-                lambda: not (self._ready or self._timers or self._running))
+            self._bound = bound
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: not (
+                self._ready or self._running
+                or self._timers and self._timers[0][0] <= bound))
+            self.now_us = max(self.now_us, t_us or 0)
         return 0
 
     def stop(self):

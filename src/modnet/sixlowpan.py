@@ -229,6 +229,11 @@ class SixlowpanModule(Module):
                                                 ctx.node.metrics)
         ctx.node.registry.register(ProtocolType.SIXLOWPAN, DEMUX_ALL, ctx)
 
+    def on_shutdown(self, ctx):
+        for entry in list(self.reassembly_table.entries.values()):
+            self.reassembly_table._drop_entry(entry)
+            ctx.node.metrics.count("reassembly_shutdown_drops")
+
     def _next_tag(self):
         self._tag = (self._tag + 1) & 0xFFFF
         return self._tag

@@ -7,7 +7,7 @@ import pytest
 
 from modnet.netapi import ENOTSUP, MsgKind, NetMessage, send_cmd
 from modnet.pktbuf import PacketChain, ProtocolType
-from modnet.scenario import load_scenario_file
+from modnet.scenario import apply_workload, load_scenario_file
 from modnet.simnet import build
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
@@ -108,3 +108,21 @@ def test_shutting_down_sock_releases_queued_datagrams():
     assert server.closed and layer.ports == {}
     assert b.pktbuf.used == 0
     assert b.registry.lookup(ProtocolType.UDP, 7) == []
+
+
+def test_shutting_down_6lo_releases_open_reassembly_entries():
+    """A 6lo context shut down mid-reassembly gives the entry's buffer back
+    at once, counted, instead of at its 5 s expiry."""
+    scenario = load_scenario_file(str(SCENARIO_DIR / "echo_frag.json"))
+    sim = build(scenario.topology)
+    apply_workload(sim, scenario)
+    b = sim.nodes["b"]
+    table = b.modules["6lo"].handler.reassembly_table
+    while not table.entries:
+        assert sim.sched.step()
+    assert b.pktbuf.used > 0
+    b.shutdown_module(b.modules["6lo"])
+    sim.run_until(sim.sched.now_us + 1_000)
+    assert sim.sched.now_us < 10_000
+    assert sim.metrics.get("reassembly_shutdown_drops") == 1
+    assert table.entries == {} and b.pktbuf.used == 0

@@ -14,8 +14,7 @@ from modnet.sixlowpan import (DISPATCH_UNCOMPRESSED, FRAG1_DISPATCH,
                               FRAGN_DISPATCH)
 from modnet.udp import UdpError, udp_checksum, udp_encode_header
 from topo import (IP_A, IP_A2, IP_B, IP_B2, LONG_A, LONG_B, LONG_R0,
-                  echo_on, ip6, offload_pair, poll, three_node_router,
-                  two_node)
+                  echo_on, ip6, offload_pair, three_node_router, two_node)
 
 
 def pattern(n):
@@ -105,7 +104,7 @@ def test_threaded_mode_echo():
         client, _ = open_echo_pair(sim)
         payload = pattern(50)
         client.sendto(IP_B, 7, payload)
-        assert poll(lambda: client.queue, 2)
+        sim.run_until()
         assert client.recv_nowait() == (IP_B, 7, payload)
         assert not sim.sched.errors
     finally:

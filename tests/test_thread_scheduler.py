@@ -1,8 +1,7 @@
 """The par scheduler: a fixed worker pool draining one ready queue.
 
 No test here sleeps to time anything: each waits on the scheduler itself,
-through ``send_cmd`` or ``run_until()``, or polls a condition with
-``topo.poll``.
+through ``send_cmd`` or ``run_until()``.
 """
 
 import hashlib
@@ -17,9 +16,10 @@ from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.pktbuf import AllocPriority, Backend, ProtocolType, buffer_create
 from modnet.runtime import Node, ThreadScheduler
-from modnet.scenario import load_scenario_file, run_scenario
+from modnet.scenario import (apply_workload, collect_stats,
+                             load_scenario_file, run_scenario)
 from modnet.simnet import InvalidTopology, LinkDesc, build
-from topo import poll, two_node
+from topo import two_node
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -97,8 +97,7 @@ def test_raising_handler_is_recorded_and_the_pool_keeps_serving():
         for _ in range(ThreadScheduler.WORKERS + 1):
             sched.post(ctx, "boom")
         sched.post(ctx, "after")
-        # one handler at a time, in order: every error is in by "after"
-        assert poll(lambda: handled, 5)
+        sched.run_until()
         assert handled == ["after"]
         assert len(sched.errors) == ThreadScheduler.WORKERS + 1
         assert all(isinstance(e, ValueError) for e in sched.errors)
@@ -238,22 +237,68 @@ def test_pool_nodes_and_unspecified_structures_lock():
         assert locked(obj)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in
-                                        SCENARIO_DIR.glob("*.json")))
+SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
+
+
+def delivered(stats):
+    return ({sock: s["received"] for sock, s in stats["sockets"].items()},
+            stats["counters"].get("udp_delivered", 0))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_par_matches_det_on_shipped_scenario(name):
-    """``par`` delivers what ``det`` delivers, and both end with every
-    buffer byte released, no mailbox drop and, under ``par``, no handler
-    error.  ``echo_frag.json`` takes about 5 s of wall time: ``par`` waits
-    out its 5 s reassembly expiry timer on the wall clock."""
-    delivered = {}
+    """``par`` delivers what ``det`` delivers at the same simulated time,
+    and both end with every buffer byte released, no mailbox drop and,
+    under ``par``, no handler error."""
+    seen = {}
     for mode in ("det", "par"):
         sim, stats = run_scenario(
             load_scenario_file(str(SCENARIO_DIR / name)), mode=mode)
-        delivered[mode] = (
-            {sock: s["received"] for sock, s in stats["sockets"].items()},
-            stats["counters"].get("udp_delivered", 0))
+        seen[mode] = delivered(stats), stats["now_us"]
         assert [n.pktbuf.used for n in sim.nodes.values()] == \
             [0] * len(sim.nodes)
         assert "mailbox_drops" not in stats["counters"]
         assert not getattr(sim.sched, "errors", [])
-    assert delivered["par"] == delivered["det"]
+    assert seen["par"] == seen["det"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_par_stops_at_the_time_bound(name):
+    """``--until`` is simulated time in both modes: no timer later than
+    the bound runs, and the clock ends on the bound."""
+    scenario = load_scenario_file(str(SCENARIO_DIR / name))
+    _, det = run_scenario(scenario, until=20_000)
+    sim, par = run_scenario(scenario, mode="par", until=20_000)
+    assert not sim.sched.errors
+    assert par["now_us"] == det["now_us"] == 20_000
+    assert (par["sends"], delivered(par)) == (det["sends"], delivered(det))
+
+
+def slowed(handler):
+    def slow(ctx, msg):
+        time.sleep(0.0002)
+        handler(ctx, msg)
+    return slow
+
+
+def test_slow_handlers_keep_par_on_det_schedule():
+    """Every protocol handler takes 0.2 ms more per message.  The send
+    timers of ``lossy.json`` still wait until the stack has handled what
+    came before, so no mailbox overflows and ``par`` delivers what ``det``
+    delivers."""
+    scenario = load_scenario_file(str(SCENARIO_DIR / "lossy.json"))
+    _, det = run_scenario(scenario)
+    sim = build(scenario.topology, mode="par")
+    try:
+        book = apply_workload(sim, scenario)
+        for node in sim.nodes.values():
+            for ctx in node.modules.values():  # not the sock context
+                ctx.handler = slowed(ctx.handler)
+        sim.run_until()
+        stats = collect_stats(sim, book)
+    finally:
+        sim.stop()
+    assert not sim.sched.errors
+    assert "mailbox_drops" not in stats["counters"]
+    assert delivered(stats) == delivered(det)
+    assert stats["sockets"]["b:7"]["received"] == 175

@@ -1,6 +1,5 @@
 """Shared topology builders for integration and acceptance tests."""
 
-import time
 from ipaddress import IPv6Address
 
 from modnet.pktbuf import Backend
@@ -77,12 +76,3 @@ def echo_on(sock):
     sock.on_ready = bounce
     return sock
 
-
-def poll(pred, timeout_s):
-    """Poll ``pred`` on the wall clock until it holds or ``timeout_s``
-    passes, and return its last value.  Under ``par`` only a command's
-    answer can be waited for, so tests poll anything else."""
-    deadline = time.monotonic() + timeout_s
-    while not (done := pred()) and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return done
