@@ -40,7 +40,7 @@ class PayloadTooLarge(LinkError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkFrame:
     dst_long: bytes
     src_long: bytes
@@ -83,11 +83,23 @@ class LinkModule(Module):
         self.device.owner = ctx
 
     def __call__(self, ctx, msg):
-        # the device's markers are not NetMessages: they stop here
-        if isinstance(msg, DevNotify):
-            self._poll_events(ctx)
+        # the device's markers stop here, one event per marker, so upper
+        # layers drain between frame arrivals instead of piling RX snips up
+        if msg.__class__ is DevNotify:
+            ev = self.device.dev_poll_event()
+            if ev is _TX_DONE:
+                if self._pending:
+                    self._transmit(self._pending.popleft())
+            elif ev is _RX_READY:
+                self._receive(ctx)
         else:
             Module.__call__(self, ctx, msg)
+
+    def on_shutdown(self, ctx):
+        """Drop the frames waiting for the radio, counted."""
+        if self._pending:
+            ctx.node.metrics.count("link_shutdown_drops", len(self._pending))
+            self._pending.clear()
 
     # -- TX ----------------------------------------------------------------
     def on_snd(self, ctx, msg):
@@ -110,18 +122,7 @@ class LinkModule(Module):
         if self.device.dev_send(frame) is _BUSY:
             self._pending.append(frame)
 
-    # -- RX / events ---------------------------------------------------------
-    def _poll_events(self, ctx):
-        # one event per notification: every queued event has its own
-        # DevNotify, and servicing them one at a time lets upper layers
-        # drain between frame arrivals instead of piling RX snips up
-        ev = self.device.dev_poll_event()
-        if ev is _TX_DONE:
-            if self._pending:
-                self._transmit(self._pending.popleft())
-        elif ev is _RX_READY:
-            self._receive(ctx)
-
+    # -- RX ------------------------------------------------------------------
     def _receive(self, ctx):
         node = ctx.node
         raw = self.device.dev_recv()

@@ -187,7 +187,7 @@ def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:
     targets = node.registry.lookup(proto, demux_ctx)
     for target in targets:
         node.pktbuf.hold(pkt.head)
-        node.sched.post(target, NetMessage(kind=_MSG_RCV, pkt=pkt, meta=meta))
+        node.sched.post(target, NetMessage(_MSG_RCV, pkt, None, meta))
     return len(targets)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .metrics import lock_methods
@@ -83,12 +84,8 @@ class ReleaseUnheld(Exception):
     """users was already 0 -- a programming error, surfaced loudly."""
 
 
-def _aligned(size: int) -> int:
-    return (size + ALIGN - 1) & ~(ALIGN - 1)
-
-
 def _block_cost(size: int) -> int:
-    return SNIP_OVERHEAD + _aligned(size)
+    return SNIP_OVERHEAD + ((size + ALIGN - 1) & ~(ALIGN - 1))
 
 
 def _checked_chain(snip: Snip, op: str) -> list:
@@ -138,7 +135,7 @@ class Snip:
                 f"users={self.users}>")
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketChain:
     """A packet: chain of snips, outermost header first."""
 
@@ -300,7 +297,10 @@ class PacketBuffer:
 class ArenaBuffer(PacketBuffer):
     """First-fit allocator over a statically sized arena.
 
-    Free blocks coalesce immediately on release; snip data starts
+    Free blocks sit in two parallel address-ordered lists, offsets in
+    ``_starts`` and lengths in ``_lens``.  An allocation takes the lowest
+    block that fits; a release finds its place by ``bisect_right`` and
+    merges at once with a free neighbour on either side.  Snip data starts
     ``SNIP_OVERHEAD`` bytes into its block and stays 4-byte aligned.
     """
 
@@ -313,38 +313,35 @@ class ArenaBuffer(PacketBuffer):
         super().__init__(capacity, locked)
         self._arena = bytearray(capacity)
         self._view = memoryview(self._arena)  # sliced per snip
-        self._free: list[list[int]] = [[0, capacity]]  # [offset, length]
+        self._starts: list[int] = [0]
+        self._lens: list[int] = [capacity]
 
     def _acquire(self, cost):
-        for i, (off, length) in enumerate(self._free):
+        starts, lens = self._starts, self._lens
+        for i, length in enumerate(lens):
             if length >= cost:
+                off = starts[i]
                 if length == cost:
-                    del self._free[i]
+                    del starts[i], lens[i]
                 else:
-                    self._free[i] = [off + cost, length - cost]
+                    starts[i], lens[i] = off + cost, length - cost
                 return off
         return None
 
     def _release_block(self, snip, cost):
-        off = snip._offset
-        self._insert_free(off, cost)
-
-    def _insert_free(self, off, length):
-        free = self._free
-        lo = 0
-        while lo < len(free) and free[lo][0] < off:
-            lo += 1
-        free.insert(lo, [off, length])
-        # coalesce with successor then predecessor
-        if lo + 1 < len(free) and free[lo][0] + free[lo][1] == free[lo + 1][0]:
-            free[lo][1] += free[lo + 1][1]
-            del free[lo + 1]
-        if lo > 0 and free[lo - 1][0] + free[lo - 1][1] == free[lo][0]:
-            free[lo - 1][1] += free[lo][1]
-            del free[lo]
+        off, starts, lens = snip._offset, self._starts, self._lens
+        i = bisect_right(starts, off)
+        if i < len(starts) and starts[i] == off + cost:  # joins the next
+            cost += lens[i]
+            del starts[i], lens[i]
+        if i and starts[i - 1] + lens[i - 1] == off:  # joins the previous
+            lens[i - 1] += cost
+        else:
+            starts.insert(i, off)
+            lens.insert(i, cost)
 
     def _largest_free_block(self):
-        return max((length for _, length in self._free), default=0)
+        return max(self._lens, default=0)
 
     def _make_snip(self, placement, size, proto):
         start = placement + SNIP_OVERHEAD
@@ -353,7 +350,7 @@ class ArenaBuffer(PacketBuffer):
 
     def free_list(self):
         """Snapshot of (offset, length) free blocks, for oracle checks."""
-        return [tuple(b) for b in self._free]
+        return list(zip(self._starts, self._lens))
 
 
 class DynamicBuffer(PacketBuffer):

@@ -10,8 +10,9 @@ Two schedulers implement the same surface:
   microsecond clock.  Contexts with mail wait in a FIFO of ready work; a
   heap holds only timers.  Every event takes a sequence number when it is
   queued, and events due at the same time run in sequence order, whichever
-  queue holds them.  Identical inputs produce identical traces; this mode
-  drives all reproducible tests.
+  queue holds them.  ``step`` runs one event: a timer, or the next message
+  of the ready head, whose handler it calls itself.  Identical inputs
+  produce identical traces; this mode drives all reproducible tests.
 * ``ThreadScheduler`` -- a fixed pool of ``WORKERS`` threads over the
   same simulated clock, used for race detection: handlers of two contexts
   run at once, so traces are unordered, but a timer runs only once no
@@ -30,8 +31,8 @@ together with the mailbox put.
 
 Only a command's answer is waited for: ``wait_for(cmd, timeout_us)``, which
 ``send_cmd`` calls, returns once ``cmd.status`` is set, or False at the
-timeout.  ``DetScheduler`` runs events nested inside the caller until then;
-``ThreadScheduler`` waits on the pool's condition.  Data never waits.
+timeout.  ``DetScheduler`` calls ``step`` nested inside the caller until
+then; ``ThreadScheduler`` waits on the pool's condition.  Data never waits.
 
 Only ``ThreadScheduler`` is ``parallel``, and only then do the structures
 contexts share (``Metrics``, each node's ``Registry`` and ``PacketBuffer``)
@@ -241,8 +242,9 @@ class DetScheduler(_SchedulerBase):
     due now, so a timer due now runs before the ready head exactly when its
     sequence number is lower: events at the same timestamp run in the order
     they were queued, and later timers wait until no ready work is left.
-    One mailbox message is serviced per event, so module interleaving is
-    fair and reproducible.
+    ``step`` runs one event, for a ready context the handler on one message
+    (control lane first) with ``_current`` set to that context and the outer
+    one restored after; ``run_until`` and ``wait_for`` loop on ``step``.
     """
 
     def __init__(self, record: bool = False):
@@ -250,12 +252,13 @@ class DetScheduler(_SchedulerBase):
         self._heap: list = []  # (t_us, seq, fn) timers
         self._ready: deque = deque()  # (seq, ctx) contexts due now
         self._seq = itertools.count()
-        self._ctx_stack: list[ModuleContext] = []
+        self._current: ModuleContext | None = None  # whose handler runs
         self.steps = 0
 
     # -- time & events ---------------------------------------------------
     def call_at(self, t_us: int, fn):
-        heapq.heappush(self._heap, (max(int(t_us), self.now_us),
+        t_us, now = int(t_us), self.now_us
+        heapq.heappush(self._heap, (t_us if t_us > now else now,
                                     next(self._seq), fn))
 
     def step(self) -> bool:
@@ -264,7 +267,23 @@ class DetScheduler(_SchedulerBase):
         if ready and not (heap and heap[0][0] <= self.now_us
                           and heap[0][1] < ready[0][0]):
             self.steps += 1
-            self._service(ready.popleft()[1])
+            ctx = ready.popleft()[1]
+            ctx._scheduled = False
+            ctrl, data = ctx.mailbox._ctrl, ctx.mailbox._data
+            # a busy context is queued again when its running handler ends
+            if ctx.closed or ctx._busy or not (ctrl or data):
+                return True
+            msg = ctrl.popleft() if ctrl else data.popleft()
+            ctx._busy = True
+            outer, self._current = self._current, ctx
+            try:
+                ctx.handler(ctx, msg)
+            finally:
+                self._current = outer
+                ctx._busy = False
+                if not ctx._scheduled and (ctrl or data):
+                    ctx._scheduled = True
+                    ready.append((next(self._seq), ctx))
             return True
         if not heap:
             return False
@@ -294,25 +313,18 @@ class DetScheduler(_SchedulerBase):
         return processed
 
     def wait_for(self, cmd, timeout_us: int) -> bool:
-        """Run events until ``cmd`` is answered; False when no event due by
+        """Step until ``cmd`` is answered; False when no event due by
         ``timeout_us`` from now is left to run."""
         deadline = self.now_us + timeout_us
         ready, heap = self._ready, self._heap
-        service = self._service
         while cmd.status is None:
-            # step()'s ready branch, inlined for the round trip
-            if ready and not (heap and heap[0][0] <= self.now_us
-                              and heap[0][1] < ready[0][0]):
-                self.steps += 1
-                service(ready.popleft()[1])
-            elif not heap or heap[0][0] > deadline:
+            if not ready and (not heap or heap[0][0] > deadline):
                 return False
-            else:
-                self.step()
+            self.step()
         return True
 
     def current_ctx(self):
-        return self._ctx_stack[-1] if self._ctx_stack else None
+        return self._current
 
     # -- context plumbing ------------------------------------------------
     def post(self, ctx: ModuleContext, msg) -> bool:
@@ -324,33 +336,12 @@ class DetScheduler(_SchedulerBase):
             _release_pkt(msg)
             return False
         if self.trace is not None:  # one thread: no lock
-            stack = self._ctx_stack
-            self.trace.record(self.now_us, stack[-1] if stack else None,
-                              ctx, msg)
+            self.trace.record(self.now_us, self._current, ctx, msg)
         # the mailbox is non-empty by construction here
         if not ctx._scheduled:
             ctx._scheduled = True
             self._ready.append((next(self._seq), ctx))
         return True
-
-    def _service(self, ctx):
-        ctx._scheduled = False
-        if ctx.closed or ctx._busy:
-            return  # rescheduled when the running handler finishes
-        msg = ctx.mailbox.get_nowait()
-        if msg is None:
-            return
-        ctx._busy = True
-        self._ctx_stack.append(ctx)
-        try:
-            ctx.handler(ctx, msg)
-        finally:
-            self._ctx_stack.pop()
-            ctx._busy = False
-            mailbox = ctx.mailbox
-            if not ctx._scheduled and (mailbox._ctrl or mailbox._data):
-                ctx._scheduled = True
-                self._ready.append((next(self._seq), ctx))
 
     def stop(self):
         pass

@@ -323,7 +323,9 @@ def load_scenario_file(path: str) -> Scenario:
 
 def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
     """Schedule the workload ops and return the bookkeeping dict that
-    ``collect_stats`` later reads (opened sockets, expected sends)."""
+    ``collect_stats`` later reads (opened sockets, expected sends).  An op
+    that finds its node's sock context shut down, or its socket closed by
+    that, stops and is counted once as ``workload_ops_skipped``."""
     book = {"sockets": {}, "sends": 0, "received": {}}
 
     def send(sock, dst, port, payload) -> bool:
@@ -365,6 +367,9 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
         interval = op.args.get("interval_us", 0)
 
         def fire(k=0):
+            if sock.closed:
+                sim.metrics.count("workload_ops_skipped")
+                return
             if send(sock, op.dst, op.args["dst_port"], payload):
                 book["sends"] += 1
             if k + 1 < count:
@@ -372,9 +377,15 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
 
         fire()
 
+    def start(op: WorkloadOp, fn):
+        if "sock" in sim.nodes[op.node].aux:
+            fn(op)
+        else:
+            sim.metrics.count("workload_ops_skipped")
+
     for op in scenario.workload:
         fn = do_open if op.op == "open" else do_send
-        sim.sched.call_at(op.t_us, lambda o=op, f=fn: f(o))
+        sim.sched.call_at(op.t_us, lambda o=op, f=fn: start(o, f))
     return book
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .ipv6 import (IFACE_PREFIX_LEN, ON_LINK, ForwardingTable, Ipv6Module,
                    make_neighbor_cache)
@@ -170,8 +171,7 @@ class Medium:
                 self.metrics.count("frames_lost")
                 continue
             self.metrics.count("frames_delivered")
-            self.sched.call_at(now + delay_us,
-                               lambda p=peer, f=frame: p._rx_frame(f))
+            self.sched.call_at(now + delay_us, partial(peer._rx_frame, frame))
 
 
 class Simulator:

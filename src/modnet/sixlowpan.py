@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 from .link import MAX_PAYLOAD
 from .metrics import _BUF_INTERNAL, REASSEMBLY_ENTRY_OVERHEAD
@@ -76,7 +77,7 @@ def fragment(datagram: bytes, link_payload_budget: int, tag: int) -> list[bytes]
     return frags
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedFragment:
     kind: str  # "uncompressed" | "frag1" | "fragn"
     datagram_size: int = 0
@@ -120,7 +121,7 @@ _INCOMPLETE, _COMPLETE, _DROPPED = (ReassemblyStatus.INCOMPLETE,
                                     ReassemblyStatus.DROPPED)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReassemblyEntry:
     key: tuple
     size: int
@@ -234,10 +235,6 @@ class SixlowpanModule(Module):
             self.reassembly_table._drop_entry(entry)
             ctx.node.metrics.count("reassembly_shutdown_drops")
 
-    def _next_tag(self):
-        self._tag = (self._tag + 1) & 0xFFFF
-        return self._tag
-
     # -- TX -----------------------------------------------------------------
     def on_snd(self, ctx, msg):
         node = ctx.node
@@ -269,7 +266,8 @@ class SixlowpanModule(Module):
         # chain is freed first so peak usage is one datagram, not two
         datagram = pkt.to_bytes()
         node.pktbuf.release(pkt.head)
-        frags = fragment(datagram, MAX_PAYLOAD, self._next_tag())
+        self._tag = (self._tag + 1) & 0xFFFF
+        frags = fragment(datagram, MAX_PAYLOAD, self._tag)
         snips = []
         try:
             for frag in frags:
@@ -287,8 +285,8 @@ class SixlowpanModule(Module):
                 node.metrics.record_copy(_BUF_INTERNAL, pid, snip.size)
             message = NetMessage(kind=_MSG_SND, pkt=PacketChain(snip),
                                  meta=down_meta)
-            node.sched.call_later(
-                i, lambda m=message: node.sched.post(link_ctx, m))
+            node.sched.call_later(i, partial(node.sched.post, link_ctx,
+                                             message))
 
     # -- RX -----------------------------------------------------------------
     def on_rcv(self, ctx, msg):

@@ -126,3 +126,66 @@ def test_shutting_down_6lo_releases_open_reassembly_entries():
     assert sim.sched.now_us < 10_000
     assert sim.metrics.get("reassembly_shutdown_drops") == 1
     assert table.entries == {} and b.pktbuf.used == 0
+
+
+def test_send_after_sock_shutdown_is_skipped_and_counted():
+    """lossy.json: a's sock context goes at t=2000; the send timer due at
+    t=2010 finds its socket closed and ends the op, counted, raising
+    nothing."""
+    scenario = load_scenario_file(str(SCENARIO_DIR / "lossy.json"))
+    sim = build(scenario.topology)
+    book = apply_workload(sim, scenario)
+    a = sim.nodes["a"]
+    sim.sched.call_at(2000, lambda: a.shutdown_module(a.aux["sock"]))
+    sim.run_until()
+    assert sim.metrics.get("workload_ops_skipped") == 1
+    assert book["sends"] == 4  # at t=10, 510, 1010 and 1510
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_open_after_sock_shutdown_is_skipped_and_counted():
+    """echo.json with b's sock context gone before the workload starts:
+    the open on b is skipped and counted, and a's datagram finds no port."""
+    scenario = load_scenario_file(str(SCENARIO_DIR / "echo.json"))
+    sim = build(scenario.topology)
+    b = sim.nodes["b"]
+    b.shutdown_module(b.aux["sock"])
+    book = apply_workload(sim, scenario)
+    sim.run_until()
+    assert sim.metrics.get("workload_ops_skipped") == 1
+    assert book["sends"] == 1
+    assert sim.metrics.get("udp_rx_no_port") == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_measured_names_stay_on_the_event_path(monkeypatch):
+    """The benchmark's tracer wraps ``DetScheduler.step``,
+    ``PacketBuffer.alloc_snip`` and ``PacketChain.to_bytes`` to time events
+    and count copied bytes.  Every event, a command's nested ones too, runs
+    through ``step``, and an echo of ``echo_frag.json`` calls the other two
+    as often as it always has: a fast path around them would hide its work
+    from the tracer."""
+    from modnet.pktbuf import PacketBuffer
+    from modnet.runtime import DetScheduler
+    calls = dict.fromkeys(("step", "alloc_snip", "to_bytes"), 0)
+
+    def count_calls(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count_calls(DetScheduler, "step")
+    count_calls(PacketBuffer, "alloc_snip")
+    count_calls(PacketChain, "to_bytes")
+    scenario = load_scenario_file(str(SCENARIO_DIR / "echo_frag.json"))
+    sim = build(scenario.topology)
+    apply_workload(sim, scenario)
+    # a command waits for its answer by stepping the events before it
+    send_cmd(sim.sched, sim.nodes["b"].modules["link0"],
+             NetMessage(kind=MsgKind.MSG_GET, option=(UNKNOWN_KEY, b"")))
+    sim.run_until()
+    assert calls["step"] == sim.sched.steps > 0
+    assert (calls["alloc_snip"], calls["to_bytes"]) == (40, 38)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from modnet.pktbuf import (ALIGN, AllocPriority, ArenaBuffer, Backend,
                            CapacityTooSmall, DynamicBuffer, InvalidSize,
                            NoBufferSpace, PacketChain, ProtocolType,
-                           ReleaseUnheld, SNIP_OVERHEAD, buffer_create,
-                           _block_cost)
+                           RESERVE_FRAC, ReleaseUnheld, SNIP_OVERHEAD,
+                           buffer_create, _block_cost)
 
 
 def test_fresh_buffer_stats():
@@ -426,3 +426,73 @@ def test_control_reserve_always_available(sizes):
     snip = buf.alloc_snip(size=buf.reserve - SNIP_OVERHEAD - ALIGN,
                           prio=AllocPriority.CONTROL)
     assert snip.users == 1
+
+
+class FirstFitModel:
+    """Reference arena: a sorted list of (offset, length) free blocks,
+    first fit at the lowest address, coalesced by a full re-sort."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.reserve = int(capacity * RESERVE_FRAC)
+        self.free = [(0, capacity)]
+        self.used = self.peak = 0
+
+    def alloc(self, size, prio):
+        """The block's offset, or None when the arena refuses it."""
+        cost = _block_cost(size)
+        cap = self.capacity
+        if prio == AllocPriority.SEND_APP:
+            cap -= self.reserve
+        if self.used + cost > cap:
+            return None
+        for i, (off, length) in enumerate(self.free):
+            if length >= cost:
+                rest = [(off + cost, length - cost)] if length > cost else []
+                self.free[i:i + 1] = rest
+                self.used += cost
+                self.peak = max(self.peak, self.used)
+                return off
+        return None
+
+    def release(self, off, size):
+        cost = _block_cost(size)
+        merged = []
+        for start, length in sorted(self.free + [(off, cost)]):
+            if merged and merged[-1][0] + merged[-1][1] == start:
+                merged[-1] = (merged[-1][0], merged[-1][1] + length)
+            else:
+                merged.append((start, length))
+        self.free = merged
+        self.used -= cost
+
+
+ALLOC_OPS = st.lists(st.one_of(
+    st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=400),
+              st.sampled_from(list(AllocPriority))),
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=63))),
+    max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([256, 1000, 2048]), ALLOC_OPS)
+def test_arena_matches_a_first_fit_model(capacity, ops):
+    buf = ArenaBuffer(capacity, locked=False)
+    model = FirstFitModel(capacity)
+    live = []  # (snip, offset the model chose)
+    for op, arg, *prio in ops:
+        if op == "alloc":
+            expected = model.alloc(arg, prio[0])
+            try:
+                snip = buf.alloc_snip(size=arg, prio=prio[0])
+            except NoBufferSpace:
+                assert expected is None
+            else:
+                assert snip._offset == expected
+                live.append((snip, expected))
+        elif live:
+            snip, off = live.pop(arg % len(live))
+            buf.release(snip)
+            model.release(off, snip.size)
+        assert buf.free_list() == model.free
+        assert (buf.used, buf.peak) == (model.used, model.peak)

@@ -315,3 +315,20 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     assert not link.handler._pending
     assert sim.metrics.get("frames_sent") == 2
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_link_shutdown_drops_the_frames_waiting_for_the_radio():
+    sim = build(two_node())
+    node = sim.nodes["a"]
+    link = node.modules["link0"]
+    pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
+    sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
+    node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
+    sim.sched.step()  # the link handler finds the radio busy
+    assert len(link.handler._pending) == 1
+    node.shutdown_module(link)
+    assert not link.handler._pending
+    assert sim.metrics.get("link_shutdown_drops") == 1
+    sim.run_until()
+    assert sim.metrics.get("frames_sent") == 1  # TX_DONE sent nothing
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
