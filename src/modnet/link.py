@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
 from .netapi import ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
-from .netdev import (_BUSY, _RX_READY, _TX_DONE, BROADCAST_LONG, MAX_FRAME,
-                     DevNotify, Unsupported)
+from .netdev import (_BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify,
+                     Unsupported)
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
 
 HEADER_LEN = 17
@@ -86,20 +86,22 @@ class LinkModule(Module):
         # the device's markers stop here, one event per marker, so upper
         # layers drain between frame arrivals instead of piling RX snips up
         if msg.__class__ is DevNotify:
-            ev = self.device.dev_poll_event()
-            if ev is _TX_DONE:
-                if self._pending:
-                    self._transmit(self._pending.popleft())
-            elif ev is _RX_READY:
+            if msg.event is _RX_READY:
                 self._receive(ctx)
+            elif self._pending:  # TX_DONE: the radio is free again
+                self._transmit(self._pending.popleft())
         else:
             Module.__call__(self, ctx, msg)
 
     def on_shutdown(self, ctx):
-        """Drop the frames waiting for the radio, counted."""
-        if self._pending:
-            ctx.node.metrics.count("link_shutdown_drops", len(self._pending))
+        """Drop the frames waiting for the radio and those the radio
+        received that the link has not read, counted."""
+        rx = self.device._rx
+        dropped = len(self._pending) + len(rx)
+        if dropped:
+            ctx.node.metrics.count("link_shutdown_drops", dropped)
             self._pending.clear()
+            rx.clear()
 
     # -- TX ----------------------------------------------------------------
     def on_snd(self, ctx, msg):

@@ -2,8 +2,11 @@
 
 Unlike the inter-module message protocol, driver interaction is plain
 procedure calls: the MAC/link module owns its device exclusively and calls
-``dev_send``/``dev_recv`` directly; the device posts ``DevNotify`` markers
-to the owner's mailbox when events (RX_READY, TX_DONE) are queued.
+``dev_send``/``dev_recv`` directly.  The device posts one ``DevNotify``
+marker to the owner's mailbox per event, and the marker names the event
+(RX_READY or TX_DONE); the radio itself holds only its received frames.
+A frame that reaches a radio whose owner is closed is dropped, counted as
+``dev_rx_drops_no_owner``.
 
 The simulated radio is half-duplex with a single TX slot: a second
 ``dev_send`` before the TX_DONE event has been processed returns ``BUSY``,
@@ -24,15 +27,13 @@ class DevStatus(enum.Enum):
 
 
 class DevEventType(enum.Enum):
-    NONE = 0
     RX_READY = 1
     TX_DONE = 2
 
 
 # aliases for the per-frame paths (see ``pktbuf``)
 _DEV_OK, _TOO_LARGE, _BUSY = DevStatus.OK, DevStatus.TOO_LARGE, DevStatus.BUSY
-_EV_NONE, _RX_READY, _TX_DONE = (DevEventType.NONE, DevEventType.RX_READY,
-                                 DevEventType.TX_DONE)
+_RX_READY, _TX_DONE = DevEventType.RX_READY, DevEventType.TX_DONE
 
 
 class NoFrame(Exception):
@@ -48,12 +49,13 @@ class OwnershipViolation(AssertionError):
 
 
 class DevNotify:
-    """Mailbox marker: the named device has queued events to poll."""
+    """Mailbox marker: ``event`` happened on the named device."""
 
-    __slots__ = ("device",)
+    __slots__ = ("device", "event")
 
-    def __init__(self, device):
+    def __init__(self, device, event: DevEventType):
         self.device = device
+        self.event = event
 
 
 BROADCAST_LONG = b"\xff" * 8
@@ -73,7 +75,6 @@ class SimRadioDevice:
         self.medium = None
         self.loss_rate = 0.0  # sim-only knob
         self.channel = 11
-        self._events: list[DevEventType] = []
         self._rx: list[bytes] = []
         self._tx_busy = False
 
@@ -98,12 +99,6 @@ class SimRadioDevice:
         if self.medium is not None:
             self.medium.transmit(self, bytes(frame))
         return _DEV_OK
-
-    def dev_poll_event(self) -> DevEventType:
-        self._check_owner()
-        if self._events:
-            return self._events.pop(0)
-        return _EV_NONE
 
     def dev_recv(self) -> bytes:
         """Copy the oldest received frame out of the device (the one
@@ -143,13 +138,16 @@ class SimRadioDevice:
     # -- medium callbacks (scheduler context) ------------------------------
     def _tx_done(self):
         self._tx_busy = False
-        self._push_event(_TX_DONE)
+        self._notify(_TX_DONE)
 
     def _rx_frame(self, frame: bytes):
+        owner = self.owner
+        if owner is not None and owner.closed:
+            owner.node.metrics.count("dev_rx_drops_no_owner")
+            return
         self._rx.append(frame)
-        self._push_event(_RX_READY)
+        self._notify(_RX_READY)
 
-    def _push_event(self, ev: DevEventType):
-        self._events.append(ev)
-        if self.owner is not None:
-            self.owner.node.sched.post(self.owner, DevNotify(self))
+    def _notify(self, event: DevEventType):
+        if self.owner is not None:  # a closed owner refuses the marker
+            self.owner.node.sched.post(self.owner, DevNotify(self, event))

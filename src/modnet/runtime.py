@@ -297,20 +297,17 @@ class DetScheduler(_SchedulerBase):
     def pending_events(self) -> int:
         return len(self._heap) + len(self._ready)
 
-    def run_until(self, t_us: int | None = None) -> int:
+    def run_until(self, t_us: int | None = None):
         """Run events up to simulated time ``t_us``, or until none are
-        left when no bound is given; returns the number run."""
-        processed = 0
+        left when no bound is given; ``steps`` counts them."""
         ready, heap = self._ready, self._heap
         while ready or heap:
             if t_us is not None and (
                     self.now_us if ready else heap[0][0]) > t_us:
                 break
             self.step()
-            processed += 1
         if t_us is not None:
             self.now_us = max(self.now_us, t_us)
-        return processed
 
     def wait_for(self, cmd, timeout_us: int) -> bool:
         """Step until ``cmd`` is answered; False when no event due by
@@ -469,10 +466,10 @@ class ThreadScheduler(_SchedulerBase):
             return self._cond.wait_for(lambda: cmd.status is not None,
                                        timeout_us / 1e6)
 
-    def run_until(self, t_us: int | None = None) -> int:
+    def run_until(self, t_us: int | None = None):
         """Let the workers take the timers due by ``t_us`` (all of them with
         no bound), wait until none is left and no event is ready or running,
-        then move ``now_us`` to ``t_us``.  Returns 0: workers count nothing."""
+        then move ``now_us`` to ``t_us``."""
         bound = float("inf") if t_us is None else t_us
         with self._cond:
             self._bound = bound
@@ -481,7 +478,6 @@ class ThreadScheduler(_SchedulerBase):
                 self._ready or self._running
                 or self._timers and self._timers[0][0] <= bound))
             self.now_us = max(self.now_us, t_us or 0)
-        return 0
 
     def stop(self):
         with self._cond:

@@ -250,7 +250,7 @@ class Simulator:
 
     def run_until(self, t_us: int | None = None):
         """Run to time ``t_us``, or to quiescence without one."""
-        return self.sched.run_until(t_us)
+        self.sched.run_until(t_us)
 
     def stop(self):
         self.sched.stop()

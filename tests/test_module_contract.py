@@ -1,13 +1,15 @@
 """Every stack module follows the base contract: data it does not take is
 a counted drop that frees its chain, and unknown options answer ENOTSUP."""
 
+import json
 import pathlib
 
 import pytest
 
 from modnet.netapi import ENOTSUP, MsgKind, NetMessage, send_cmd
 from modnet.pktbuf import PacketChain, ProtocolType
-from modnet.scenario import apply_workload, load_scenario_file
+from modnet.scenario import (apply_workload, collect_stats, load_scenario,
+                             load_scenario_file, run_scenario)
 from modnet.simnet import build
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
@@ -158,16 +160,59 @@ def test_open_after_sock_shutdown_is_skipped_and_counted():
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
 
+def echo_without_drain():
+    """echo.json, but a's socket has no app: the echo stays queued."""
+    doc = json.loads((SCENARIO_DIR / "echo.json").read_text())
+    del doc["workload"][1]["args"]["app"]
+    return load_scenario(doc)
+
+
+SWEPT = [pytest.param(load_scenario_file(str(path)), id=path.name)
+         for path in sorted(SCENARIO_DIR.glob("*.json"))]
+SWEPT.append(pytest.param(echo_without_drain(), id="echo.json-no-drain"))
+
+
+@pytest.mark.parametrize("scenario", SWEPT)
+def test_shutting_down_any_context_mid_run_leaks_nothing(scenario):
+    """Each context of the run is shut down, from outside any handler,
+    after each of six step counts spread over the run.  The run goes on to
+    quiescence raising nothing, every node ends with ``used == 0`` once
+    the apps have read their sockets, and no radio holds a frame."""
+    sim, _ = run_scenario(scenario)
+    steps = sim.sched.steps
+    contexts = [(node.name, ctx.name) for node in sim.nodes.values()
+                for ctx in node.all_contexts()]
+    for node_name, ctx_name in contexts:
+        for k in sorted({steps * i // 5 for i in range(6)}):
+            sim = build(scenario.topology)
+            book = apply_workload(sim, scenario)
+            for _ in range(k):
+                sim.sched.step()
+            node = sim.nodes[node_name]
+            node.shutdown_module(
+                node.modules.get(ctx_name) or node.aux[ctx_name])
+            sim.run_until()
+            collect_stats(sim, book)  # the apps read what is queued
+            where = f"{node_name}/{ctx_name} after {k} steps"
+            assert [n.pktbuf.used for n in sim.nodes.values()] == \
+                [0] * len(sim.nodes), where
+            assert not any(dev._rx for n in sim.nodes.values()
+                           for dev in n.devices), where
+
+
 def test_measured_names_stay_on_the_event_path(monkeypatch):
     """The benchmark's tracer wraps ``DetScheduler.step``,
-    ``PacketBuffer.alloc_snip`` and ``PacketChain.to_bytes`` to time events
-    and count copied bytes.  Every event, a command's nested ones too, runs
-    through ``step``, and an echo of ``echo_frag.json`` calls the other two
-    as often as it always has: a fast path around them would hide its work
-    from the tracer."""
+    ``PacketBuffer.alloc_snip``, ``PacketChain.to_bytes`` and the radio's
+    ``dev_send`` and ``dev_recv`` to time events, count copied bytes and
+    count frames.  Every event, a command's nested ones too, runs through
+    ``step``, and an echo of ``echo_frag.json`` calls the others as often
+    as it always has: a fast path around them would hide its work from the
+    tracer."""
+    from modnet.netdev import SimRadioDevice
     from modnet.pktbuf import PacketBuffer
     from modnet.runtime import DetScheduler
-    calls = dict.fromkeys(("step", "alloc_snip", "to_bytes"), 0)
+    calls = dict.fromkeys(
+        ("step", "alloc_snip", "to_bytes", "dev_send", "dev_recv"), 0)
 
     def count_calls(owner, name):
         fn = getattr(owner, name)
@@ -180,6 +225,8 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     count_calls(DetScheduler, "step")
     count_calls(PacketBuffer, "alloc_snip")
     count_calls(PacketChain, "to_bytes")
+    count_calls(SimRadioDevice, "dev_send")
+    count_calls(SimRadioDevice, "dev_recv")
     scenario = load_scenario_file(str(SCENARIO_DIR / "echo_frag.json"))
     sim = build(scenario.topology)
     apply_workload(sim, scenario)
@@ -189,3 +236,4 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     sim.run_until()
     assert calls["step"] == sim.sched.steps > 0
     assert (calls["alloc_snip"], calls["to_bytes"]) == (40, 38)
+    assert (calls["dev_send"], calls["dev_recv"]) == (14, 14)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,20 +26,34 @@ def test_send_too_large():
     assert dev.dev_send(b"x" * 127) == DevStatus.OK
 
 
-def test_busy_until_tx_done():
+def owned_dev():
+    """A device whose stub owner collects the markers the device posts."""
+    markers = []
+    sched = SimpleNamespace(post=lambda ctx, msg: markers.append(msg),
+                            current_ctx=lambda: None)
     dev = make_dev()
+    dev.owner = SimpleNamespace(closed=False,
+                                node=SimpleNamespace(sched=sched))
+    return dev, markers
+
+
+def test_busy_until_tx_done():
+    dev, markers = owned_dev()
     assert dev.dev_send(b"one") == DevStatus.OK
     assert dev.dev_send(b"two") == DevStatus.BUSY
+    assert markers == []
     dev._tx_done()
-    assert dev.dev_poll_event() == DevEventType.TX_DONE
+    assert [(m.device, m.event) for m in markers] == \
+        [(dev, DevEventType.TX_DONE)]
     assert dev.dev_send(b"two") == DevStatus.OK
 
 
 def test_rx_fifo_and_empty():
-    dev = make_dev()
+    dev, markers = owned_dev()
     dev._rx_frame(b"first")
     dev._rx_frame(b"second")
-    assert dev.dev_poll_event() == DevEventType.RX_READY
+    assert [(m.device, m.event) for m in markers] == \
+        [(dev, DevEventType.RX_READY)] * 2
     assert dev.dev_recv() == b"first"
     assert dev.dev_recv() == b"second"
     with pytest.raises(NoFrame):

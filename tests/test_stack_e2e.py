@@ -4,11 +4,12 @@ import struct
 
 import pytest
 
-from modnet.ipv6 import Ipv6Header, encode_header
+from modnet.ipv6 import NEXT_HEADER_UDP, Ipv6Header, encode_header
 from modnet.link import link_encode
 from modnet.metrics import CopySite
-from modnet.netapi import MsgKind, NetMessage
-from modnet.pktbuf import PacketChain, ProtocolType
+from modnet.netapi import DEMUX_ALL, DEMUX_RAW, MsgKind, NetMessage
+from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority, PacketChain,
+                           ProtocolType)
 from modnet.simnet import build
 from modnet.sixlowpan import (DISPATCH_UNCOMPRESSED, FRAG1_DISPATCH,
                               FRAGN_DISPATCH)
@@ -238,6 +239,61 @@ def test_crafted_frame_is_a_counted_drop(make, node, raw, counter):
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
 
+# Out of memory on the receive path.  A CONTROL filler snip leaves ``room``
+# bytes of b's 2,048; a block costs 16 B plus its size rounded up to 4.  A
+# layer's re-copy releases the chain before it allocates, so it can fail
+# only while a second receiver, the tap bound to the same key, still holds
+# the chain.  The 40 B datagram costs 108 B at the link, 104 B at 6lo (its
+# IPv6 datagram), 64 B at ipv6 (its UDP datagram) and 56 B at udp.
+RX_NOBUF_DROPS = [  # (tap key, room, frame, counter)
+    (None, 64, frame(LONG_B, IP_B, udp_bytes(b"hi")), "link_rx_drops_nobuf"),
+    (None, 64, link_encode(LONG_B, LONG_A, 0, frag1(640, bytes(16))),
+     "reassembly_drops_nobuf"),  # the link's 36 B fit, the 656 B entry not
+    ((ProtocolType.SIXLOWPAN, DEMUX_ALL), 200,
+     frame(LONG_B, IP_B, udp_bytes(bytes(40))), "sixlowpan_rx_drops_nobuf"),
+    ((ProtocolType.IPV6, DEMUX_RAW), 160,
+     frame(LONG_B, IP_B, udp_bytes(bytes(40))), "ipv6_rx_drops_nobuf"),
+    ((ProtocolType.IPV6, NEXT_HEADER_UDP), 116,
+     frame(LONG_B, IP_B, udp_bytes(bytes(40))), "udp_rx_drops_nobuf"),
+]
+
+
+def fill(node, room):
+    """Hold all but ``room`` bytes of ``node``'s idle buffer."""
+    buf = node.pktbuf
+    assert buf.used == 0
+    return buf.alloc_snip(size=buf.capacity - room - SNIP_OVERHEAD,
+                          prio=AllocPriority.CONTROL)
+
+
+@pytest.mark.parametrize("tap,room,raw,counter", RX_NOBUF_DROPS,
+                         ids=[case[-1] for case in RX_NOBUF_DROPS])
+def test_receive_out_of_memory_is_a_counted_drop(tap, room, raw, counter):
+    sim = build(two_node())
+    b = sim.nodes["b"]
+    if tap is not None:
+        b.registry.register(*tap, b.spawn_module(
+            "tap", lambda ctx, msg: b.pktbuf.release(msg.pkt.head),
+            aux=True))
+    filler = fill(b, room)
+    b.devices[0]._rx_frame(raw)
+    sim.run_until()
+    assert sim.metrics.get(counter) == 1
+    b.pktbuf.release(filler)
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_offload_receive_out_of_memory_is_a_counted_drop():
+    sim = build(offload_pair())
+    b = sim.nodes["b"]
+    filler = fill(b, 64)  # the 80 B datagram costs 96 B
+    sim.socket_layer("a").open(40000).sendto(IP_B, 7, pattern(80))
+    sim.run_until()
+    assert sim.metrics.get("offload_rx_drops_nobuf") == 1
+    b.pktbuf.release(filler)
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
 # -- send-path drops ---------------------------------------------------------
 
 TX_DROPS = [  # (module on node a, chain size, meta, buffer capacity, counter)
@@ -245,6 +301,9 @@ TX_DROPS = [  # (module on node a, chain size, meta, buffer capacity, counter)
     ("6lo", 50, {"iface": 3}, 2048, "sixlowpan_no_link"),
     ("6lo", 2048, {}, 4096, "sixlowpan_tx_too_large"),  # over 2,047 B
     ("link0", 111, {}, 2048, "link_payload_too_large"),
+    # the chain fits under SEND_APP's 192 B of 256, its header does not
+    ("udp", 160, {}, 256, "udp_tx_drops_nobuf"),
+    ("ipv6", 130, {"dst_ip": IP_B}, 256, "ipv6_tx_drops_nobuf"),
 ]
 
 
@@ -331,4 +390,22 @@ def test_link_shutdown_drops_the_frames_waiting_for_the_radio():
     assert sim.metrics.get("link_shutdown_drops") == 1
     sim.run_until()
     assert sim.metrics.get("frames_sent") == 1  # TX_DONE sent nothing
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_link_shutdown_drops_the_frames_the_radio_holds():
+    """Frames the radio received but the link has not read go with the
+    link; a frame that arrives later is dropped by the radio itself."""
+    sim = build(two_node())
+    b = sim.nodes["b"]
+    radio = b.devices[0]
+    for _ in range(2):
+        radio._rx_frame(frame(LONG_B, IP_B, udp_bytes(b"hi")))
+    b.shutdown_module(b.modules["link0"])
+    assert radio._rx == []
+    assert sim.metrics.get("link_shutdown_drops") == 2
+    sim.socket_layer("a").open(40000).sendto(IP_B, 7, pattern(20))
+    sim.run_until()
+    assert radio._rx == []
+    assert sim.metrics.get("dev_rx_drops_no_owner") == 1
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())

@@ -14,7 +14,8 @@ import pytest
 
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
-from modnet.pktbuf import AllocPriority, Backend, ProtocolType, buffer_create
+from modnet.pktbuf import (AllocPriority, Backend, PacketChain, ProtocolType,
+                           buffer_create)
 from modnet.runtime import Node, ThreadScheduler
 from modnet.scenario import (apply_workload, collect_stats,
                              load_scenario_file, run_scenario)
@@ -189,6 +190,43 @@ def test_shared_structures_lock_under_the_pool():
     assert buf.used == 0
     assert buf.free_list() == [(0, buf.capacity)]
     assert registry.lookup(ProtocolType.UDP, 7) == []
+
+
+def test_post_refusals_under_the_pool():
+    """The pool refuses a chain posted to a closed context, and a data
+    message that finds the lane full while the handler blocks, counted as
+    ``mailbox_drops``.  Either way the chain goes back to the buffer."""
+    sched, node = make_node()
+    started, go = threading.Event(), threading.Event()
+
+    def handler(ctx, msg):
+        if msg == "block":
+            started.set()
+            go.wait(10)
+        else:
+            node.pktbuf.release(msg.pkt.head)
+
+    def chain_msg():
+        return NetMessage(kind=MsgKind.MSG_RCV, pkt=PacketChain(
+            node.pktbuf.alloc_snip(size=16, prio=AllocPriority.RECEIVE)))
+
+    try:
+        closed = node.spawn_module("closed", handler)
+        node.shutdown_module(closed)
+        assert not sched.post(closed, chain_msg())
+        ctx = node.spawn_module("m", handler, mailbox_capacity=2)
+        assert sched.post(ctx, "block")
+        assert started.wait(10)
+        accepted = [sched.post(ctx, chain_msg()) for _ in range(5)]
+        assert accepted == [True, True, False, False, False]
+        assert sched.metrics.get("mailbox_drops") == 3
+        go.set()
+        sched.run_until()
+        assert not sched.errors
+        assert node.pktbuf.used == 0
+    finally:
+        go.set()
+        sched.stop()
 
 
 def test_shutdown_module_unregisters_under_the_pool():
