@@ -11,7 +11,8 @@ end-to-end metric the result records each side's runs with their median
 and quartiles, the change in the median, and the number of pairs the
 change won (ties count for neither).  ``gain_rule_met`` says whether the
 change won at least nine tenths of the pairs and its median beat the
-parent's by more than the parent's interquartile spread.
+parent's by more than the parent's interquartile spread; the Markdown
+table shows it per metric.
 
 The result goes into ``--out`` under the key ``<workload>:seed<seed>``;
 entries for other keys already in that file are kept, so several
@@ -72,8 +73,8 @@ def compare(unit, better, parent, change):
 
 
 def table(key, entry):
-    rows = ["| workload | metric | parent | change | Δ median | better |",
-            "|---|---|---|---|---|---|"]
+    rows = ["| workload | metric | parent | change | Δ median | better "
+            "| gain rule met |", "|---|---|---|---|---|---|---|"]
     pairs = entry["pairs"]
     for name, m in entry["metrics"].items():
         p, c = m["parent"], m["change"]
@@ -82,7 +83,8 @@ def table(key, entry):
         rows.append(
             f"| {key} | {name} | {p['median']:.4g} [{p['q1']:.4g}, "
             f"{p['q3']:.4g}] | {c['median']:.4g} [{c['q1']:.4g}, "
-            f"{c['q3']:.4g}] | {delta} | {m['change_better_pairs']}/{pairs} |")
+            f"{c['q3']:.4g}] | {delta} | {m['change_better_pairs']}/{pairs} "
+            f"| {'yes' if m['gain_rule_met'] else 'no'} |")
     return "\n".join(rows)
 
 

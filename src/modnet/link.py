@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
-from .netapi import ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
+from .netapi import _MSG_SND, ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
 from .netdev import (_BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify,
                      Unsupported)
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
@@ -90,6 +90,8 @@ class LinkModule(Module):
                 self._receive(ctx)
             elif self._pending:  # TX_DONE: the radio is free again
                 self._transmit(self._pending.popleft())
+        elif msg.kind is _MSG_SND:
+            self.on_snd(ctx, msg)
         else:
             Module.__call__(self, ctx, msg)
 

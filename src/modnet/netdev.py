@@ -4,7 +4,8 @@ Unlike the inter-module message protocol, driver interaction is plain
 procedure calls: the MAC/link module owns its device exclusively and calls
 ``dev_send``/``dev_recv`` directly.  The device posts one ``DevNotify``
 marker to the owner's mailbox per event, and the marker names the event
-(RX_READY or TX_DONE); the radio itself holds only its received frames.
+(RX_READY or TX_DONE).  Each radio builds its two markers once; besides
+them it holds only its received frames.
 A frame that reaches a radio whose owner is closed is dropped, counted as
 ``dev_rx_drops_no_owner``.
 
@@ -49,7 +50,8 @@ class OwnershipViolation(AssertionError):
 
 
 class DevNotify:
-    """Mailbox marker: ``event`` happened on the named device."""
+    """Mailbox marker: ``event`` happened on the named device.  Immutable,
+    so one mailbox may hold the same marker more than once."""
 
     __slots__ = ("device", "event")
 
@@ -77,6 +79,8 @@ class SimRadioDevice:
         self.channel = 11
         self._rx: list[bytes] = []
         self._tx_busy = False
+        self._rx_marker = DevNotify(self, _RX_READY)
+        self._tx_marker = DevNotify(self, _TX_DONE)
 
     # -- ownership contract ----------------------------------------------
     def _check_owner(self):
@@ -90,7 +94,9 @@ class SimRadioDevice:
 
     # -- driver calls ------------------------------------------------------
     def dev_send(self, frame: bytes) -> DevStatus:
-        self._check_owner()
+        owner = self.owner
+        if owner is not None and owner.node.sched.current_ctx() is not owner:
+            self._check_owner()
         if len(frame) > MAX_FRAME:
             return _TOO_LARGE
         if self._tx_busy:
@@ -103,7 +109,9 @@ class SimRadioDevice:
     def dev_recv(self) -> bytes:
         """Copy the oldest received frame out of the device (the one
         device-to-buffer copy of the RX path; the caller tags it)."""
-        self._check_owner()
+        owner = self.owner
+        if owner is not None and owner.node.sched.current_ctx() is not owner:
+            self._check_owner()
         if not self._rx:
             raise NoFrame(f"device {self.id}: RX queue empty")
         return bytes(self._rx.pop(0))
@@ -138,7 +146,9 @@ class SimRadioDevice:
     # -- medium callbacks (scheduler context) ------------------------------
     def _tx_done(self):
         self._tx_busy = False
-        self._notify(_TX_DONE)
+        owner = self.owner
+        if owner is not None:  # a closed owner refuses the marker
+            owner.node.sched.post(owner, self._tx_marker)
 
     def _rx_frame(self, frame: bytes):
         owner = self.owner
@@ -146,8 +156,5 @@ class SimRadioDevice:
             owner.node.metrics.count("dev_rx_drops_no_owner")
             return
         self._rx.append(frame)
-        self._notify(_RX_READY)
-
-    def _notify(self, event: DevEventType):
-        if self.owner is not None:  # a closed owner refuses the marker
-            self.owner.node.sched.post(self.owner, DevNotify(self, event))
+        if owner is not None:
+            owner.node.sched.post(owner, self._rx_marker)

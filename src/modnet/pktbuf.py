@@ -196,11 +196,13 @@ class PacketBuffer:
             lock_methods(self, threading.RLock(), self._LOCKED)
 
     # -- backend hooks --------------------------------------------------
-    def _acquire(self, cost: int):
-        """Return backend-specific placement or None if no room."""
+    def _acquire(self, cost: int, size: int, proto) -> Snip | None:
+        """The one allocation hook, under the byte cap: place a ``cost``-byte
+        block and return its ``size``-byte snip, or None if none fits."""
         raise NotImplementedError
 
     def _release_block(self, snip: Snip, cost: int):
+        """Give back the ``cost``-byte block that ``snip`` was placed in."""
         raise NotImplementedError
 
     def _largest_free_block(self) -> int:
@@ -222,21 +224,17 @@ class PacketBuffer:
             self.failed_allocs[prio] += 1
             raise NoBufferSpace(
                 f"{size} B at {prio.name}: used={self.used}/{self.capacity}")
-        placement = self._acquire(cost)
-        if placement is None:  # arena fragmentation
+        snip = self._acquire(cost, size, proto)
+        if snip is None:  # arena fragmentation
             self.failed_allocs[prio] += 1
             raise NoBufferSpace(
                 f"{size} B at {prio.name}: no contiguous block")
         self.used = used
         if used > self.peak:
             self.peak = used
-        snip = self._make_snip(placement, size, proto)
         if payload is not None:
             snip.data[:size] = payload
         return snip
-
-    def _make_snip(self, placement, size, proto) -> Snip:
-        raise NotImplementedError
 
     def hold(self, snip: Snip) -> None:
         """Add one holder to every snip in the chain, or to none when one
@@ -316,7 +314,7 @@ class ArenaBuffer(PacketBuffer):
         self._starts: list[int] = [0]
         self._lens: list[int] = [capacity]
 
-    def _acquire(self, cost):
+    def _acquire(self, cost, size, proto):
         starts, lens = self._starts, self._lens
         for i, length in enumerate(lens):
             if length >= cost:
@@ -325,7 +323,9 @@ class ArenaBuffer(PacketBuffer):
                     del starts[i], lens[i]
                 else:
                     starts[i], lens[i] = off + cost, length - cost
-                return off
+                start = off + SNIP_OVERHEAD
+                return Snip(self._view[start:start + size], size, proto,
+                            self, off)
         return None
 
     def _release_block(self, snip, cost):
@@ -343,11 +343,6 @@ class ArenaBuffer(PacketBuffer):
     def _largest_free_block(self):
         return max(self._lens, default=0)
 
-    def _make_snip(self, placement, size, proto):
-        start = placement + SNIP_OVERHEAD
-        return Snip(self._view[start:start + size], size, proto, self,
-                    placement)
-
     def free_list(self):
         """Snapshot of (offset, length) free blocks, for oracle checks."""
         return list(zip(self._starts, self._lens))
@@ -356,17 +351,14 @@ class ArenaBuffer(PacketBuffer):
 class DynamicBuffer(PacketBuffer):
     """Heap-backed backend under the same byte cap and accounting rules."""
 
-    def _acquire(self, cost):
-        return cost  # accounting alone; no placement
+    def _acquire(self, cost, size, proto):
+        return Snip(bytearray(size), size, proto, self)  # no placement
 
     def _release_block(self, snip, cost):
         pass
 
     def _largest_free_block(self):
         return self.capacity - self.used
-
-    def _make_snip(self, placement, size, proto):
-        return Snip(bytearray(size), size, proto, self)
 
 
 def buffer_create(capacity: int, backend: Backend = Backend.STATIC_ARENA,

@@ -161,17 +161,17 @@ class Medium:
         self._adj.setdefault(id(dev_b), []).append((dev_a, loss, delay_us))
 
     def transmit(self, dev: SimRadioDevice, frame: bytes):
-        now = self.sched.now_us
-        self.sched.call_at(now, dev._tx_done)
-        self.metrics.count("frames_sent")
+        sched, metrics, now = self.sched, self.metrics, self.sched.now_us
+        sched.call_at(now, dev._tx_done)
+        metrics.count("frames_sent")
         draw = self.rng.random()  # one draw shared by the broadcast star
         for peer, loss, delay_us in self._adj.get(id(dev), ()):
             eff = 1.0 - (1.0 - loss) * (1.0 - dev.loss_rate)
             if draw < eff:
-                self.metrics.count("frames_lost")
+                metrics.count("frames_lost")
                 continue
-            self.metrics.count("frames_delivered")
-            self.sched.call_at(now + delay_us, partial(peer._rx_frame, frame))
+            metrics.count("frames_delivered")
+            sched.call_at(now + delay_us, partial(peer._rx_frame, frame))
 
 
 class Simulator:

@@ -153,6 +153,8 @@ class ReassemblyTable:
 
     def expire(self, now_us: int):
         """Release every entry whose deadline passed; returns count."""
+        if not self.entries:
+            return 0
         stale = [e for e in self.entries.values() if now_us >= e.deadline_us]
         for entry in stale:
             self._drop_entry(entry)
@@ -237,7 +239,7 @@ class SixlowpanModule(Module):
 
     # -- TX -----------------------------------------------------------------
     def on_snd(self, ctx, msg):
-        node = ctx.node
+        node, sched = ctx.node, ctx.node.sched
         pkt, meta = msg.pkt, msg.meta
         prio = meta.get("prio", _SEND_APP)
         link_ctx = self.links.get(meta.get("iface", 0))
@@ -259,8 +261,7 @@ class SixlowpanModule(Module):
                 drop(ctx, pkt, "sixlowpan_tx_drops_nobuf")
                 return
             out.head.data[0] = DISPATCH_UNCOMPRESSED
-            node.sched.post(link_ctx, NetMessage(
-                kind=_MSG_SND, pkt=out, meta=down_meta))
+            sched.post(link_ctx, NetMessage(_MSG_SND, out, None, down_meta))
             return
         # fragment: slice datagram bytes into per-frame snips; the source
         # chain is freed first so peak usage is one datagram, not two
@@ -280,13 +281,11 @@ class SixlowpanModule(Module):
             return
         # pace fragments 1 us apart so the link mailbox never overflows
         # on large datagrams
-        for i, snip in enumerate(snips):
+        for t_us, snip in enumerate(snips, sched.now_us):
             if pid is not None:
                 node.metrics.record_copy(_BUF_INTERNAL, pid, snip.size)
-            message = NetMessage(kind=_MSG_SND, pkt=PacketChain(snip),
-                                 meta=down_meta)
-            node.sched.call_later(i, partial(node.sched.post, link_ctx,
-                                             message))
+            sched.call_at(t_us, partial(sched.post, link_ctx, NetMessage(
+                _MSG_SND, PacketChain(snip), None, down_meta)))
 
     # -- RX -----------------------------------------------------------------
     def on_rcv(self, ctx, msg):
@@ -321,6 +320,6 @@ class SixlowpanModule(Module):
             up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": entry_pid},
                "sixlowpan_rx_no_receiver")
         elif status is _INCOMPLETE:
-            node.sched.call_later(
-                table.timeout_us + 1,
-                lambda: table.expire(node.sched.now_us))
+            # the scheduler sets now_us to the due time before it fires
+            due = node.sched.now_us + table.timeout_us + 1
+            node.sched.call_at(due, partial(table.expire, due))

@@ -202,17 +202,20 @@ def test_shutting_down_any_context_mid_run_leaks_nothing(scenario):
 
 def test_measured_names_stay_on_the_event_path(monkeypatch):
     """The benchmark's tracer wraps ``DetScheduler.step``,
-    ``PacketBuffer.alloc_snip``, ``PacketChain.to_bytes`` and the radio's
-    ``dev_send`` and ``dev_recv`` to time events, count copied bytes and
-    count frames.  Every event, a command's nested ones too, runs through
-    ``step``, and an echo of ``echo_frag.json`` calls the others as often
-    as it always has: a fast path around them would hide its work from the
-    tracer."""
+    ``PacketBuffer.alloc_snip``, ``PacketChain.to_bytes``, the radio's
+    ``dev_send`` and ``dev_recv`` and ``ReassemblyTable.expire`` to time
+    events, count copied bytes, frames and expiry runs.  Every event, a
+    command's nested ones too, runs through ``step``, and an echo of
+    ``echo_frag.json`` calls the others as often as it always has: a fast
+    path around them would hide its work from the tracer.  An expiry timer
+    binds ``expire`` when it is scheduled, so the wrapper must be in place
+    by then."""
     from modnet.netdev import SimRadioDevice
     from modnet.pktbuf import PacketBuffer
     from modnet.runtime import DetScheduler
-    calls = dict.fromkeys(
-        ("step", "alloc_snip", "to_bytes", "dev_send", "dev_recv"), 0)
+    from modnet.sixlowpan import ReassemblyTable
+    calls = dict.fromkeys(("step", "alloc_snip", "to_bytes", "dev_send",
+                           "dev_recv", "expire"), 0)
 
     def count_calls(owner, name):
         fn = getattr(owner, name)
@@ -227,6 +230,7 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     count_calls(PacketChain, "to_bytes")
     count_calls(SimRadioDevice, "dev_send")
     count_calls(SimRadioDevice, "dev_recv")
+    count_calls(ReassemblyTable, "expire")
     scenario = load_scenario_file(str(SCENARIO_DIR / "echo_frag.json"))
     sim = build(scenario.topology)
     apply_workload(sim, scenario)
@@ -237,3 +241,4 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     assert calls["step"] == sim.sched.steps > 0
     assert (calls["alloc_snip"], calls["to_bytes"]) == (40, 38)
     assert (calls["dev_send"], calls["dev_recv"]) == (14, 14)
+    assert calls["expire"] == 12

@@ -193,6 +193,7 @@ def test_table_full_drops_new_datagram_only():
 
 def test_timeout_reclaims_buffer():
     table = make_table()
+    assert table.expire(5_000_000) == 0  # an empty table
     frags = fragment(pattern(1280), 110, 7)
     feed_all(table, frags[:-1])  # one FRAGN missing
     assert table.buffer.stats().used > 0
@@ -273,3 +274,33 @@ def test_each_received_frame_parsed_once(monkeypatch, name, frames):
     _, stats = run_scenario(scenario)
     assert stats["counters"]["frames_delivered"] == frames
     assert len(calls) == frames
+
+
+@pytest.mark.parametrize("mode", ["det", "par"])
+def test_lone_fragment_expires_at_its_due_time(mode):
+    """echo_frag.json's b receives a FRAG1 whose FRAGNs never come.  Its
+    entry holds buffer memory until the one expiry timer, due 5,000,001 us
+    after the frame arrived, releases it, counted; the run ends on that
+    timer in both modes."""
+    from modnet.link import link_encode
+    from modnet.scenario import load_scenario_file
+    from modnet.simnet import build
+    scenario = load_scenario_file(str(pathlib.Path(__file__).parent.parent
+                                      / "scenarios" / "echo_frag.json"))
+    sim = build(scenario.topology, mode=mode)
+    try:
+        a, b = sim.nodes["a"], sim.nodes["b"]
+        size, tag = 640, 1
+        frag1 = struct.pack("!HH", (0b11000 << 11) | size, tag) + bytes(16)
+        a.devices[0].dev_send(link_encode(b.devices[0].addr_long,
+                                          a.devices[0].addr_long, 0, frag1))
+        arrival = sim.sched.now_us + scenario.topology.links[0].delay_us
+        sim.run_until(arrival)
+        assert b.pktbuf.used > 0  # the open entry
+        sim.run_until()
+        assert sim.sched.now_us == arrival + 5_000_001
+        assert sim.metrics.get("reassembly_timeouts") == 1
+        assert [a.pktbuf.used, b.pktbuf.used] == [0, 0]
+        assert not getattr(sim.sched, "errors", [])
+    finally:
+        sim.stop()

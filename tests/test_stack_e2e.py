@@ -8,6 +8,7 @@ from modnet.ipv6 import NEXT_HEADER_UDP, Ipv6Header, encode_header
 from modnet.link import link_encode
 from modnet.metrics import CopySite
 from modnet.netapi import DEMUX_ALL, DEMUX_RAW, MsgKind, NetMessage
+from modnet.netdev import DevEventType, DevNotify
 from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority, PacketChain,
                            ProtocolType)
 from modnet.simnet import build
@@ -374,6 +375,45 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     assert not link.handler._pending
     assert sim.metrics.get("frames_sent") == 2
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_a_radio_posts_one_marker_object_per_event_kind():
+    """Each radio builds its RX_READY and TX_DONE markers once.  Two frames
+    that reach b before its link runs leave the same RX_READY object twice
+    in the link's control lane, and the link reads both frames."""
+    sim = build(two_node())
+    b = sim.nodes["b"]
+    radio, link = b.devices[0], b.modules["link0"]
+    posted = []
+    post = sim.sched.post
+
+    def recording_post(ctx, msg):
+        if isinstance(msg, DevNotify):
+            posted.append(msg)
+        return post(ctx, msg)
+
+    sim.sched.post = recording_post
+    sink = sim.socket_layer("b").open(7)
+    for payload in (b"one", b"two"):
+        radio._rx_frame(frame(LONG_B, IP_B, udp_bytes(payload)))
+    lane = list(link.mailbox._ctrl)
+    assert len(lane) == 2 and lane[0] is lane[1]
+    assert (lane[0].device, lane[0].event) == (radio, DevEventType.RX_READY)
+    sim.run_until()
+    assert [sink.recv_nowait()[2] for _ in range(2)] == [b"one", b"two"]
+    client = sim.socket_layer("a").open(40000)
+    for payload in (b"three", b"four"):
+        client.sendto(IP_B, 7, payload)
+    sim.run_until()
+    assert len(sink.queue) == 2
+    # a's radio sent twice and b's received four frames: one object each
+    objects = {}
+    for m in posted:
+        objects.setdefault((m.device, m.event), set()).add(id(m))
+    assert {key: len(ids) for key, ids in objects.items()} == {
+        (radio, DevEventType.RX_READY): 1,
+        (sim.nodes["a"].devices[0], DevEventType.TX_DONE): 1}
+    assert [m.event for m in posted].count(DevEventType.TX_DONE) == 2
 
 
 def test_link_shutdown_drops_the_frames_waiting_for_the_radio():
