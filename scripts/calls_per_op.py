@@ -2,7 +2,7 @@
 """Python function calls per completed operation of a benchmark workload.
 
     PYTHONPATH=src python scripts/calls_per_op.py --workload frag_echo \
-        --seed 1 --rounds 1 --top 10
+        --seed 1 --rounds 1 --top 10 [--max 1106]
 
 Each of the workload's first ``--rounds`` rounds runs once, from scenario
 load through topology build to drain, under ``sys.setprofile``.  Every
@@ -11,6 +11,8 @@ function.  The script prints the total per completed operation, then the
 ``--top`` functions by calls per operation.  The counts are exact: a round
 replays the same events whatever the host, so two commits compare call for
 call.  The workloads come from ``perfbench/workloads.py``, imported as is.
+With ``--max N`` the script exits 1 when the calls per op exceed ``N``;
+since the count is exact, such a gate does not depend on the host.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--top", type=int, default=20, metavar="N")
+    ap.add_argument("--max", type=float, default=None, metavar="N",
+                    help="exit 1 when the calls per op exceed N")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
@@ -87,7 +91,12 @@ def main(argv=None):
           f"{completed} ops, {total} calls, {total / ops:.1f} calls per op")
     for name, n in calls.most_common(args.top):
         print(f"{n / ops:10.2f}  {name}")
+    if args.max is not None and total / ops > args.max:
+        print(f"{total / ops:.1f} calls per op exceed --max {args.max:g}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

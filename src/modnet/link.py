@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 
 from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
 from .netapi import _MSG_SND, ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
@@ -24,7 +23,8 @@ from .netdev import (_BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify,
                      Unsupported)
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
 
-HEADER_LEN = 17
+HEADER = struct.Struct("!8s8sB")
+HEADER_LEN = HEADER.size  # 17
 MAX_PAYLOAD = MAX_FRAME - HEADER_LEN  # 110
 
 
@@ -40,43 +40,36 @@ class PayloadTooLarge(LinkError):
     pass
 
 
-@dataclass(slots=True)
-class LinkFrame:
-    dst_long: bytes
-    src_long: bytes
-    seq: int
-    payload: bytes
-
-
 def link_encode(dst_long: bytes, src_long: bytes, seq: int,
                 payload: bytes) -> bytes:
     if not 1 <= len(payload) <= MAX_PAYLOAD:
         raise PayloadTooLarge(
             f"payload must be 1..{MAX_PAYLOAD} bytes, got {len(payload)}")
-    return struct.pack("!8s8sB", dst_long, src_long, seq & 0xFF) + payload
+    return HEADER.pack(dst_long, src_long, seq & 0xFF) + payload
 
 
-def link_decode(frame: bytes) -> LinkFrame:
+def link_decode(frame: bytes) -> tuple[bytes, bytes, int, bytes]:
+    """``(dst_long, src_long, seq, payload)`` of a frame."""
     if len(frame) < HEADER_LEN + 1:
         raise FrameTooShort(f"{len(frame)} bytes < {HEADER_LEN + 1}")
     if len(frame) > MAX_FRAME:
         raise PayloadTooLarge(f"{len(frame)} bytes > {MAX_FRAME}")
-    dst, src, seq = struct.unpack_from("!8s8sB", frame)
-    return LinkFrame(dst, src, seq, frame[HEADER_LEN:])
+    return (*HEADER.unpack_from(frame), frame[HEADER_LEN:])
 
 
 class LinkModule(Module):
     """Owns one device.  Downward: serialize chain + frame + dev_send.
     Upward: dev_recv into a RECEIVE-priority snip, dispatch to the
     adaptation layer.  Nothing sits below it, so ``MSG_RCV`` is the
-    base's counted drop."""
+    base's counted drop.  A frame refused as ``BUSY`` waits in ``_pending``
+    with its chain, held in the buffer until ``dev_send`` takes it."""
 
     layer = "link"
 
     def __init__(self, device):
         self.device = device
         self._seq = 0
-        self._pending: deque[bytes] = deque()  # frames waiting on TX slot
+        self._pending: deque[tuple[bytes, object]] = deque()  # (frame, head)
 
     def on_spawn(self, ctx):
         self.ctx = ctx
@@ -89,7 +82,11 @@ class LinkModule(Module):
             if msg.event is _RX_READY:
                 self._receive(ctx)
             elif self._pending:  # TX_DONE: the radio is free again
-                self._transmit(self._pending.popleft())
+                frame, head = self._pending.popleft()
+                if self.device.dev_send(frame) is _BUSY:
+                    self._pending.append((frame, head))
+                else:
+                    ctx.node.pktbuf.release(head)
         elif msg.kind is _MSG_SND:
             self.on_snd(ctx, msg)
         else:
@@ -102,52 +99,53 @@ class LinkModule(Module):
         dropped = len(self._pending) + len(rx)
         if dropped:
             ctx.node.metrics.count("link_shutdown_drops", dropped)
+            for _, head in self._pending:
+                ctx.node.pktbuf.release(head)
             self._pending.clear()
             rx.clear()
 
     # -- TX ----------------------------------------------------------------
     def on_snd(self, ctx, msg):
-        node = ctx.node
+        node, head = ctx.node, msg.pkt.head
         payload = msg.pkt.to_bytes()
-        pid = msg.meta.get("packet_id")
         if not 1 <= len(payload) <= MAX_PAYLOAD:
             drop(ctx, msg.pkt, "link_payload_too_large")
             return
-        if pid is not None:
-            node.metrics.record_copy(_BUF_TO_DEV, pid, len(payload))
-        node.pktbuf.release(msg.pkt.head)
+        metrics, pid = node.metrics, msg.meta.get("packet_id")
+        if metrics.recording and pid is not None:
+            metrics.record_copy(_BUF_TO_DEV, pid, len(payload))
         dst = msg.meta.get("dst_link") or BROADCAST_LONG
         frame = link_encode(dst, self.device.addr_long, self._seq, payload)
         self._seq = (self._seq + 1) & 0xFF
-        self._transmit(frame)
-
-    def _transmit(self, frame):
-        # on_snd caps the payload, so no frame is TOO_LARGE for the device
+        # the payload cap keeps every frame within the radio's MTU
         if self.device.dev_send(frame) is _BUSY:
-            self._pending.append(frame)
+            self._pending.append((frame, head))
+        else:
+            node.pktbuf.release(head)
 
     # -- RX ------------------------------------------------------------------
     def _receive(self, ctx):
         node = ctx.node
         raw = self.device.dev_recv()
         try:
-            frame = link_decode(raw)
+            dst, src, _, payload = link_decode(raw)
         except LinkError:
             node.metrics.count("link_rx_malformed")
             return
-        if frame.dst_long not in (self.device.addr_long, BROADCAST_LONG):
+        if dst not in (self.device.addr_long, BROADCAST_LONG):
             node.metrics.count("link_rx_filtered")
             return
         try:
             snip = node.pktbuf.alloc_snip(
-                payload=frame.payload, proto=_SIXLOWPAN, prio=_RECEIVE)
+                payload=payload, proto=_SIXLOWPAN, prio=_RECEIVE)
         except NoBufferSpace:
             node.metrics.count("link_rx_drops_nobuf")
             return
-        pid = node.metrics.new_packet_id()
-        node.metrics.record_copy(_DEV_TO_BUF, pid, len(frame.payload))
-        meta = {"src_link": frame.src_long, "dst_link": frame.dst_long,
-                "packet_id": pid}
+        metrics = node.metrics
+        pid = metrics.new_packet_id()
+        if metrics.recording:
+            metrics.record_copy(_DEV_TO_BUF, pid, len(payload))
+        meta = {"src_link": src, "dst_link": dst, "packet_id": pid}
         up(ctx, _SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
            "link_rx_no_receiver")
 

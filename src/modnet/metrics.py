@@ -54,13 +54,14 @@ class Metrics:
     more than the counter update it guards.
 
     Counters and packet ids are always kept.  The per-packet copy ledger is
-    kept only with ``record=True``; otherwise ``record_copy`` and
-    ``merge_packet`` return at once and the ledger reads as empty."""
+    kept only with ``record=True``, which sets ``recording``; the stack
+    calls ``record_copy`` and ``merge_packet`` only while it is set."""
 
     _LOCKED = ("new_packet_id", "record_copy", "merge_packet", "copy_report",
                "copy_bytes", "packet_ids", "count", "get", "as_dict")
 
     def __init__(self, locked: bool = True, record: bool = False):
+        self.recording = record
         self._copies: dict[int, list[tuple[CopySite, int]]] | None = (
             defaultdict(list) if record else None)
         self._next_packet_id = 1

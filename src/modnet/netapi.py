@@ -18,10 +18,11 @@ Any plain ``handler(ctx, msg)`` callable still works as a module.
 
 Upward packet flow is composed through the registry: modules and sockets
 bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
-fans packets out to every match, taking one buffer hold per receiver.  A
-packet dispatched under (proto, demux) matches the targets registered under
-that exact key, then those registered under (proto, ``DEMUX_ALL``), each
-in registration order; dispatching under ``DEMUX_ALL`` itself matches the
+fans packets out to every match.  As in GNRC, n matches cost n - 1
+holds: the caller's own reference goes to a receiver.  A packet
+dispatched under (proto, demux) matches the targets registered under that
+exact key, then those registered under (proto, ``DEMUX_ALL``), each in
+registration order; dispatching under ``DEMUX_ALL`` itself matches the
 wildcard targets once.
 Downward, a layer posts to the context below it, which ``simnet`` hands
 it when it builds the node.
@@ -178,15 +179,17 @@ class Registry:
 
 
 def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:
-    """Fan a packet out to every registered receiver.
+    """Fan a packet out to every registered receiver; returns how many.
 
-    Each delivery holds the chain once; with zero matches the caller keeps
-    sole ownership and must release the packet itself.  Every receiver
-    gets the caller's ``meta`` dict itself, so no receiver may write it.
+    All holds come before any post, so a refused post releases only its
+    receiver's reference.  With zero matches the caller keeps its
+    reference and must release the packet itself.  Every receiver gets
+    the caller's ``meta`` dict itself, so no receiver may write it.
     """
     targets = node.registry.lookup(proto, demux_ctx)
-    for target in targets:
+    for _ in range(len(targets) - 1):
         node.pktbuf.hold(pkt.head)
+    for target in targets:
         node.sched.post(target, NetMessage(_MSG_RCV, pkt, None, meta))
     return len(targets)
 
@@ -199,8 +202,7 @@ def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
     """
     if msg.kind not in _CMD_KINDS:
         raise ValueError("send_cmd is for MSG_SET/MSG_GET only")
-    current = sched.current_ctx()
-    if current is target:
+    if sched.current is target:
         raise AssertionError(
             f"send_cmd from {getattr(target, 'name', target)} to itself "
             "would self-deadlock")
@@ -233,18 +235,19 @@ def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
     except NoBufferSpace:
         node.metrics.count(nobuf_counter)
         return None
-    node.metrics.record_copy(_BUF_INTERNAL, pid, len(payload))
+    if node.metrics.recording:
+        node.metrics.record_copy(_BUF_INTERNAL, pid, len(payload))
     return PacketChain(snip)
 
 
 def up(ctx, proto, demux_ctx, pkt: PacketChain, meta, miss_counter: str):
     """Deliver a packet upward through the registry and give up the
-    caller's reference; counts ``miss_counter`` when nobody matched."""
+    caller's reference: to a receiver, or released and counted as
+    ``miss_counter`` when nobody matched."""
     node = ctx.node
     # a global lookup, so a wrapper installed on ``netapi.dispatch`` sees it
-    matched = dispatch(node, proto, demux_ctx, pkt, meta)
-    node.pktbuf.release(pkt.head)  # dispatch holds one ref per receiver
-    if matched == 0:
+    if not dispatch(node, proto, demux_ctx, pkt, meta):
+        node.pktbuf.release(pkt.head)
         node.metrics.count(miss_counter)
 
 

@@ -2,10 +2,11 @@
 
 Unlike the inter-module message protocol, driver interaction is plain
 procedure calls: the MAC/link module owns its device exclusively and calls
-``dev_send``/``dev_recv`` directly.  The device posts one ``DevNotify``
-marker to the owner's mailbox per event, and the marker names the event
-(RX_READY or TX_DONE).  Each radio builds its two markers once; besides
-them it holds only its received frames.
+``dev_send``/``dev_recv`` directly; another context's handler calling
+them (the scheduler's ``current``) raises ``OwnershipViolation``.  The
+device posts one ``DevNotify`` marker to the owner's mailbox per event,
+and the marker names the event (RX_READY or TX_DONE).  Each radio builds
+its two markers once; besides them it holds only its received frames.
 A frame that reaches a radio whose owner is closed is dropped, counted as
 ``dev_rx_drops_no_owner``.
 
@@ -86,7 +87,7 @@ class SimRadioDevice:
     def _check_owner(self):
         if self.owner is None:
             return  # not yet in a stack; direct use in tests
-        current = self.owner.node.sched.current_ctx()
+        current = self.owner.node.sched.current
         if current is not None and current is not self.owner:
             raise OwnershipViolation(
                 f"device {self.id} owned by {self.owner.name}, "
@@ -95,7 +96,7 @@ class SimRadioDevice:
     # -- driver calls ------------------------------------------------------
     def dev_send(self, frame: bytes) -> DevStatus:
         owner = self.owner
-        if owner is not None and owner.node.sched.current_ctx() is not owner:
+        if owner is not None and owner.node.sched.current is not owner:
             self._check_owner()
         if len(frame) > MAX_FRAME:
             return _TOO_LARGE
@@ -110,7 +111,7 @@ class SimRadioDevice:
         """Copy the oldest received frame out of the device (the one
         device-to-buffer copy of the RX path; the caller tags it)."""
         owner = self.owner
-        if owner is not None and owner.node.sched.current_ctx() is not owner:
+        if owner is not None and owner.node.sched.current is not owner:
             self._check_owner()
         if not self._rx:
             raise NoFrame(f"device {self.id}: RX queue empty")

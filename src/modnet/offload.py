@@ -42,8 +42,9 @@ class OffloadModule(Module):
         node = ctx.node
         data = msg.pkt.to_bytes()
         # handover into the chip's own buffer: copy #2 of the TX path
-        node.metrics.record_copy(CopySite.BUF_TO_DEV, msg.meta["packet_id"],
-                                 len(data))
+        if node.metrics.recording:
+            node.metrics.record_copy(CopySite.BUF_TO_DEV,
+                                     msg.meta["packet_id"], len(data))
         node.pktbuf.release(msg.pkt.head)
         bridge = {"raw": data, "src_ip": self.addr,
                   "src_port": msg.meta.get("src_port"),
@@ -74,7 +75,8 @@ class OffloadModule(Module):
             node.metrics.count("offload_rx_drops_nobuf")
             return
         pid = node.metrics.new_packet_id()
-        node.metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(data))
+        if node.metrics.recording:
+            node.metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(data))
         meta = {"src_ip": msg.meta.get("src_ip"),
                 "src_port": msg.meta.get("src_port"),
                 "dst_port": msg.meta.get("dst_port"), "packet_id": pid}

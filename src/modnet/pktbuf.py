@@ -120,16 +120,6 @@ class Snip:
         self._buf = buf
         self._offset = offset
 
-    def __iter__(self):
-        snip = self
-        seen = 0
-        while snip is not None:
-            yield snip
-            snip = snip.next
-            seen += 1
-            if seen > MAX_CHAIN:
-                raise RuntimeError("snip chain cycle")
-
     def __repr__(self):
         return (f"<Snip proto={self.proto.name} size={self.size} "
                 f"users={self.users}>")
@@ -156,10 +146,16 @@ class PacketChain:
     def to_bytes(self) -> bytes:
         """Serialize the chain contents.  Not a counted payload copy by
         itself; call sites tag the movement via metrics."""
-        head = self.head
-        if head.next is None:
-            return bytes(head.data)
-        return b"".join([s.data for s in head])
+        snip = self.head
+        if snip.next is None:
+            return bytes(snip.data)
+        parts = []
+        while snip is not None:
+            parts.append(snip.data)
+            snip = snip.next
+            if len(parts) > MAX_CHAIN:
+                raise RuntimeError("snip chain cycle")
+        return b"".join(parts)
 
 
 @dataclass
@@ -223,12 +219,12 @@ class PacketBuffer:
         if used > cap:
             self.failed_allocs[prio] += 1
             raise NoBufferSpace(
-                f"{size} B at {prio.name}: used={self.used}/{self.capacity}")
+                f"{size} B at {prio._name_}: used={self.used}/{self.capacity}")
         snip = self._acquire(cost, size, proto)
         if snip is None:  # arena fragmentation
             self.failed_allocs[prio] += 1
             raise NoBufferSpace(
-                f"{size} B at {prio.name}: no contiguous block")
+                f"{size} B at {prio._name_}: no contiguous block")
         self.used = used
         if used > self.peak:
             self.peak = used

@@ -25,9 +25,10 @@ runs one message.  A scheduler built with ``record=True`` keeps a
 the per-packet copy ledger; otherwise ``trace`` is None and neither record
 is kept, so a run pays for them only when a caller asks.  ``TraceLog``
 keeps plain fields and renders text lines only when they are read.
-``DetScheduler.post`` records without a lock, since everything it runs is
-on one thread; ``ThreadScheduler.post`` records under the pool's condition,
-together with the mailbox put.
+``DetScheduler.post`` puts the message in its lane and records without a
+lock, since everything it runs is on one thread; ``ThreadScheduler.post``
+calls ``Mailbox.put`` and records under the pool's condition.  Both expose
+the context whose handler runs as ``current`` (None outside any handler).
 
 Only a command's answer is waited for: ``wait_for(cmd, timeout_us)``, which
 ``send_cmd`` calls, returns once ``cmd.status`` is set, or False at the
@@ -80,7 +81,8 @@ class Mailbox:
 
     def put(self, msg) -> bool:
         """Admit ``msg``: MSG_SND and MSG_RCV go in the data lane, False
-        when it is full; anything else goes in the control lane."""
+        when it is full; anything else goes in the control lane.
+        ``DetScheduler.post`` applies the same rule inline."""
         kind = getattr(msg, "kind", None)
         if kind is _MSG_SND or kind is _MSG_RCV:
             if len(self._data) >= self.capacity:
@@ -243,7 +245,7 @@ class DetScheduler(_SchedulerBase):
     sequence number is lower: events at the same timestamp run in the order
     they were queued, and later timers wait until no ready work is left.
     ``step`` runs one event, for a ready context the handler on one message
-    (control lane first) with ``_current`` set to that context and the outer
+    (control lane first) with ``current`` set to that context and the outer
     one restored after; ``run_until`` and ``wait_for`` loop on ``step``.
     """
 
@@ -252,7 +254,7 @@ class DetScheduler(_SchedulerBase):
         self._heap: list = []  # (t_us, seq, fn) timers
         self._ready: deque = deque()  # (seq, ctx) contexts due now
         self._seq = itertools.count()
-        self._current: ModuleContext | None = None  # whose handler runs
+        self.current: ModuleContext | None = None  # whose handler runs
         self.steps = 0
 
     # -- time & events ---------------------------------------------------
@@ -275,11 +277,11 @@ class DetScheduler(_SchedulerBase):
                 return True
             msg = ctrl.popleft() if ctrl else data.popleft()
             ctx._busy = True
-            outer, self._current = self._current, ctx
+            outer, self.current = self.current, ctx
             try:
                 ctx.handler(ctx, msg)
             finally:
-                self._current = outer
+                self.current = outer
                 ctx._busy = False
                 if not ctx._scheduled and (ctrl or data):
                     ctx._scheduled = True
@@ -320,20 +322,22 @@ class DetScheduler(_SchedulerBase):
             self.step()
         return True
 
-    def current_ctx(self):
-        return self._current
-
     # -- context plumbing ------------------------------------------------
     def post(self, ctx: ModuleContext, msg) -> bool:
         if ctx.closed:
             _release_pkt(msg)
             return False
-        if not ctx.mailbox.put(msg):
+        kind, mailbox = getattr(msg, "kind", None), ctx.mailbox
+        if kind is not _MSG_SND and kind is not _MSG_RCV:
+            mailbox._ctrl.append(msg)
+        elif len(mailbox._data) < mailbox.capacity:
+            mailbox._data.append(msg)
+        else:
             self.metrics.count("mailbox_drops")
             _release_pkt(msg)
             return False
         if self.trace is not None:  # one thread: no lock
-            self.trace.record(self.now_us, self._current, ctx, msg)
+            self.trace.record(self.now_us, self.current, ctx, msg)
         # the mailbox is non-empty by construction here
         if not ctx._scheduled:
             ctx._scheduled = True
@@ -384,7 +388,8 @@ class ThreadScheduler(_SchedulerBase):
         for worker in self._workers:
             worker.start()
 
-    def current_ctx(self):
+    @property
+    def current(self):
         return getattr(self._local, "ctx", None)
 
     def call_at(self, t_us: int, fn):
@@ -401,8 +406,7 @@ class ThreadScheduler(_SchedulerBase):
             accepted = ctx.mailbox.put(msg)
             if accepted:
                 if self.trace is not None:
-                    self.trace.record(self.now_us, self.current_ctx(), ctx,
-                                      msg)
+                    self.trace.record(self.now_us, self.current, ctx, msg)
                 if not ctx._scheduled:
                     ctx._scheduled = True
                     self._ready.append(ctx)

@@ -165,8 +165,9 @@ class Medium:
         sched.call_at(now, dev._tx_done)
         metrics.count("frames_sent")
         draw = self.rng.random()  # one draw shared by the broadcast star
+        keep = 1.0 - dev.loss_rate
         for peer, loss, delay_us in self._adj.get(id(dev), ()):
-            eff = 1.0 - (1.0 - loss) * (1.0 - dev.loss_rate)
+            eff = 1.0 - (1.0 - loss) * keep
             if draw < eff:
                 metrics.count("frames_lost")
                 continue

@@ -77,35 +77,28 @@ def fragment(datagram: bytes, link_payload_budget: int, tag: int) -> list[bytes]
     return frags
 
 
-@dataclass(slots=True)
-class ParsedFragment:
-    kind: str  # "uncompressed" | "frag1" | "fragn"
-    datagram_size: int = 0
-    tag: int = 0
-    offset: int = 0  # bytes
-    data: bytes = b""
-
-
-def parse_payload(payload: bytes) -> ParsedFragment:
+def parse_payload(payload: bytes) -> tuple[str, int, int, int, memoryview]:
+    """``(kind, datagram_size, tag, offset, data)``: kind "uncompressed"
+    (size, tag, offset 0), "frag1" or "fragn"; data is a view of payload."""
     if not payload:
         raise MalformedFragment("empty payload")
     if payload[0] == DISPATCH_UNCOMPRESSED:
         if len(payload) < 2:
             raise MalformedFragment("uncompressed dispatch without datagram")
-        return ParsedFragment("uncompressed", data=payload[1:])
+        return "uncompressed", 0, 0, 0, memoryview(payload)[1:]
     dispatch = payload[0] >> 3
     if dispatch == FRAG1_DISPATCH:
         if len(payload) < FRAG1_HDR_LEN + 1:
             raise MalformedFragment("truncated FRAG1")
         word, tag = struct.unpack_from("!HH", payload)
-        return ParsedFragment("frag1", word & 0x7FF, tag, 0,
-                              payload[FRAG1_HDR_LEN:])
+        return ("frag1", word & 0x7FF, tag, 0,
+                memoryview(payload)[FRAG1_HDR_LEN:])
     if dispatch == FRAGN_DISPATCH:
         if len(payload) < FRAGN_HDR_LEN + 1:
             raise MalformedFragment("truncated FRAGN")
         word, tag, off_units = struct.unpack_from("!HHB", payload)
-        return ParsedFragment("fragn", word & 0x7FF, tag, off_units * 8,
-                              payload[FRAGN_HDR_LEN:])
+        return ("fragn", word & 0x7FF, tag, off_units * 8,
+                memoryview(payload)[FRAGN_HDR_LEN:])
     raise MalformedFragment(f"unknown dispatch byte 0x{payload[0]:02x}")
 
 
@@ -164,17 +157,16 @@ class ReassemblyTable:
     def step(self, payload: bytes, src, dst, now_us: int):
         """Feed one adaptation-layer payload; returns
         (status, datagram chain or None, packet_id or None)."""
-        parsed = parse_payload(payload)  # MalformedFragment propagates
-        if parsed.kind == "uncompressed":
+        kind, size, tag, offset, data = parse_payload(payload)  # may raise
+        if kind == "uncompressed":
             raise MalformedFragment("unfragmented payload fed to reassembly")
-        size = parsed.datagram_size
-        if parsed.offset + len(parsed.data) > size:
+        end = offset + len(data)
+        if end > size:
             raise MalformedFragment("fragment exceeds datagram size")
-        is_tail = parsed.offset + len(parsed.data) == size
-        if len(parsed.data) % 8 != 0 and not is_tail:
+        if len(data) % 8 != 0 and end != size:
             raise MalformedFragment("non-final fragment not 8-aligned")
 
-        key = (bytes(src), bytes(dst), size, parsed.tag)
+        key = (bytes(src), bytes(dst), size, tag)
         entry = self.entries.get(key)
         if entry is None:
             if len(self.entries) >= self.max_entries:
@@ -190,8 +182,6 @@ class ReassemblyTable:
                                     self.metrics.new_packet_id())
             self.entries[key] = entry
 
-        offset, data = parsed.offset, parsed.data
-        end = offset + len(data)
         mask = ((1 << ((len(data) + 7) // 8)) - 1) << (offset // 8)
         overlap = entry.received & mask
         if overlap:
@@ -206,7 +196,9 @@ class ReassemblyTable:
                     return _DROPPED, None, None
         entry.snip.data[offset:end] = data
         entry.received |= mask
-        self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id, len(data))
+        if self.metrics.recording:
+            self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id,
+                                     len(data))
 
         if entry.received == (1 << ((size + 7) // 8)) - 1:
             self.entries.pop(key, None)
@@ -281,8 +273,9 @@ class SixlowpanModule(Module):
             return
         # pace fragments 1 us apart so the link mailbox never overflows
         # on large datagrams
+        recording = node.metrics.recording and pid is not None
         for t_us, snip in enumerate(snips, sched.now_us):
-            if pid is not None:
+            if recording:
                 node.metrics.record_copy(_BUF_INTERNAL, pid, snip.size)
             sched.call_at(t_us, partial(sched.post, link_ctx, NetMessage(
                 _MSG_SND, PacketChain(snip), None, down_meta)))
@@ -296,7 +289,7 @@ class SixlowpanModule(Module):
         unfragmented = bool(payload) and payload[0] == DISPATCH_UNCOMPRESSED
         try:
             if unfragmented:
-                parsed = parse_payload(payload)
+                data = parse_payload(payload)[4]
             else:
                 status, chain, entry_pid = table.step(
                     payload, msg.meta["src_link"], msg.meta["dst_link"],
@@ -306,14 +299,14 @@ class SixlowpanModule(Module):
             return
         pid = msg.meta["packet_id"]
         if unfragmented:
-            chain = recopy(ctx, msg.pkt, parsed.data, _IPV6, pid,
+            chain = recopy(ctx, msg.pkt, data, _IPV6, pid,
                            "sixlowpan_rx_drops_nobuf")
             if chain is not None:
                 up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": pid},
                    "sixlowpan_rx_no_receiver")
             return
         # fragmented path
-        if entry_pid and entry_pid != pid:
+        if node.metrics.recording and entry_pid and entry_pid != pid:
             node.metrics.merge_packet(entry_pid, pid)
         node.pktbuf.release(msg.pkt.head)
         if status is _COMPLETE:

@@ -52,28 +52,25 @@ def _ones_complement_sum(data: bytes) -> int:
     return 0xFFFF if total == 0 and number else total
 
 
-def _pseudo_header(src_ip: bytes, dst_ip: bytes, udp_len: int) -> bytes:
-    return src_ip + dst_ip + struct.pack("!I3xB", udp_len, NEXT_HEADER_UDP)
+def _pseudo_sum(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> int:
+    """The one's-complement sum over pseudo-header and UDP datagram."""
+    return _ones_complement_sum(src_ip + dst_ip + struct.pack(
+        "!I3xB", len(udp_bytes), NEXT_HEADER_UDP) + udp_bytes)
 
 
 def udp_checksum(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> int:
     """Checksum as transmitted: one's complement of the one's-complement
     sum over pseudo-header + UDP header + payload, with a computed 0x0000
     mapped to 0xFFFF."""
-    total = _ones_complement_sum(
-        _pseudo_header(src_ip, dst_ip, len(udp_bytes)) + udp_bytes)
-    csum = ~total & 0xFFFF
+    csum = ~_pseudo_sum(src_ip, dst_ip, udp_bytes) & 0xFFFF
     return 0xFFFF if csum == 0 else csum
 
 
 def udp_verify(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> bool:
     """Verify a received datagram; checksum 0x0000 is invalid over IPv6."""
-    received = struct.unpack_from("!H", udp_bytes, 6)[0]
-    if received == 0:
+    if struct.unpack_from("!H", udp_bytes, 6)[0] == 0:
         return False
-    total = _ones_complement_sum(
-        _pseudo_header(src_ip, dst_ip, len(udp_bytes)) + udp_bytes)
-    return total == 0xFFFF
+    return _pseudo_sum(src_ip, dst_ip, udp_bytes) == 0xFFFF
 
 
 def udp_encode_header(src_port: int, dst_port: int, length: int,
@@ -168,7 +165,8 @@ class Socket:
         pid = node.metrics.new_packet_id()
         snip = node.pktbuf.alloc_snip(payload=payload, proto=_APP,
                                       prio=_SEND_APP)
-        node.metrics.record_copy(_APP_TO_BUF, pid, len(payload))
+        if node.metrics.recording:
+            node.metrics.record_copy(_APP_TO_BUF, pid, len(payload))
         node.metrics.count("udp_sent")
         node.sched.post(self.layer.transport, NetMessage(
             kind=_MSG_SND, pkt=PacketChain(snip),
@@ -188,7 +186,8 @@ class Socket:
         src_ip, src_port, pkt, pid, hop_limit = self.queue.popleft()
         self.last_hop_limit = hop_limit
         payload = pkt.to_bytes()
-        node.metrics.record_copy(_BUF_TO_APP, pid, len(payload))
+        if node.metrics.recording:
+            node.metrics.record_copy(_BUF_TO_APP, pid, len(payload))
         node.metrics.count("udp_delivered")
         node.pktbuf.release(pkt.head)
         return src_ip, src_port, payload

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from modnet.link import (FrameTooShort, HEADER_LEN, LinkFrame, MAX_PAYLOAD,
+from modnet.link import (FrameTooShort, HEADER_LEN, MAX_PAYLOAD,
                          PayloadTooLarge, link_decode, link_encode)
 
 DST = bytes.fromhex("0000000000000001")
@@ -14,7 +14,7 @@ def test_minimal_frame_round_trip():
     frame = link_encode(DST, SRC, 0, b"\xab")
     assert len(frame) == HEADER_LEN + 1 == 18
     decoded = link_decode(frame)
-    assert decoded == LinkFrame(DST, SRC, 0, b"\xab")
+    assert decoded == (DST, SRC, 0, b"\xab")
 
 
 def test_boundary_payloads():
@@ -39,8 +39,5 @@ def test_oversize_frame_rejected():
 @given(st.binary(min_size=1, max_size=MAX_PAYLOAD),
        st.integers(min_value=0, max_value=255))
 def test_round_trip_property(payload, seq):
-    decoded = link_decode(link_encode(DST, SRC, seq, payload))
-    assert decoded.payload == payload
-    assert decoded.seq == seq
-    assert decoded.dst_long == DST
-    assert decoded.src_long == SRC
+    assert link_decode(link_encode(DST, SRC, seq, payload)) == \
+        (DST, SRC, seq, payload)

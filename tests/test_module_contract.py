@@ -242,3 +242,27 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     assert (calls["alloc_snip"], calls["to_bytes"]) == (40, 38)
     assert (calls["dev_send"], calls["dev_recv"]) == (14, 14)
     assert calls["expire"] == 12
+
+
+@pytest.mark.parametrize("name", ["echo_frag.json", "border_router.json"])
+def test_an_unrecorded_run_makes_no_ledger_calls(monkeypatch, name):
+    """Turned off, the copy ledger costs nothing on the hot path: a run
+    without ``record`` calls neither ``record_copy`` nor ``merge_packet``,
+    while a recorded run of the same scenario calls both where it copies
+    or reassembles."""
+    from modnet.metrics import Metrics
+    calls = {"record_copy": 0, "merge_packet": 0}
+    for method in calls:
+        fn = getattr(Metrics, method)
+
+        def counted(*args, _fn=fn, _name=method, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(Metrics, method, counted)
+    scenario = load_scenario_file(str(SCENARIO_DIR / name))
+    _, stats = run_scenario(scenario)
+    assert stats["counters"]["udp_delivered"] > 0
+    assert calls == {"record_copy": 0, "merge_packet": 0}
+    _, stats = run_scenario(scenario, record=True)
+    assert stats["packets"] and calls["record_copy"] > 0
+    assert calls["merge_packet"] > 0 or name == "border_router.json"

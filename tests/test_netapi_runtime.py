@@ -41,7 +41,7 @@ def test_register_then_dispatch_delivers():
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
     n = netapi.dispatch(node, ProtocolType.UDP, 5683, pkt)
     assert n == 1
-    node.pktbuf.release(pkt.head)  # caller's own reference
+    assert pkt.head.users == 1  # the caller's reference went to the receiver
     sched.run_until()
     assert len(received) == 1
     assert received[0].kind == MsgKind.MSG_RCV
@@ -78,8 +78,7 @@ def test_dispatch_two_receivers_holds_twice():
     node.registry.register(ProtocolType.UDP, 5683, c2)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
     assert netapi.dispatch(node, ProtocolType.UDP, 5683, pkt) == 2
-    assert pkt.head.users == 3
-    node.pktbuf.release(pkt.head)
+    assert pkt.head.users == 2  # one hold for the second receiver
     sched.run_until()
     assert len(r1) == len(r2) == 1
     assert node.pktbuf.stats().used == 0
@@ -172,9 +171,53 @@ def test_dispatch_wildcard_union():
     node.registry.register(ProtocolType.UDP, 80, c2)
     pkt = PacketChain(node.pktbuf.alloc_snip(size=4))
     assert netapi.dispatch(node, ProtocolType.UDP, 80, pkt) == 2
-    node.pktbuf.release(pkt.head)
+    assert pkt.head.users == 2
     sched.run_until()
     assert len(r1) == len(r2) == 1
+    assert node.pktbuf.stats().used == 0
+
+
+@pytest.mark.parametrize("receivers", [0, 1, 2, 3])
+def test_dispatch_holds_once_less_than_it_has_receivers(monkeypatch,
+                                                         receivers):
+    """GNRC's rule: the caller's reference goes to a receiver, so n
+    receivers cost n - 1 holds; with none it stays with the caller."""
+    sched, node = make_node()
+    holds = []
+    hold = node.pktbuf.hold
+    monkeypatch.setattr(node.pktbuf, "hold",
+                        lambda snip: holds.append(snip) or hold(snip))
+    for i in range(receivers):
+        ctx = node.spawn_module(f"m{i}", collector()[0])
+        node.registry.register(ProtocolType.UDP, 7, ctx)
+    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == receivers
+    assert len(holds) == max(receivers - 1, 0)
+    assert pkt.head.users == max(receivers, 1)
+    if not receivers:
+        node.pktbuf.release(pkt.head)  # still the caller's to release
+    sched.run_until()
+    assert node.pktbuf.stats().used == 0
+
+
+def test_dispatch_refused_post_releases_that_receivers_reference():
+    sched, node = make_node()
+    h1, r1 = collector()
+    h2, r2 = collector()
+    full = node.spawn_module("full", h1, mailbox_capacity=1)
+    other = node.spawn_module("other", h2)
+    node.registry.register(ProtocolType.UDP, 7, full)
+    node.registry.register(ProtocolType.UDP, 7, other)
+    assert sched.post(full, NetMessage(kind=MsgKind.MSG_RCV))  # lane full
+    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == 2
+    assert node.metrics.get("mailbox_drops") == 1
+    assert pkt.head.users == 1  # the accepted receiver's reference
+    sched.run_until()
+    # "full" ran only the message that filled its lane; "other" the packet
+    assert (len(r1), len(r2)) == (1, 1) and r1[0].pkt is None
+    assert r2[0].pkt is pkt
+    assert node.pktbuf.stats().used == 0
 
 
 # -- send_cmd ----------------------------------------------------------------

@@ -30,7 +30,7 @@ def owned_dev():
     """A device whose stub owner collects the markers the device posts."""
     markers = []
     sched = SimpleNamespace(post=lambda ctx, msg: markers.append(msg),
-                            current_ctx=lambda: None)
+                            current=None)
     dev = make_dev()
     dev.owner = SimpleNamespace(closed=False,
                                 node=SimpleNamespace(sched=sched))

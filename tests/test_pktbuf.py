@@ -229,7 +229,9 @@ def test_chain_release_frees_all():
     pkt = buf.prepend_header(pkt, 8, ProtocolType.UDP)
     pkt = buf.prepend_header(pkt, 40, ProtocolType.IPV6)
     assert pkt.total_size == 148
-    assert len(list(pkt.head)) == 3
+    udp_hdr = pkt.head.next
+    assert (pkt.head.size, udp_hdr.size, udp_hdr.next.size) == (40, 8, 100)
+    assert udp_hdr.next is payload and payload.next is None
     buf.release(pkt.head)
     assert buf.stats().used == 0
 

@@ -253,6 +253,33 @@ def test_fragment_shuffle_reassemble_identity(size, budget, rng):
     assert chain.to_bytes() == datagram
 
 
+@pytest.mark.parametrize("size", [60, 300, 1280])
+def test_parsed_data_is_a_view_of_the_frame(size):
+    """``parse_payload`` hands out the fragment's data as a view of the
+    payload it was given, on the reassembly path and the 0x41 path."""
+    for frag in fragment(pattern(size), 110, 5):
+        kind, _, _, _, data = parse_payload(frag)
+        header = {"uncompressed": 1, "frag1": 4, "fragn": 5}[kind]
+        assert isinstance(data, memoryview) and data.obj is frag
+        assert data == frag[header:]
+
+
+@pytest.mark.parametrize("backend", [Backend.DYNAMIC, Backend.STATIC_ARENA])
+@pytest.mark.parametrize("seed", range(4))
+def test_reassembly_from_views_is_byte_identical(backend, seed):
+    """Fragments fed in any order, one of them twice, reassemble from the
+    views to the very datagram that was fragmented."""
+    datagram = pattern(900 + seed * 97)
+    frags = fragment(datagram, 110, seed)
+    order = list(frags)
+    random.Random(seed).shuffle(order)
+    order.insert(len(order) // 2, order[0])  # a byte-identical duplicate
+    status, chain, _ = feed_all(make_table(backend), order)
+    assert status is ReassemblyStatus.COMPLETE
+    assert chain.to_bytes() == datagram
+    assert chain.to_bytes() == reassemble_oracle(frags)
+
+
 # -- receive path ------------------------------------------------------------
 
 @pytest.mark.parametrize("name, frames", [("echo.json", 2),

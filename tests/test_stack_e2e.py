@@ -367,10 +367,14 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     link = node.modules["link0"]
     pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
     sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
+    held = node.pktbuf.used
     # the radio starts another frame before the link handler runs
     node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
     assert len(link.handler._pending) == 1
+    # the waiting frame's chain stays in the packet buffer
+    assert link.handler._pending[0][1] is pkt.head
+    assert node.pktbuf.used == held > 0
     sim.run_until()
     assert not link.handler._pending
     assert sim.metrics.get("frames_sent") == 2
@@ -425,9 +429,11 @@ def test_link_shutdown_drops_the_frames_waiting_for_the_radio():
     node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
     assert len(link.handler._pending) == 1
+    assert node.pktbuf.used > 0
     node.shutdown_module(link)
     assert not link.handler._pending
     assert sim.metrics.get("link_shutdown_drops") == 1
+    assert node.pktbuf.used == 0  # the waiting frame's chain went back
     sim.run_until()
     assert sim.metrics.get("frames_sent") == 1  # TX_DONE sent nothing
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())

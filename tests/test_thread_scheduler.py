@@ -14,9 +14,10 @@ import pytest
 
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
+from modnet.netdev import DevEventType, DevNotify
 from modnet.pktbuf import (AllocPriority, Backend, PacketChain, ProtocolType,
                            buffer_create)
-from modnet.runtime import Node, ThreadScheduler
+from modnet.runtime import DetScheduler, Mailbox, Node, ThreadScheduler
 from modnet.scenario import (apply_workload, collect_stats,
                              load_scenario_file, run_scenario)
 from modnet.simnet import InvalidTopology, LinkDesc, build
@@ -223,6 +224,57 @@ def test_post_refusals_under_the_pool():
         go.set()
         sched.run_until()
         assert not sched.errors
+        assert node.pktbuf.used == 0
+    finally:
+        go.set()
+        sched.stop()
+
+
+@pytest.mark.parametrize("sched_cls", [DetScheduler, ThreadScheduler])
+def test_post_chooses_the_lane_mailbox_put_chooses(sched_cls):
+    """``DetScheduler.post`` applies ``Mailbox.put``'s lane rule inline,
+    and the pool calls ``put``.  Both put each message kind and a radio
+    marker in the lane ``put`` picks, and both refuse a data message that
+    finds the data lane full, counted as ``mailbox_drops``, with its chain
+    back in the buffer."""
+    sched = sched_cls()
+    node = Node("n0", sched, buffer_create(2048, locked=sched.parallel))
+    started, go = threading.Event(), threading.Event()
+
+    def handler(ctx, msg):
+        if msg == "block":
+            started.set()
+            go.wait(10)
+        elif isinstance(msg, NetMessage) and msg.pkt is not None:
+            node.pktbuf.release(msg.pkt.head)
+        elif isinstance(msg, NetMessage):
+            msg.ack(OK)
+
+    def chain_msg(kind):
+        return NetMessage(kind=kind, pkt=PacketChain(node.pktbuf.alloc_snip(
+            size=16, prio=AllocPriority.RECEIVE)))
+
+    try:
+        ctx = node.spawn_module("m", handler, mailbox_capacity=2)
+        if sched.parallel:  # hold the context, so its mail stays queued
+            assert sched.post(ctx, "block")
+            assert started.wait(10)
+        msgs = [chain_msg(MsgKind.MSG_SND), chain_msg(MsgKind.MSG_RCV),
+                NetMessage(kind=MsgKind.MSG_SET, option=(1, b"")),
+                NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")),
+                DevNotify(None, DevEventType.RX_READY)]
+        assert all(sched.post(ctx, msg) for msg in msgs)
+        box = ctx.mailbox
+        for msg in msgs:
+            alone = Mailbox(1)
+            assert alone.put(msg)
+            assert any(m is msg for m in box._data) == bool(alone._data)
+            assert any(m is msg for m in box._ctrl) == bool(alone._ctrl)
+        assert [len(box._data), len(box._ctrl)] == [2, 3]
+        assert not sched.post(ctx, chain_msg(MsgKind.MSG_RCV))
+        assert sched.metrics.get("mailbox_drops") == 1
+        go.set()
+        sched.run_until()
         assert node.pktbuf.used == 0
     finally:
         go.set()
