@@ -1,7 +1,8 @@
 """Batch command line: run scenario files and fuzz the option plane.
 
-Exit codes: 0 clean completion, 2 scenario/usage error (named by its JSON
-pointer), 3 invariant violation while running or an unclean fuzz report.
+Exit codes: 0 clean completion, 2 scenario error (named by its JSON
+pointer) or usage error (argparse prints the usage and exits), 3 invariant
+violation while running or an unclean fuzz report.
 """
 
 from __future__ import annotations
@@ -22,21 +23,27 @@ EXIT_INVARIANT = 3
 KNOWN_KEYS = [k.value for k in OptionKey]
 
 
+def _nonneg_int(text: str) -> int:
+    """An integer >= 0 from the command line.  A seed is one too, as the
+    scenario schema asks: ``random.Random(-n)`` equals ``Random(n)``."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _until(text: str) -> int | None:
+    """``--until``: None for 'quiescent', else a simulated time in us."""
+    return None if text == "quiescent" else _nonneg_int(text)
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
     if args.seed is not None:
         scenario.topology.seed = args.seed
-    until = None
-    if args.until != "quiescent":
-        try:
-            until = int(args.until)
-        except ValueError:
-            print(f"--until must be 'quiescent' or a time in us, got "
-                  f"{args.until!r}", file=sys.stderr)
-            return EXIT_SCENARIO
     try:
         # the trace and the copy ledger are kept only when written out
-        sim, stats = run_scenario(scenario, mode=args.mode, until=until,
+        sim, stats = run_scenario(scenario, mode=args.mode, until=args.until,
                                   record=bool(args.trace or args.stats))
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -119,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario")
     run_p.add_argument("--mode", choices=("det", "par"), default="det")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", type=_nonneg_int, default=None,
                        help="override the scenario seed")
     run_p.add_argument("--trace", metavar="PATH",
                        help="write the message trace to PATH")
     run_p.add_argument("--stats", metavar="PATH",
                        help="write stats JSON to PATH")
-    run_p.add_argument("--until", default="quiescent",
+    run_p.add_argument("--until", type=_until, default="quiescent",
                        help="'quiescent' or a simulated time bound in us")
     run_p.set_defaults(fn=_cmd_run)
 
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
              "prompt OK/ENOTSUP answer fails")
     fuzz_p.add_argument("scenario")
     fuzz_p.add_argument("--ops", type=int, default=1000)
-    fuzz_p.add_argument("--seed", type=int, default=1)
+    fuzz_p.add_argument("--seed", type=_nonneg_int, default=1)
     fuzz_p.add_argument("--report", metavar="PATH",
                         help="also write the report JSON to PATH")
     fuzz_p.set_defaults(fn=_cmd_fuzz)

@@ -106,18 +106,21 @@ class Snip:
     """One buffer-resident segment of a packet.
 
     ``data`` is writable while the snip is exclusively held.  ``next`` points
-    toward the payload end of the chain.
+    toward the payload end of the chain.  ``_cost`` is the block's
+    ``_block_cost(size)``, counted in ``used`` from allocation to release.
     """
 
-    __slots__ = ("data", "size", "proto", "users", "next", "_buf", "_offset")
+    __slots__ = ("data", "size", "proto", "users", "next", "_buf", "_cost",
+                 "_offset")
 
-    def __init__(self, data, size, proto, buf, offset=None):
+    def __init__(self, data, size, proto, buf, cost, offset=None):
         self.data = data
         self.size = size
         self.proto = proto
         self.users = 1
         self.next: Snip | None = None
         self._buf = buf
+        self._cost = cost
         self._offset = offset
 
     def __repr__(self):
@@ -197,8 +200,8 @@ class PacketBuffer:
         block and return its ``size``-byte snip, or None if none fits."""
         raise NotImplementedError
 
-    def _release_block(self, snip: Snip, cost: int):
-        """Give back the ``cost``-byte block that ``snip`` was placed in."""
+    def _release_block(self, snip: Snip):
+        """Give back the ``snip._cost``-byte block ``snip`` was placed in."""
         raise NotImplementedError
 
     def _largest_free_block(self) -> int:
@@ -252,17 +255,14 @@ class PacketBuffer:
                 raise ReleaseUnheld("release on freed snip")
             snip.users = users - 1
             if users == 1:
-                cost = SNIP_OVERHEAD + ((snip.size + ALIGN - 1)
-                                        & ~(ALIGN - 1))
-                self._release_block(snip, cost)
-                self.used -= cost
+                self._release_block(snip)
+                self.used -= snip._cost
             return
         for s in _checked_chain(snip, "release"):
             s.users -= 1
             if s.users == 0:
-                cost = _block_cost(s.size)
-                self._release_block(s, cost)
-                self.used -= cost
+                self._release_block(s)
+                self.used -= s._cost
 
     def prepend_header(self, pkt: PacketChain, header_size: int,
                        proto=ProtocolType.UNDEF,
@@ -321,11 +321,12 @@ class ArenaBuffer(PacketBuffer):
                     starts[i], lens[i] = off + cost, length - cost
                 start = off + SNIP_OVERHEAD
                 return Snip(self._view[start:start + size], size, proto,
-                            self, off)
+                            self, cost, off)
         return None
 
-    def _release_block(self, snip, cost):
-        off, starts, lens = snip._offset, self._starts, self._lens
+    def _release_block(self, snip):
+        off, cost = snip._offset, snip._cost
+        starts, lens = self._starts, self._lens
         i = bisect_right(starts, off)
         if i < len(starts) and starts[i] == off + cost:  # joins the next
             cost += lens[i]
@@ -348,9 +349,9 @@ class DynamicBuffer(PacketBuffer):
     """Heap-backed backend under the same byte cap and accounting rules."""
 
     def _acquire(self, cost, size, proto):
-        return Snip(bytearray(size), size, proto, self)  # no placement
+        return Snip(bytearray(size), size, proto, self, cost)  # no placement
 
-    def _release_block(self, snip, cost):
+    def _release_block(self, snip):
         pass
 
     def _largest_free_block(self):

@@ -4,31 +4,36 @@ Each high-level module runs as an independently scheduled context with a
 private bounded mailbox; modules interact only through messages (and the
 shared packet buffer contents reachable from chains they hold).
 
-Two schedulers implement the same surface:
+Both schedulers share one core, ``_SchedulerBase``: a FIFO of ready
+contexts, a heap of timers, one sequence both take a number from when an
+event is queued, and the two ways in.  ``post`` is the one place a
+message is admitted: it puts the message in its mailbox lane, records the
+trace entry when recording, and queues the context unless it is queued
+already.  ``call_at`` queues a timer, never earlier than ``now_us``.  The
+two schedulers differ only in who takes the events:
 
 * ``DetScheduler`` -- a single-threaded event loop over a simulated
-  microsecond clock.  Contexts with mail wait in a FIFO of ready work; a
-  heap holds only timers.  Every event takes a sequence number when it is
-  queued, and events due at the same time run in sequence order, whichever
-  queue holds them.  ``step`` runs one event: a timer, or the next message
-  of the ready head, whose handler it calls itself.  Identical inputs
-  produce identical traces; this mode drives all reproducible tests.
+  microsecond clock.  Events due at the same time run in sequence order,
+  whichever queue holds them.  ``step`` runs one event: a timer, or the
+  next message of the ready head, whose handler it calls itself.
+  Identical inputs produce identical traces; this mode drives all
+  reproducible tests.
 * ``ThreadScheduler`` -- a fixed pool of ``WORKERS`` threads over the
-  same simulated clock, used for race detection: handlers of two contexts
-  run at once, so traces are unordered, but a timer runs only once no
-  context is ready and no event is running, so time moves as under
-  ``det``.  The thread count does not grow with the topology.
+  same simulated clock, used for race detection.  Its ``post`` and
+  ``call_at`` run the shared ones under the pool's condition and wake the
+  workers.  Handlers of two contexts run at once, so traces are
+  unordered, but a timer runs only once no context is ready and no event
+  is running, so time moves as under ``det``.  The thread count does not
+  grow with the topology.
 
 Under both, at most one handler of a context runs at a time, and a handler
 runs one message.  A scheduler built with ``record=True`` keeps a
 ``TraceLog`` with one entry per accepted message, and its ``Metrics`` keeps
 the per-packet copy ledger; otherwise ``trace`` is None and neither record
 is kept, so a run pays for them only when a caller asks.  ``TraceLog``
-keeps plain fields and renders text lines only when they are read.
-``DetScheduler.post`` puts the message in its lane and records without a
-lock, since everything it runs is on one thread; ``ThreadScheduler.post``
-calls ``Mailbox.put`` and records under the pool's condition.  Both expose
-the context whose handler runs as ``current`` (None outside any handler).
+keeps plain fields and renders text lines only when they are read.  Both
+expose the context whose handler runs as ``current`` (None outside any
+handler).
 
 Only a command's answer is waited for: ``wait_for(cmd, timeout_us)``, which
 ``send_cmd`` calls, returns once ``cmd.status`` is set, or False at the
@@ -38,7 +43,9 @@ then; ``ThreadScheduler`` waits on the pool's condition.  Data never waits.
 Only ``ThreadScheduler`` is ``parallel``, and only then do the structures
 contexts share (``Metrics``, each node's ``Registry`` and ``PacketBuffer``)
 take a lock.  Under ``DetScheduler`` they take none: its handlers run on
-one thread, and a CPython lock costs more than most calls it guards.
+one thread, and a CPython lock costs more than most calls it guards.  No
+code holding one of those locks takes the pool's condition, so ``post``
+may count and release a dropped message's chain under the condition.
 
 Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV, counted,
 packet released) but never control messages -- option traffic back-pressures
@@ -67,10 +74,11 @@ STACK_NOTE = 1024  # declared budget in bytes of a protocol module's context
 
 
 class Mailbox:
-    """Bounded FIFO for data messages plus an unbounded control lane.
+    """Two lanes a context's mail waits in: a bounded FIFO of data messages
+    (at most ``capacity``) and an unbounded control lane, taken first.
 
-    Control messages are taken first.  The mailbox does no locking or
-    waking: the schedulers decide who puts and takes, and when.
+    The mailbox holds messages and nothing more: ``_SchedulerBase.post`` is
+    the one place a message is admitted, and the schedulers take them.
     """
 
     def __init__(self, capacity: int):
@@ -78,24 +86,6 @@ class Mailbox:
         self.capacity = capacity
         self._data: deque = deque()
         self._ctrl: deque = deque()
-
-    def put(self, msg) -> bool:
-        """Admit ``msg``: MSG_SND and MSG_RCV go in the data lane, False
-        when it is full; anything else goes in the control lane.
-        ``DetScheduler.post`` applies the same rule inline."""
-        kind = getattr(msg, "kind", None)
-        if kind is _MSG_SND or kind is _MSG_RCV:
-            if len(self._data) >= self.capacity:
-                return False
-            self._data.append(msg)
-        else:
-            self._ctrl.append(msg)
-        return True
-
-    def get_nowait(self):
-        if self._ctrl:
-            return self._ctrl.popleft()
-        return self._data.popleft() if self._data else None
 
     def drain(self) -> list:
         items = [*self._ctrl, *self._data]
@@ -225,44 +215,74 @@ class TraceLog:
 
 
 class _SchedulerBase:
+    """The core both schedulers share: the ready FIFO, the timer heap, the
+    sequence both queues number their events from, ``post`` and
+    ``call_at``.  Subclasses decide who takes the events and when."""
+
     parallel = False  # True when handlers of two contexts can run at once
 
     def __init__(self, record: bool = False):
         self.metrics = Metrics(locked=self.parallel, record=record)
         self.trace = TraceLog() if record else None
         self.now_us = 0  # simulated; only the scheduler moves it
-
-    def call_later(self, dt_us: int, fn):
-        self.call_at(self.now_us + dt_us, fn)
-
-
-class DetScheduler(_SchedulerBase):
-    """Single-threaded deterministic event loop over simulated microseconds.
-
-    A context that receives mail joins the ready FIFO; timers go on a heap.
-    Both take a number from one sequence when queued.  Ready work is always
-    due now, so a timer due now runs before the ready head exactly when its
-    sequence number is lower: events at the same timestamp run in the order
-    they were queued, and later timers wait until no ready work is left.
-    ``step`` runs one event, for a ready context the handler on one message
-    (control lane first) with ``current`` set to that context and the outer
-    one restored after; ``run_until`` and ``wait_for`` loop on ``step``.
-    """
-
-    def __init__(self, record: bool = False):
-        super().__init__(record)
         self._heap: list = []  # (t_us, seq, fn) timers
-        self._ready: deque = deque()  # (seq, ctx) contexts due now
+        self._ready: deque = deque()  # (seq, ctx) contexts with mail
         self._seq = itertools.count()
-        self.current: ModuleContext | None = None  # whose handler runs
-        self.steps = 0
 
-    # -- time & events ---------------------------------------------------
     def call_at(self, t_us: int, fn):
         t_us, now = int(t_us), self.now_us
         heapq.heappush(self._heap, (t_us if t_us > now else now,
                                     next(self._seq), fn))
 
+    def call_later(self, dt_us: int, fn):
+        self.call_at(self.now_us + dt_us, fn)
+
+    def pending_events(self) -> int:
+        return len(self._heap) + len(self._ready)
+
+    def post(self, ctx: ModuleContext, msg) -> bool:
+        if ctx.closed:
+            _release_pkt(msg)
+            return False
+        kind, mailbox = getattr(msg, "kind", None), ctx.mailbox
+        if kind is not _MSG_SND and kind is not _MSG_RCV:
+            mailbox._ctrl.append(msg)
+        elif len(mailbox._data) < mailbox.capacity:
+            mailbox._data.append(msg)
+        else:
+            self.metrics.count("mailbox_drops")
+            _release_pkt(msg)
+            return False
+        if self.trace is not None:  # par calls this under its condition
+            self.trace.record(self.now_us, self.current, ctx, msg)
+        # the mailbox is non-empty by construction here
+        if not ctx._scheduled:
+            ctx._scheduled = True
+            self._ready.append((next(self._seq), ctx))
+        return True
+
+
+class DetScheduler(_SchedulerBase):
+    """Single-threaded deterministic event loop over simulated microseconds.
+
+    Ready work is always due now, so a timer due now runs before the ready
+    head exactly when its sequence number is lower: events at the same
+    timestamp run in the order they were queued, and later timers wait
+    until no ready work is left.  ``step`` runs one event, for a ready
+    context the handler on one message (control lane first) with
+    ``current`` set to that context and the outer one restored after;
+    ``run_until`` and ``wait_for`` loop on ``step``.
+    """
+
+    # in det's own class dict, where perfbench/tracer.py patches it
+    post = _SchedulerBase.post
+
+    def __init__(self, record: bool = False):
+        super().__init__(record)
+        self.current: ModuleContext | None = None  # whose handler runs
+        self.steps = 0
+
+    # -- time & events ---------------------------------------------------
     def step(self) -> bool:
         ready, heap = self._ready, self._heap
         # ready work is due now: it waits only for a due timer queued first
@@ -296,9 +316,6 @@ class DetScheduler(_SchedulerBase):
         fn()
         return True
 
-    def pending_events(self) -> int:
-        return len(self._heap) + len(self._ready)
-
     def run_until(self, t_us: int | None = None):
         """Run events up to simulated time ``t_us``, or until none are
         left when no bound is given; ``steps`` counts them."""
@@ -322,28 +339,6 @@ class DetScheduler(_SchedulerBase):
             self.step()
         return True
 
-    # -- context plumbing ------------------------------------------------
-    def post(self, ctx: ModuleContext, msg) -> bool:
-        if ctx.closed:
-            _release_pkt(msg)
-            return False
-        kind, mailbox = getattr(msg, "kind", None), ctx.mailbox
-        if kind is not _MSG_SND and kind is not _MSG_RCV:
-            mailbox._ctrl.append(msg)
-        elif len(mailbox._data) < mailbox.capacity:
-            mailbox._data.append(msg)
-        else:
-            self.metrics.count("mailbox_drops")
-            _release_pkt(msg)
-            return False
-        if self.trace is not None:  # one thread: no lock
-            self.trace.record(self.now_us, self.current, ctx, msg)
-        # the mailbox is non-empty by construction here
-        if not ctx._scheduled:
-            ctx._scheduled = True
-            self._ready.append((next(self._seq), ctx))
-        return True
-
     def stop(self):
         pass
 
@@ -351,16 +346,17 @@ class DetScheduler(_SchedulerBase):
 class ThreadScheduler(_SchedulerBase):
     """A fixed pool of ``WORKERS`` threads over det's simulated clock.
 
-    The workers share one condition, one FIFO of ready contexts and one
-    timer heap.  ``post`` puts the message in the mailbox, records the trace
-    entry when recording, and queues the context in one hold of the
-    condition.  A worker takes the ready head first.  Only when no context
-    is ready and no event is running does it pop the earliest timer and
-    move ``now_us`` to it, and never one later than the bound of the last
-    ``run_until``: as under ``det``, timers run only inside ``run_until``.
-    A context stays marked ``_scheduled`` while its handler runs, so no
-    other worker can take it; when the handler returns, the context goes
-    back in the queue if it has mail and is unmarked otherwise.
+    The workers share one condition, under which every touch of the shared
+    ready FIFO and timer heap happens: ``post`` and ``call_at`` run the
+    shared ones under it and wake the workers.  A worker takes the ready
+    head first, and from it the context's next message, control lane first.
+    Only when no context is ready and no event is running does it pop the
+    earliest timer and move ``now_us`` to it, and never one later than the
+    bound of the last ``run_until``: as under ``det``, timers run only
+    inside ``run_until``.  A context stays marked ``_scheduled`` while its
+    handler runs, so no other worker can take it; when the handler returns,
+    the context goes back in the queue if it has mail and is unmarked
+    otherwise.
 
     A handler waiting in ``send_cmd`` holds its worker and, as a running
     event, holds back every timer; command chains nested deeper than
@@ -375,9 +371,6 @@ class ThreadScheduler(_SchedulerBase):
         self._bound = -1  # no timer later than this is taken
         self._local = threading.local()
         self._cond = threading.Condition()
-        self._ready: deque = deque()  # contexts with mail, not running
-        self._timers: list = []  # (t_us, seq, fn)
-        self._seq = itertools.count()
         self._running = 0  # events taken by a worker and not finished
         self._stop = False
         self.errors: list[BaseException] = []
@@ -394,43 +387,30 @@ class ThreadScheduler(_SchedulerBase):
 
     def call_at(self, t_us: int, fn):
         with self._cond:
-            heapq.heappush(self._timers, (max(int(t_us), self.now_us),
-                                          next(self._seq), fn))
+            super().call_at(t_us, fn)
             self._cond.notify_all()
 
     def post(self, ctx: ModuleContext, msg) -> bool:
-        if ctx.closed:
-            _release_pkt(msg)
-            return False
         with self._cond:
-            accepted = ctx.mailbox.put(msg)
-            if accepted:
-                if self.trace is not None:
-                    self.trace.record(self.now_us, self.current, ctx, msg)
-                if not ctx._scheduled:
-                    ctx._scheduled = True
-                    self._ready.append(ctx)
-                    self._cond.notify_all()
-        if not accepted:
-            self.metrics.count("mailbox_drops")
-            _release_pkt(msg)
+            accepted = super().post(ctx, msg)
+            self._cond.notify_all()
         return accepted
 
     def _take(self):
         """Under the condition: wait for an event this worker may take; return
         ``(ctx, event)``, ``ctx`` None for a timer, or None once stopped."""
-        ready, timers = self._ready, self._timers
+        ready, heap = self._ready, self._heap
         while not self._stop:
             if ready:
-                ctx = ready.popleft()
-                msg = None if ctx.closed else ctx.mailbox.get_nowait()
-                if msg is not None:
-                    return ctx, msg
+                ctx = ready.popleft()[1]
+                ctrl, data = ctx.mailbox._ctrl, ctx.mailbox._data
+                if not ctx.closed and (ctrl or data):
+                    return ctx, ctrl.popleft() if ctrl else data.popleft()
                 ctx._scheduled = False
                 continue
-            if not self._running and timers and timers[0][0] <= self._bound:
+            if not self._running and heap and heap[0][0] <= self._bound:
                 # call_at clamps, so no timer is earlier than now_us
-                self.now_us, _, fn = heapq.heappop(timers)
+                self.now_us, _, fn = heapq.heappop(heap)
                 return None, fn
             self._cond.wait()
         return None
@@ -458,7 +438,7 @@ class ThreadScheduler(_SchedulerBase):
                     self._running -= 1
                     if ctx is not None:
                         if ctx.mailbox and not ctx.closed:
-                            self._ready.append(ctx)
+                            self._ready.append((next(self._seq), ctx))
                         else:
                             ctx._scheduled = False
                     cond.notify_all()
@@ -480,7 +460,7 @@ class ThreadScheduler(_SchedulerBase):
             self._cond.notify_all()
             self._cond.wait_for(lambda: not (
                 self._ready or self._running
-                or self._timers and self._timers[0][0] <= bound))
+                or self._heap and self._heap[0][0] <= bound))
             self.now_us = max(self.now_us, t_us or 0)
 
     def stop(self):

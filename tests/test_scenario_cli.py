@@ -297,6 +297,20 @@ def test_cli_run_time_bound():
                  "--until", "5"]) == 0
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--seed", "-1"),  # random.Random(-1) would replay seed 1
+    ("--until", "-5"),  # would run nothing
+    ("--until", "5ms"),
+])
+def test_cli_run_rejects_a_bad_number_with_usage(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(SCENARIO_DIR / "echo.json"), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modnet run")
+    assert f"argument {option}: must be an integer >= 0, got {value!r}" in err
+
+
 def test_cli_fuzz_clean_and_deterministic(tmp_path, capsys):
     reports = []
     for i in range(2):

@@ -17,7 +17,7 @@ from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.netdev import DevEventType, DevNotify
 from modnet.pktbuf import (AllocPriority, Backend, PacketChain, ProtocolType,
                            buffer_create)
-from modnet.runtime import DetScheduler, Mailbox, Node, ThreadScheduler
+from modnet.runtime import DetScheduler, Node, ThreadScheduler
 from modnet.scenario import (apply_workload, collect_stats,
                              load_scenario_file, run_scenario)
 from modnet.simnet import InvalidTopology, LinkDesc, build
@@ -231,12 +231,12 @@ def test_post_refusals_under_the_pool():
 
 
 @pytest.mark.parametrize("sched_cls", [DetScheduler, ThreadScheduler])
-def test_post_chooses_the_lane_mailbox_put_chooses(sched_cls):
-    """``DetScheduler.post`` applies ``Mailbox.put``'s lane rule inline,
-    and the pool calls ``put``.  Both put each message kind and a radio
-    marker in the lane ``put`` picks, and both refuse a data message that
-    finds the data lane full, counted as ``mailbox_drops``, with its chain
-    back in the buffer."""
+def test_post_puts_each_kind_in_its_lane(sched_cls):
+    """Both schedulers admit through the one shared ``post``: data kinds go
+    in the bounded data lane, option kinds and a radio marker in the
+    control lane, and a data message that finds the data lane full is
+    refused, counted as ``mailbox_drops``, with its chain back in the
+    buffer."""
     sched = sched_cls()
     node = Node("n0", sched, buffer_create(2048, locked=sched.parallel))
     started, go = threading.Event(), threading.Event()
@@ -259,25 +259,44 @@ def test_post_chooses_the_lane_mailbox_put_chooses(sched_cls):
         if sched.parallel:  # hold the context, so its mail stays queued
             assert sched.post(ctx, "block")
             assert started.wait(10)
-        msgs = [chain_msg(MsgKind.MSG_SND), chain_msg(MsgKind.MSG_RCV),
-                NetMessage(kind=MsgKind.MSG_SET, option=(1, b"")),
-                NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")),
-                DevNotify(None, DevEventType.RX_READY)]
-        assert all(sched.post(ctx, msg) for msg in msgs)
+        lanes = [(chain_msg(MsgKind.MSG_SND), "data"),
+                 (chain_msg(MsgKind.MSG_RCV), "data"),
+                 (NetMessage(kind=MsgKind.MSG_SET, option=(1, b"")), "ctrl"),
+                 (NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")), "ctrl"),
+                 (DevNotify(None, DevEventType.RX_READY), "ctrl")]
+        assert all(sched.post(ctx, msg) for msg, _ in lanes)
         box = ctx.mailbox
-        for msg in msgs:
-            alone = Mailbox(1)
-            assert alone.put(msg)
-            assert any(m is msg for m in box._data) == bool(alone._data)
-            assert any(m is msg for m in box._ctrl) == bool(alone._ctrl)
-        assert [len(box._data), len(box._ctrl)] == [2, 3]
+        assert list(box._data) == [m for m, lane in lanes if lane == "data"]
+        assert list(box._ctrl) == [m for m, lane in lanes if lane == "ctrl"]
         assert not sched.post(ctx, chain_msg(MsgKind.MSG_RCV))
         assert sched.metrics.get("mailbox_drops") == 1
+        assert len(box._data) == 2
         go.set()
         sched.run_until()
         assert node.pktbuf.used == 0
     finally:
         go.set()
+        sched.stop()
+
+
+def test_pool_timers_clamp_to_now_and_count_as_pending():
+    """The pool queues timers on the shared heap: one set in the past runs
+    at ``now_us``, and ``pending_events`` counts those not yet taken."""
+    sched = ThreadScheduler()
+    ran = []
+    try:
+        sched.run_until(1000)
+        sched.call_at(5, lambda: ran.append(("past", sched.now_us)))
+        sched.call_at(2000, lambda: ran.append(("future", sched.now_us)))
+        assert sched.pending_events() == 2
+        sched.run_until(1500)
+        assert ran == [("past", 1000)]
+        assert sched.pending_events() == 1
+        sched.run_until()
+        assert ran == [("past", 1000), ("future", 2000)]
+        assert sched.pending_events() == 0
+        assert not sched.errors
+    finally:
         sched.stop()
 
 
