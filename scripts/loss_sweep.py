@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
 """Sweep per-link loss on a two-node topology and compare delivered
-fractions against the binomial expectation."""
+fractions against the binomial expectation.
+
+    PYTHONPATH=src python scripts/loss_sweep.py [--size 600] [--count 50]
+
+Each datagram carries ``--size`` bytes of UDP payload.  With the 48 bytes
+of IPv6 and UDP headers it crosses the link as ``frames`` link frames
+(6LoWPAN fragments), and it arrives only if every one of them does, so
+the expected fraction is ``(1 - loss) ** frames``.
+"""
 
 import argparse
 from ipaddress import IPv6Address
 
+from modnet import link, sixlowpan
 from modnet.pktbuf import NoBufferSpace
 from modnet.simnet import DeviceDesc, LinkDesc, NodeDesc, Topology, build
 
@@ -23,7 +32,12 @@ def topology(loss, seed):
                     seed=seed)
 
 
-def run(loss, count, seed):
+def frames(size):
+    """Link frames one datagram of ``size`` payload bytes takes."""
+    return len(sixlowpan.fragment(bytes(size + 48), link.MAX_PAYLOAD, 1))
+
+
+def run(loss, count, seed, size):
     sim = build(topology(loss, seed))
     client = sim.socket_layer("a").open(40000)
     sink = sim.socket_layer("b").open(7)
@@ -36,7 +50,7 @@ def run(loss, count, seed):
 
     def fire(i=0):
         try:
-            client.sendto(IP_B, 7, bytes([i & 0xFF]) * 40)
+            client.sendto(IP_B, 7, bytes([i & 0xFF]) * size)
         except NoBufferSpace:
             pass
         if i + 1 < count:
@@ -50,16 +64,19 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=500)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--size", type=int, default=40,
+                    help="UDP payload bytes per datagram")
     ap.add_argument("--losses", type=float, nargs="*",
                     default=[0.0, 0.05, 0.1, 0.2, 0.4])
     args = ap.parse_args()
 
     print(f"{'loss':>5}  {'sent':>5}  {'delivered':>9}  "
           f"{'fraction':>8}  {'expected':>8}")
+    n_frames = frames(args.size)
     for loss in args.losses:
-        got = run(loss, args.count, args.seed)
+        got = run(loss, args.count, args.seed, args.size)
         print(f"{loss:>5.2f}  {args.count:>5}  {got:>9}  "
-              f"{got / args.count:>8.3f}  {1 - loss:>8.3f}")
+              f"{got / args.count:>8.3f}  {(1 - loss) ** n_frames:>8.3f}")
 
 
 if __name__ == "__main__":

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="random option traffic against every module; anything but a "
              "prompt OK/ENOTSUP answer fails")
     fuzz_p.add_argument("scenario")
-    fuzz_p.add_argument("--ops", type=int, default=1000)
+    fuzz_p.add_argument("--ops", type=_nonneg_int, default=1000)
     fuzz_p.add_argument("--seed", type=_nonneg_int, default=1)
     fuzz_p.add_argument("--report", metavar="PATH",
                         help="also write the report JSON to PATH")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .netapi import (_MSG_SND, DEMUX_RAW, ENOTSUP, OK, Module, MsgKind,
-                     NetMessage, OptionKey, drop, recopy, up)
+from .netapi import (_MSG_SND, DEMUX_RAW, Module, NetMessage, OptionKey,
+                     Unsupported, drop, recopy, up)
 from .pktbuf import (_IPV6, _RECEIVE, _SEND_APP, _UDP, NoBufferSpace,
                      ProtocolType)
 
@@ -252,7 +252,7 @@ class Ipv6Module(Module):
         node = ctx.node
         pkt = msg.pkt
         dst = msg.meta["dst_ip"]
-        if pkt.total_size > MAX_PAYLOAD:
+        if (size := pkt.total_size) > MAX_PAYLOAD:
             drop(ctx, pkt, "ipv6_tx_too_large")
             return
         try:
@@ -262,7 +262,7 @@ class Ipv6Module(Module):
                  else "ipv6_neighbor_unknown")
             return
         hdr = Ipv6Header(src=self.primary_addr, dst=dst,
-                         payload_length=pkt.total_size,
+                         payload_length=size,
                          hop_limit=self.hop_limit)
         try:
             out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _IPV6, _SEND_APP)
@@ -312,19 +312,14 @@ class Ipv6Module(Module):
         self._down(ctx, msg.pkt, iface, next_hop_link, pid, _RECEIVE)
 
     # -- options -------------------------------------------------------------
-    def on_option(self, ctx, msg):
-        kind = msg.kind
-        key, value = msg.option or (None, None)  # a command may carry none
-        if kind == MsgKind.MSG_GET and key == OptionKey.HOP_LIMIT:
-            msg.ack(OK, self.hop_limit)
-        elif kind == MsgKind.MSG_GET and key == OptionKey.ADDRESS:
-            msg.ack(OK, self.primary_addr)
-        elif kind == MsgKind.MSG_SET and key == OptionKey.HOP_LIMIT:
-            try:
-                self.hop_limit = int(value) & 0xFF
-            except (ValueError, TypeError):
-                msg.ack(ENOTSUP)  # value the option cannot parse
-                return
-            msg.ack(OK)
-        else:
-            msg.ack(ENOTSUP)
+    def get_option(self, key):
+        if key == OptionKey.HOP_LIMIT:
+            return self.hop_limit
+        if key == OptionKey.ADDRESS:
+            return self.primary_addr
+        return super().get_option(key)
+
+    def set_option(self, key, value):
+        if key != OptionKey.HOP_LIMIT or not 0 <= int(value) <= 255:
+            raise Unsupported(f"ipv6 option {key!r} = {value!r}")
+        self.hop_limit = int(value)

@@ -18,9 +18,8 @@ import struct
 from collections import deque
 
 from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
-from .netapi import _MSG_SND, ENOTSUP, OK, DEMUX_ALL, Module, MsgKind, drop, up
-from .netdev import (_BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify,
-                     Unsupported)
+from .netapi import _MSG_SND, DEMUX_ALL, Module, drop, up
+from .netdev import _BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
 
 HEADER = struct.Struct("!8s8sB")
@@ -149,15 +148,9 @@ class LinkModule(Module):
         up(ctx, _SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
            "link_rx_no_receiver")
 
-    # -- options -------------------------------------------------------------
-    def on_option(self, ctx, msg):
-        try:
-            if msg.kind == MsgKind.MSG_GET:
-                msg.ack(OK, self.device.dev_get(msg.option[0]))
-            elif msg.kind == MsgKind.MSG_SET:
-                msg.ack(self.device.dev_set(*msg.option))
-            else:
-                msg.ack(ENOTSUP)
-        except (Unsupported, ValueError, TypeError):
-            # unknown key or a value the device cannot parse
-            msg.ack(ENOTSUP)
+    # -- options: the device's own --------------------------------------------
+    def get_option(self, key):
+        return self.device.dev_get(key)
+
+    def set_option(self, key, value):
+        self.device.dev_set(key, value)

@@ -11,10 +11,16 @@ suite fuzzes exactly this rule.
 
 ``Module`` is that rule as a base class.  Its ``__call__`` routes
 ``MSG_SND`` to ``on_snd``, ``MSG_RCV`` to ``on_rcv`` and every other kind
-to ``on_option``; the defaults count unexpected data as
-``<layer>_unexpected_snd`` or ``_rcv`` and release it, and answer
-``ENOTSUP``.  ``drop``, ``recopy`` and ``up`` hold the code layers share.
-Any plain ``handler(ctx, msg)`` callable still works as a module.
+to ``on_option``.  The data defaults count unexpected data as
+``<layer>_unexpected_snd`` or ``_rcv`` and release it.  ``on_option`` is
+every layer's one reader of a command: it unpacks the option as one
+``(key, value)`` tuple and acks ``OK`` with what ``get_option(key)`` or
+``set_option(key, value)`` returns.  A malformed command, ``Unsupported``,
+or a ``ValueError``, ``TypeError`` or ``OverflowError`` from a value that
+does not parse is answered ``ENOTSUP``.  Both hooks raise ``Unsupported``
+by default, so a layer names only the options it serves.  ``drop``,
+``recopy`` and ``up`` hold the code layers share.  Any plain
+``handler(ctx, msg)`` callable still works as a module.
 
 Upward packet flow is composed through the registry: modules and sockets
 bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
@@ -61,7 +67,7 @@ class MsgKind(enum.IntEnum):
 # Reading a member off an enum class costs about three function calls on
 # CPython 3.11, so the per-message paths read these aliases instead.
 _MSG_SND, _MSG_RCV = MsgKind.MSG_SND, MsgKind.MSG_RCV
-_CMD_KINDS = (MsgKind.MSG_SET, MsgKind.MSG_GET)
+_MSG_SET, _MSG_GET = MsgKind.MSG_SET, MsgKind.MSG_GET
 
 
 class OptionKey(enum.IntEnum):
@@ -83,6 +89,10 @@ DEMUX_RAW = 0  # adaptation-layer ingress to the network layer
 
 class RegistryFull(Exception):
     pass
+
+
+class Unsupported(Exception):
+    """An option key or value the receiver does not serve."""
 
 
 class CmdTimeout(Exception):
@@ -200,7 +210,7 @@ def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
     Returns ``msg`` itself, answered: its ``status`` and ``value``.  Must
     not be called from a module's own handler targeting itself.
     """
-    if msg.kind not in _CMD_KINDS:
+    if msg.kind not in (_MSG_SET, _MSG_GET):
         raise ValueError("send_cmd is for MSG_SET/MSG_GET only")
     if sched.current is target:
         raise AssertionError(
@@ -252,8 +262,8 @@ def up(ctx, proto, demux_ctx, pkt: PacketChain, meta, miss_counter: str):
 
 
 class Module:
-    """Base of a stack layer: override the hooks the layer implements.
-    ``on_option`` sees every command and answers ``ENOTSUP`` by default."""
+    """Base of a stack layer: override the hooks the layer implements,
+    and ``get_option``/``set_option`` for the options it serves."""
 
     layer = "module"
     ctx = None
@@ -281,4 +291,18 @@ class Module:
         drop(ctx, msg.pkt, f"{self.layer}_unexpected_rcv")
 
     def on_option(self, ctx, msg):
-        msg.ack(ENOTSUP)
+        try:
+            key, value = msg.option if msg.option.__class__ is tuple else ()
+            if msg.kind == _MSG_GET:
+                msg.ack(OK, self.get_option(key))
+            elif msg.kind == _MSG_SET:
+                msg.ack(OK, self.set_option(key, value))
+        except (Unsupported, ValueError, TypeError, OverflowError):
+            pass
+        msg.ack(ENOTSUP)  # unless answered OK above: the first answer wins
+
+    def get_option(self, key):
+        raise Unsupported(f"{self.layer} option {key!r}")
+
+    def set_option(self, key, value):
+        raise Unsupported(f"{self.layer} option {key!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 
-from .netapi import OK, OptionKey
+from .netapi import OptionKey, Unsupported
 
 
 class DevStatus(enum.Enum):
@@ -40,10 +40,6 @@ _RX_READY, _TX_DONE = DevEventType.RX_READY, DevEventType.TX_DONE
 
 class NoFrame(Exception):
     pass
-
-
-class Unsupported(Exception):
-    """Option key the device does not implement."""
 
 
 class OwnershipViolation(AssertionError):
@@ -68,6 +64,11 @@ MAX_FRAME = 127  # 802.15.4 frame limit, the radio's MTU
 class SimRadioDevice:
     """802.15.4-lite radio: 127-byte MTU, short + long address, seeded
     per-device loss (sim-only, on top of link loss)."""
+
+    mtu = MAX_FRAME
+    _OPTIONS = {OptionKey.MTU: "mtu", OptionKey.ADDRESS: "addr_short",
+                OptionKey.ADDRESS_LONG: "addr_long",
+                OptionKey.CHANNEL: "channel", OptionKey.LOSS_RATE: "loss_rate"}
 
     def __init__(self, dev_id: int, addr_short: bytes, addr_long: bytes):
         assert len(addr_short) == 2 and len(addr_long) == 8
@@ -119,30 +120,19 @@ class SimRadioDevice:
 
     def dev_get(self, key):
         self._check_owner()
-        if key == OptionKey.MTU:
-            return MAX_FRAME
-        if key == OptionKey.ADDRESS:
-            return self.addr_short
-        if key == OptionKey.ADDRESS_LONG:
-            return self.addr_long
-        if key == OptionKey.CHANNEL:
-            return self.channel
-        if key == OptionKey.LOSS_RATE:
-            return self.loss_rate
-        raise Unsupported(f"device option {key!r}")
+        attr = self._OPTIONS.get(key)
+        if attr is None:
+            raise Unsupported(f"device option {key!r}")
+        return getattr(self, attr)
 
     def dev_set(self, key, value):
         self._check_owner()
         if key == OptionKey.CHANNEL:
             self.channel = int(value)
-            return OK
-        if key == OptionKey.LOSS_RATE:
-            rate = float(value)
-            if not 0.0 <= rate <= 1.0:
-                raise Unsupported(f"loss rate {rate} out of [0,1]")
-            self.loss_rate = rate
-            return OK
-        raise Unsupported(f"device option {key!r}")
+        elif key == OptionKey.LOSS_RATE and 0.0 <= float(value) <= 1.0:
+            self.loss_rate = float(value)
+        else:  # a loss rate outside [0, 1] too
+            raise Unsupported(f"device option {key!r} = {value!r}")
 
     # -- medium callbacks (scheduler context) ------------------------------
     def _tx_done(self):

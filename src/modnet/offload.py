@@ -12,8 +12,7 @@ the chip's bytes in ``meta["raw"]`` and no chain.
 from __future__ import annotations
 
 from .metrics import CopySite
-from .netapi import (ENOTSUP, OK, Module, MsgKind, NetMessage, OptionKey,
-                     drop, up)
+from .netapi import Module, MsgKind, NetMessage, OptionKey, drop, up
 from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
 
 BRIDGE_DELAY_US = 10
@@ -30,12 +29,10 @@ class OffloadModule(Module):
         self.addr = addr
         self.peer = None  # paired offload module context, set after build
 
-    def on_option(self, ctx, msg):
-        if (msg.kind == MsgKind.MSG_GET and msg.option
-                and msg.option[0] == OptionKey.ADDRESS):
-            msg.ack(OK, self.addr)
-        else:
-            msg.ack(ENOTSUP)
+    def get_option(self, key):
+        if key == OptionKey.ADDRESS:
+            return self.addr
+        return super().get_option(key)
 
     # -- TX: socket layer handed us a payload chain ------------------------
     def on_snd(self, ctx, msg):

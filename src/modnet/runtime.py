@@ -26,8 +26,11 @@ two schedulers differ only in who takes the events:
   is running, so time moves as under ``det``.  The thread count does not
   grow with the topology.
 
-Under both, at most one handler of a context runs at a time, and a handler
-runs one message.  A scheduler built with ``record=True`` keeps a
+Both run a context by one rule.  It stays marked ``_scheduled`` from the
+post that queues it until its handler, which runs one message, returns;
+then it is queued again if it has mail and unmarked otherwise.  So at most
+one handler of a context runs at a time, and a post to a running context
+does not queue it twice.  A scheduler built with ``record=True`` keeps a
 ``TraceLog`` with one entry per accepted message, and its ``Metrics`` keeps
 the per-packet copy ledger; otherwise ``trace`` is None and neither record
 is kept, so a run pays for them only when a caller asks.  ``TraceLog``
@@ -106,8 +109,7 @@ class ModuleContext:
         self.handler = handler  # callable(ctx, msg)
         self.mailbox = Mailbox(mailbox_capacity)
         self.closed = False
-        self._scheduled = False
-        self._busy = False
+        self._scheduled = False  # queued, or its handler runs
 
     def __repr__(self):
         return f"<ModuleContext {self.node.name}/{self.name}>"
@@ -270,8 +272,10 @@ class DetScheduler(_SchedulerBase):
     timestamp run in the order they were queued, and later timers wait
     until no ready work is left.  ``step`` runs one event, for a ready
     context the handler on one message (control lane first) with
-    ``current`` set to that context and the outer one restored after;
-    ``run_until`` and ``wait_for`` loop on ``step``.
+    ``current`` set to that context and the outer one restored after.  A
+    handler waiting in ``send_cmd`` steps nested while its context stays
+    marked, so every step runs a handler or a timer.  ``run_until`` and
+    ``wait_for`` loop on ``step``.
     """
 
     # in det's own class dict, where perfbench/tracer.py patches it
@@ -290,22 +294,20 @@ class DetScheduler(_SchedulerBase):
                           and heap[0][1] < ready[0][0]):
             self.steps += 1
             ctx = ready.popleft()[1]
-            ctx._scheduled = False
             ctrl, data = ctx.mailbox._ctrl, ctx.mailbox._data
-            # a busy context is queued again when its running handler ends
-            if ctx.closed or ctx._busy or not (ctrl or data):
+            if ctx.closed or not (ctrl or data):  # drained by a shutdown
+                ctx._scheduled = False
                 return True
             msg = ctrl.popleft() if ctrl else data.popleft()
-            ctx._busy = True
             outer, self.current = self.current, ctx
             try:
                 ctx.handler(ctx, msg)
             finally:
                 self.current = outer
-                ctx._busy = False
-                if not ctx._scheduled and (ctrl or data):
-                    ctx._scheduled = True
+                if ctrl or data:  # a post while it ran did not queue it
                     ready.append((next(self._seq), ctx))
+                else:
+                    ctx._scheduled = False
             return True
         if not heap:
             return False
@@ -353,10 +355,8 @@ class ThreadScheduler(_SchedulerBase):
     Only when no context is ready and no event is running does it pop the
     earliest timer and move ``now_us`` to it, and never one later than the
     bound of the last ``run_until``: as under ``det``, timers run only
-    inside ``run_until``.  A context stays marked ``_scheduled`` while its
-    handler runs, so no other worker can take it; when the handler returns,
-    the context goes back in the queue if it has mail and is unmarked
-    otherwise.
+    inside ``run_until``.  A context runs by the rule in the module
+    docstring, so no other worker can take one whose handler runs.
 
     A handler waiting in ``send_cmd`` holds its worker and, as a running
     event, holds back every timer; command chains nested deeper than

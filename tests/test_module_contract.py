@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from modnet.netapi import ENOTSUP, MsgKind, NetMessage, send_cmd
+from modnet.ipv6 import DEFAULT_HOP_LIMIT
+from modnet.netapi import ENOTSUP, OK, MsgKind, NetMessage, OptionKey, send_cmd
 from modnet.pktbuf import PacketChain, ProtocolType
 from modnet.scenario import (apply_workload, collect_stats, load_scenario,
                              load_scenario_file, run_scenario)
@@ -24,8 +25,9 @@ UNEXPECTED = {
 }
 
 
-def build_scenario(name):
-    return build(load_scenario_file(str(SCENARIO_DIR / name)).topology)
+def build_scenario(name, mode="det"):
+    return build(load_scenario_file(str(SCENARIO_DIR / name)).topology,
+                 mode=mode)
 
 
 def every_context():
@@ -54,6 +56,39 @@ def test_module_follows_the_base_contract(scenario, node_name, ctx_name):
         ack = send_cmd(sim.sched, ctx,
                        NetMessage(kind=kind, option=(UNKNOWN_KEY, b"")))
         assert ack.status == ENOTSUP
+
+
+# commands that are not one (key, value) tuple, with keys some layer serves
+MALFORMED = [None, (OptionKey.ADDRESS,), (OptionKey.HOP_LIMIT,),
+             (OptionKey.HOP_LIMIT, 64, b""), OptionKey.HOP_LIMIT,
+             b"\x04\x40", [OptionKey.HOP_LIMIT, 64]]
+
+
+@pytest.mark.parametrize("mode", ["det", "par"])
+@pytest.mark.parametrize("scenario,node_name,ctx_name", every_context())
+def test_a_malformed_command_or_bad_value_answers_enotsup(
+        scenario, node_name, ctx_name, mode):
+    sim = build_scenario(scenario, mode)
+    try:
+        ctx = next(c for c in sim.nodes[node_name].all_contexts()
+                   if c.name == ctx_name)
+        commands = [NetMessage(kind=kind, option=option)
+                    for option in MALFORMED
+                    for kind in (MsgKind.MSG_GET, MsgKind.MSG_SET)]
+        commands += [NetMessage(kind=MsgKind.MSG_SET,
+                                option=(OptionKey.HOP_LIMIT, value))
+                     for value in (300, -1, 256, "x", float("inf"),
+                                   float("nan"))]
+        for cmd in commands:
+            assert send_cmd(sim.sched, ctx, cmd).status == ENOTSUP, cmd
+        if ctx_name == "ipv6":
+            assert ctx.handler.hop_limit == DEFAULT_HOP_LIMIT
+            ack = send_cmd(sim.sched, ctx, NetMessage(
+                kind=MsgKind.MSG_GET, option=(OptionKey.HOP_LIMIT, b"")))
+            assert (ack.status, ack.value) == (OK, DEFAULT_HOP_LIMIT)
+        assert not getattr(sim.sched, "errors", [])
+    finally:
+        sim.stop()
 
 
 # (receiver, kind) -> the meta keys each message on that edge carries

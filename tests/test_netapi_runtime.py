@@ -446,6 +446,34 @@ def test_command_reply_wait_keeps_the_queue_order():
     assert sched.steps == 2
 
 
+def test_a_context_posted_to_while_its_handler_waits_runs_once_after():
+    """A proxy's handler waits on a command; the server posts to the proxy
+    and answers from a timer.  The proxy stays queued-or-running the whole
+    time, so every step calls a handler or a timer."""
+    sched, node = make_node()
+    calls = []
+
+    def server(ctx, msg):
+        calls.append("server")
+        sched.post(proxy, NetMessage(kind=MsgKind.MSG_GET, option=(2, b"")))
+        sched.call_later(1, lambda: (calls.append("timer"), msg.ack(OK)))
+
+    def proxy_handler(ctx, msg):
+        calls.append("proxy")
+        if msg.option[0] == 1:
+            assert send_cmd(sched, srv, NetMessage(
+                kind=MsgKind.MSG_GET, option=(9, b""))).status == OK
+        msg.ack(OK)
+
+    srv = node.spawn_module("server", server)
+    proxy = node.spawn_module("proxy", proxy_handler)
+    sched.post(proxy, NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")))
+    sched.run_until()
+    assert calls == ["proxy", "server", "timer", "proxy"]
+    assert sched.steps == len(calls)
+    assert not proxy._scheduled and sched.pending_events() == 0
+
+
 def test_trace_records_render_the_lines_at_post_time():
     sched, node = make_node(record=True)
     handler, _ = collector()

@@ -153,6 +153,26 @@ def test_hold_checks_whole_chain_before_changing_any_snip(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_hold_adds_one_user_to_every_snip_of_a_chain(backend):
+    buf = buffer_create(2048, backend)
+    before = free_state(buf)
+    pkt = buf.prepend_header(PacketChain(buf.alloc_snip(size=100)), 8,
+                             ProtocolType.UDP)
+    pkt = buf.prepend_header(pkt, 40, ProtocolType.IPV6)
+    snips = [pkt.head, pkt.head.next, pkt.head.next.next]
+    assert [s.users for s in snips] == [1, 1, 1] and snips[2].next is None
+    buf.hold(pkt.head)
+    assert [s.users for s in snips] == [2, 2, 2]
+    buf.release(pkt.head)
+    assert [s.users for s in snips] == [1, 1, 1]
+    buf.release(pkt.head)
+    assert [s.users for s in snips] == [0, 0, 0]
+    assert buf.stats().used == 0
+    # the largest free block and the arena's free list are whole again
+    assert free_state(buf)[2:] == before[2:]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_release_one_snip_cycle_is_caught(backend):
     buf = buffer_create(2048, backend)
     a = buf.alloc_snip(size=8)

@@ -311,6 +311,15 @@ def test_cli_run_rejects_a_bad_number_with_usage(option, value, capsys):
     assert f"argument {option}: must be an integer >= 0, got {value!r}" in err
 
 
+def test_cli_fuzz_rejects_a_negative_op_count_with_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz-enotsup", str(SCENARIO_DIR / "echo.json"), "--ops", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modnet fuzz-enotsup")
+    assert "argument --ops: must be an integer >= 0, got '-3'" in err
+
+
 def test_cli_fuzz_clean_and_deterministic(tmp_path, capsys):
     reports = []
     for i in range(2):
