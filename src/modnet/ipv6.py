@@ -2,6 +2,10 @@
 multiple interfaces, next-header demux through the registry, and two
 interchangeable neighbor caches.
 
+The header format is one ``struct.Struct``, ``HEADER``: ``encode_header``
+packs it and ``decode`` unpacks it into a tuple.  Traffic class and flow
+label are sent as 0 and not decoded.
+
 There is no Neighbor Discovery: caches are pre-populated from scenario
 configuration, and an address with no cache entry is a counted drop.
 """
@@ -9,14 +13,15 @@ configuration, and an address with no cache entry is a counted drop.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .netapi import (_MSG_SND, DEMUX_RAW, Module, NetMessage, OptionKey,
                      Unsupported, drop, recopy, up)
 from .pktbuf import (_IPV6, _RECEIVE, _SEND_APP, _UDP, NoBufferSpace,
                      ProtocolType)
 
-HEADER_LEN = 40
+# version word, payload length, next header, hop limit, src, dst
+HEADER = struct.Struct("!IHBB16s16s")
+HEADER_LEN = HEADER.size  # 40
 NEXT_HEADER_UDP = 17
 DEFAULT_HOP_LIMIT = 64
 IFACE_PREFIX_LEN = 64  # of an interface address given without a length
@@ -45,37 +50,26 @@ class NeighborUnknown(Ipv6Error):
     pass
 
 
-@dataclass
-class Ipv6Header:
-    src: bytes
-    dst: bytes
-    payload_length: int
-    next_header: int = NEXT_HEADER_UDP
-    hop_limit: int = DEFAULT_HOP_LIMIT
-    traffic_class: int = 0
-    flow_label: int = 0
+def encode_header(src: bytes, dst: bytes, payload_length: int,
+                  next_header: int = NEXT_HEADER_UDP,
+                  hop_limit: int = DEFAULT_HOP_LIMIT) -> bytes:
+    # version 6; traffic class and flow label 0
+    return HEADER.pack(6 << 28, payload_length, next_header, hop_limit,
+                       src, dst)
 
 
-def encode_header(hdr: Ipv6Header) -> bytes:
-    word = (6 << 28) | (hdr.traffic_class << 20) | hdr.flow_label
-    return struct.pack("!IHBB16s16s", word, hdr.payload_length,
-                       hdr.next_header, hdr.hop_limit, hdr.src, hdr.dst)
-
-
-def decode(data: bytes) -> tuple[Ipv6Header, bytes]:
-    """Parse datagram bytes; validates version and payload length against
-    the actual trailing bytes."""
+def decode(data: bytes) -> tuple[bytes, bytes, int, int, bytes]:
+    """``(src, dst, next_header, hop_limit, payload)`` of datagram bytes;
+    validates version and payload length against the trailing bytes."""
     if len(data) < HEADER_LEN:
         raise LengthMismatch(f"{len(data)} bytes < {HEADER_LEN}")
-    word, plen, nh, hl, src, dst = struct.unpack_from("!IHBB16s16s", data)
+    word, plen, nh, hl, src, dst = HEADER.unpack_from(data)
     if word >> 28 != 6:
         raise BadVersion(f"version {word >> 28}")
     payload = data[HEADER_LEN:]
     if len(payload) != plen:
         raise LengthMismatch(f"payload_length {plen}, got {len(payload)}")
-    hdr = Ipv6Header(src, dst, plen, nh, hl,
-                     (word >> 20) & 0xFF, word & 0xFFFFF)
-    return hdr, payload
+    return src, dst, nh, hl, payload
 
 
 # -- neighbor caches ---------------------------------------------------------
@@ -177,38 +171,28 @@ def make_neighbor_cache(kind: str) -> NeighborCache:
 ON_LINK = object()  # next hop is the destination itself
 
 
-def _prefix_matches(addr: bytes, prefix: bytes, plen: int) -> bool:
-    full, rem = divmod(plen, 8)
-    if addr[:full] != prefix[:full]:
-        return False
-    if rem == 0:
-        return True
-    mask = 0xFF << (8 - rem) & 0xFF
-    return (addr[full] & mask) == (prefix[full] & mask)
-
-
 class ForwardingTable:
     """Static longest-prefix-match table.  ``Ipv6Module`` adds an on-link
-    route for each interface address, with that address's prefix length."""
+    route for each interface address, with that address's prefix length.
+    Routes are kept longest prefix first, in the order added among equal
+    lengths, so the first route whose mask matches is the best."""
 
     def __init__(self):
-        self._routes: list[tuple[bytes, int, int, object]] = []
+        # (network, mask, plen, iface, next_hop), network and mask as ints
+        self._routes: list[tuple[int, int, int, int, object]] = []
 
     def add(self, prefix: bytes, plen: int, iface: int, next_hop=ON_LINK):
-        self._routes.append((bytes(prefix), plen, iface, next_hop))
-
-    def set_default(self, iface: int, next_hop: bytes):
-        self.add(b"\x00" * 16, 0, iface, next_hop)
+        mask = ((1 << plen) - 1) << (128 - plen)
+        network = int.from_bytes(prefix, "big") & mask
+        self._routes.append((network, mask, plen, iface, next_hop))
+        self._routes.sort(key=lambda route: -route[2])
 
     def lookup(self, dst: bytes):
-        best = None
-        for prefix, plen, iface, nh in self._routes:
-            if _prefix_matches(dst, prefix, plen):
-                if best is None or plen > best[0]:
-                    best = (plen, iface, nh)
-        if best is None:
-            raise Unreachable(f"no route to {dst.hex()}")
-        return best[1], best[2]
+        addr = int.from_bytes(dst, "big")
+        for network, mask, _, iface, nh in self._routes:
+            if addr & mask == network:
+                return iface, nh
+        raise Unreachable(f"no route to {dst.hex()}")
 
 
 # -- module ------------------------------------------------------------------
@@ -261,15 +245,13 @@ class Ipv6Module(Module):
             drop(ctx, pkt, "ipv6_unreachable" if isinstance(exc, Unreachable)
                  else "ipv6_neighbor_unknown")
             return
-        hdr = Ipv6Header(src=self.primary_addr, dst=dst,
-                         payload_length=size,
-                         hop_limit=self.hop_limit)
         try:
             out = node.pktbuf.prepend_header(pkt, HEADER_LEN, _IPV6, _SEND_APP)
         except NoBufferSpace:
             drop(ctx, pkt, "ipv6_tx_drops_nobuf")
             return
-        out.head.data[:] = encode_header(hdr)
+        out.head.data[:] = encode_header(self.primary_addr, dst, size,
+                                         hop_limit=self.hop_limit)
         self._down(ctx, out, iface, next_hop_link, msg.meta["packet_id"],
                    _SEND_APP)
 
@@ -285,29 +267,29 @@ class Ipv6Module(Module):
         data = msg.pkt.to_bytes()
         pid = msg.meta["packet_id"]
         try:
-            hdr, payload = decode(data)
+            src, dst, next_header, hop_limit, payload = decode(data)
         except Ipv6Error:
             drop(ctx, msg.pkt, "ipv6_rx_malformed")
             return
-        if hdr.dst in self._local:
+        if dst in self._local:
             chain = recopy(ctx, msg.pkt, payload, _UDP, pid,
                            "ipv6_rx_drops_nobuf")
             if chain is not None:
-                meta = {"src_ip": hdr.src, "dst_ip": hdr.dst,
-                        "packet_id": pid, "hop_limit": hdr.hop_limit}
-                up(ctx, _IPV6, hdr.next_header, chain, meta, "ipv6_no_proto")
+                meta = {"src_ip": src, "dst_ip": dst,
+                        "packet_id": pid, "hop_limit": hop_limit}
+                up(ctx, _IPV6, next_header, chain, meta, "ipv6_no_proto")
             return
         # forwarding path
-        if hdr.hop_limit <= 1:
+        if hop_limit <= 1:
             drop(ctx, msg.pkt, "ipv6_hop_limit_drops")
             return
         try:
-            iface, next_hop_link = self.route(hdr.dst)
+            iface, next_hop_link = self.route(dst)
         except (Unreachable, NeighborUnknown):
             drop(ctx, msg.pkt, "ipv6_forward_unroutable")
             return
         # decrement hop limit in place; we hold the only reference by now
-        msg.pkt.head.data[7] = hdr.hop_limit - 1
+        msg.pkt.head.data[7] = hop_limit - 1
         node.metrics.count("ipv6_forwarded")
         self._down(ctx, msg.pkt, iface, next_hop_link, pid, _RECEIVE)
 

@@ -59,6 +59,7 @@ class DevNotify:
 
 BROADCAST_LONG = b"\xff" * 8
 MAX_FRAME = 127  # 802.15.4 frame limit, the radio's MTU
+CHANNELS = range(11, 27)  # 802.15.4's 2.4 GHz band
 
 
 class SimRadioDevice:
@@ -127,11 +128,12 @@ class SimRadioDevice:
 
     def dev_set(self, key, value):
         self._check_owner()
-        if key == OptionKey.CHANNEL:
-            self.channel = int(value)
+        if (key == OptionKey.CHANNEL and type(value) is int
+                and value in CHANNELS):
+            self.channel = value
         elif key == OptionKey.LOSS_RATE and 0.0 <= float(value) <= 1.0:
             self.loss_rate = float(value)
-        else:  # a loss rate outside [0, 1] too
+        else:  # a channel outside the band, a loss rate outside [0, 1] too
             raise Unsupported(f"device option {key!r} = {value!r}")
 
     # -- medium callbacks (scheduler context) ------------------------------

@@ -9,9 +9,11 @@ Fragment encodings (big-endian):
             units (5 bytes) followed by an 8-aligned slice
     uncompressed IPv6: single dispatch byte 0x41 followed by the datagram
 
-All offsets are multiples of 8 bytes; only the final fragment may carry a
-tail that is not.  Header compression (IPHC) is out of scope; only the
-uncompressed dispatch path exists.
+Each fragment header format is one ``struct.Struct`` (``FRAG1``,
+``FRAGN``): ``fragment`` packs it and ``parse_payload`` unpacks it into a
+tuple.  All offsets are multiples of 8 bytes; only the final fragment may
+carry a tail that is not.  Header compression (IPHC) is out of scope; only
+the uncompressed dispatch path exists.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
 DISPATCH_UNCOMPRESSED = 0x41
 FRAG1_DISPATCH = 0b11000
 FRAGN_DISPATCH = 0b11100
-FRAG1_HDR_LEN = 4
-FRAGN_HDR_LEN = 5
+FRAG1 = struct.Struct("!HH")  # dispatch | size, tag
+FRAGN = struct.Struct("!HHB")  # dispatch | size, tag, offset / 8
+FRAG1_HDR_LEN = FRAG1.size  # 4
+FRAGN_HDR_LEN = FRAGN.size  # 5
 MAX_DATAGRAM = 2047  # 11-bit size field
 MIN_BUDGET = 16  # must fit FRAGN header + one 8-byte unit
 
@@ -66,13 +70,13 @@ def fragment(datagram: bytes, link_payload_budget: int, tag: int) -> list[bytes]
 
     frag1_data = ((link_payload_budget - FRAG1_HDR_LEN) // 8) * 8
     fragn_data = ((link_payload_budget - FRAGN_HDR_LEN) // 8) * 8
-    frags = [struct.pack("!HH", (FRAG1_DISPATCH << 11) | size, tag & 0xFFFF)
+    frags = [FRAG1.pack((FRAG1_DISPATCH << 11) | size, tag & 0xFFFF)
              + datagram[:frag1_data]]
     offset = frag1_data
     while offset < size:
         chunk = datagram[offset:offset + fragn_data]
-        frags.append(struct.pack("!HHB", (FRAGN_DISPATCH << 11) | size,
-                                 tag & 0xFFFF, offset // 8) + chunk)
+        frags.append(FRAGN.pack((FRAGN_DISPATCH << 11) | size,
+                                tag & 0xFFFF, offset // 8) + chunk)
         offset += len(chunk)
     return frags
 
@@ -90,13 +94,13 @@ def parse_payload(payload: bytes) -> tuple[str, int, int, int, memoryview]:
     if dispatch == FRAG1_DISPATCH:
         if len(payload) < FRAG1_HDR_LEN + 1:
             raise MalformedFragment("truncated FRAG1")
-        word, tag = struct.unpack_from("!HH", payload)
+        word, tag = FRAG1.unpack_from(payload)
         return ("frag1", word & 0x7FF, tag, 0,
                 memoryview(payload)[FRAG1_HDR_LEN:])
     if dispatch == FRAGN_DISPATCH:
         if len(payload) < FRAGN_HDR_LEN + 1:
             raise MalformedFragment("truncated FRAGN")
-        word, tag, off_units = struct.unpack_from("!HHB", payload)
+        word, tag, off_units = FRAGN.unpack_from(payload)
         return ("fragn", word & 0x7FF, tag, off_units * 8,
                 memoryview(payload)[FRAGN_HDR_LEN:])
     raise MalformedFragment(f"unknown dispatch byte 0x{payload[0]:02x}")

@@ -1,6 +1,9 @@
 """UDP codec with IPv6 pseudo-header checksum, port demux, and the
 application-facing socket API.
 
+The header format is one ``struct.Struct``, ``HEADER``: the send path packs
+it and the receive path unpacks it into a tuple.
+
 The socket layer is where the copy-twice discipline starts and ends:
 ``sendto`` copies the payload into the central buffer exactly once, and
 ``recvfrom`` copies it out exactly once.  Everything between is header
@@ -22,7 +25,8 @@ from .netapi import _MSG_SND, Module, NetMessage, drop, recopy, up
 from .pktbuf import (_APP, _SEND_APP, _UDP, NoBufferSpace, PacketChain,
                      ProtocolType)
 
-HEADER_LEN = 8
+HEADER = struct.Struct("!HHHH")  # src_port, dst_port, length, checksum
+HEADER_LEN = HEADER.size  # 8
 MAX_PAYLOAD = 1192  # a 1240-byte datagram; ipv6.MAX_PAYLOAD admits 1232
 DEFAULT_SOCK_QUEUE = 4
 
@@ -68,14 +72,14 @@ def udp_checksum(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> int:
 
 def udp_verify(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> bool:
     """Verify a received datagram; checksum 0x0000 is invalid over IPv6."""
-    if struct.unpack_from("!H", udp_bytes, 6)[0] == 0:
+    if udp_bytes[6:8] == b"\x00\x00":
         return False
     return _pseudo_sum(src_ip, dst_ip, udp_bytes) == 0xFFFF
 
 
 def udp_encode_header(src_port: int, dst_port: int, length: int,
                       checksum: int = 0) -> bytes:
-    return struct.pack("!HHHH", src_port, dst_port, length, checksum)
+    return HEADER.pack(src_port, dst_port, length, checksum)
 
 
 class UdpModule(Module):
@@ -105,7 +109,7 @@ class UdpModule(Module):
         out.head.data[:] = udp_encode_header(
             meta["src_port"], meta["dst_port"], length)
         csum = udp_checksum(self.local_addr, meta["dst_ip"], out.to_bytes())
-        struct.pack_into("!H", out.head.data, 6, csum)
+        out.head.data[6:8] = csum.to_bytes(2, "big")
         node.sched.post(self.net, NetMessage(
             kind=_MSG_SND, pkt=out,
             meta={"dst_ip": meta["dst_ip"], "packet_id": meta["packet_id"]}))
@@ -115,10 +119,10 @@ class UdpModule(Module):
         pid = msg.meta.get("packet_id")
         # the length field must match the bytes that arrived
         if (len(data) < HEADER_LEN
-                or struct.unpack_from("!H", data, 4)[0] != len(data)):
+                or (header := HEADER.unpack_from(data))[2] != len(data)):
             drop(ctx, msg.pkt, "udp_rx_malformed")
             return
-        src_port, dst_port = struct.unpack_from("!HH", data)
+        src_port, dst_port = header[:2]
         if not udp_verify(msg.meta["src_ip"], msg.meta["dst_ip"], data):
             drop(ctx, msg.pkt, "udp_rx_bad_checksum")
             return

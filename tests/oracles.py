@@ -92,6 +92,21 @@ def reassemble_oracle(fragments: list[bytes]) -> bytes:
     return bytes(data)
 
 
+def route_oracle(routes: list[tuple[bytes, int, int, object]], dst: bytes):
+    """``(iface, next_hop)`` of the longest prefix in ``routes`` that covers
+    ``dst``, the first added among equal lengths, compared bit by bit; None
+    when no route covers it."""
+    def bit(addr, i):
+        return addr[i // 8] >> (7 - i % 8) & 1
+
+    best = None
+    for prefix, plen, iface, next_hop in routes:
+        if (all(bit(prefix, i) == bit(dst, i) for i in range(plen))
+                and (best is None or plen > best[0])):
+            best = (plen, iface, next_hop)
+    return None if best is None else best[1:]
+
+
 class LruOracle:
     """Plain-list LRU cache; reference for both neighbor cache builds."""
 

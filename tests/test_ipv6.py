@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modnet.ipv6 import (BadVersion, ForwardingTable, HEADER_LEN, Ipv6Header,
+from modnet.ipv6 import (BadVersion, ForwardingTable, HEADER_LEN,
                          LengthMismatch, ON_LINK, RingNeighborCache,
                          SortedNeighborCache, Unreachable, decode,
                          encode_header)
-from oracles import LruOracle
+from oracles import LruOracle, route_oracle
 
 A = bytes.fromhex("fd000000000000000000000000000001")
 B = bytes.fromhex("fd000000000000000000000000000002")
@@ -22,26 +22,23 @@ def ip(n, prefix="fd00"):
 # -- codec -------------------------------------------------------------------
 
 def test_header_round_trip():
-    hdr = Ipv6Header(src=A, dst=B, payload_length=8, next_header=17,
-                     hop_limit=64)
-    wire = encode_header(hdr) + b"\x00" * 8
+    wire = encode_header(src=A, dst=B, payload_length=8, next_header=17,
+                         hop_limit=64) + b"\x00" * 8
     assert len(wire) == 48
-    decoded, payload = decode(wire)
-    assert decoded == hdr
-    assert payload == b"\x00" * 8
+    assert decode(wire) == (A, B, 17, 64, b"\x00" * 8)
 
 
 def test_decode_bad_version():
-    wire = bytearray(encode_header(Ipv6Header(A, B, 0)))
+    wire = bytearray(encode_header(A, B, 0))
     wire[0] = 0x40  # version nibble 4
     with pytest.raises(BadVersion):
         decode(bytes(wire))
 
 
 def test_decode_length_mismatch():
-    hdr = Ipv6Header(src=A, dst=B, payload_length=100)
     with pytest.raises(LengthMismatch):
-        decode(encode_header(hdr) + b"\x00" * 90)
+        decode(encode_header(src=A, dst=B, payload_length=100)
+               + b"\x00" * 90)
 
 
 @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16),
@@ -49,11 +46,9 @@ def test_decode_length_mismatch():
        st.integers(min_value=0, max_value=255),
        st.integers(min_value=1, max_value=255))
 def test_codec_round_trip_property(src, dst, payload, nh, hl):
-    hdr = Ipv6Header(src=src, dst=dst, payload_length=len(payload),
-                     next_header=nh, hop_limit=hl)
-    decoded, got = decode(encode_header(hdr) + payload)
-    assert decoded == hdr
-    assert got == payload
+    wire = encode_header(src=src, dst=dst, payload_length=len(payload),
+                         next_header=nh, hop_limit=hl)
+    assert decode(wire + payload) == (src, dst, nh, hl, payload)
 
 
 # -- forwarding --------------------------------------------------------------
@@ -68,7 +63,7 @@ def test_longest_prefix_wins():
 
 def test_default_route():
     fwd = ForwardingTable()
-    fwd.set_default(2, B)
+    fwd.add(bytes(16), 0, 2, B)
     assert fwd.lookup(bytes.fromhex("20010db8" + "0" * 24)) == (2, B)
 
 
@@ -89,6 +84,31 @@ def test_non_octet_prefix_length():
     assert fwd.lookup(inside) == (3, ON_LINK)
     with pytest.raises(Unreachable):
         fwd.lookup(outside)
+
+
+# addresses that share long prefixes, so routes overlap and tie
+NEAR = [bytes(16), bytes.fromhex("fd01" + "0" * 28),
+        *(bytes.fromhex("fd00" + "0" * 24) + n.to_bytes(2, "big")
+          for n in (0, 1, 0x8000))]
+
+
+@given(st.lists(st.tuples(st.sampled_from(NEAR),
+                          st.sampled_from([0, 7, 16, 64, 113, 127, 128]),
+                          st.integers(0, 3)), max_size=8),
+       st.sampled_from(NEAR))
+def test_lookup_agrees_with_a_bitwise_oracle(routes, dst):
+    """Longest prefix wins, and the first added among equal lengths."""
+    fwd = ForwardingTable()
+    routes = [(prefix, plen, iface, i)
+              for i, (prefix, plen, iface) in enumerate(routes)]
+    for route in routes:
+        fwd.add(*route)
+    expected = route_oracle(routes, dst)
+    if expected is None:
+        with pytest.raises(Unreachable):
+            fwd.lookup(dst)
+    else:
+        assert fwd.lookup(dst) == expected
 
 
 # -- neighbor caches ---------------------------------------------------------

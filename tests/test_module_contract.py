@@ -79,6 +79,9 @@ def test_a_malformed_command_or_bad_value_answers_enotsup(
                                 option=(OptionKey.HOP_LIMIT, value))
                      for value in (300, -1, 256, "x", float("inf"),
                                    float("nan"))]
+        commands += [NetMessage(kind=MsgKind.MSG_SET,
+                                option=(OptionKey.CHANNEL, value))
+                     for value in (-7, 200, True)]
         for cmd in commands:
             assert send_cmd(sim.sched, ctx, cmd).status == ENOTSUP, cmd
         if ctx_name == "ipv6":
@@ -86,6 +89,8 @@ def test_a_malformed_command_or_bad_value_answers_enotsup(
             ack = send_cmd(sim.sched, ctx, NetMessage(
                 kind=MsgKind.MSG_GET, option=(OptionKey.HOP_LIMIT, b"")))
             assert (ack.status, ack.value) == (OK, DEFAULT_HOP_LIMIT)
+        if ctx_name.startswith("link"):
+            assert ctx.handler.device.channel == 11
         assert not getattr(sim.sched, "errors", [])
     finally:
         sim.stop()

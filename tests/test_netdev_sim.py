@@ -70,6 +70,13 @@ def test_options():
         dev.dev_set(OptionKey.LOSS_RATE, 1.5)
     with pytest.raises(Unsupported):
         dev.dev_get(OptionKey.PROTO_ENABLE)
+    for channel in (10, 27, -7, 200, True):  # outside the 2.4 GHz band
+        with pytest.raises(Unsupported):
+            dev.dev_set(OptionKey.CHANNEL, channel)
+        assert dev.dev_get(OptionKey.CHANNEL) == 15
+    for channel in (11, 26):
+        dev.dev_set(OptionKey.CHANNEL, channel)
+        assert dev.dev_get(OptionKey.CHANNEL) == channel
 
 
 def test_ownership_enforced():

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from modnet.ipv6 import NEXT_HEADER_UDP, Ipv6Header, encode_header
+from modnet.ipv6 import NEXT_HEADER_UDP, encode_header
 from modnet.link import link_encode
 from modnet.metrics import CopySite
 from modnet.netapi import DEMUX_ALL, DEMUX_RAW, MsgKind, NetMessage
@@ -184,10 +184,10 @@ def udp_bytes(payload, flip_checksum=False):
 
 def frame(dst_long, dst_ip, udp, hop_limit=64):
     """A link frame carrying one unfragmented IPv6 datagram."""
-    hdr = Ipv6Header(src=IP_A, dst=dst_ip, payload_length=len(udp),
-                     hop_limit=hop_limit)
+    hdr = encode_header(src=IP_A, dst=dst_ip, payload_length=len(udp),
+                        hop_limit=hop_limit)
     return link_encode(dst_long, LONG_A, 0, bytes([DISPATCH_UNCOMPRESSED])
-                       + encode_header(hdr) + udp)
+                       + hdr + udp)
 
 
 RX_DROPS = [
@@ -322,6 +322,23 @@ def test_crafted_send_is_a_counted_drop(module, size, meta, capacity,
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
 
+def test_an_unfragmented_send_without_room_for_its_dispatch_byte_is_a_drop():
+    sim = build(two_node())
+    node = sim.nodes["a"]
+    pkt = PacketChain(node.pktbuf.alloc_snip(size=109))  # the 6lo maximum
+    # the rest of the buffer, so the 1-byte dispatch header finds no room
+    filler = node.pktbuf.alloc_snip(
+        size=node.pktbuf.capacity - node.pktbuf.used - SNIP_OVERHEAD,
+        prio=AllocPriority.CONTROL)
+    sim.sched.post(node.modules["6lo"],
+                   NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
+    sim.run_until()
+    assert sim.metrics.get("sixlowpan_tx_drops_nobuf") == 1
+    assert sim.metrics.get("frames_sent") == 0
+    node.pktbuf.release(filler)
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
 # -- socket reads and release paths ------------------------------------------
 
 def test_recvfrom_on_an_empty_socket_runs_nothing():
@@ -378,6 +395,28 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     sim.run_until()
     assert not link.handler._pending
     assert sim.metrics.get("frames_sent") == 2
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_a_frame_refused_again_on_tx_done_waits_for_the_next_one():
+    sim = build(two_node())
+    node = sim.nodes["a"]
+    link, radio = node.modules["link0"], node.devices[0]
+    pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
+    sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
+    radio.dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
+    sim.sched.step()  # the link handler finds the radio busy
+    assert len(link.handler._pending) == 1
+    while not link.mailbox._ctrl:  # up to the first frame's TX_DONE
+        sim.sched.step()
+    # the radio starts another frame before the link reads the marker
+    radio.dev_send(link_encode(LONG_B, LONG_A, 1, pattern(30)))
+    sim.sched.step()  # the link handler: TX_DONE, and the radio is busy
+    assert len(link.handler._pending) == 1
+    assert link.handler._pending[0][1] is pkt.head
+    sim.run_until()
+    assert not link.handler._pending
+    assert sim.metrics.get("frames_sent") == 3
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
 
