@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 
-from .metrics import _BUF_TO_DEV, _DEV_TO_BUF
+from .metrics import CopySite
 from .netapi import _MSG_SND, DEMUX_ALL, Module, drop, up
 from .netdev import _BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
@@ -112,7 +112,7 @@ class LinkModule(Module):
             return
         metrics, pid = node.metrics, msg.meta.get("packet_id")
         if metrics.recording and pid is not None:
-            metrics.record_copy(_BUF_TO_DEV, pid, len(payload))
+            metrics.record_copy(CopySite.BUF_TO_DEV, pid, len(payload))
         dst = msg.meta.get("dst_link") or BROADCAST_LONG
         frame = link_encode(dst, self.device.addr_long, self._seq, payload)
         self._seq = (self._seq + 1) & 0xFF
@@ -143,7 +143,7 @@ class LinkModule(Module):
         metrics = node.metrics
         pid = metrics.new_packet_id()
         if metrics.recording:
-            metrics.record_copy(_DEV_TO_BUF, pid, len(payload))
+            metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(payload))
         meta = {"src_link": src, "dst_link": dst, "packet_id": pid}
         up(ctx, _SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
            "link_rx_no_receiver")

@@ -26,9 +26,6 @@ class CopySite(enum.Enum):
 
 BOUNDARY_SITES = (CopySite.APP_TO_BUF, CopySite.BUF_TO_DEV,
                   CopySite.DEV_TO_BUF, CopySite.BUF_TO_APP)
-# aliases for the per-frame paths (see ``pktbuf``)
-_APP_TO_BUF, _BUF_TO_DEV, _DEV_TO_BUF, _BUF_TO_APP = BOUNDARY_SITES
-_BUF_INTERNAL = CopySite.BUF_INTERNAL
 
 
 def lock_methods(obj, lock, names):
@@ -54,16 +51,17 @@ class Metrics:
     more than the counter update it guards.
 
     Counters and packet ids are always kept.  The per-packet copy ledger is
-    kept only with ``record=True``, which sets ``recording``; the stack
-    calls ``record_copy`` and ``merge_packet`` only while it is set."""
+    always a dict, empty unless something records into it; ``record=True``
+    sets ``recording``, and the stack calls ``record_copy`` and
+    ``merge_packet`` only while it is set, so an unrecorded run leaves the
+    ledger empty."""
 
     _LOCKED = ("new_packet_id", "record_copy", "merge_packet", "copy_report",
                "copy_bytes", "packet_ids", "count", "get", "as_dict")
 
     def __init__(self, locked: bool = True, record: bool = False):
         self.recording = record
-        self._copies: dict[int, list[tuple[CopySite, int]]] | None = (
-            defaultdict(list) if record else None)
+        self._copies = defaultdict(list)  # packet id -> [(site, nbytes)]
         self._next_packet_id = 1
         self.counters: Counter[str] = Counter()
         if locked:
@@ -77,29 +75,28 @@ class Metrics:
 
     # -- copy ledger -----------------------------------------------------
     def record_copy(self, site: CopySite, packet_id: int, nbytes: int):
-        if self._copies is not None:
-            self._copies[packet_id].append((site, nbytes))
+        self._copies[packet_id].append((site, nbytes))
 
     def merge_packet(self, into_id: int, from_id: int):
         """Fold one packet's records into another (reassembly adopts the
         first fragment's id)."""
-        if self._copies is not None and into_id != from_id:
+        if into_id != from_id:
             self._copies[into_id].extend(self._copies.pop(from_id, ()))
 
     def copy_report(self, packet_id: int) -> dict[CopySite, int]:
         report: Counter[CopySite] = Counter()
-        for site, _ in (self._copies or {}).get(packet_id, ()):
+        for site, _ in self._copies.get(packet_id, ()):
             report[site] += 1
         return dict(report)
 
     def copy_bytes(self, packet_id: int) -> dict[CopySite, int]:
         out: Counter[CopySite] = Counter()
-        for site, n in (self._copies or {}).get(packet_id, ()):
+        for site, n in self._copies.get(packet_id, ()):
             out[site] += n
         return dict(out)
 
     def packet_ids(self):
-        return list(self._copies or ())
+        return list(self._copies)
 
     # -- generic counters ------------------------------------------------
     def count(self, name: str, n: int = 1):
@@ -114,7 +111,7 @@ class Metrics:
             "packets": {
                 str(pid): {site.value: n
                            for site, n in Counter(s for s, _ in recs).items()}
-                for pid, recs in (self._copies or {}).items()
+                for pid, recs in self._copies.items()
             },
         }
 

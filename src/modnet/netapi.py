@@ -53,7 +53,7 @@ from __future__ import annotations
 import enum
 import threading
 
-from .metrics import _BUF_INTERNAL, lock_methods
+from .metrics import CopySite, lock_methods
 from .pktbuf import _RECEIVE, NoBufferSpace, PacketChain
 
 
@@ -246,7 +246,7 @@ def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
         node.metrics.count(nobuf_counter)
         return None
     if node.metrics.recording:
-        node.metrics.record_copy(_BUF_INTERNAL, pid, len(payload))
+        node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, len(payload))
     return PacketChain(snip)
 
 

@@ -131,9 +131,10 @@ class SimRadioDevice:
         if (key == OptionKey.CHANNEL and type(value) is int
                 and value in CHANNELS):
             self.channel = value
-        elif key == OptionKey.LOSS_RATE and 0.0 <= float(value) <= 1.0:
+        elif (key == OptionKey.LOSS_RATE and type(value) in (int, float)
+                and 0 <= value <= 1):  # NaN compares false
             self.loss_rate = float(value)
-        else:  # a channel outside the band, a loss rate outside [0, 1] too
+        else:  # a channel outside the band, a loss rate not a number in [0, 1]
             raise Unsupported(f"device option {key!r} = {value!r}")
 
     # -- medium callbacks (scheduler context) ------------------------------

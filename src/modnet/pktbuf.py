@@ -238,11 +238,6 @@ class PacketBuffer:
     def hold(self, snip: Snip) -> None:
         """Add one holder to every snip in the chain, or to none when one
         of them is already freed."""
-        if snip.next is None:  # one-snip chain: no walk, no list
-            if snip.users == 0:
-                raise ReleaseUnheld("hold on freed snip")
-            snip.users += 1
-            return
         for s in _checked_chain(snip, "hold"):
             s.users += 1
 
@@ -272,8 +267,6 @@ class PacketBuffer:
         On failure the original chain is left intact.  A shared head
         (users > 1) is never mutated; only the new snip's link points at it.
         """
-        if header_size <= 0:
-            raise InvalidSize("header size must be > 0")
         snip = self.alloc_snip(size=header_size, proto=proto, prio=prio)
         snip.next = pkt.head
         return PacketChain(snip)

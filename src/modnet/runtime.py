@@ -7,8 +7,8 @@ shared packet buffer contents reachable from chains they hold).
 Both schedulers share one core, ``_SchedulerBase``: a FIFO of ready
 contexts, a heap of timers, one sequence both take a number from when an
 event is queued, and the two ways in.  ``post`` is the one place a
-message is admitted: it puts the message in its mailbox lane, records the
-trace entry when recording, and queues the context unless it is queued
+message is admitted: it puts the message in its mailbox lane, appends its
+trace line when recording, and queues the context unless it is queued
 already.  ``call_at`` queues a timer, never earlier than ``now_us``.  The
 two schedulers differ only in who takes the events:
 
@@ -30,13 +30,12 @@ Both run a context by one rule.  It stays marked ``_scheduled`` from the
 post that queues it until its handler, which runs one message, returns;
 then it is queued again if it has mail and unmarked otherwise.  So at most
 one handler of a context runs at a time, and a post to a running context
-does not queue it twice.  A scheduler built with ``record=True`` keeps a
-``TraceLog`` with one entry per accepted message, and its ``Metrics`` keeps
-the per-packet copy ledger; otherwise ``trace`` is None and neither record
-is kept, so a run pays for them only when a caller asks.  ``TraceLog``
-keeps plain fields and renders text lines only when they are read.  Both
-expose the context whose handler runs as ``current`` (None outside any
-handler).
+does not queue it twice.  A scheduler built with ``record=True`` keeps
+``trace``, a list with one text line per accepted message, rendered at the
+post, and its ``Metrics`` keeps the per-packet copy ledger; otherwise
+``trace`` is None and neither record is kept, so a run pays for them only
+when a caller asks.  Both expose the context whose handler runs as
+``current`` (None outside any handler).
 
 Only a command's answer is waited for: ``wait_for(cmd, timeout_us)``, which
 ``send_cmd`` calls, returns once ``cmd.status`` is set, or False at the
@@ -163,57 +162,21 @@ class Node:
 
 
 _TRACE_LINE = "t=%s node=%s %s->%s kind=%s proto=%s size=%s"
-_TRACE_WIDTH = 7  # fields per record
 
 
-class TraceLog:
-    """One record per accepted message: ``(t, node, src, dst, kind, proto,
-    size)``, where kind and proto are the names the enum members carry.
-    A scheduler keeps one only when it is built with ``record=True``.
-
-    Reads render the records to text lines; indexing, slicing and iteration
-    give the same strings the lines always had.  ``size`` is taken when the
-    message is posted, since handlers later grow and shrink the chain.
-
-    The fields of all records sit in one flat list of ints and strings.  A
-    list of record tuples would leave one live object per message for the
-    garbage collector to count, and the extra collections showed up as host
-    latency outliers.
-    """
-
-    __slots__ = ("_fields",)
-
-    def __init__(self):
-        self._fields: list = []
-
-    def record(self, now_us: int, src, target, msg):
-        """Record ``msg`` as posted at ``now_us`` from context ``src``
-        (None outside any handler) to context ``target``."""
-        pkt = None
-        if isinstance(msg, NetMessage):
-            kind, pkt = msg.kind._name_, msg.pkt  # .name is a property
-        else:
-            kind = type(msg).__name__
-        self._fields.extend((
-            now_us, target.node.name, "ext" if src is None else src.name,
-            target.name, kind, "-" if pkt is None else pkt.head.proto._name_,
-            0 if pkt is None else pkt.total_size))
-
-    def __len__(self):
-        return len(self._fields) // _TRACE_WIDTH
-
-    def _line(self, start: int) -> str:
-        return _TRACE_LINE % tuple(self._fields[start:start + _TRACE_WIDTH])
-
-    def __iter__(self):
-        for start in range(0, len(self._fields), _TRACE_WIDTH):
-            yield self._line(start)
-
-    def __getitem__(self, index):
-        starts = range(0, len(self._fields), _TRACE_WIDTH)[index]
-        if isinstance(index, slice):
-            return [self._line(start) for start in starts]
-        return self._line(starts)
+def _trace_line(now_us: int, src, target, msg) -> str:
+    """The trace line of ``msg`` posted at ``now_us`` from context ``src``
+    (None outside any handler) to context ``target``.  ``size`` is taken
+    at the post, since handlers later grow and shrink the chain."""
+    pkt = None
+    if isinstance(msg, NetMessage):
+        kind, pkt = msg.kind._name_, msg.pkt  # .name is a property
+    else:
+        kind = type(msg).__name__
+    return _TRACE_LINE % (
+        now_us, target.node.name, "ext" if src is None else src.name,
+        target.name, kind, "-" if pkt is None else pkt.head.proto._name_,
+        0 if pkt is None else pkt.total_size)
 
 
 class _SchedulerBase:
@@ -225,7 +188,7 @@ class _SchedulerBase:
 
     def __init__(self, record: bool = False):
         self.metrics = Metrics(locked=self.parallel, record=record)
-        self.trace = TraceLog() if record else None
+        self.trace: list[str] | None = [] if record else None
         self.now_us = 0  # simulated; only the scheduler moves it
         self._heap: list = []  # (t_us, seq, fn) timers
         self._ready: deque = deque()  # (seq, ctx) contexts with mail
@@ -256,7 +219,8 @@ class _SchedulerBase:
             _release_pkt(msg)
             return False
         if self.trace is not None:  # par calls this under its condition
-            self.trace.record(self.now_us, self.current, ctx, msg)
+            self.trace.append(
+                _trace_line(self.now_us, self.current, ctx, msg))
         # the mailbox is non-empty by construction here
         if not ctx._scheduled:
             ctx._scheduled = True

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .link import MAX_PAYLOAD
-from .metrics import _BUF_INTERNAL, REASSEMBLY_ENTRY_OVERHEAD
+from .metrics import REASSEMBLY_ENTRY_OVERHEAD, CopySite
 from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
                      recopy, up)
 from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
@@ -201,7 +201,7 @@ class ReassemblyTable:
         entry.snip.data[offset:end] = data
         entry.received |= mask
         if self.metrics.recording:
-            self.metrics.record_copy(_BUF_INTERNAL, entry.packet_id,
+            self.metrics.record_copy(CopySite.BUF_INTERNAL, entry.packet_id,
                                      len(data))
 
         if entry.received == (1 << ((size + 7) // 8)) - 1:
@@ -280,7 +280,7 @@ class SixlowpanModule(Module):
         recording = node.metrics.recording and pid is not None
         for t_us, snip in enumerate(snips, sched.now_us):
             if recording:
-                node.metrics.record_copy(_BUF_INTERNAL, pid, snip.size)
+                node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, snip.size)
             sched.call_at(t_us, partial(sched.post, link_ctx, NetMessage(
                 _MSG_SND, PacketChain(snip), None, down_meta)))
 

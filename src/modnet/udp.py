@@ -20,7 +20,7 @@ import struct
 from collections import deque
 
 from .ipv6 import NEXT_HEADER_UDP
-from .metrics import _APP_TO_BUF, _BUF_TO_APP
+from .metrics import CopySite
 from .netapi import _MSG_SND, Module, NetMessage, drop, recopy, up
 from .pktbuf import (_APP, _SEND_APP, _UDP, NoBufferSpace, PacketChain,
                      ProtocolType)
@@ -170,7 +170,7 @@ class Socket:
         snip = node.pktbuf.alloc_snip(payload=payload, proto=_APP,
                                       prio=_SEND_APP)
         if node.metrics.recording:
-            node.metrics.record_copy(_APP_TO_BUF, pid, len(payload))
+            node.metrics.record_copy(CopySite.APP_TO_BUF, pid, len(payload))
         node.metrics.count("udp_sent")
         node.sched.post(self.layer.transport, NetMessage(
             kind=_MSG_SND, pkt=PacketChain(snip),
@@ -191,7 +191,7 @@ class Socket:
         self.last_hop_limit = hop_limit
         payload = pkt.to_bytes()
         if node.metrics.recording:
-            node.metrics.record_copy(_BUF_TO_APP, pid, len(payload))
+            node.metrics.record_copy(CopySite.BUF_TO_APP, pid, len(payload))
         node.metrics.count("udp_delivered")
         node.pktbuf.release(pkt.head)
         return src_ip, src_port, payload

@@ -77,6 +77,15 @@ def test_options():
     for channel in (11, 26):
         dev.dev_set(OptionKey.CHANNEL, channel)
         assert dev.dev_get(OptionKey.CHANNEL) == channel
+    # a loss rate is an int or float in [0, 1], never a bool or text
+    for rate in (True, "0.5", b"0.5", float("nan"), 1.5, -0.1):
+        with pytest.raises(Unsupported):
+            dev.dev_set(OptionKey.LOSS_RATE, rate)
+        assert dev.dev_get(OptionKey.LOSS_RATE) == 0.0
+    for rate in (0, 1, 0.5):
+        dev.dev_set(OptionKey.LOSS_RATE, rate)
+        stored = dev.dev_get(OptionKey.LOSS_RATE)
+        assert type(stored) is float and stored == rate
 
 
 def test_ownership_enforced():

@@ -291,6 +291,19 @@ def test_prepend_failure_atomicity():
     assert payload.users == 1
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_prepend_of_no_header_is_an_invalid_size(backend):
+    buf = buffer_create(2048, backend)
+    payload = buf.alloc_snip(payload=b"p" * 50)
+    pkt = PacketChain(payload)
+    before = free_state(buf)
+    with pytest.raises(InvalidSize):
+        buf.prepend_header(pkt, 0, ProtocolType.UDP)
+    assert free_state(buf) == before
+    assert pkt.head is payload and payload.next is None
+    assert payload.users == 1 and bytes(payload.data) == b"p" * 50
+
+
 def test_dispatch_two_receivers_reclamation():
     buf = buffer_create(2048)
     snip = buf.alloc_snip(size=64)

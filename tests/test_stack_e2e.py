@@ -1,5 +1,6 @@
 """Whole-stack integration: echo, fragmentation, forwarding, offload."""
 
+import pathlib
 import struct
 
 import pytest
@@ -11,12 +12,15 @@ from modnet.netapi import DEMUX_ALL, DEMUX_RAW, MsgKind, NetMessage
 from modnet.netdev import DevEventType, DevNotify
 from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority, PacketChain,
                            ProtocolType)
+from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import build
 from modnet.sixlowpan import (DISPATCH_UNCOMPRESSED, FRAG1_DISPATCH,
                               FRAGN_DISPATCH)
 from modnet.udp import UdpError, udp_checksum, udp_encode_header
 from topo import (IP_A, IP_A2, IP_B, IP_B2, LONG_A, LONG_B, LONG_R0,
                   echo_on, ip6, offload_pair, three_node_router, two_node)
+
+SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
 
 def pattern(n):
@@ -158,6 +162,21 @@ def test_nothing_is_recorded_by_default():
         assert sim.metrics.get("udp_delivered") == 2  # request + echo
         assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
     assert off.metrics.counters == on.metrics.counters
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in SCENARIO_DIR.glob("*.json")))
+def test_recording_never_changes_what_is_simulated(name):
+    """A recorded and an unrecorded det run of a shipped scenario simulate
+    the same thing; only the recorded one keeps a trace and a ledger."""
+    scenario = load_scenario_file(str(SCENARIO_DIR / name))
+    off_sim, off = run_scenario(scenario)
+    on_sim, on = run_scenario(scenario, record=True)
+    for key in ("counters", "sockets", "sends", "now_us"):
+        assert off[key] == on[key], key
+    assert off_sim.sched.trace is None and off["packets"] == {}
+    assert on["trace_lines"] == len(on_sim.sched.trace) > 0
+    assert on["packets"]
 
 
 def test_send_without_next_hop_goes_out_as_broadcast():
