@@ -228,11 +228,15 @@ class PacketBuffer:
             self.failed_allocs[prio] += 1
             raise NoBufferSpace(
                 f"{size} B at {prio._name_}: no contiguous block")
+        if payload is not None:
+            try:
+                snip.data[:size] = payload
+            except Exception:  # a str, or an array whose len is not its size
+                self._release_block(snip)
+                raise
         self.used = used
         if used > self.peak:
             self.peak = used
-        if payload is not None:
-            snip.data[:size] = payload
         return snip
 
     def hold(self, snip: Snip) -> None:

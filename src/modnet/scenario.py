@@ -1,5 +1,8 @@
 """Scenario files: versioned JSON description of a topology plus a timed
 workload, validated against a schema with JSON-pointer error reporting.
+A plain-Python check compiled once from the schema accepts a valid
+document; only a document it refuses goes through jsonschema, which names
+the first error and its pointer.
 
 A scenario is the unit the command line runs: nodes (with their stack
 flavor and addressing), links, a seed, and a list of timed socket
@@ -14,6 +17,8 @@ fit together, and its pointers are the same pointers into the document.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from ipaddress import IPv6Address
 
@@ -178,6 +183,80 @@ _Validator = jsonschema.validators.extend(
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, value: type(value) is int))
 
+_KEYWORDS = {"$schema", "type", "const", "enum", "minimum", "maximum",
+             "minLength", "pattern", "minItems", "items", "required",
+             "properties", "additionalProperties"}
+# the Python types of a JSON type; bool is neither integer nor number
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+          "integer": (int,), "number": (int, float)}
+_NUMBER = _TYPES["number"]
+
+
+def _one_of(values: list):
+    # for str, int and float values jsonschema's equality is Python's
+    types = {type(e) for e in values}
+    if not types <= {str, int, float}:
+        raise ValueError(f"no fast check for the values {values!r}")
+    values = set(values)
+    return lambda v: type(v) in types and v in values
+
+
+def _predicate(schema: dict):
+    """Compile ``schema`` into a check that accepts nothing ``_Validator``
+    refuses, though it may refuse more: each keyword also refuses a value
+    of a type it does not apply to.  A keyword without a check here is an
+    error, not a hole."""
+    unknown = schema.keys() - _KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"no fast check for {sorted(unknown)} or for an "
+                         "additionalProperties other than false")
+    s, checks = schema, []
+    if "type" in s:
+        checks.append(lambda v, types=_TYPES[s["type"]]: type(v) in types)
+    if "const" in s:
+        checks.append(_one_of([s["const"]]))
+    if "enum" in s:
+        checks.append(_one_of(s["enum"]))
+    if "minimum" in s or "maximum" in s:
+        low, high = s.get("minimum", -math.inf), s.get("maximum", math.inf)
+        checks.append(lambda v: type(v) in _NUMBER and low <= v <= high)
+    if "minLength" in s:
+        checks.append(lambda v, n=s["minLength"]:
+                      type(v) is str and len(v) >= n)
+    if "pattern" in s:  # re.search, as jsonschema does
+        search = re.compile(s["pattern"]).search
+        checks.append(lambda v: type(v) is str and search(v) is not None)
+    if "minItems" in s:
+        checks.append(lambda v, n=s["minItems"]:
+                      type(v) is list and len(v) >= n)
+    if "items" in s:
+        item = _predicate(s["items"])
+        checks.append(lambda v: type(v) is list and all(map(item, v)))
+    if "required" in s:
+        checks.append(lambda v, keys=set(s["required"]):
+                      type(v) is dict and v.keys() >= keys)
+    props = {k: _predicate(sub) for k, sub in s.get("properties", {}).items()}
+    if "additionalProperties" in s:
+        checks.append(lambda v: type(v) is dict and v.keys() <= props.keys())
+    if props:
+        def properties(v):
+            if type(v) is not dict:
+                return False
+            for k, x in v.items():
+                if k in props and not props[k](x):
+                    return False
+            return True
+        checks.append(properties)
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for c in checks:
+            if not c(v):
+                return False
+        return True
+    return check
+
 
 class ScenarioError(Exception):
     """Invalid scenario document; ``pointer`` locates the offending field."""
@@ -216,17 +295,28 @@ def _parse_ip(text: str, pointer: str) -> bytes:
         raise ScenarioError(str(exc), pointer) from None
 
 
+_CHECK_DOC = _predicate(SCHEMA)
+_CHECK_ARGS = {"open": _predicate(_OPEN_ARGS), "send": _predicate(_SEND_ARGS)}
+_DOC_VALIDATOR = _Validator(SCHEMA)
+_OPEN_VALIDATOR = _Validator(_OPEN_ARGS)
+_SEND_VALIDATOR = _Validator(_SEND_ARGS)
+
+
 def validate_document(doc: dict) -> None:
-    validator = _Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
+    if _CHECK_DOC(doc) and all(_CHECK_ARGS[item["op"]](item.get("args", {}))
+                               for item in doc.get("workload", ())):
+        return
+    # refused: jsonschema finds and names the error (or, rarely, none)
+    errors = sorted(_DOC_VALIDATOR.iter_errors(doc),
+                    key=lambda e: list(e.path))
     if errors:
         err = errors[0]
         raise ScenarioError(err.message, _pointer(err))
     # per-op argument shapes (schema conditionals kept out for readable errors)
     for i, item in enumerate(doc.get("workload", ())):
-        sub = _OPEN_ARGS if item["op"] == "open" else _SEND_ARGS
-        args_validator = _Validator(sub)
-        for err in args_validator.iter_errors(item.get("args", {})):
+        validator = (_OPEN_VALIDATOR if item["op"] == "open"
+                     else _SEND_VALIDATOR)
+        for err in validator.iter_errors(item.get("args", {})):
             raise ScenarioError(err.message,
                                 f"/workload/{i}/args" + _pointer(err))
 

@@ -163,6 +163,8 @@ class Socket:
             raise UdpError(f"port {self.port} is closed")
         if not payload:
             raise UdpError("empty payload")
+        if type(dst_ip) is not bytes or len(dst_ip) != 16:
+            raise UdpError(f"destination {dst_ip!r} is not 16 bytes")
         if len(payload) > MAX_PAYLOAD:
             raise PayloadTooLarge(f"{len(payload)} > {MAX_PAYLOAD}")
         node = self.layer.ctx.node

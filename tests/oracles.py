@@ -4,6 +4,10 @@ Deliberately written with different techniques than the production code
 (byte-at-a-time arithmetic, brute-force slicing) so agreement is meaningful.
 """
 
+import jsonschema
+
+from modnet.scenario import _OPEN_ARGS, _SEND_ARGS, SCHEMA, ScenarioError
+
 
 def checksum_oracle(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> int:
     """One's-complement checksum computed bit by bit over the IPv6
@@ -131,3 +135,30 @@ class LruOracle:
                 self.order.append((a, link))
                 return link
         return None
+
+
+# JSON Schema counts 7.0 as an integer, and the stack needs an int
+_IntValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int))
+
+
+def _pointer(error) -> str:
+    return "/" + "/".join(str(p) for p in error.absolute_path)
+
+
+def validate_document_oracle(doc) -> None:
+    """Scenario validation by jsonschema alone: the document's errors
+    sorted by path, the first one raised, then each workload op's
+    arguments against the schema of its op."""
+    validator = _IntValidator(SCHEMA)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
+    if errors:
+        err = errors[0]
+        raise ScenarioError(err.message, _pointer(err))
+    for i, item in enumerate(doc.get("workload", ())):
+        sub = _OPEN_ARGS if item["op"] == "open" else _SEND_ARGS
+        for err in _IntValidator(sub).iter_errors(item.get("args", {})):
+            raise ScenarioError(err.message,
+                                f"/workload/{i}/args" + _pointer(err))

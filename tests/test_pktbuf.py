@@ -1,5 +1,7 @@
 """Packet buffer: allocation, priorities, chains, backend equivalence."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,6 +291,24 @@ def test_prepend_failure_atomicity():
     assert buf.stats().used == used
     assert pkt.head is payload
     assert payload.users == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_payload_that_cannot_be_copied_gives_its_block_back(backend):
+    buf = buffer_create(2048, backend)
+    buf.alloc_snip(size=40)  # the refused block would sit after a live one
+    before = free_state(buf)
+    with pytest.raises(TypeError):
+        buf.alloc_snip(payload="hello")
+    assert free_state(buf) == before
+
+
+def test_arena_refuses_an_array_whose_len_is_not_its_byte_count():
+    buf = buffer_create(2048, Backend.STATIC_ARENA)
+    before = free_state(buf)
+    with pytest.raises(ValueError):
+        buf.alloc_snip(payload=array("H", [1, 2, 3]))
+    assert free_state(buf) == before
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -5,16 +5,20 @@ import json
 import pathlib
 import tempfile
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modnet import scenario
 from modnet.cli import main
 from modnet.ipv6 import SortedNeighborCache
 from modnet.pktbuf import DynamicBuffer
 from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
                            Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
-                             load_scenario_file, run_scenario)
+                             load_scenario_file, run_scenario,
+                             validate_document)
+from oracles import validate_document_oracle
 from topo import (IP_R_A, IP_R_B, offload_pair, three_node_router,
                   two_node)
 
@@ -405,3 +409,170 @@ def test_mutated_scenario_exits_cleanly(data):
         for argv in (["run", str(path), "--until", "200000"],
                      ["fuzz-enotsup", str(path), "--ops", "20"]):
             assert main(argv) in (0, 2, 3)
+
+
+# -- the compiled check against jsonschema alone ----------------------------
+
+# a -- r -- b, setting every optional field the schema knows except the
+# offload ones (offload_echo.json sets those)
+ROUTER_DOC = {
+    "version": 1, "seed": 2**64 - 1,
+    "nodes": [
+        {"name": "a", "modules": ["link", "6lowpan", "ipv6", "udp"],
+         "devices": [{"addr_short": "000a", "addr_long": "000000000000000a"}],
+         "address": "fd00:0:0:1::1",
+         "routes": [{"prefix": "::", "prefix_len": 0, "iface": 0,
+                     "next_hop": "fd00:0:0:1::fe"}],
+         "neighbors": [{"addr": "fd00:0:0:1::fe",
+                        "link": "00000000000000e0"}],
+         "buffer_capacity": 4096, "backend": "DYNAMIC",
+         "neighbor_cache": "SORTED"},
+        {"name": "r", "modules": ["udp", "ipv6", "6lowpan", "link"],
+         "devices": [{"addr_short": "00e0", "addr_long": "00000000000000e0"},
+                     {"addr_short": "00e1", "addr_long": "00000000000000e1"}],
+         "address": "fd00:0:0:1::fe",
+         "iface_addrs": [{"iface": 0, "addr": "fd00:0:0:1::fe",
+                          "prefix_len": 64},
+                         {"iface": 1, "addr": "fd00:0:0:2::fe"}],
+         "neighbors": [{"addr": "fd00:0:0:1::1", "link": "000000000000000a"},
+                       {"addr": "fd00:0:0:2::1", "link": "000000000000000b"}],
+         "backend": "STATIC_ARENA", "neighbor_cache": "RING"},
+        {"name": "b", "modules": ["link", "6lowpan", "ipv6", "udp"],
+         "devices": [{"addr_short": "000b", "addr_long": "000000000000000b"}],
+         "address": "fd00:0:0:2::1",
+         "routes": [{"prefix": "::", "prefix_len": 0, "iface": 0,
+                     "next_hop": "fd00:0:0:2::fe"}],
+         "neighbors": [{"addr": "fd00:0:0:2::fe",
+                        "link": "00000000000000e1"}]},
+    ],
+    "links": [{"a": "a", "b": "r:0", "loss": 0.05, "delay_us": 1},
+              {"a": "r:1", "b": "b", "loss": 0, "delay_us": 0}],
+    "workload": [
+        {"t_us": 0, "node": "b", "op": "open",
+         "args": {"port": 7, "app": "sink", "queue_capacity": 4}},
+        {"t_us": 0, "node": "b", "op": "open", "args": {"port": 9}},
+        {"t_us": 5, "node": "a", "op": "send",
+         "args": {"src_port": 40000, "dst": "fd00:0:0:2::1", "dst_port": 7,
+                  "size": 1192, "count": 2, "interval_us": 0}},
+        {"t_us": 10, "node": "a", "op": "send",
+         "args": {"src_port": 40001, "dst": "b", "dst_port": 9, "size": 1}},
+    ],
+}
+
+DOCS = {name: load_doc(name) for name in SHIPPED} | {"router": ROUTER_DOC}
+
+
+def _wrong_values(value):
+    """Values that swap the type of ``value``, put it out of range, break
+    its hex, empty it or leave its enum."""
+    if type(value) is int:
+        return [True, 7.0, "7", None, -1, 0, 129, 255, 65536, 2**64]
+    if type(value) is float:
+        return [True, 7, "7", None, -0.5, 1.5]
+    if type(value) is str:
+        return ["", "0g", "abc", "00\n", "bogus", 7, None]
+    return [None, "7", [], {}]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutations(doc):
+    """Every single mutation of ``doc``: add an unknown field to an object,
+    drop a field, or replace it."""
+    yield "add", (), None
+    for path in _locations(doc):
+        value = _at(doc, path)
+        if isinstance(value, dict):
+            yield "add", path, None
+        yield "drop", path, None
+        for new in _wrong_values(value):
+            yield "set", path, new
+
+
+def _apply(doc, mutation):
+    kind, path, value = mutation
+    if kind == "add":
+        _at(doc, path)["extra"] = 1
+    elif kind == "drop":
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        _at(doc, path[:-1])[path[-1]] = value
+
+
+def _outcome(validate, doc):
+    try:
+        validate(doc)
+    except ScenarioError as exc:
+        return "refused", exc.message, exc.pointer
+    except Exception as exc:  # any other error, the same on both sides
+        return type(exc).__name__, str(exc)
+    return "accepted"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_document_meets_the_oracle(data):
+    """One to three mutations of a document: it is accepted by both, or
+    both refuse it with the same message and pointer."""
+    doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(sorted(DOCS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _apply(doc, data.draw(st.sampled_from(list(_mutations(doc)))))
+    assert (_outcome(validate_document, doc)
+            == _outcome(validate_document_oracle, doc))
+
+
+def test_every_single_mutation_of_the_router_document_meets_the_oracle():
+    for mutation in _mutations(ROUTER_DOC):
+        doc = copy.deepcopy(ROUTER_DOC)
+        _apply(doc, mutation)
+        assert (_outcome(validate_document, doc)
+                == _outcome(validate_document_oracle, doc)), mutation
+
+
+def test_valid_documents_never_reach_jsonschema(monkeypatch):
+    def iter_errors(*args, **kwargs):
+        raise AssertionError("jsonschema ran on a valid document")
+    monkeypatch.setattr(scenario._Validator, "iter_errors", iter_errors)
+    for doc in DOCS.values():
+        load_scenario(copy.deepcopy(doc))
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+@pytest.mark.parametrize("schema", [
+    sub for top in (scenario.SCHEMA, scenario._OPEN_ARGS,
+                    scenario._SEND_ARGS)
+    for sub in _subschemas(top)])
+def test_the_check_accepts_nothing_jsonschema_refuses(schema):
+    check, validator = scenario._predicate(schema), scenario._Validator(schema)
+    values = [v for x in (1, 1.0, "", []) for v in _wrong_values(x)]
+    values += [1, 64, 0.0, 1.0, 2**64 - 1, False, "ff", "fd00::1", "link",
+               "DYNAMIC", "open", float("nan"), float("inf"), ["udp"],
+               [{}], {"port": 7}]
+    for value in values:
+        assert not check(value) or validator.is_valid(value), value
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "maxLength": 3},
+    {"type": "object", "properties": {"a": {"format": "ipv6"}}},
+    {"type": "array", "items": {"type": "object", "patternProperties": {}}},
+    {"type": "object", "additionalProperties": {"type": "string"}},
+    {"type": "object", "additionalProperties": True},
+    {"enum": ["a", True]},
+    {"const": {"a": 1}},
+])
+def test_a_keyword_without_a_fast_check_fails_to_compile(schema):
+    jsonschema.Draft202012Validator.check_schema(schema)  # a real schema
+    with pytest.raises(ValueError, match="no fast check"):
+        scenario._predicate(schema)

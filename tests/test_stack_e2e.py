@@ -146,6 +146,24 @@ def test_refused_sendto_leaves_no_trace():
     assert sim.metrics.packet_ids() == [pid]
 
 
+@pytest.mark.parametrize("dst_ip,payload,match", [
+    (IP_B, b"", "empty payload"),
+    ("fd00::2", pattern(20), "not 16 bytes"),
+    (IP_B[:15], pattern(20), "not 16 bytes"),
+    (IP_B + b"\x00", pattern(20), "not 16 bytes"),
+    (None, pattern(20), "not 16 bytes"),
+], ids=["empty", "str", "short", "long", "none"])
+def test_refused_sendto_allocates_nothing(dst_ip, payload, match):
+    sim = build(two_node(), record=True)
+    sock = sim.socket_layer("a").open(40000)
+    with pytest.raises(UdpError, match=match):
+        sock.sendto(dst_ip, 7, payload)
+    sim.run_until()
+    assert sim.metrics.packet_ids() == []
+    assert sim.metrics.get("udp_sent") == 0
+    assert sim.nodes["a"].pktbuf.used == 0
+
+
 def test_nothing_is_recorded_by_default():
     off, on = build(two_node()), build(two_node(), record=True)
     for sim in (off, on):
