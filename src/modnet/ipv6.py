@@ -250,8 +250,8 @@ class Ipv6Module(Module):
         except NoBufferSpace:
             drop(ctx, pkt, "ipv6_tx_drops_nobuf")
             return
-        out.head.data[:] = encode_header(self.primary_addr, dst, size,
-                                         hop_limit=self.hop_limit)
+        out.data[:] = encode_header(self.primary_addr, dst, size,
+                                    hop_limit=self.hop_limit)
         self._down(ctx, out, iface, next_hop_link, msg.meta["packet_id"],
                    _SEND_APP)
 
@@ -289,7 +289,7 @@ class Ipv6Module(Module):
             drop(ctx, msg.pkt, "ipv6_forward_unroutable")
             return
         # decrement hop limit in place; we hold the only reference by now
-        msg.pkt.head.data[7] = hop_limit - 1
+        msg.pkt.data[7] = hop_limit - 1
         node.metrics.count("ipv6_forwarded")
         self._down(ctx, msg.pkt, iface, next_hop_link, pid, _RECEIVE)
 

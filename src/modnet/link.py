@@ -20,7 +20,7 @@ from collections import deque
 from .metrics import CopySite
 from .netapi import _MSG_SND, DEMUX_ALL, Module, drop, up
 from .netdev import _BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify
-from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace, PacketChain
+from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace
 
 HEADER = struct.Struct("!8s8sB")
 HEADER_LEN = HEADER.size  # 17
@@ -105,10 +105,10 @@ class LinkModule(Module):
 
     # -- TX ----------------------------------------------------------------
     def on_snd(self, ctx, msg):
-        node, head = ctx.node, msg.pkt.head
-        payload = msg.pkt.to_bytes()
+        node, head = ctx.node, msg.pkt
+        payload = head.to_bytes()
         if not 1 <= len(payload) <= MAX_PAYLOAD:
-            drop(ctx, msg.pkt, "link_payload_too_large")
+            drop(ctx, head, "link_payload_too_large")
             return
         metrics, pid = node.metrics, msg.meta.get("packet_id")
         if metrics.recording and pid is not None:
@@ -145,8 +145,7 @@ class LinkModule(Module):
         if metrics.recording:
             metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(payload))
         meta = {"src_link": src, "dst_link": dst, "packet_id": pid}
-        up(ctx, _SIXLOWPAN, DEMUX_ALL, PacketChain(snip), meta,
-           "link_rx_no_receiver")
+        up(ctx, _SIXLOWPAN, DEMUX_ALL, snip, meta, "link_rx_no_receiver")
 
     # -- options: the device's own --------------------------------------------
     def get_option(self, key):

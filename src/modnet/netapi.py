@@ -3,11 +3,12 @@ receive registry.
 
 Every stack layer services the same four message kinds: data down
 (``MSG_SND``), data up (``MSG_RCV``) and option commands (``MSG_SET`` /
-``MSG_GET``).  A command is answered in place: the handler's ``ack``
-writes ``status`` and ``value`` onto the command itself, which the caller
-of ``send_cmd`` is waiting on.  A module implements whatever subset it
-wants and answers everything else with ``ENOTSUP`` -- the conformance
-suite fuzzes exactly this rule.
+``MSG_GET``).  A data message's ``pkt`` is the packet: the head snip of
+its chain, as GNRC passes a ``gnrc_pktsnip_t *``.  A command is answered
+in place: the handler's ``ack`` writes ``status`` and ``value`` onto the
+command itself, which the caller of ``send_cmd`` is waiting on.  A module
+implements whatever subset it wants and answers everything else with
+``ENOTSUP`` -- the conformance suite fuzzes exactly this rule.
 
 ``Module`` is that rule as a base class.  Its ``__call__`` routes
 ``MSG_SND`` to ``on_snd``, ``MSG_RCV`` to ``on_rcv`` and every other kind
@@ -54,7 +55,7 @@ import enum
 import threading
 
 from .metrics import CopySite, lock_methods
-from .pktbuf import _RECEIVE, NoBufferSpace, PacketChain
+from .pktbuf import _RECEIVE, NoBufferSpace, Snip
 
 
 class MsgKind(enum.IntEnum):
@@ -106,7 +107,7 @@ class NetMessage:
 
     __slots__ = ("kind", "pkt", "option", "status", "value", "meta")
 
-    def __init__(self, kind: MsgKind, pkt: PacketChain | None = None,
+    def __init__(self, kind: MsgKind, pkt: Snip | None = None,
                  option: tuple[int, bytes] | None = None,
                  meta: dict | None = None):
         self.kind = kind
@@ -188,7 +189,7 @@ class Registry:
         return [*get((proto, demux_ctx), ()), *get((proto, DEMUX_ALL), ())]
 
 
-def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:
+def dispatch(node, proto, demux_ctx, pkt: Snip, meta=None) -> int:
     """Fan a packet out to every registered receiver; returns how many.
 
     All holds come before any post, so a refused post releases only its
@@ -198,7 +199,7 @@ def dispatch(node, proto, demux_ctx, pkt: PacketChain, meta=None) -> int:
     """
     targets = node.registry.lookup(proto, demux_ctx)
     for _ in range(len(targets) - 1):
-        node.pktbuf.hold(pkt.head)
+        node.pktbuf.hold(pkt)
     for target in targets:
         node.sched.post(target, NetMessage(_MSG_RCV, pkt, None, meta))
     return len(targets)
@@ -224,21 +225,21 @@ def send_cmd(sched, target, msg: NetMessage, timeout_us: int = 1_000_000):
     return msg
 
 
-def drop(ctx, pkt: PacketChain | None, counter: str):
+def drop(ctx, pkt: Snip | None, counter: str):
     """Count a dropped message and release its chain, if it carries one."""
     node = ctx.node
     node.metrics.count(counter)
     if pkt is not None:
-        node.pktbuf.release(pkt.head)
+        node.pktbuf.release(pkt)
 
 
-def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
-           nobuf_counter: str) -> PacketChain | None:
+def recopy(ctx, pkt: Snip, payload: bytes, proto, pid,
+           nobuf_counter: str) -> Snip | None:
     """Release a received chain and copy ``payload``, the part the next
     layer takes, into a fresh RECEIVE snip.  Returns None, counted as
     ``nobuf_counter``, when the buffer refuses."""
     node = ctx.node
-    node.pktbuf.release(pkt.head)  # the bytes survive in payload
+    node.pktbuf.release(pkt)  # the bytes survive in payload
     try:
         snip = node.pktbuf.alloc_snip(payload=payload, proto=proto,
                                       prio=_RECEIVE)
@@ -247,17 +248,17 @@ def recopy(ctx, pkt: PacketChain, payload: bytes, proto, pid,
         return None
     if node.metrics.recording:
         node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, len(payload))
-    return PacketChain(snip)
+    return snip
 
 
-def up(ctx, proto, demux_ctx, pkt: PacketChain, meta, miss_counter: str):
+def up(ctx, proto, demux_ctx, pkt: Snip, meta, miss_counter: str):
     """Deliver a packet upward through the registry and give up the
     caller's reference: to a receiver, or released and counted as
     ``miss_counter`` when nobody matched."""
     node = ctx.node
     # a global lookup, so a wrapper installed on ``netapi.dispatch`` sees it
     if not dispatch(node, proto, demux_ctx, pkt, meta):
-        node.pktbuf.release(pkt.head)
+        node.pktbuf.release(pkt)
         node.metrics.count(miss_counter)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .metrics import CopySite
 from .netapi import Module, MsgKind, NetMessage, OptionKey, drop, up
-from .pktbuf import AllocPriority, NoBufferSpace, PacketChain, ProtocolType
+from .pktbuf import AllocPriority, NoBufferSpace, ProtocolType
 
 BRIDGE_DELAY_US = 10
 
@@ -42,7 +42,7 @@ class OffloadModule(Module):
         if node.metrics.recording:
             node.metrics.record_copy(CopySite.BUF_TO_DEV,
                                      msg.meta["packet_id"], len(data))
-        node.pktbuf.release(msg.pkt.head)
+        node.pktbuf.release(msg.pkt)
         bridge = {"raw": data, "src_ip": self.addr,
                   "src_port": msg.meta.get("src_port"),
                   "dst_port": msg.meta.get("dst_port")}
@@ -77,5 +77,5 @@ class OffloadModule(Module):
         meta = {"src_ip": msg.meta.get("src_ip"),
                 "src_port": msg.meta.get("src_port"),
                 "dst_port": msg.meta.get("dst_port"), "packet_id": pid}
-        up(ctx, ProtocolType.UDP, meta["dst_port"], PacketChain(snip), meta,
+        up(ctx, ProtocolType.UDP, meta["dst_port"], snip, meta,
            "offload_rx_no_port")

@@ -2,7 +2,7 @@
 
 Each high-level module runs as an independently scheduled context with a
 private bounded mailbox; modules interact only through messages (and the
-shared packet buffer contents reachable from chains they hold).
+shared packet buffer contents reachable from the head snips they hold).
 
 Both schedulers share one core, ``_SchedulerBase``: a FIFO of ready
 contexts, a heap of timers, one sequence both take a number from when an
@@ -116,8 +116,7 @@ class ModuleContext:
 
 def _release_pkt(msg):
     if isinstance(msg, NetMessage) and msg.pkt is not None:
-        head = msg.pkt.head
-        head._buf.release(head)
+        msg.pkt._buf.release(msg.pkt)
 
 
 class Node:
@@ -175,7 +174,7 @@ def _trace_line(now_us: int, src, target, msg) -> str:
         kind = type(msg).__name__
     return _TRACE_LINE % (
         now_us, target.node.name, "ext" if src is None else src.name,
-        target.name, kind, "-" if pkt is None else pkt.head.proto._name_,
+        target.name, kind, "-" if pkt is None else pkt.proto._name_,
         0 if pkt is None else pkt.total_size)
 
 

@@ -36,6 +36,7 @@ STACK_MODULES = ["link", "6lowpan", "ipv6", "udp"]
 
 _HEX = {"type": "string", "pattern": "^([0-9a-fA-F]{2})+$"}
 _ADDR = {"type": "string", "minLength": 2}
+_PREFIX_LEN = {"type": "integer", "minimum": 0, "maximum": 128}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -81,8 +82,7 @@ SCHEMA = {
                             "properties": {
                                 "iface": {"type": "integer", "minimum": 0},
                                 "addr": _ADDR,
-                                "prefix_len": {"type": "integer",
-                                               "minimum": 0, "maximum": 128},
+                                "prefix_len": _PREFIX_LEN,
                             },
                         },
                     },
@@ -94,8 +94,7 @@ SCHEMA = {
                             "additionalProperties": False,
                             "properties": {
                                 "prefix": _ADDR,
-                                "prefix_len": {"type": "integer",
-                                               "minimum": 0, "maximum": 128},
+                                "prefix_len": _PREFIX_LEN,
                                 "iface": {"type": "integer", "minimum": 0},
                                 "next_hop": _ADDR,
                             },

@@ -28,7 +28,7 @@ from .metrics import REASSEMBLY_ENTRY_OVERHEAD, CopySite
 from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
                      recopy, up)
 from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
-                     PacketChain, ProtocolType)
+                     ProtocolType)
 
 DISPATCH_UNCOMPRESSED = 0x41
 FRAG1_DISPATCH = 0b11000
@@ -160,7 +160,7 @@ class ReassemblyTable:
 
     def step(self, payload: bytes, src, dst, now_us: int):
         """Feed one adaptation-layer payload; returns
-        (status, datagram chain or None, packet_id or None)."""
+        (status, the datagram's head snip or None, packet_id or None)."""
         kind, size, tag, offset, data = parse_payload(payload)  # may raise
         if kind == "uncompressed":
             raise MalformedFragment("unfragmented payload fed to reassembly")
@@ -206,7 +206,7 @@ class ReassemblyTable:
 
         if entry.received == (1 << ((size + 7) // 8)) - 1:
             self.entries.pop(key, None)
-            return _COMPLETE, PacketChain(entry.snip), entry.packet_id
+            return _COMPLETE, entry.snip, entry.packet_id
         return _INCOMPLETE, None, entry.packet_id
 
 
@@ -251,18 +251,17 @@ class SixlowpanModule(Module):
             return
         if size <= MAX_PAYLOAD - 1:
             try:
-                out = node.pktbuf.prepend_header(
-                    pkt, 1, _SIXLOWPAN, prio)
+                out = node.pktbuf.prepend_header(pkt, 1, _SIXLOWPAN, prio)
             except NoBufferSpace:
                 drop(ctx, pkt, "sixlowpan_tx_drops_nobuf")
                 return
-            out.head.data[0] = DISPATCH_UNCOMPRESSED
+            out.data[0] = DISPATCH_UNCOMPRESSED
             sched.post(link_ctx, NetMessage(_MSG_SND, out, None, down_meta))
             return
         # fragment: slice datagram bytes into per-frame snips; the source
         # chain is freed first so peak usage is one datagram, not two
         datagram = pkt.to_bytes()
-        node.pktbuf.release(pkt.head)
+        node.pktbuf.release(pkt)
         self._tag = (self._tag + 1) & 0xFFFF
         frags = fragment(datagram, MAX_PAYLOAD, self._tag)
         snips = []
@@ -282,7 +281,7 @@ class SixlowpanModule(Module):
             if recording:
                 node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, snip.size)
             sched.call_at(t_us, partial(sched.post, link_ctx, NetMessage(
-                _MSG_SND, PacketChain(snip), None, down_meta)))
+                _MSG_SND, snip, None, down_meta)))
 
     # -- RX -----------------------------------------------------------------
     def on_rcv(self, ctx, msg):
@@ -312,7 +311,7 @@ class SixlowpanModule(Module):
         # fragmented path
         if node.metrics.recording and entry_pid and entry_pid != pid:
             node.metrics.merge_packet(entry_pid, pid)
-        node.pktbuf.release(msg.pkt.head)
+        node.pktbuf.release(msg.pkt)
         if status is _COMPLETE:
             up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": entry_pid},
                "sixlowpan_rx_no_receiver")

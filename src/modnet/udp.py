@@ -22,8 +22,7 @@ from collections import deque
 from .ipv6 import NEXT_HEADER_UDP
 from .metrics import CopySite
 from .netapi import _MSG_SND, Module, NetMessage, drop, recopy, up
-from .pktbuf import (_APP, _SEND_APP, _UDP, NoBufferSpace, PacketChain,
-                     ProtocolType)
+from .pktbuf import _APP, _SEND_APP, _UDP, NoBufferSpace, ProtocolType
 
 HEADER = struct.Struct("!HHHH")  # src_port, dst_port, length, checksum
 HEADER_LEN = HEADER.size  # 8
@@ -41,6 +40,11 @@ class PortInUse(UdpError):
 
 class PayloadTooLarge(UdpError):
     pass
+
+
+def _check_port(port):
+    if type(port) is not int or not 0 <= port <= 0xFFFF:  # nor a bool
+        raise UdpError(f"port {port!r} is not an int in 0..65535")
 
 
 def _ones_complement_sum(data: bytes) -> int:
@@ -106,10 +110,10 @@ class UdpModule(Module):
         except NoBufferSpace:
             drop(ctx, pkt, "udp_tx_drops_nobuf")
             return
-        out.head.data[:] = udp_encode_header(
+        out.data[:] = udp_encode_header(
             meta["src_port"], meta["dst_port"], length)
         csum = udp_checksum(self.local_addr, meta["dst_ip"], out.to_bytes())
-        out.head.data[6:8] = csum.to_bytes(2, "big")
+        out.data[6:8] = csum.to_bytes(2, "big")
         node.sched.post(self.net, NetMessage(
             kind=_MSG_SND, pkt=out,
             meta={"dst_ip": meta["dst_ip"], "packet_id": meta["packet_id"]}))
@@ -148,7 +152,7 @@ class Socket:
         self.layer = layer
         self.port = port
         self.queue_capacity = queue_capacity
-        self.queue: deque = deque()  # (src_ip, src_port, chain, pid, hop_limit)
+        self.queue: deque = deque()  # (src_ip, src_port, pkt, pid, hop_limit)
         self.on_ready = None  # optional app callback, runs in sock context
         self.closed = False
         self.last_hop_limit = None  # hop limit of the last recvfrom datagram
@@ -165,6 +169,7 @@ class Socket:
             raise UdpError("empty payload")
         if type(dst_ip) is not bytes or len(dst_ip) != 16:
             raise UdpError(f"destination {dst_ip!r} is not 16 bytes")
+        _check_port(dst_port)
         if len(payload) > MAX_PAYLOAD:
             raise PayloadTooLarge(f"{len(payload)} > {MAX_PAYLOAD}")
         node = self.layer.ctx.node
@@ -175,7 +180,7 @@ class Socket:
             node.metrics.record_copy(CopySite.APP_TO_BUF, pid, len(payload))
         node.metrics.count("udp_sent")
         node.sched.post(self.layer.transport, NetMessage(
-            kind=_MSG_SND, pkt=PacketChain(snip),
+            kind=_MSG_SND, pkt=snip,
             meta={"src_port": self.port, "dst_port": dst_port,
                   "dst_ip": dst_ip, "packet_id": pid}))
         return pid
@@ -195,7 +200,7 @@ class Socket:
         if node.metrics.recording:
             node.metrics.record_copy(CopySite.BUF_TO_APP, pid, len(payload))
         node.metrics.count("udp_delivered")
-        node.pktbuf.release(pkt.head)
+        node.pktbuf.release(pkt)
         return src_ip, src_port, payload
 
     def recv_nowait(self):
@@ -230,6 +235,7 @@ class SocketLayer(Module):
 
     def open(self, port: int,
              queue_capacity: int = DEFAULT_SOCK_QUEUE) -> Socket:
+        _check_port(port)
         if port in self.ports:
             raise PortInUse(f"port {port}")
         sock = Socket(self, port, queue_capacity)
@@ -245,8 +251,7 @@ class SocketLayer(Module):
         node.registry.unregister(ProtocolType.UDP, sock.port, self.ctx)
         self.ports.pop(sock.port, None)
         while sock.queue:
-            _, _, pkt, _, _ = sock.queue.popleft()
-            node.pktbuf.release(pkt.head)
+            node.pktbuf.release(sock.queue.popleft()[2])
 
     def on_shutdown(self, ctx):
         for sock in list(self.ports.values()):

@@ -142,7 +142,7 @@ def test_04_fragmentation_matches_oracle():
             status, chain, _ = table.step(frag, b"\x0a", b"\x0b", 0)
             if status == ReassemblyStatus.COMPLETE:
                 result = chain.to_bytes()
-                buf.release(chain.head)
+                buf.release(chain)
         if result != datagram:
             mismatches += 1
 

@@ -48,7 +48,7 @@ def test_module_follows_the_base_contract(scenario, node_name, ctx_name):
         kind, counter = UNEXPECTED[kind_of_ctx]
         snip = node.pktbuf.alloc_snip(payload=b"\x2a", proto=ProtocolType.APP)
         assert sim.sched.post(ctx, NetMessage(kind=kind,
-                                              pkt=PacketChain(snip)))
+                                              pkt=snip))
         sim.run_until()
         assert sim.metrics.get(counter) == 1
     assert node.pktbuf.used == 0
@@ -282,6 +282,49 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     assert (calls["alloc_snip"], calls["to_bytes"]) == (40, 38)
     assert (calls["dev_send"], calls["dev_recv"]) == (14, 14)
     assert calls["expire"] == 12
+
+
+def test_the_buffer_names_the_benchmark_patches_stay_live(monkeypatch):
+    """A packet is its head snip, and ``pktbuf`` keeps two older names for
+    the benchmark: ``perfbench/tracer.py`` replaces ``to_bytes`` and
+    ``total_size`` in ``vars(pktbuf.PacketChain)`` (its copy counter too)
+    and reads ``.head`` off a complete ``ReassemblyTable.step`` result.
+    The stack must call what is patched under those names, and ``.head``
+    must be the reassembled datagram, the snip its entry held."""
+    from modnet import pktbuf
+    from modnet.sixlowpan import ReassemblyStatus, ReassemblyTable
+    chain = pktbuf.PacketChain
+    to_bytes, total_size = vars(chain)["to_bytes"], vars(chain)["total_size"]
+    calls = {"to_bytes": 0, "total_size": 0}
+    completed = []
+
+    def counted_to_bytes(pkt):
+        calls["to_bytes"] += 1
+        return to_bytes(pkt)
+
+    def counted_total_size(pkt):
+        calls["total_size"] += 1
+        return total_size.fget(pkt)
+
+    step = ReassemblyTable.step
+
+    def observed_step(table, *args):
+        held = {id(e.snip): e.size for e in table.entries.values()}
+        status, pkt, pid = step(table, *args)
+        if status is ReassemblyStatus.COMPLETE:
+            completed.append((held.get(id(pkt.head)), len(pkt.to_bytes())))
+        return status, pkt, pid
+
+    monkeypatch.setattr(chain, "to_bytes", counted_to_bytes)
+    monkeypatch.setattr(chain, "total_size", property(counted_total_size))
+    monkeypatch.setattr(ReassemblyTable, "step", observed_step)
+    sim, stats = run_scenario(
+        load_scenario_file(str(SCENARIO_DIR / "echo_frag.json")))
+    assert stats["counters"]["udp_delivered"] == 2  # request and echo
+    assert calls["to_bytes"] > 0 and calls["total_size"] > 0
+    assert len(completed) == 2
+    for held_size, size in completed:
+        assert held_size == size > 0
 
 
 @pytest.mark.parametrize("name", ["echo_frag.json", "border_router.json"])

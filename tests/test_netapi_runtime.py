@@ -6,7 +6,7 @@ import pytest
 from modnet import netapi
 from modnet.netapi import (CmdTimeout, DEMUX_ALL, ENOTSUP, MsgKind,
                           NetMessage, OK, Registry, RegistryFull, send_cmd)
-from modnet.pktbuf import (AllocPriority, PacketChain, ProtocolType,
+from modnet.pktbuf import (AllocPriority, ProtocolType,
                            buffer_create)
 from modnet.metrics import memory_report
 from modnet.runtime import DetScheduler, DuplicateName, Node
@@ -26,7 +26,7 @@ def collector():
         if msg.kind in (MsgKind.MSG_SET, MsgKind.MSG_GET):
             msg.ack(ENOTSUP)
         if msg.kind == MsgKind.MSG_RCV and msg.pkt is not None:
-            ctx.node.pktbuf.release(msg.pkt.head)
+            ctx.node.pktbuf.release(msg.pkt)
 
     return handler, received
 
@@ -38,10 +38,10 @@ def test_register_then_dispatch_delivers():
     handler, received = collector()
     ctx = node.spawn_module("m", handler)
     node.registry.register(ProtocolType.UDP, 5683, ctx)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    pkt = node.pktbuf.alloc_snip(size=10)
     n = netapi.dispatch(node, ProtocolType.UDP, 5683, pkt)
     assert n == 1
-    assert pkt.head.users == 1  # the caller's reference went to the receiver
+    assert pkt.users == 1  # the caller's reference went to the receiver
     sched.run_until()
     assert len(received) == 1
     assert received[0].kind == MsgKind.MSG_RCV
@@ -76,9 +76,9 @@ def test_dispatch_two_receivers_holds_twice():
     c2 = node.spawn_module("m2", h2)
     node.registry.register(ProtocolType.UDP, 5683, c1)
     node.registry.register(ProtocolType.UDP, 5683, c2)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    pkt = node.pktbuf.alloc_snip(size=10)
     assert netapi.dispatch(node, ProtocolType.UDP, 5683, pkt) == 2
-    assert pkt.head.users == 2  # one hold for the second receiver
+    assert pkt.users == 2  # one hold for the second receiver
     sched.run_until()
     assert len(r1) == len(r2) == 1
     assert node.pktbuf.stats().used == 0
@@ -155,9 +155,9 @@ def test_lookup_lists_exact_then_wildcard_targets():
 
 def test_dispatch_no_receivers():
     sched, node = make_node()
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    pkt = node.pktbuf.alloc_snip(size=10)
     assert netapi.dispatch(node, ProtocolType.UDP, 1234, pkt) == 0
-    node.pktbuf.release(pkt.head)
+    node.pktbuf.release(pkt)
     assert node.pktbuf.stats().used == 0
 
 
@@ -169,9 +169,9 @@ def test_dispatch_wildcard_union():
     c2 = node.spawn_module("exact", h2)
     node.registry.register(ProtocolType.UDP, DEMUX_ALL, c1)
     node.registry.register(ProtocolType.UDP, 80, c2)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=4))
+    pkt = node.pktbuf.alloc_snip(size=4)
     assert netapi.dispatch(node, ProtocolType.UDP, 80, pkt) == 2
-    assert pkt.head.users == 2
+    assert pkt.users == 2
     sched.run_until()
     assert len(r1) == len(r2) == 1
     assert node.pktbuf.stats().used == 0
@@ -190,12 +190,12 @@ def test_dispatch_holds_once_less_than_it_has_receivers(monkeypatch,
     for i in range(receivers):
         ctx = node.spawn_module(f"m{i}", collector()[0])
         node.registry.register(ProtocolType.UDP, 7, ctx)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    pkt = node.pktbuf.alloc_snip(size=10)
     assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == receivers
     assert len(holds) == max(receivers - 1, 0)
-    assert pkt.head.users == max(receivers, 1)
+    assert pkt.users == max(receivers, 1)
     if not receivers:
-        node.pktbuf.release(pkt.head)  # still the caller's to release
+        node.pktbuf.release(pkt)  # still the caller's to release
     sched.run_until()
     assert node.pktbuf.stats().used == 0
 
@@ -209,10 +209,10 @@ def test_dispatch_refused_post_releases_that_receivers_reference():
     node.registry.register(ProtocolType.UDP, 7, full)
     node.registry.register(ProtocolType.UDP, 7, other)
     assert sched.post(full, NetMessage(kind=MsgKind.MSG_RCV))  # lane full
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10))
+    pkt = node.pktbuf.alloc_snip(size=10)
     assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == 2
     assert node.metrics.get("mailbox_drops") == 1
-    assert pkt.head.users == 1  # the accepted receiver's reference
+    assert pkt.users == 1  # the accepted receiver's reference
     sched.run_until()
     # "full" ran only the message that filled its lane; "other" the packet
     assert (len(r1), len(r2)) == (1, 1) and r1[0].pkt is None
@@ -380,7 +380,7 @@ def test_mailbox_overflow_releases_packets():
     handler, _ = collector()
     ctx = node.spawn_module("m", handler, mailbox_capacity=1)
     for _ in range(4):
-        pkt = PacketChain(node.pktbuf.alloc_snip(size=16))
+        pkt = node.pktbuf.alloc_snip(size=16)
         sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
     sched.run_until()
     assert node.pktbuf.stats().used == 0
@@ -391,15 +391,15 @@ def test_shutdown_module_reclaims_and_unregisters():
     handler, received = collector()
     ctx = node.spawn_module("udp", handler)
     node.registry.register(ProtocolType.UDP, 7, ctx)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=16))
+    pkt = node.pktbuf.alloc_snip(size=16)
     sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
     node.shutdown_module(ctx)
     node.shutdown_module(ctx)  # idempotent
     assert len(node.registry) == 0
     assert node.pktbuf.stats().used == 0
-    pkt2 = PacketChain(node.pktbuf.alloc_snip(size=16))
+    pkt2 = node.pktbuf.alloc_snip(size=16)
     assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt2) == 0
-    node.pktbuf.release(pkt2.head)
+    node.pktbuf.release(pkt2)
     sched.run_until()
     assert not received
 
@@ -483,9 +483,8 @@ def test_trace_records_render_the_lines_at_post_time():
         sched.post(ctx, msg)
 
     relay_ctx = node.spawn_module("relay", relay)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10,
-                                             proto=ProtocolType.UDP))
-    node.pktbuf.hold(pkt.head)  # one holder per message below
+    pkt = node.pktbuf.alloc_snip(size=10, proto=ProtocolType.UDP)
+    node.pktbuf.hold(pkt)  # one holder per message below
     sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
     grown = node.pktbuf.prepend_header(pkt, 8, proto=ProtocolType.IPV6)
     assert grown.total_size == 18
@@ -525,7 +524,6 @@ def test_trace_line_format():
     sched, node = make_node(record=True)
     handler, _ = collector()
     ctx = node.spawn_module("m", handler)
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=10,
-                                             proto=ProtocolType.UDP))
+    pkt = node.pktbuf.alloc_snip(size=10, proto=ProtocolType.UDP)
     sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
     assert sched.trace[-1] == "t=0 node=n0 ext->m kind=MSG_RCV proto=UDP size=10"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from modnet.pktbuf import (ALIGN, AllocPriority, ArenaBuffer, Backend,
                            CapacityTooSmall, DynamicBuffer, InvalidSize,
-                           NoBufferSpace, PacketChain, ProtocolType,
+                           NoBufferSpace, ProtocolType,
                            RESERVE_FRAC, ReleaseUnheld, SNIP_OVERHEAD,
                            buffer_create, _block_cost)
 
@@ -93,12 +93,12 @@ def test_release_unheld():
 def test_release_checks_whole_chain_before_changing_any_snip():
     buf = buffer_create(2048)
     tail = buf.alloc_snip(size=32)
-    pkt = buf.prepend_header(PacketChain(tail), 8, ProtocolType.UDP)
+    pkt = buf.prepend_header(tail, 8, ProtocolType.UDP)
     buf.release(tail)  # the tail is freed under the head
     used = buf.stats().used
     with pytest.raises(ReleaseUnheld):
-        buf.release(pkt.head)
-    assert pkt.head.users == 1
+        buf.release(pkt)
+    assert pkt.users == 1
     assert buf.stats().used == used
 
 
@@ -108,7 +108,7 @@ def test_chain_walks_stop_on_a_cycle():
     b = buf.alloc_snip(size=8)
     a.next, b.next = b, a
     with pytest.raises(RuntimeError, match="cycle"):
-        PacketChain(a).total_size
+        a.total_size
     with pytest.raises(RuntimeError, match="cycle"):
         buf.release(a)
     assert a.users == b.users == 1
@@ -142,15 +142,15 @@ def test_release_freed_one_snip_chain_changes_nothing(backend):
 def test_hold_checks_whole_chain_before_changing_any_snip(backend):
     buf = buffer_create(2048, backend)
     tail = buf.alloc_snip(size=40)
-    pkt = buf.prepend_header(PacketChain(tail), 8, ProtocolType.UDP)
+    pkt = buf.prepend_header(tail, 8, ProtocolType.UDP)
     buf.release(tail)  # the tail is freed under the head
     with pytest.raises(ReleaseUnheld):
         buf.hold(tail)
     with pytest.raises(ReleaseUnheld):
-        buf.hold(pkt.head)
-    assert pkt.head.users == 1 and tail.users == 0
-    pkt.head.next = None
-    buf.release(pkt.head)
+        buf.hold(pkt)
+    assert pkt.users == 1 and tail.users == 0
+    pkt.next = None
+    buf.release(pkt)
     assert buf.stats().used == 0
 
 
@@ -158,16 +158,16 @@ def test_hold_checks_whole_chain_before_changing_any_snip(backend):
 def test_hold_adds_one_user_to_every_snip_of_a_chain(backend):
     buf = buffer_create(2048, backend)
     before = free_state(buf)
-    pkt = buf.prepend_header(PacketChain(buf.alloc_snip(size=100)), 8,
+    pkt = buf.prepend_header(buf.alloc_snip(size=100), 8,
                              ProtocolType.UDP)
     pkt = buf.prepend_header(pkt, 40, ProtocolType.IPV6)
-    snips = [pkt.head, pkt.head.next, pkt.head.next.next]
+    snips = [pkt, pkt.next, pkt.next.next]
     assert [s.users for s in snips] == [1, 1, 1] and snips[2].next is None
-    buf.hold(pkt.head)
+    buf.hold(pkt)
     assert [s.users for s in snips] == [2, 2, 2]
-    buf.release(pkt.head)
+    buf.release(pkt)
     assert [s.users for s in snips] == [1, 1, 1]
-    buf.release(pkt.head)
+    buf.release(pkt)
     assert [s.users for s in snips] == [0, 0, 0]
     assert buf.stats().used == 0
     # the largest free block and the arena's free list are whole again
@@ -190,12 +190,12 @@ def test_release_one_snip_cycle_is_caught(backend):
 @pytest.mark.parametrize("headers", [0, 1, 2])
 def test_to_bytes_joins_snips(backend, headers):
     buf = buffer_create(2048, backend)
-    pkt = PacketChain(buf.alloc_snip(payload=b"payload!" * 5))
+    pkt = buf.alloc_snip(payload=b"payload!" * 5)
     expected = b"payload!" * 5
     for n in range(headers):
         hdr = bytes([0xA0 + n]) * (8 + n)
         pkt = buf.prepend_header(pkt, len(hdr), ProtocolType.UDP)
-        pkt.head.data[:] = hdr
+        pkt.data[:] = hdr
         expected = hdr + expected
     out = pkt.to_bytes()
     assert type(out) is bytes
@@ -205,18 +205,18 @@ def test_to_bytes_joins_snips(backend, headers):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_to_bytes_after_prepend_on_shared_head(backend):
     buf = buffer_create(2048, backend)
-    shared = PacketChain(buf.alloc_snip(payload=b"shared"))
-    buf.hold(shared.head)  # two receivers hold the same head
+    shared = buf.alloc_snip(payload=b"shared")
+    buf.hold(shared)  # two receivers hold the same head
     one = buf.prepend_header(shared, 2, ProtocolType.UDP)
     two = buf.prepend_header(shared, 3, ProtocolType.IPV6)
-    one.head.data[:] = b"\x01\x01"
-    two.head.data[:] = b"\x02\x02\x02"
+    one.data[:] = b"\x01\x01"
+    two.data[:] = b"\x02\x02\x02"
     assert one.to_bytes() == b"\x01\x01shared"
     assert two.to_bytes() == b"\x02\x02\x02shared"
     assert type(shared.to_bytes()) is bytes
     assert shared.to_bytes() == b"shared"
-    buf.release(one.head)
-    buf.release(two.head)
+    buf.release(one)
+    buf.release(two)
     assert buf.stats().used == 0
 
 
@@ -247,23 +247,21 @@ def test_send_app_reserve_edge(backend):
 def test_chain_release_frees_all():
     buf = buffer_create(2048)
     payload = buf.alloc_snip(size=100, proto=ProtocolType.APP)
-    pkt = PacketChain(payload)
-    pkt = buf.prepend_header(pkt, 8, ProtocolType.UDP)
+    pkt = buf.prepend_header(payload, 8, ProtocolType.UDP)
     pkt = buf.prepend_header(pkt, 40, ProtocolType.IPV6)
     assert pkt.total_size == 148
-    udp_hdr = pkt.head.next
-    assert (pkt.head.size, udp_hdr.size, udp_hdr.next.size) == (40, 8, 100)
+    udp_hdr = pkt.next
+    assert (pkt.size, udp_hdr.size, udp_hdr.next.size) == (40, 8, 100)
     assert udp_hdr.next is payload and payload.next is None
-    buf.release(pkt.head)
+    buf.release(pkt)
     assert buf.stats().used == 0
 
 
 def test_prepend_does_not_touch_payload():
     buf = buffer_create(2048)
     payload = buf.alloc_snip(payload=b"x" * 100, proto=ProtocolType.APP)
-    pkt = PacketChain(payload)
-    out = buf.prepend_header(pkt, 8, ProtocolType.UDP)
-    assert out.head.next is payload
+    out = buf.prepend_header(payload, 8, ProtocolType.UDP)
+    assert out.next is payload
     assert bytes(payload.data) == b"x" * 100
     assert out.total_size == 108
 
@@ -271,12 +269,11 @@ def test_prepend_does_not_touch_payload():
 def test_prepend_shared_head_leaves_original_intact():
     buf = buffer_create(2048)
     payload = buf.alloc_snip(payload=b"p" * 50)
-    pkt = PacketChain(payload)
     buf.hold(payload)  # second holder simulates another receiver
-    out = buf.prepend_header(pkt, 8, ProtocolType.UDP)
-    assert pkt.head is payload  # original chain unmodified
-    assert out.head.next is payload
-    buf.release(out.head)
+    out = buf.prepend_header(payload, 8, ProtocolType.UDP)
+    assert payload.next is None  # original chain unmodified
+    assert out.next is payload
+    buf.release(out)
     buf.release(payload)
     assert buf.stats().used == 0
 
@@ -284,12 +281,11 @@ def test_prepend_shared_head_leaves_original_intact():
 def test_prepend_failure_atomicity():
     buf = buffer_create(512)
     payload = buf.alloc_snip(size=256, prio=AllocPriority.CONTROL)
-    pkt = PacketChain(payload)
     used = buf.stats().used
     with pytest.raises(NoBufferSpace):
-        buf.prepend_header(pkt, 400, prio=AllocPriority.CONTROL)
+        buf.prepend_header(payload, 400, prio=AllocPriority.CONTROL)
     assert buf.stats().used == used
-    assert pkt.head is payload
+    assert payload.next is None
     assert payload.users == 1
 
 
@@ -301,6 +297,25 @@ def test_a_payload_that_cannot_be_copied_gives_its_block_back(backend):
     with pytest.raises(TypeError):
         buf.alloc_snip(payload="hello")
     assert free_state(buf) == before
+    # 3 items of 2 bytes: neither backend stores 6 bytes in a 3-byte snip
+    with pytest.raises(ValueError):
+        buf.alloc_snip(payload=array("H", [1, 2, 3]))
+    assert free_state(buf) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("payload", [
+    array("B", [1, 2, 3]), memoryview(b"\x01\x02\x03"),
+    bytearray(b"\x01\x02\x03"),
+], ids=["array_B", "memoryview", "bytearray"])
+def test_a_payload_of_bytes_is_copied_on_either_backend(backend, payload):
+    buf = buffer_create(2048, backend)
+    snip = buf.alloc_snip(payload=payload)
+    assert snip.size == len(snip.data) == 3
+    assert snip.to_bytes() == b"\x01\x02\x03"
+    assert buf.stats().used == _block_cost(3)
+    buf.release(snip)
+    assert buf.stats().used == 0
 
 
 def test_arena_refuses_an_array_whose_len_is_not_its_byte_count():
@@ -315,12 +330,11 @@ def test_arena_refuses_an_array_whose_len_is_not_its_byte_count():
 def test_prepend_of_no_header_is_an_invalid_size(backend):
     buf = buffer_create(2048, backend)
     payload = buf.alloc_snip(payload=b"p" * 50)
-    pkt = PacketChain(payload)
     before = free_state(buf)
     with pytest.raises(InvalidSize):
-        buf.prepend_header(pkt, 0, ProtocolType.UDP)
+        buf.prepend_header(payload, 0, ProtocolType.UDP)
     assert free_state(buf) == before
-    assert pkt.head is payload and payload.next is None
+    assert payload.next is None
     assert payload.users == 1 and bytes(payload.data) == b"p" * 50
 
 

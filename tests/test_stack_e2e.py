@@ -10,7 +10,7 @@ from modnet.link import link_encode
 from modnet.metrics import CopySite
 from modnet.netapi import DEMUX_ALL, DEMUX_RAW, MsgKind, NetMessage
 from modnet.netdev import DevEventType, DevNotify
-from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority, PacketChain,
+from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority,
                            ProtocolType)
 from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import build
@@ -164,6 +164,36 @@ def test_refused_sendto_allocates_nothing(dst_ip, payload, match):
     assert sim.nodes["a"].pktbuf.used == 0
 
 
+@pytest.mark.parametrize("call", ["sendto", "open"])
+@pytest.mark.parametrize("port", [70000, 65536, -1, "7", True, 7.0, None])
+def test_a_port_outside_0_to_65535_is_refused(call, port):
+    sim = build(two_node(), record=True)
+    layer = sim.socket_layer("a")
+    sock = layer.open(40000)
+    registered = len(sim.nodes["a"].registry)
+    with pytest.raises(UdpError, match="0..65535"):
+        if call == "open":
+            layer.open(port)
+        else:
+            sock.sendto(IP_B, port, pattern(20))
+    sim.run_until()
+    assert list(layer.ports) == [40000]
+    assert len(sim.nodes["a"].registry) == registered
+    assert sim.metrics.packet_ids() == []
+    assert sim.metrics.get("udp_sent") == 0
+    assert sim.nodes["a"].pktbuf.used == 0
+
+
+@pytest.mark.parametrize("port", [0, 65535])
+def test_ports_0_and_65535_are_accepted(port):
+    sim = build(two_node())
+    sink = sim.socket_layer("b").open(port)
+    sim.socket_layer("a").open(port).sendto(IP_B, port, pattern(20))
+    sim.run_until()
+    assert sink.recv_nowait() == (IP_A, port, pattern(20))
+    assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
+
+
 def test_nothing_is_recorded_by_default():
     off, on = build(two_node()), build(two_node(), record=True)
     for sim in (off, on):
@@ -202,7 +232,7 @@ def test_send_without_next_hop_goes_out_as_broadcast():
     node = sim.nodes["a"]
     snip = node.pktbuf.alloc_snip(payload=bytes(50), proto=ProtocolType.IPV6)
     sim.sched.post(node.modules["6lo"],
-                   NetMessage(kind=MsgKind.MSG_SND, pkt=PacketChain(snip)))
+                   NetMessage(kind=MsgKind.MSG_SND, pkt=snip))
     sim.run_until()
     assert sim.metrics.get("frames_sent") == 1
     # b takes the broadcast frame, and 50 zero bytes are no IPv6 datagram
@@ -311,7 +341,7 @@ def test_receive_out_of_memory_is_a_counted_drop(tap, room, raw, counter):
     b = sim.nodes["b"]
     if tap is not None:
         b.registry.register(*tap, b.spawn_module(
-            "tap", lambda ctx, msg: b.pktbuf.release(msg.pkt.head),
+            "tap", lambda ctx, msg: b.pktbuf.release(msg.pkt),
             aux=True))
     filler = fill(b, room)
     b.devices[0]._rx_frame(raw)
@@ -351,7 +381,7 @@ def test_crafted_send_is_a_counted_drop(module, size, meta, capacity,
                                         counter):
     sim = build(two_node(buffer_capacity=capacity))
     node = sim.nodes["a"]
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=size))
+    pkt = node.pktbuf.alloc_snip(size=size)
     sim.sched.post(node.modules[module],
                    NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta=meta))
     sim.run_until()
@@ -362,7 +392,7 @@ def test_crafted_send_is_a_counted_drop(module, size, meta, capacity,
 def test_an_unfragmented_send_without_room_for_its_dispatch_byte_is_a_drop():
     sim = build(two_node())
     node = sim.nodes["a"]
-    pkt = PacketChain(node.pktbuf.alloc_snip(size=109))  # the 6lo maximum
+    pkt = node.pktbuf.alloc_snip(size=109)  # the 6lo maximum
     # the rest of the buffer, so the 1-byte dispatch header finds no room
     filler = node.pktbuf.alloc_snip(
         size=node.pktbuf.capacity - node.pktbuf.used - SNIP_OVERHEAD,
@@ -419,7 +449,7 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     sim = build(two_node())
     node = sim.nodes["a"]
     link = node.modules["link0"]
-    pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
+    pkt = node.pktbuf.alloc_snip(payload=pattern(50))
     sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
     held = node.pktbuf.used
     # the radio starts another frame before the link handler runs
@@ -427,7 +457,7 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     sim.sched.step()  # the link handler finds the radio busy
     assert len(link.handler._pending) == 1
     # the waiting frame's chain stays in the packet buffer
-    assert link.handler._pending[0][1] is pkt.head
+    assert link.handler._pending[0][1] is pkt
     assert node.pktbuf.used == held > 0
     sim.run_until()
     assert not link.handler._pending
@@ -439,7 +469,7 @@ def test_a_frame_refused_again_on_tx_done_waits_for_the_next_one():
     sim = build(two_node())
     node = sim.nodes["a"]
     link, radio = node.modules["link0"], node.devices[0]
-    pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
+    pkt = node.pktbuf.alloc_snip(payload=pattern(50))
     sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
     radio.dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
@@ -450,7 +480,7 @@ def test_a_frame_refused_again_on_tx_done_waits_for_the_next_one():
     radio.dev_send(link_encode(LONG_B, LONG_A, 1, pattern(30)))
     sim.sched.step()  # the link handler: TX_DONE, and the radio is busy
     assert len(link.handler._pending) == 1
-    assert link.handler._pending[0][1] is pkt.head
+    assert link.handler._pending[0][1] is pkt
     sim.run_until()
     assert not link.handler._pending
     assert sim.metrics.get("frames_sent") == 3
@@ -500,7 +530,7 @@ def test_link_shutdown_drops_the_frames_waiting_for_the_radio():
     sim = build(two_node())
     node = sim.nodes["a"]
     link = node.modules["link0"]
-    pkt = PacketChain(node.pktbuf.alloc_snip(payload=pattern(50)))
+    pkt = node.pktbuf.alloc_snip(payload=pattern(50))
     sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
     node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy

@@ -15,7 +15,7 @@ import pytest
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.netdev import DevEventType, DevNotify
-from modnet.pktbuf import (AllocPriority, Backend, PacketChain, ProtocolType,
+from modnet.pktbuf import (AllocPriority, Backend, ProtocolType,
                            buffer_create)
 from modnet.runtime import DetScheduler, Node, ThreadScheduler
 from modnet.scenario import (apply_workload, collect_stats,
@@ -205,11 +205,11 @@ def test_post_refusals_under_the_pool():
             started.set()
             go.wait(10)
         else:
-            node.pktbuf.release(msg.pkt.head)
+            node.pktbuf.release(msg.pkt)
 
     def chain_msg():
-        return NetMessage(kind=MsgKind.MSG_RCV, pkt=PacketChain(
-            node.pktbuf.alloc_snip(size=16, prio=AllocPriority.RECEIVE)))
+        return NetMessage(kind=MsgKind.MSG_RCV, pkt=node.pktbuf.alloc_snip(
+            size=16, prio=AllocPriority.RECEIVE))
 
     try:
         closed = node.spawn_module("closed", handler)
@@ -246,13 +246,13 @@ def test_post_puts_each_kind_in_its_lane(sched_cls):
             started.set()
             go.wait(10)
         elif isinstance(msg, NetMessage) and msg.pkt is not None:
-            node.pktbuf.release(msg.pkt.head)
+            node.pktbuf.release(msg.pkt)
         elif isinstance(msg, NetMessage):
             msg.ack(OK)
 
     def chain_msg(kind):
-        return NetMessage(kind=kind, pkt=PacketChain(node.pktbuf.alloc_snip(
-            size=16, prio=AllocPriority.RECEIVE)))
+        return NetMessage(kind=kind, pkt=node.pktbuf.alloc_snip(
+            size=16, prio=AllocPriority.RECEIVE))
 
     try:
         ctx = node.spawn_module("m", handler, mailbox_capacity=2)
