@@ -159,13 +159,6 @@ class SortedNeighborCache(NeighborCache):
 NEIGHBOR_CACHES = {"RING": RingNeighborCache, "SORTED": SortedNeighborCache}
 
 
-def make_neighbor_cache(kind: str) -> NeighborCache:
-    try:
-        return NEIGHBOR_CACHES[kind]()
-    except KeyError:
-        raise ValueError(f"unknown neighbor cache kind {kind!r}") from None
-
-
 # -- forwarding --------------------------------------------------------------
 
 ON_LINK = object()  # next hop is the destination itself

@@ -1,11 +1,15 @@
 """Instrumentation: payload-copy ledger, drop counters, memory accounting
 and the message-pass vs function-call overhead benchmark.
 
-The copy ledger is the measurable form of the copy-twice discipline: every
-payload byte movement in the stack passes one of the tagged sites below.
-Header construction and fragmentation slicing happen inside the central
-buffer and are tagged ``BUF_INTERNAL``; they are reported separately and do
-not count against the two-copies-per-direction budget.
+The copy ledger is the measurable form of the copy-twice discipline.  The
+four boundary sites below record payload entering or leaving the buffer.
+Copies inside it are tagged ``BUF_INTERNAL``: fragments, reassembly, and
+each receiving layer's re-copy of what the next layer takes
+(``netapi.recopy``).  They are reported separately and do not count
+against the two-copies-per-direction budget.  The ledger does not see
+every byte that moves: the ``to_bytes`` flattenings in ``udp``, ``ipv6``
+and ``sixlowpan`` (to checksum, fragment and decode) record nothing
+(ROADMAP item 1).
 """
 
 from __future__ import annotations

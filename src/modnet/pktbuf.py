@@ -4,9 +4,12 @@ All header and payload memory for packets moving through a node's stack is
 provisioned here.  A packet is a chain of "snips", one buffer-resident
 segment per protocol layer (link header, IPv6 header, UDP header, payload
 ...) linked outermost-first, and as in GNRC it is passed as its head snip.
-Because headers are prepended as fresh snips, payload bytes written once by
-the application stay in place until the device driver serializes the frame
--- the buffer is what makes the copy-twice data path possible.
+Headers are prepended as fresh snips, so adding one moves no payload byte.
+The stack still copies more than twice: ``udp`` flattens the chain to
+checksum it and ``sixlowpan`` to fragment it, and each receiving layer
+flattens it to decode and copies what the next layer takes into a fresh
+snip (``netapi.recopy``).  ROADMAP item 1 is the plan to keep the payload
+in place from the application to the device driver.
 
 Two interchangeable backends satisfy the same contract: a statically sized
 arena with a first-fit free list (the constrained-device model) and a
@@ -48,7 +51,8 @@ class ProtocolType(enum.IntEnum):
 
 
 class AllocPriority(enum.IntEnum):
-    """Allocation classes, ordered: CONTROL > RECEIVE > SEND_APP."""
+    """Allocation classes.  Only ``SEND_APP`` is kept out of the reserve;
+    ``RECEIVE`` and ``CONTROL`` are admitted alike."""
 
     SEND_APP = 0
     RECEIVE = 1
@@ -139,8 +143,10 @@ class Snip:
         return size
 
     def to_bytes(self) -> bytes:
-        """Serialize the chain from this snip on.  Not a counted payload
-        copy by itself; call sites tag the movement via metrics."""
+        """Serialize the chain from this snip on.  It records nothing: the
+        boundary sites that copy out (``link``, ``offload``, ``recvfrom``)
+        record their own bytes, and the flattenings in ``udp``, ``ipv6``
+        and ``sixlowpan`` go unrecorded (ROADMAP item 1)."""
         if self.next is None:
             return bytes(self.data)
         snip, parts = self, []

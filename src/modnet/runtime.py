@@ -75,40 +75,26 @@ MAILBOX_CAPACITY = 8  # data messages a context's mailbox holds by default
 STACK_NOTE = 1024  # declared budget in bytes of a protocol module's context
 
 
-class Mailbox:
-    """Two lanes a context's mail waits in: a bounded FIFO of data messages
-    (at most ``capacity``) and an unbounded control lane, taken first.
-
-    The mailbox holds messages and nothing more: ``_SchedulerBase.post`` is
-    the one place a message is admitted, and the schedulers take them.
-    """
-
-    def __init__(self, capacity: int):
-        assert capacity >= 1
-        self.capacity = capacity
-        self._data: deque = deque()
-        self._ctrl: deque = deque()
-
-    def drain(self) -> list:
-        items = [*self._ctrl, *self._data]
-        self._ctrl.clear()
-        self._data.clear()
-        return items
-
-    def __len__(self):
-        return len(self._ctrl) + len(self._data)
-
-
 class ModuleContext:
-    """A spawned module: handler + mailbox + scheduling state."""
+    """A spawned module: handler, mailbox and scheduling state.  Its mail
+    waits in two lanes: ``_data``, a FIFO of data messages holding at most
+    ``capacity``, and ``_ctrl``, an unbounded control lane taken first.
+    ``_SchedulerBase.post`` is the one place a message is admitted, and
+    the schedulers take them."""
 
     def __init__(self, node, name: str, handler, mailbox_capacity: int):
+        assert mailbox_capacity >= 1
         self.node = node
         self.name = name
         self.handler = handler  # callable(ctx, msg)
-        self.mailbox = Mailbox(mailbox_capacity)
+        self.capacity = mailbox_capacity
+        self._data: deque = deque()
+        self._ctrl: deque = deque()
         self.closed = False
         self._scheduled = False  # queued, or its handler runs
+
+    # read only by perfbench/tracer.py, for its mailbox high-water mark
+    mailbox = property(lambda self: [*self._ctrl, *self._data])
 
     def __repr__(self):
         return f"<ModuleContext {self.node.name}/{self.name}>"
@@ -150,8 +136,9 @@ class Node:
         self.registry.unregister_target(ctx)
         if hasattr(ctx.handler, "on_shutdown"):
             ctx.handler.on_shutdown(ctx)
-        for msg in ctx.mailbox.drain():
-            _release_pkt(msg)
+        for lane in (ctx._ctrl, ctx._data):
+            while lane:
+                _release_pkt(lane.popleft())
         self.modules.pop(ctx.name, None)
         self.aux.pop(ctx.name, None)
 
@@ -208,11 +195,11 @@ class _SchedulerBase:
         if ctx.closed:
             _release_pkt(msg)
             return False
-        kind, mailbox = getattr(msg, "kind", None), ctx.mailbox
+        kind = getattr(msg, "kind", None)
         if kind is not _MSG_SND and kind is not _MSG_RCV:
-            mailbox._ctrl.append(msg)
-        elif len(mailbox._data) < mailbox.capacity:
-            mailbox._data.append(msg)
+            ctx._ctrl.append(msg)
+        elif len(ctx._data) < ctx.capacity:
+            ctx._data.append(msg)
         else:
             self.metrics.count("mailbox_drops")
             _release_pkt(msg)
@@ -257,7 +244,7 @@ class DetScheduler(_SchedulerBase):
                           and heap[0][1] < ready[0][0]):
             self.steps += 1
             ctx = ready.popleft()[1]
-            ctrl, data = ctx.mailbox._ctrl, ctx.mailbox._data
+            ctrl, data = ctx._ctrl, ctx._data
             if ctx.closed or not (ctrl or data):  # drained by a shutdown
                 ctx._scheduled = False
                 return True
@@ -366,7 +353,7 @@ class ThreadScheduler(_SchedulerBase):
         while not self._stop:
             if ready:
                 ctx = ready.popleft()[1]
-                ctrl, data = ctx.mailbox._ctrl, ctx.mailbox._data
+                ctrl, data = ctx._ctrl, ctx._data
                 if not ctx.closed and (ctrl or data):
                     return ctx, ctrl.popleft() if ctrl else data.popleft()
                 ctx._scheduled = False
@@ -400,7 +387,7 @@ class ThreadScheduler(_SchedulerBase):
                 with cond:
                     self._running -= 1
                     if ctx is not None:
-                        if ctx.mailbox and not ctx.closed:
+                        if (ctx._ctrl or ctx._data) and not ctx.closed:
                             self._ready.append((next(self._seq), ctx))
                         else:
                             ctx._scheduled = False

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
-from .ipv6 import (IFACE_PREFIX_LEN, ON_LINK, ForwardingTable, Ipv6Module,
-                   make_neighbor_cache)
+from .ipv6 import (IFACE_PREFIX_LEN, NEIGHBOR_CACHES, ON_LINK,
+                   ForwardingTable, Ipv6Module)
 from .link import LinkModule
 from .metrics import Metrics
 from .netdev import SimRadioDevice
@@ -103,12 +103,25 @@ def check_topology(topology: Topology) -> None:
             if len(link_addr) != 8:
                 raise InvalidTopology("link address must be 8 bytes",
                                       f"{at}/neighbors/{k}/link")
-        for key, ifaces in (("iface_addrs", list(nd.iface_addrs)),
-                            ("routes", [rt.iface for rt in nd.routes])):
-            for k, iface in enumerate(ifaces):
+        if not isinstance(nd.backend, Backend):
+            raise InvalidTopology(f"backend {nd.backend!r} is not a "
+                                  "pktbuf.Backend", at + "/backend")
+        if not (type(nd.neighbor_cache) is str
+                and nd.neighbor_cache in NEIGHBOR_CACHES):
+            raise InvalidTopology(f"no neighbor cache {nd.neighbor_cache!r}",
+                                  at + "/neighbor_cache")
+        for key, entries in (
+                ("iface_addrs", [(iface, plen) for iface, (_, plen)
+                                 in nd.iface_addrs.items()]),
+                ("routes", [(rt.iface, rt.prefix_len) for rt in nd.routes])):
+            for k, (iface, plen) in enumerate(entries):
                 if not (nd.offload or 0 <= iface < len(nd.devices)):
                     raise InvalidTopology(f"interface {iface} names no "
                                           "device", f"{at}/{key}/{k}/iface")
+                if type(plen) is not int or not 0 <= plen <= 128:
+                    raise InvalidTopology(f"prefix length {plen!r} is not "
+                                          "an int in 0..128",
+                                          f"{at}/{key}/{k}/prefix_len")
     for i, nd in enumerate(topology.nodes):
         peer = nodes.get(nd.offload_peer)
         if nd.offload_peer is not None and not (
@@ -231,7 +244,7 @@ class Simulator:
             for rt in nd.routes:
                 fwd.add(rt.prefix, rt.prefix_len, rt.iface,
                         rt.next_hop if rt.next_hop is not None else ON_LINK)
-            ncache = make_neighbor_cache(nd.neighbor_cache)
+            ncache = NEIGHBOR_CACHES[nd.neighbor_cache]()
             for ip, link_addr in nd.neighbors:
                 ncache.insert(ip, link_addr)
             # bottom-up, so each layer is built with the context below it

@@ -5,9 +5,13 @@ The header format is one ``struct.Struct``, ``HEADER``: the send path packs
 it and the receive path unpacks it into a tuple.
 
 The socket layer is where the copy-twice discipline starts and ends:
-``sendto`` copies the payload into the central buffer exactly once, and
-``recvfrom`` copies it out exactly once.  Everything between is header
-prepends and (for large datagrams) in-buffer slicing.
+``sendto`` copies the payload into the central buffer once, and
+``recvfrom`` copies it out once.  The stack between copies more than that
+today: ``UdpModule.on_snd`` flattens the chain to checksum it, and each
+receiving layer flattens the chain with ``to_bytes`` and copies what the
+next layer takes into a fresh snip (``netapi.recopy``).  The ledger records
+those re-copies as ``BUF_INTERNAL`` and the flattenings not at all; ROADMAP
+item 1 is the plan to remove both.
 
 A socket read never waits: ``recvfrom`` takes a queued datagram or raises
 ``UdpError``, and runs no event.  Apps read in the socket's ``on_ready``
@@ -81,11 +85,6 @@ def udp_verify(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> bool:
     return _pseudo_sum(src_ip, dst_ip, udp_bytes) == 0xFFFF
 
 
-def udp_encode_header(src_port: int, dst_port: int, length: int,
-                      checksum: int = 0) -> bytes:
-    return HEADER.pack(src_port, dst_port, length, checksum)
-
-
 class UdpModule(Module):
     """Transport context: prepend + checksum downward to ``net``, the
     network-layer context, and verify + port demux upward.  Registers for
@@ -110,8 +109,8 @@ class UdpModule(Module):
         except NoBufferSpace:
             drop(ctx, pkt, "udp_tx_drops_nobuf")
             return
-        out.data[:] = udp_encode_header(
-            meta["src_port"], meta["dst_port"], length)
+        out.data[:] = HEADER.pack(meta["src_port"], meta["dst_port"],
+                                  length, 0)
         csum = udp_checksum(self.local_addr, meta["dst_ip"], out.to_bytes())
         out.data[6:8] = csum.to_bytes(2, "big")
         node.sched.post(self.net, NetMessage(
@@ -209,7 +208,15 @@ class Socket:
         return self.recvfrom()
 
     def close(self):
-        self.layer.close(self)
+        """Unbind the port and release the queued datagrams; idempotent."""
+        if self.closed:
+            return
+        self.closed = True
+        ctx = self.layer.ctx
+        ctx.node.registry.unregister(ProtocolType.UDP, self.port, ctx)
+        self.layer.ports.pop(self.port, None)
+        while self.queue:
+            ctx.node.pktbuf.release(self.queue.popleft()[2])
 
     # -- called from the sock context ------------------------------------------
     def _deliver(self, ctx, src_ip, src_port, pkt, pid, hop_limit=None):
@@ -236,6 +243,9 @@ class SocketLayer(Module):
     def open(self, port: int,
              queue_capacity: int = DEFAULT_SOCK_QUEUE) -> Socket:
         _check_port(port)
+        if type(queue_capacity) is not int or queue_capacity < 1:  # nor a bool
+            raise UdpError(f"queue capacity {queue_capacity!r} is not an "
+                           "int of at least 1")
         if port in self.ports:
             raise PortInUse(f"port {port}")
         sock = Socket(self, port, queue_capacity)
@@ -243,19 +253,9 @@ class SocketLayer(Module):
         self.ports[port] = sock
         return sock
 
-    def close(self, sock: Socket):
-        if sock.closed:
-            return
-        sock.closed = True
-        node = self.ctx.node
-        node.registry.unregister(ProtocolType.UDP, sock.port, self.ctx)
-        self.ports.pop(sock.port, None)
-        while sock.queue:
-            node.pktbuf.release(sock.queue.popleft()[2])
-
     def on_shutdown(self, ctx):
         for sock in list(self.ports.values()):
-            self.close(sock)
+            sock.close()
 
     def on_rcv(self, ctx, msg):
         sock = self.ports.get(msg.meta.get("dst_port"))

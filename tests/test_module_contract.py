@@ -327,6 +327,36 @@ def test_the_buffer_names_the_benchmark_patches_stay_live(monkeypatch):
         assert held_size == size > 0
 
 
+def test_the_benchmark_tracer_sees_the_stack(monkeypatch):
+    """``perfbench/tracer.py`` patches and reads names of ``modnet`` from
+    outside the package.  Installed as the benchmark installs it, over a
+    run of ``echo_frag.json``, its figures for the scheduler, the buffer
+    and reassembly must read non-zero, so a rename of a name it uses
+    fails here."""
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).parent.parent / "perfbench"))
+    from tracer import CopyCounter, Patches, Tracer
+    scenario = load_scenario_file(str(SCENARIO_DIR / "echo_frag.json"))
+    tracer, copies = Tracer(), CopyCounter()
+    with Patches() as patches:
+        tracer.install(patches)
+        copies.install(patches)
+        sim = build(scenario.topology)
+        book = apply_workload(sim, scenario)
+        sim.run_until(10)  # both opens; the send is at t=20
+        tracer.on_built(sim)  # after set-up, as the benchmark calls it
+        sim.run_until()
+        stats = collect_stats(sim, book)
+        tracer.end_round()
+    assert stats["counters"]["udp_delivered"] == 2  # request and echo
+    figures = tracer.layer_metrics(ops=1)
+    for name in ("runtime.mailbox_hwm", "runtime.heap_peak",
+                 "pktbuf.alloc_calls_per_op", "pktbuf.to_bytes_bytes_per_op",
+                 "sixlowpan.expire_calls_per_op"):
+        assert figures[name][0] > 0, name
+    assert copies.bytes > 0
+
+
 @pytest.mark.parametrize("name", ["echo_frag.json", "border_router.json"])
 def test_an_unrecorded_run_makes_no_ledger_calls(monkeypatch, name):
     """Turned off, the copy ledger costs nothing on the hot path: a run

@@ -257,6 +257,18 @@ def test_send_the_buffer_refuses_is_counted():
     (three_node_router, "links",
      [LinkDesc("a", "r:0"), LinkDesc("r:1", "r:1")], "/links/1"),
     (two_node, "nodes/1/devices", [], "/nodes/1/devices"),
+    (two_node, "nodes/0/backend", "static_arena", "/nodes/0/backend"),
+    (two_node, "nodes/1/backend", None, "/nodes/1/backend"),
+    (two_node, "nodes/1/neighbor_cache", "NOPE", "/nodes/1/neighbor_cache"),
+    (two_node, "nodes/0/neighbor_cache", ["RING"], "/nodes/0/neighbor_cache"),
+    (three_node_router, "nodes/0/routes/0/prefix_len", 129,
+     "/nodes/0/routes/0/prefix_len"),
+    (three_node_router, "nodes/2/routes/0/prefix_len", -1,
+     "/nodes/2/routes/0/prefix_len"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64), 1: (IP_R_B, 129)}, "/nodes/1/iface_addrs/1/prefix_len"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, -1), 1: (IP_R_B, 64)}, "/nodes/1/iface_addrs/0/prefix_len"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()

@@ -16,7 +16,7 @@ from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import build
 from modnet.sixlowpan import (DISPATCH_UNCOMPRESSED, FRAG1_DISPATCH,
                               FRAGN_DISPATCH)
-from modnet.udp import UdpError, udp_checksum, udp_encode_header
+from modnet.udp import HEADER, UdpError, udp_checksum
 from topo import (IP_A, IP_A2, IP_B, IP_B2, LONG_A, LONG_B, LONG_R0,
                   echo_on, ip6, offload_pair, three_node_router, two_node)
 
@@ -194,6 +194,36 @@ def test_ports_0_and_65535_are_accepted(port):
     assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
 
 
+@pytest.mark.parametrize("capacity", [0, -1, True, 1.5, "4", None])
+def test_a_queue_capacity_below_1_or_not_an_int_is_refused(capacity):
+    """A socket that can queue nothing would fail at its first datagram,
+    inside ``run_until``; ``open`` refuses it before any registration."""
+    sim = build(two_node())
+    layer = sim.socket_layer("b")
+    registered = len(sim.nodes["b"].registry)
+    with pytest.raises(UdpError, match="queue capacity"):
+        layer.open(7, queue_capacity=capacity)
+    assert layer.ports == {}
+    assert len(sim.nodes["b"].registry) == registered
+    sim.socket_layer("a").open(40000).sendto(IP_B, 7, pattern(20))
+    sim.run_until()
+    assert sim.metrics.get("udp_rx_no_port") == 1
+    assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
+
+
+def test_a_queue_capacity_of_1_keeps_the_newest_datagram():
+    sim = build(two_node())
+    sink = sim.socket_layer("b").open(7, queue_capacity=1)
+    client = sim.socket_layer("a").open(40000)
+    for size in (20, 30):
+        client.sendto(IP_B, 7, pattern(size))
+    sim.run_until()
+    assert sim.metrics.get("sock_queue_drops") == 1
+    assert sink.recv_nowait() == (IP_A, 40000, pattern(30))
+    assert sink.recv_nowait() is None
+    assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
+
+
 def test_nothing_is_recorded_by_default():
     off, on = build(two_node()), build(two_node(), record=True)
     for sim in (off, on):
@@ -244,9 +274,9 @@ def test_send_without_next_hop_goes_out_as_broadcast():
 
 def udp_bytes(payload, flip_checksum=False):
     """A datagram from IP_A port 40000 to IP_B port 7."""
-    header = udp_encode_header(40000, 7, 8 + len(payload))
+    header = HEADER.pack(40000, 7, 8 + len(payload), 0)
     csum = udp_checksum(IP_A, IP_B, header + payload) ^ flip_checksum
-    return udp_encode_header(40000, 7, 8 + len(payload), csum) + payload
+    return HEADER.pack(40000, 7, 8 + len(payload), csum) + payload
 
 
 def frame(dst_long, dst_ip, udp, hop_limit=64):
@@ -474,7 +504,7 @@ def test_a_frame_refused_again_on_tx_done_waits_for_the_next_one():
     radio.dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
     assert len(link.handler._pending) == 1
-    while not link.mailbox._ctrl:  # up to the first frame's TX_DONE
+    while not link._ctrl:  # up to the first frame's TX_DONE
         sim.sched.step()
     # the radio starts another frame before the link reads the marker
     radio.dev_send(link_encode(LONG_B, LONG_A, 1, pattern(30)))
@@ -506,7 +536,7 @@ def test_a_radio_posts_one_marker_object_per_event_kind():
     sink = sim.socket_layer("b").open(7)
     for payload in (b"one", b"two"):
         radio._rx_frame(frame(LONG_B, IP_B, udp_bytes(payload)))
-    lane = list(link.mailbox._ctrl)
+    lane = list(link._ctrl)
     assert len(lane) == 2 and lane[0] is lane[1]
     assert (lane[0].device, lane[0].event) == (radio, DevEventType.RX_READY)
     sim.run_until()

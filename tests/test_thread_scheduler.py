@@ -15,8 +15,8 @@ import pytest
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.netdev import DevEventType, DevNotify
-from modnet.pktbuf import (AllocPriority, Backend, ProtocolType,
-                           buffer_create)
+from modnet.pktbuf import (AllocPriority, Backend, CapacityTooSmall,
+                           ProtocolType, buffer_create)
 from modnet.runtime import DetScheduler, Node, ThreadScheduler
 from modnet.scenario import (apply_workload, collect_stats,
                              load_scenario_file, run_scenario)
@@ -132,8 +132,8 @@ def test_failed_build_stops_the_pool():
 
 def test_construction_error_past_the_check_stops_the_pool():
     before = pool_threads()
-    topology = two_node(neighbor_cache="NOPE")  # no rule of check_topology
-    with pytest.raises(ValueError, match="neighbor cache"):
+    topology = two_node(buffer_capacity=128)  # no rule of check_topology
+    with pytest.raises(CapacityTooSmall):
         build(topology, mode="par")
     assert pool_threads() == before
 
@@ -265,12 +265,11 @@ def test_post_puts_each_kind_in_its_lane(sched_cls):
                  (NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")), "ctrl"),
                  (DevNotify(None, DevEventType.RX_READY), "ctrl")]
         assert all(sched.post(ctx, msg) for msg, _ in lanes)
-        box = ctx.mailbox
-        assert list(box._data) == [m for m, lane in lanes if lane == "data"]
-        assert list(box._ctrl) == [m for m, lane in lanes if lane == "ctrl"]
+        assert list(ctx._data) == [m for m, lane in lanes if lane == "data"]
+        assert list(ctx._ctrl) == [m for m, lane in lanes if lane == "ctrl"]
         assert not sched.post(ctx, chain_msg(MsgKind.MSG_RCV))
         assert sched.metrics.get("mailbox_drops") == 1
-        assert len(box._data) == 2
+        assert len(ctx._data) == 2
         go.set()
         sched.run_until()
         assert node.pktbuf.used == 0

@@ -5,8 +5,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modnet.udp import (HEADER_LEN, MAX_PAYLOAD, _ones_complement_sum,
-                        udp_checksum, udp_encode_header, udp_verify)
+from modnet.udp import (HEADER, HEADER_LEN, MAX_PAYLOAD, _ones_complement_sum,
+                        udp_checksum, udp_verify)
 from oracles import checksum_oracle, ones_complement_sum_oracle
 
 SRC = bytes.fromhex("fd000000000000000000000000000001")
@@ -14,7 +14,7 @@ DST = bytes.fromhex("fd000000000000000000000000000002")
 
 
 def datagram(src_port, dst_port, payload):
-    hdr = udp_encode_header(src_port, dst_port, HEADER_LEN + len(payload))
+    hdr = HEADER.pack(src_port, dst_port, HEADER_LEN + len(payload), 0)
     return hdr + payload
 
 
@@ -60,7 +60,7 @@ def test_received_zero_checksum_invalid():
 
 
 def test_header_encode_shape():
-    hdr = udp_encode_header(0xABCD, 0x1234, 20, 0xBEEF)
+    hdr = HEADER.pack(0xABCD, 0x1234, 20, 0xBEEF)
     assert hdr == bytes.fromhex("abcd12340014beef")
 
 
