@@ -73,27 +73,17 @@ def decode(data: bytes) -> tuple[bytes, bytes, int, int, bytes]:
 
 
 # -- neighbor caches ---------------------------------------------------------
+# Both caches keep one observable contract: ``insert``, ``lookup`` (None for
+# an unknown address) and ``len``, LRU over ``capacity`` entries; lookup
+# touches.
 
-class NeighborCache:
-    """Observable contract shared by both implementations: LRU over
-    ``capacity`` entries; lookup touches."""
-
-    DEFAULT_CAPACITY = 8
-
-    def insert(self, addr: bytes, link_addr: bytes):
-        raise NotImplementedError
-
-    def lookup(self, addr: bytes):
-        raise NotImplementedError
-
-    def __len__(self):
-        raise NotImplementedError
+NEIGHBOR_CACHE_CAPACITY = 8
 
 
-class RingNeighborCache(NeighborCache):
+class RingNeighborCache:
     """Memory-optimized: a plain circular list scanned linearly."""
 
-    def __init__(self, capacity: int = NeighborCache.DEFAULT_CAPACITY):
+    def __init__(self, capacity: int = NEIGHBOR_CACHE_CAPACITY):
         self.capacity = capacity
         self._slots: list[list] = []  # [addr, link_addr, last_used]
         self._tick = 0
@@ -125,10 +115,10 @@ class RingNeighborCache(NeighborCache):
         return len(self._slots)
 
 
-class SortedNeighborCache(NeighborCache):
+class SortedNeighborCache:
     """Lookup-optimized: hashed index, LRU order kept via a tick map."""
 
-    def __init__(self, capacity: int = NeighborCache.DEFAULT_CAPACITY):
+    def __init__(self, capacity: int = NEIGHBOR_CACHE_CAPACITY):
         self.capacity = capacity
         self._entries: dict[bytes, bytes] = {}
         self._last_used: dict[bytes, int] = {}
@@ -198,7 +188,7 @@ class Ipv6Module(Module):
 
     def __init__(self, primary_addr: bytes,
                  iface_addrs: dict[int, tuple[bytes, int]],
-                 ncache: NeighborCache, fwd: ForwardingTable, adapt):
+                 ncache, fwd: ForwardingTable, adapt):
         self.adapt = adapt
         self.primary_addr = primary_addr
         self.iface_addrs = iface_addrs
@@ -212,7 +202,6 @@ class Ipv6Module(Module):
              *(addr for addr, _ in self.iface_addrs.values())])
 
     def on_spawn(self, ctx):
-        self.ctx = ctx
         ctx.node.registry.register(ProtocolType.IPV6, DEMUX_RAW, ctx)
 
     def route(self, dst: bytes):

@@ -71,7 +71,6 @@ class LinkModule(Module):
         self._pending: deque[tuple[bytes, object]] = deque()  # (frame, head)
 
     def on_spawn(self, ctx):
-        self.ctx = ctx
         self.device.owner = ctx
 
     def __call__(self, ctx, msg):

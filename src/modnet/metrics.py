@@ -82,8 +82,8 @@ class Metrics:
         self._copies[packet_id].append((site, nbytes))
 
     def merge_packet(self, into_id: int, from_id: int):
-        """Fold one packet's records into another (reassembly adopts the
-        first fragment's id)."""
+        """Fold one packet's records into another: a reassembly entry
+        draws a fresh id, and each fragment's records fold into it."""
         if into_id != from_id:
             self._copies[into_id].extend(self._copies.pop(from_id, ()))
 
@@ -135,7 +135,7 @@ def memory_report(node) -> dict:
     registry_bytes = len(node.registry) * REGISTRY_ENTRY_BYTES
     reassembly_bytes = 0
     for ctx in node.modules.values():
-        table = getattr(ctx.handler, "reassembly_table", None)
+        table = getattr(ctx.module, "reassembly_table", None)
         if table is not None:
             reassembly_bytes += table.memory_bytes()
     return {

@@ -267,10 +267,6 @@ class Module:
     and ``get_option``/``set_option`` for the options it serves."""
 
     layer = "module"
-    ctx = None
-
-    def on_spawn(self, ctx):
-        self.ctx = ctx
 
     def on_shutdown(self, ctx):
         """Give back what the layer holds; ``Node.shutdown_module`` calls

@@ -76,17 +76,18 @@ STACK_NOTE = 1024  # declared budget in bytes of a protocol module's context
 
 
 class ModuleContext:
-    """A spawned module: handler, mailbox and scheduling state.  Its mail
-    waits in two lanes: ``_data``, a FIFO of data messages holding at most
-    ``capacity``, and ``_ctrl``, an unbounded control lane taken first.
-    ``_SchedulerBase.post`` is the one place a message is admitted, and
-    the schedulers take them."""
+    """A spawned module with its mailbox and scheduling state.  ``module``
+    is the spawned object, the one way into its state; ``handler`` is what
+    the schedulers call, ``module`` unless a tool wraps it.  Mail waits in
+    two lanes: ``_data``, a FIFO of at most ``capacity`` data messages, and
+    ``_ctrl``, an unbounded control lane taken first.  ``post`` admits it."""
 
-    def __init__(self, node, name: str, handler, mailbox_capacity: int):
+    def __init__(self, node, name: str, module, mailbox_capacity: int):
         assert mailbox_capacity >= 1
         self.node = node
         self.name = name
-        self.handler = handler  # callable(ctx, msg)
+        self.module = module
+        self.handler = module  # callable(ctx, msg)
         self.capacity = mailbox_capacity
         self._data: deque = deque()
         self._ctrl: deque = deque()
@@ -118,15 +119,15 @@ class Node:
         self.aux: dict[str, ModuleContext] = {}  # non-protocol contexts
         self.devices: list = []
 
-    def spawn_module(self, name: str, handler,
+    def spawn_module(self, name: str, module,
                      mailbox_capacity: int = MAILBOX_CAPACITY,
                      aux: bool = False) -> ModuleContext:
         if name in self.modules or name in self.aux:
             raise DuplicateName(f"{self.name}/{name}")
-        ctx = ModuleContext(self, name, handler, mailbox_capacity)
+        ctx = ModuleContext(self, name, module, mailbox_capacity)
         (self.aux if aux else self.modules)[name] = ctx
-        if hasattr(handler, "on_spawn"):
-            handler.on_spawn(ctx)
+        if hasattr(module, "on_spawn"):
+            module.on_spawn(ctx)
         return ctx
 
     def shutdown_module(self, ctx: ModuleContext):
@@ -134,8 +135,8 @@ class Node:
             return  # idempotent
         ctx.closed = True
         self.registry.unregister_target(ctx)
-        if hasattr(ctx.handler, "on_shutdown"):
-            ctx.handler.on_shutdown(ctx)
+        if hasattr(ctx.module, "on_shutdown"):
+            ctx.module.on_shutdown(ctx)
         for lane in (ctx._ctrl, ctx._data):
             while lane:
                 _release_pkt(lane.popleft())

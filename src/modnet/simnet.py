@@ -80,8 +80,9 @@ class Topology:
     seed: int = 1
 
 
-def check_topology(topology: Topology) -> None:
-    """Raise ``InvalidTopology`` at the first field that breaks a rule."""
+def check_topology(topology: Topology) -> list:
+    """Raise ``InvalidTopology`` at the first field that breaks a rule;
+    return each link's two ends as ``(node name, device index)`` pairs."""
     nodes: dict[str, NodeDesc] = {}
     for i, nd in enumerate(topology.nodes):
         at = f"/nodes/{i}"
@@ -89,20 +90,29 @@ def check_topology(topology: Topology) -> None:
             raise InvalidTopology(f"duplicate node name {nd.name!r}",
                                   at + "/name")
         nodes[nd.name] = nd
-        if nd.address is None:
-            raise InvalidTopology("every node needs an IPv6 address",
-                                  at + "/address")
         if not (nd.offload or nd.devices):
             raise InvalidTopology("a stack node needs a device",
                                   at + "/devices")
+        sized = [(nd.address, 16, "/address")]  # (value, length, pointer)
         for j, dd in enumerate(nd.devices):
-            if len(dd.addr_short) != 2 or len(dd.addr_long) != 8:
-                raise InvalidTopology("addresses must be 2 and 8 bytes",
-                                      f"{at}/devices/{j}")
-        for k, (_, link_addr) in enumerate(nd.neighbors):
-            if len(link_addr) != 8:
-                raise InvalidTopology("link address must be 8 bytes",
-                                      f"{at}/neighbors/{k}/link")
+            sized += [(dd.addr_short, 2, f"/devices/{j}"),
+                      (dd.addr_long, 8, f"/devices/{j}")]
+        for k, (ip, link_addr) in enumerate(nd.neighbors):
+            sized += [(ip, 16, f"/neighbors/{k}/addr"),
+                      (link_addr, 8, f"/neighbors/{k}/link")]
+        for k, (addr, _) in enumerate(nd.iface_addrs.values()):
+            sized.append((addr, 16, f"/iface_addrs/{k}/addr"))
+        for k, rt in enumerate(nd.routes):
+            sized.append((rt.prefix, 16, f"/routes/{k}/prefix"))
+            if rt.next_hop is not None:
+                sized.append((rt.next_hop, 16, f"/routes/{k}/next_hop"))
+        for value, size, where in sized:
+            if not (isinstance(value, bytes) and len(value) == size):
+                raise InvalidTopology(f"{value!r} is not {size} bytes",
+                                      at + where)
+        if type(nd.buffer_capacity) is not int:  # nor a bool
+            raise InvalidTopology(f"buffer capacity {nd.buffer_capacity!r} "
+                                  "is not an int", at + "/buffer_capacity")
         if not isinstance(nd.backend, Backend):
             raise InvalidTopology(f"backend {nd.backend!r} is not a "
                                   "pktbuf.Backend", at + "/backend")
@@ -115,8 +125,9 @@ def check_topology(topology: Topology) -> None:
                                  in nd.iface_addrs.items()]),
                 ("routes", [(rt.iface, rt.prefix_len) for rt in nd.routes])):
             for k, (iface, plen) in enumerate(entries):
-                if not (nd.offload or 0 <= iface < len(nd.devices)):
-                    raise InvalidTopology(f"interface {iface} names no "
+                if not (type(iface) is int and (
+                        nd.offload or 0 <= iface < len(nd.devices))):
+                    raise InvalidTopology(f"interface {iface!r} names no "
                                           "device", f"{at}/{key}/{k}/iface")
                 if type(plen) is not int or not 0 <= plen <= 128:
                     raise InvalidTopology(f"prefix length {plen!r} is not "
@@ -129,7 +140,7 @@ def check_topology(topology: Topology) -> None:
                 and peer.offload):
             raise InvalidTopology("an offload node's peer must be another "
                                   "offload node", f"/nodes/{i}/offload_peer")
-    linked = set()  # each pair of devices, as {(node, device index), ...}
+    linked = {}  # each pair of devices -> the link's ends, in link order
     for i, ld in enumerate(topology.links):
         at = f"/links/{i}"
         ends = []
@@ -148,13 +159,14 @@ def check_topology(topology: Topology) -> None:
         if frozenset(ends) in linked:
             raise InvalidTopology("an earlier link joins the same devices",
                                   at)
-        linked.add(frozenset(ends))
-        if not 0.0 <= ld.loss <= 1.0:
-            raise InvalidTopology(f"loss {ld.loss} out of [0, 1]",
-                                  at + "/loss")
-        if ld.delay_us < 0:
-            raise InvalidTopology(f"negative delay {ld.delay_us}",
-                                  at + "/delay_us")
+        linked[frozenset(ends)] = ends
+        if type(ld.loss) not in (int, float) or not 0 <= ld.loss <= 1:
+            raise InvalidTopology(f"loss {ld.loss!r} is not a number in "
+                                  "[0, 1]", at + "/loss")
+        if type(ld.delay_us) is not int or ld.delay_us < 0:
+            raise InvalidTopology(f"delay {ld.delay_us!r} is not an int "
+                                  ">= 0", at + "/delay_us")
+    return list(linked.values())
 
 
 class Medium:
@@ -164,7 +176,7 @@ class Medium:
 
     def __init__(self, sched, rng: random.Random, metrics: Metrics):
         self.sched = sched
-        self.rng = rng
+        self.draw = rng.random
         self.metrics = metrics
         self._adj: dict[int, list[tuple[SimRadioDevice, float, int]]] = {}
 
@@ -177,7 +189,7 @@ class Medium:
         sched, metrics, now = self.sched, self.metrics, self.sched.now_us
         sched.call_at(now, dev._tx_done)
         metrics.count("frames_sent")
-        draw = self.rng.random()  # one draw shared by the broadcast star
+        draw = self.draw()  # one draw shared by the broadcast star
         keep = 1.0 - dev.loss_rate
         for peer, loss, delay_us in self._adj.get(id(dev), ()):
             eff = 1.0 - (1.0 - loss) * keep
@@ -195,35 +207,30 @@ class Simulator:
                  record: bool = False):
         if mode not in ("det", "par"):
             raise ValueError(f"mode must be 'det' or 'par', got {mode!r}")
-        check_topology(topology)  # before a par pool has any worker
+        link_ends = check_topology(topology)  # before a par pool starts
         self.topology = topology
-        self.mode = mode
         self.sched = (DetScheduler if mode == "det" else ThreadScheduler)(
             record=record)
         self.metrics = self.sched.metrics
-        self.rng = random.Random(topology.seed)
-        self.medium = Medium(self.sched, self.rng, self.metrics)
+        self.medium = Medium(self.sched, random.Random(topology.seed),
+                             self.metrics)
         self.nodes: dict[str, Node] = {}
         try:
             for nd in topology.nodes:
                 self._build_node(nd)
             for nd in topology.nodes:
                 if nd.offload_peer is not None:
-                    self.nodes[nd.name].modules["offload"].handler.peer = (
+                    self.nodes[nd.name].modules["offload"].module.peer = (
                         self.nodes[nd.offload_peer].modules["offload"])
-            for ld in topology.links:
-                dev_a = self._resolve_endpoint(ld.a)
-                dev_b = self._resolve_endpoint(ld.b)
-                self.medium.link(dev_a, dev_b, ld.loss, ld.delay_us)
+            for ld, ((a, i), (b, j)) in zip(topology.links, link_ends):
+                self.medium.link(self.nodes[a].devices[i],
+                                 self.nodes[b].devices[j],
+                                 ld.loss, ld.delay_us)
         except BaseException:
             self.sched.stop()  # nobody else can stop a par pool's workers
             raise
 
     # -- construction -----------------------------------------------------
-    def _resolve_endpoint(self, spec: str) -> SimRadioDevice:
-        name, _, idx = spec.partition(":")
-        return self.nodes[name].devices[int(idx or 0)]
-
     def _build_node(self, nd: NodeDesc):
         buf = buffer_create(nd.buffer_capacity, nd.backend,
                             locked=self.sched.parallel)
@@ -260,7 +267,7 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
     def socket_layer(self, node_name: str) -> SocketLayer:
-        return self.nodes[node_name].aux["sock"].handler
+        return self.nodes[node_name].aux["sock"].module
 
     def run_until(self, t_us: int | None = None):
         """Run to time ``t_us``, or to quiescence without one."""

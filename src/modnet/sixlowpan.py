@@ -223,7 +223,6 @@ class SixlowpanModule(Module):
         self._tag = 0
 
     def on_spawn(self, ctx):
-        self.ctx = ctx
         self.reassembly_table = ReassemblyTable(ctx.node.pktbuf,
                                                 ctx.node.metrics)
         ctx.node.registry.register(ProtocolType.SIXLOWPAN, DEMUX_ALL, ctx)

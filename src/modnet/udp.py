@@ -97,7 +97,6 @@ class UdpModule(Module):
         self.net = net
 
     def on_spawn(self, ctx):
-        self.ctx = ctx
         ctx.node.registry.register(ProtocolType.IPV6, NEXT_HEADER_UDP, ctx)
 
     def on_snd(self, ctx, msg):
@@ -239,6 +238,9 @@ class SocketLayer(Module):
     def __init__(self, transport):
         self.transport = transport
         self.ports: dict[int, Socket] = {}
+
+    def on_spawn(self, ctx):
+        self.ctx = ctx  # ``open`` binds ports to it, ``Socket`` reads it
 
     def open(self, port: int,
              queue_capacity: int = DEFAULT_SOCK_QUEUE) -> Socket:

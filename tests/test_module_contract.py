@@ -1,17 +1,20 @@
 """Every stack module follows the base contract: data it does not take is
 a counted drop that frees its chain, and unknown options answer ENOTSUP."""
 
+import ast
 import json
 import pathlib
 
 import pytest
 
 from modnet.ipv6 import DEFAULT_HOP_LIMIT
+from modnet.metrics import memory_report
 from modnet.netapi import ENOTSUP, OK, MsgKind, NetMessage, OptionKey, send_cmd
 from modnet.pktbuf import PacketChain, ProtocolType
 from modnet.scenario import (apply_workload, collect_stats, load_scenario,
                              load_scenario_file, run_scenario)
 from modnet.simnet import build
+from topo import IP_B, two_node
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 SCENARIOS = ("echo.json", "offload_echo.json")
@@ -355,6 +358,51 @@ def test_the_benchmark_tracer_sees_the_stack(monkeypatch):
                  "sixlowpan.expire_calls_per_op"):
         assert figures[name][0] > 0, name
     assert copies.bytes > 0
+
+
+def test_the_benchmark_tracer_leaves_module_state_reachable(monkeypatch):
+    """``Tracer.on_built`` replaces every context's ``handler`` with a
+    wrapper.  The stack reaches a module's state through ``ctx.module``,
+    so sockets opened, memory reported and a context shut down after it
+    see the module itself."""
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).parent.parent / "perfbench"))
+    from tracer import Patches, Tracer
+    tracer = Tracer()
+    with Patches() as patches:
+        tracer.install(patches)
+        sim = build(two_node())
+        tracer.on_built(sim)
+        client = sim.socket_layer("a").open(40000)
+        server = sim.socket_layer("b").open(7)
+        client.sendto(IP_B, 7, bytes(600))
+        sim.run_until(3)  # mid-reassembly at b
+        b = sim.nodes["b"]
+        assert memory_report(b)["reassembly_bytes"] == 680
+        sim.run_until()
+        assert len(server.queue) == 1
+        b.shutdown_module(b.aux["sock"])
+        tracer.end_round()
+    assert server.closed
+    assert b.pktbuf.stats().used == 0
+
+
+def test_no_module_state_is_read_through_a_handler():
+    """``ctx.handler`` is only what the schedulers call, and a tool may
+    wrap it: ``src/modnet`` calls it and assigns it, and reads no
+    attribute of it.  A module's state is reached through ``ctx.module``."""
+    src = pathlib.Path(__file__).parent.parent / "src" / "modnet"
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if (isinstance(node, ast.Attribute) and node.attr == "handler"
+                        and not isinstance(node.ctx, ast.Store)
+                        and not (isinstance(parent, ast.Call)
+                                 and parent.func is node)):
+                    reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", ["echo_frag.json", "border_router.json"])

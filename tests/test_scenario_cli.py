@@ -19,8 +19,8 @@ from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario,
                              validate_document)
 from oracles import validate_document_oracle
-from topo import (IP_R_A, IP_R_B, offload_pair, three_node_router,
-                  two_node)
+from topo import (IP_A, IP_R_A, IP_R_B, LONG_A, offload_pair,
+                  three_node_router, two_node)
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -269,6 +269,33 @@ def test_send_the_buffer_refuses_is_counted():
      {0: (IP_R_A, 64), 1: (IP_R_B, 129)}, "/nodes/1/iface_addrs/1/prefix_len"),
     (three_node_router, "nodes/1/iface_addrs",
      {0: (IP_R_A, -1), 1: (IP_R_B, 64)}, "/nodes/1/iface_addrs/0/prefix_len"),
+    # every field of the wrong type or length, where it would otherwise
+    # build and drop every send, or raise during the build or the run
+    (two_node, "nodes/0/address", IP_A[:15], "/nodes/0/address"),
+    (two_node, "nodes/0/address", "fd00::1", "/nodes/0/address"),
+    (two_node, "nodes/1/neighbors", [(IP_A[:15], LONG_A)],
+     "/nodes/1/neighbors/0/addr"),
+    (two_node, "nodes/0/devices/0/addr_long", "abcdefgh",
+     "/nodes/0/devices/0"),
+    (two_node, "nodes/0/devices/0/addr_short", "ab", "/nodes/0/devices/0"),
+    (two_node, "nodes/1/neighbors", [(IP_A, "abcdefgh")],
+     "/nodes/1/neighbors/0/link"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64), 1: (IP_R_B[:15], 64)}, "/nodes/1/iface_addrs/1/addr"),
+    (three_node_router, "nodes/0/routes/0/prefix", bytes(15),
+     "/nodes/0/routes/0/prefix"),
+    (three_node_router, "nodes/2/routes/0/next_hop", IP_R_B[:15],
+     "/nodes/2/routes/0/next_hop"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64), True: (IP_R_B, 64)}, "/nodes/1/iface_addrs/1/iface"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64), 1.0: (IP_R_B, 64)}, "/nodes/1/iface_addrs/1/iface"),
+    (two_node, "nodes/0/buffer_capacity", "2048", "/nodes/0/buffer_capacity"),
+    (two_node, "nodes/1/buffer_capacity", True, "/nodes/1/buffer_capacity"),
+    (two_node, "links/0/loss", "0.1", "/links/0/loss"),
+    (two_node, "links/0/loss", True, "/links/0/loss"),
+    (two_node, "links/0/delay_us", "1", "/links/0/delay_us"),
+    (two_node, "links/0/delay_us", 1.5, "/links/0/delay_us"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()
