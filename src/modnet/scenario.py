@@ -2,7 +2,8 @@
 workload, validated against a schema with JSON-pointer error reporting.
 A plain-Python check compiled once from the schema accepts a valid
 document; only a document it refuses goes through jsonschema, which names
-the first error and its pointer.
+the first error and its pointer.  jsonschema is imported on the first
+refused document, so a run of valid scenarios never loads it.
 
 A scenario is the unit the command line runs: nodes (with their stack
 flavor and addressing), links, a seed, and a list of timed socket
@@ -16,13 +17,12 @@ fit together, and its pointers are the same pointers into the document.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from ipaddress import IPv6Address
-
-import jsonschema
 
 from . import udp
 from .ipv6 import IFACE_PREFIX_LEN, NEIGHBOR_CACHES
@@ -176,11 +176,20 @@ _SEND_ARGS = {
 }
 
 
-# JSON Schema counts 7.0 as an integer, and the stack needs an int
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: type(value) is int))
+@functools.cache
+def _jsonschema():
+    """jsonschema's validator class for a scenario and its validators of
+    the document and of each op's args.  Built on the first refused
+    document: a valid one never imports jsonschema."""
+    import jsonschema
+    # JSON Schema counts 7.0 as an integer, and the stack needs an int
+    validator = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: type(value) is int))
+    return validator, {"doc": validator(SCHEMA),
+                       "open": validator(_OPEN_ARGS),
+                       "send": validator(_SEND_ARGS)}
 
 _KEYWORDS = {"$schema", "type", "const", "enum", "minimum", "maximum",
              "minLength", "pattern", "minItems", "items", "required",
@@ -201,10 +210,10 @@ def _one_of(values: list):
 
 
 def _predicate(schema: dict):
-    """Compile ``schema`` into a check that accepts nothing ``_Validator``
-    refuses, though it may refuse more: each keyword also refuses a value
-    of a type it does not apply to.  A keyword without a check here is an
-    error, not a hole."""
+    """Compile ``schema`` into a check that accepts nothing jsonschema's
+    validator refuses, though it may refuse more: each keyword also
+    refuses a value of a type it does not apply to.  A keyword without a
+    check here is an error, not a hole."""
     unknown = schema.keys() - _KEYWORDS
     if unknown or schema.get("additionalProperties", False) is not False:
         raise ValueError(f"no fast check for {sorted(unknown)} or for an "
@@ -283,22 +292,23 @@ class Scenario:
     version: int = SCHEMA_VERSION
 
 
-def _pointer(error: jsonschema.ValidationError) -> str:
+def _pointer(error) -> str:
     return "/" + "/".join(str(p) for p in error.absolute_path)
 
 
 def _parse_ip(text: str, pointer: str) -> bytes:
     try:
-        return IPv6Address(text).packed
+        addr = IPv6Address(text)
     except ValueError as exc:
         raise ScenarioError(str(exc), pointer) from None
+    if addr.scope_id is not None:  # .packed would drop the zone
+        raise ScenarioError(f"{text!r} has a zone; an address here has none",
+                            pointer)
+    return addr.packed
 
 
 _CHECK_DOC = _predicate(SCHEMA)
 _CHECK_ARGS = {"open": _predicate(_OPEN_ARGS), "send": _predicate(_SEND_ARGS)}
-_DOC_VALIDATOR = _Validator(SCHEMA)
-_OPEN_VALIDATOR = _Validator(_OPEN_ARGS)
-_SEND_VALIDATOR = _Validator(_SEND_ARGS)
 
 
 def validate_document(doc: dict) -> None:
@@ -306,15 +316,15 @@ def validate_document(doc: dict) -> None:
                                for item in doc.get("workload", ())):
         return
     # refused: jsonschema finds and names the error (or, rarely, none)
-    errors = sorted(_DOC_VALIDATOR.iter_errors(doc),
+    validators = _jsonschema()[1]
+    errors = sorted(validators["doc"].iter_errors(doc),
                     key=lambda e: list(e.path))
     if errors:
         err = errors[0]
         raise ScenarioError(err.message, _pointer(err))
     # per-op argument shapes (schema conditionals kept out for readable errors)
     for i, item in enumerate(doc.get("workload", ())):
-        validator = (_OPEN_VALIDATOR if item["op"] == "open"
-                     else _SEND_VALIDATOR)
+        validator = validators[item["op"]]  # the document passed: a known op
         for err in validator.iter_errors(item.get("args", {})):
             raise ScenarioError(err.message,
                                 f"/workload/{i}/args" + _pointer(err))

@@ -80,6 +80,13 @@ class Topology:
     seed: int = 1
 
 
+def _pair(value, pointer: str):
+    """``value`` if it is a pair, else ``InvalidTopology`` at ``pointer``."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise InvalidTopology(f"{value!r} is not a pair", pointer)
+    return value
+
+
 def check_topology(topology: Topology) -> list:
     """Raise ``InvalidTopology`` at the first field that breaks a rule;
     return each link's two ends as ``(node name, device index)`` pairs."""
@@ -97,10 +104,14 @@ def check_topology(topology: Topology) -> list:
         for j, dd in enumerate(nd.devices):
             sized += [(dd.addr_short, 2, f"/devices/{j}"),
                       (dd.addr_long, 8, f"/devices/{j}")]
-        for k, (ip, link_addr) in enumerate(nd.neighbors):
+        for k, pair in enumerate(nd.neighbors):
+            ip, link_addr = _pair(pair, f"{at}/neighbors/{k}")
             sized += [(ip, 16, f"/neighbors/{k}/addr"),
                       (link_addr, 8, f"/neighbors/{k}/link")]
-        for k, (addr, _) in enumerate(nd.iface_addrs.values()):
+        iface_addrs = [(iface, *_pair(pair, f"{at}/iface_addrs/{k}"))
+                       for k, (iface, pair)
+                       in enumerate(nd.iface_addrs.items())]
+        for k, (_, addr, _) in enumerate(iface_addrs):
             sized.append((addr, 16, f"/iface_addrs/{k}/addr"))
         for k, rt in enumerate(nd.routes):
             sized.append((rt.prefix, 16, f"/routes/{k}/prefix"))
@@ -121,8 +132,8 @@ def check_topology(topology: Topology) -> list:
             raise InvalidTopology(f"no neighbor cache {nd.neighbor_cache!r}",
                                   at + "/neighbor_cache")
         for key, entries in (
-                ("iface_addrs", [(iface, plen) for iface, (_, plen)
-                                 in nd.iface_addrs.items()]),
+                ("iface_addrs", [(iface, plen)
+                                 for iface, _, plen in iface_addrs]),
                 ("routes", [(rt.iface, rt.prefix_len) for rt in nd.routes])):
             for k, (iface, plen) in enumerate(entries):
                 if not (type(iface) is int and (
@@ -146,6 +157,9 @@ def check_topology(topology: Topology) -> list:
         ends = []
         for end in ("a", "b"):
             spec = getattr(ld, end)
+            if type(spec) is not str:
+                raise InvalidTopology(f"link end {spec!r} is not a str",
+                                      f"{at}/{end}")
             name, colon, idx = spec.partition(":")
             if name not in nodes:
                 raise InvalidTopology(f"unknown node {name!r}", f"{at}/{end}")

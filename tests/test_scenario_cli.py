@@ -2,7 +2,10 @@
 
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import jsonschema
@@ -101,6 +104,24 @@ def test_bad_ipv6_address_pointer():
     with pytest.raises(ScenarioError) as exc:
         load_scenario(doc)
     assert exc.value.pointer == "/nodes/0/address"
+
+
+@pytest.mark.parametrize("name,path", [
+    ("echo.json", ("nodes", 0, "address")),
+    ("echo.json", ("nodes", 1, "neighbors", 0, "addr")),
+    ("border_router.json", ("nodes", 0, "routes", 0, "prefix")),
+])
+def test_a_zoned_address_is_refused_at_its_pointer(name, path):
+    doc = load_doc(name)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = "fd00::1%eth0"  # IPv6Address takes it and drops the zone
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(doc)
+    assert exc.value.pointer == "/" + "/".join(map(str, path))
+    assert "zone" in exc.value.message
 
 
 def test_bad_send_args_pointer():
@@ -296,6 +317,15 @@ def test_send_the_buffer_refuses_is_counted():
     (two_node, "links/0/loss", True, "/links/0/loss"),
     (two_node, "links/0/delay_us", "1", "/links/0/delay_us"),
     (two_node, "links/0/delay_us", 1.5, "/links/0/delay_us"),
+    # containers of the wrong shape
+    (two_node, "links/0/a", 0, "/links/0/a"),
+    (two_node, "links/0/b", None, "/links/0/b"),
+    (two_node, "nodes/1/neighbors", [(IP_A,)], "/nodes/1/neighbors/0"),
+    (two_node, "nodes/0/neighbors", [IP_A], "/nodes/0/neighbors/0"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64), 1: IP_R_B}, "/nodes/1/iface_addrs/1"),
+    (three_node_router, "nodes/1/iface_addrs",
+     {0: (IP_R_A, 64, 0)}, "/nodes/1/iface_addrs/0"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()
@@ -575,9 +605,56 @@ def test_every_single_mutation_of_the_router_document_meets_the_oracle():
 def test_valid_documents_never_reach_jsonschema(monkeypatch):
     def iter_errors(*args, **kwargs):
         raise AssertionError("jsonschema ran on a valid document")
-    monkeypatch.setattr(scenario._Validator, "iter_errors", iter_errors)
+    monkeypatch.setattr(scenario._jsonschema()[0], "iter_errors",
+                        iter_errors)
     for doc in DOCS.values():
         load_scenario(copy.deepcopy(doc))
+
+
+# run in a fresh interpreter: argv[1] the scenario directory, argv[2] a
+# JSON list of refused documents
+_LAZY_JSONSCHEMA = """
+import json, pathlib, sys
+from modnet import simnet
+from modnet.scenario import ScenarioError, load_scenario, load_scenario_file
+from workloads import WORKLOADS
+
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    simnet.build(load_scenario_file(str(path)).topology).stop()
+for wl in WORKLOADS.values():
+    simnet.build(load_scenario(wl.make_round(1, 0).doc).topology).stop()
+assert "jsonschema" not in sys.modules, "a valid document loaded jsonschema"
+
+def refusal(validate, doc):
+    try:
+        validate(doc)
+    except ScenarioError as exc:
+        return exc.message, exc.pointer
+
+refused = json.loads(sys.argv[2])
+got = [refusal(load_scenario, doc) for doc in refused]
+assert "jsonschema" in sys.modules
+from oracles import validate_document_oracle
+assert got == [refusal(validate_document_oracle, doc) for doc in refused], got
+print(json.dumps(got))
+"""
+
+
+def test_jsonschema_is_imported_only_to_name_a_refusal():
+    root = SCENARIO_DIR.parent
+    refused = [load_doc("echo.json"), load_doc("echo.json")]
+    refused[0]["nodes"][0]["address"] = 7
+    refused[1]["workload"][2]["args"]["size"] = 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / d) for d in ("src", "tests", "perfbench")))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_JSONSCHEMA, str(SCENARIO_DIR),
+         json.dumps(refused)],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["7 is not of type 'string'", "/nodes/0/address"],
+        ["0 is less than the minimum of 1", "/workload/2/args/size"]]
 
 
 def _subschemas(schema):
@@ -593,7 +670,8 @@ def _subschemas(schema):
                     scenario._SEND_ARGS)
     for sub in _subschemas(top)])
 def test_the_check_accepts_nothing_jsonschema_refuses(schema):
-    check, validator = scenario._predicate(schema), scenario._Validator(schema)
+    check = scenario._predicate(schema)
+    validator = scenario._jsonschema()[0](schema)
     values = [v for x in (1, 1.0, "", []) for v in _wrong_values(x)]
     values += [1, 64, 0.0, 1.0, 2**64 - 1, False, "ff", "fd00::1", "link",
                "DYNAMIC", "open", float("nan"), float("inf"), ["udp"],
