@@ -13,6 +13,7 @@ configuration, and an address with no cache entry is a counted drop.
 from __future__ import annotations
 
 import struct
+from bisect import insort
 
 from .netapi import (_MSG_SND, DEMUX_RAW, Module, NetMessage, OptionKey,
                      Unsupported, drop, recopy, up)
@@ -154,6 +155,10 @@ NEIGHBOR_CACHES = {"RING": RingNeighborCache, "SORTED": SortedNeighborCache}
 ON_LINK = object()  # next hop is the destination itself
 
 
+def _longest_first(route) -> int:
+    return -route[2]
+
+
 class ForwardingTable:
     """Static longest-prefix-match table.  ``Ipv6Module`` adds an on-link
     route for each interface address, with that address's prefix length.
@@ -167,8 +172,8 @@ class ForwardingTable:
     def add(self, prefix: bytes, plen: int, iface: int, next_hop=ON_LINK):
         mask = ((1 << plen) - 1) << (128 - plen)
         network = int.from_bytes(prefix, "big") & mask
-        self._routes.append((network, mask, plen, iface, next_hop))
-        self._routes.sort(key=lambda route: -route[2])
+        insort(self._routes, (network, mask, plen, iface, next_hop),
+               key=_longest_first)
 
     def lookup(self, dst: bytes):
         addr = int.from_bytes(dst, "big")

@@ -63,6 +63,7 @@ class AllocPriority(enum.IntEnum):
 # CPython 3.11: the per-frame paths of every layer read module aliases.
 _SEND_APP, _RECEIVE, _CONTROL = (AllocPriority.SEND_APP,
                                  AllocPriority.RECEIVE, AllocPriority.CONTROL)
+_PRIORITIES = tuple(AllocPriority)
 _SIXLOWPAN, _IPV6, _UDP, _APP = (ProtocolType.SIXLOWPAN, ProtocolType.IPV6,
                                  ProtocolType.UDP, ProtocolType.APP)
 
@@ -192,7 +193,7 @@ class PacketBuffer:
         self.reserve = int(capacity * RESERVE_FRAC)
         self.used = 0
         self.peak = 0
-        self.failed_allocs = {p: 0 for p in AllocPriority}
+        self.failed_allocs = dict.fromkeys(_PRIORITIES, 0)
         if locked:
             lock_methods(self, threading.RLock(), self._LOCKED)
 

@@ -198,6 +198,10 @@ _KEYWORDS = {"$schema", "type", "const", "enum", "minimum", "maximum",
 _TYPES = {"object": (dict,), "array": (list,), "string": (str,),
           "integer": (int,), "number": (int, float)}
 _NUMBER = _TYPES["number"]
+# the keywords whose own check refuses any value not of the JSON type
+_TYPED_BY = {"object": {"required", "properties", "additionalProperties"},
+             "array": {"minItems", "items"},
+             "string": {"minLength", "pattern"}}
 
 
 def _one_of(values: list):
@@ -219,7 +223,24 @@ def _predicate(schema: dict):
         raise ValueError(f"no fast check for {sorted(unknown)} or for an "
                          "additionalProperties other than false")
     s, checks = schema, []
-    if "type" in s:
+    if s.keys() & _TYPED_BY["object"]:  # one pass over an object's keys
+        props = {k: _predicate(sub)
+                 for k, sub in s.get("properties", {}).items()}
+        required = set(s.get("required", ()))
+        closed = "additionalProperties" in s
+
+        def obj(v):
+            if type(v) is not dict or not v.keys() >= required:
+                return False
+            if closed and not v.keys() <= props.keys():
+                return False
+            for k, x in v.items():
+                prop = props.get(k)
+                if prop is not None and not prop(x):
+                    return False
+            return True
+        checks.append(obj)
+    if "type" in s and not s.keys() & _TYPED_BY.get(s["type"], set()):
         checks.append(lambda v, types=_TYPES[s["type"]]: type(v) in types)
     if "const" in s:
         checks.append(_one_of([s["const"]]))
@@ -240,21 +261,6 @@ def _predicate(schema: dict):
     if "items" in s:
         item = _predicate(s["items"])
         checks.append(lambda v: type(v) is list and all(map(item, v)))
-    if "required" in s:
-        checks.append(lambda v, keys=set(s["required"]):
-                      type(v) is dict and v.keys() >= keys)
-    props = {k: _predicate(sub) for k, sub in s.get("properties", {}).items()}
-    if "additionalProperties" in s:
-        checks.append(lambda v: type(v) is dict and v.keys() <= props.keys())
-    if props:
-        def properties(v):
-            if type(v) is not dict:
-                return False
-            for k, x in v.items():
-                if k in props and not props[k](x):
-                    return False
-            return True
-        checks.append(properties)
     if len(checks) == 1:
         return checks[0]
 
@@ -296,15 +302,25 @@ def _pointer(error) -> str:
     return "/" + "/".join(str(p) for p in error.absolute_path)
 
 
-def _parse_ip(text: str, pointer: str) -> bytes:
-    try:
-        addr = IPv6Address(text)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), pointer) from None
+@functools.lru_cache(maxsize=1024)
+def _packed_ip(text: str) -> bytes:
+    """The 16 bytes of the IPv6 address ``text``, parsed once per distinct
+    text: a document names few addresses, each several times.  A refused
+    text raises ``ValueError``, which the cache does not keep."""
+    addr = IPv6Address(text)
     if addr.scope_id is not None:  # .packed would drop the zone
-        raise ScenarioError(f"{text!r} has a zone; an address here has none",
-                            pointer)
+        raise ValueError(f"{text!r} has a zone; an address here has none")
     return addr.packed
+
+
+def _parse_ip(text: str, *where) -> bytes:
+    """``text`` as packed bytes, or ``ScenarioError`` at the pointer whose
+    parts are ``where``, joined only then."""
+    try:
+        return _packed_ip(text)
+    except ValueError as exc:
+        pointer = "/" + "/".join(map(str, where))
+        raise ScenarioError(str(exc), pointer) from None
 
 
 _CHECK_DOC = _predicate(SCHEMA)
@@ -336,35 +352,35 @@ def _given(doc: dict, *keys) -> dict:
 
 
 def _node_desc(nj: dict, index: int) -> NodeDesc:
-    base = f"/nodes/{index}"
     offload = "offload" in nj["modules"]
     if offload and len(nj["modules"]) > 1:
         raise ScenarioError("offload replaces the whole stack",
-                            base + "/modules")
+                            f"/nodes/{index}/modules")
     if not offload and sorted(nj["modules"]) != sorted(STACK_MODULES):
         raise ScenarioError(f"modules must be {STACK_MODULES} or [offload]",
-                            base + "/modules")
-    address = (_parse_ip(nj["address"], base + "/address")
+                            f"/nodes/{index}/modules")
+    address = (_parse_ip(nj["address"], "nodes", index, "address")
                if "address" in nj else None)
     devices = [DeviceDesc(addr_short=bytes.fromhex(dj["addr_short"]),
                           addr_long=bytes.fromhex(dj["addr_long"]))
                for dj in nj.get("devices", ())]
     iface_addrs = {}
     for k, ia in enumerate(nj.get("iface_addrs", ())):
-        at = f"{base}/iface_addrs/{k}"
         if ia["iface"] in iface_addrs:  # one address per interface
             raise ScenarioError(f"interface {ia['iface']} is given twice",
-                                at + "/iface")
-        iface_addrs[ia["iface"]] = (_parse_ip(ia["addr"], at + "/addr"),
-                                    ia.get("prefix_len", IFACE_PREFIX_LEN))
-    routes = [RouteDesc(prefix=_parse_ip(rj["prefix"],
-                                         f"{base}/routes/{k}/prefix"),
+                                f"/nodes/{index}/iface_addrs/{k}/iface")
+        iface_addrs[ia["iface"]] = (
+            _parse_ip(ia["addr"], "nodes", index, "iface_addrs", k, "addr"),
+            ia.get("prefix_len", IFACE_PREFIX_LEN))
+    routes = [RouteDesc(prefix=_parse_ip(rj["prefix"], "nodes", index,
+                                         "routes", k, "prefix"),
                         prefix_len=rj["prefix_len"], iface=rj["iface"],
-                        next_hop=(_parse_ip(rj["next_hop"],
-                                            f"{base}/routes/{k}/next_hop")
+                        next_hop=(_parse_ip(rj["next_hop"], "nodes", index,
+                                            "routes", k, "next_hop")
                                   if "next_hop" in rj else None))
               for k, rj in enumerate(nj.get("routes", ()))]
-    neighbors = [(_parse_ip(ng["addr"], f"{base}/neighbors/{k}/addr"),
+    neighbors = [(_parse_ip(ng["addr"], "nodes", index, "neighbors", k,
+                            "addr"),
                   bytes.fromhex(ng["link"]))
                  for k, ng in enumerate(nj.get("neighbors", ()))]
     opts = _given(nj, "offload_peer", "buffer_capacity", "neighbor_cache")
@@ -388,21 +404,21 @@ def load_scenario(doc: dict) -> Scenario:
     workload, opened = [], set()
     for i, wj in sorted(enumerate(doc.get("workload", ())),
                         key=lambda item: item[1]["t_us"]):
-        at = f"/workload/{i}"
         if wj["node"] not in addr_of:
-            raise ScenarioError(f"unknown node {wj['node']!r}", at + "/node")
+            raise ScenarioError(f"unknown node {wj['node']!r}",
+                                f"/workload/{i}/node")
         op = WorkloadOp(t_us=wj["t_us"], node=wj["node"], op=wj["op"],
                         args=wj.get("args", {}))
         if op.op == "open":
             key = (op.node, op.args["port"])
             if key in opened:
                 raise ScenarioError(f"port {key[1]} of node {op.node!r} is "
-                                    "already open", at + "/args/port")
+                                    "already open", f"/workload/{i}/args/port")
         else:
             key = (op.node, op.args["src_port"])
             dst = op.args["dst"]
             op.dst = (addr_of[dst] if dst in addr_of
-                      else _parse_ip(dst, at + "/args/dst"))
+                      else _parse_ip(dst, "workload", i, "args", "dst"))
         opened.add(key)
         workload.append(op)
     topology = Topology(nodes=nodes, links=links, **_given(doc, "seed"))

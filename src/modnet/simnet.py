@@ -80,70 +80,99 @@ class Topology:
     seed: int = 1
 
 
-def _pair(value, pointer: str):
-    """``value`` if it is a pair, else ``InvalidTopology`` at ``pointer``."""
-    if not (isinstance(value, (tuple, list)) and len(value) == 2):
-        raise InvalidTopology(f"{value!r} is not a pair", pointer)
-    return value
+def _is_not(value, what: str, pointer: str) -> InvalidTopology:
+    return InvalidTopology(f"{value!r} is not {what}", pointer)
+
+
+def _check_bytes(value, size: int, *where) -> None:
+    """Refuse ``value`` unless it is ``size`` bytes, at the pointer whose
+    parts are ``where``, joined only then."""
+    if not (isinstance(value, bytes) and len(value) == size):
+        pointer = "/" + "/".join(map(str, where))
+        raise InvalidTopology(f"{value!r} is not {size} bytes", pointer)
+
+
+_SEQUENCE = (list, tuple)
 
 
 def check_topology(topology: Topology) -> list:
     """Raise ``InvalidTopology`` at the first field that breaks a rule;
-    return each link's two ends as ``(node name, device index)`` pairs."""
+    return each link's two ends as ``(node name, device index)`` pairs.
+    A pointer is formatted only for the rule that fails: a valid topology
+    formats none."""
+    seed = topology.seed
+    if not (type(seed) is int and 0 <= seed < 1 << 64):  # nor a bool
+        raise _is_not(seed, "an int in 0..2**64-1", "/seed")
     nodes: dict[str, NodeDesc] = {}
     for i, nd in enumerate(topology.nodes):
-        at = f"/nodes/{i}"
+        if not isinstance(nd, NodeDesc):
+            raise _is_not(nd, "a NodeDesc", f"/nodes/{i}")
         if nd.name in nodes:
             raise InvalidTopology(f"duplicate node name {nd.name!r}",
-                                  at + "/name")
+                                  f"/nodes/{i}/name")
         nodes[nd.name] = nd
         if not (nd.offload or nd.devices):
             raise InvalidTopology("a stack node needs a device",
-                                  at + "/devices")
-        sized = [(nd.address, 16, "/address")]  # (value, length, pointer)
-        for j, dd in enumerate(nd.devices):
-            sized += [(dd.addr_short, 2, f"/devices/{j}"),
-                      (dd.addr_long, 8, f"/devices/{j}")]
-        for k, pair in enumerate(nd.neighbors):
-            ip, link_addr = _pair(pair, f"{at}/neighbors/{k}")
-            sized += [(ip, 16, f"/neighbors/{k}/addr"),
-                      (link_addr, 8, f"/neighbors/{k}/link")]
-        iface_addrs = [(iface, *_pair(pair, f"{at}/iface_addrs/{k}"))
-                       for k, (iface, pair)
-                       in enumerate(nd.iface_addrs.items())]
-        for k, (_, addr, _) in enumerate(iface_addrs):
-            sized.append((addr, 16, f"/iface_addrs/{k}/addr"))
-        for k, rt in enumerate(nd.routes):
-            sized.append((rt.prefix, 16, f"/routes/{k}/prefix"))
+                                  f"/nodes/{i}/devices")
+        if type(nd.offload) is not bool:
+            raise _is_not(nd.offload, "a bool", f"/nodes/{i}/offload")
+        devices, neighbors, routes = nd.devices, nd.neighbors, nd.routes
+        iface_addrs = nd.iface_addrs
+        for key, value in (("devices", devices), ("neighbors", neighbors),
+                           ("routes", routes)):
+            if not isinstance(value, _SEQUENCE):
+                raise _is_not(value, "a list", f"/nodes/{i}/{key}")
+        if not isinstance(iface_addrs, dict):
+            raise _is_not(iface_addrs, "a dict", f"/nodes/{i}/iface_addrs")
+        for key, pairs in (("neighbors", neighbors),
+                           ("iface_addrs", iface_addrs.values())):
+            for k, pair in enumerate(pairs):
+                if not (isinstance(pair, _SEQUENCE) and len(pair) == 2):
+                    raise _is_not(pair, "a pair", f"/nodes/{i}/{key}/{k}")
+        _check_bytes(nd.address, 16, "nodes", i, "address")
+        for j, dd in enumerate(devices):
+            if not isinstance(dd, DeviceDesc):
+                raise _is_not(dd, "a DeviceDesc", f"/nodes/{i}/devices/{j}")
+            _check_bytes(dd.addr_short, 2, "nodes", i, "devices", j)
+            _check_bytes(dd.addr_long, 8, "nodes", i, "devices", j)
+        for k, (ip, link_addr) in enumerate(neighbors):
+            _check_bytes(ip, 16, "nodes", i, "neighbors", k, "addr")
+            _check_bytes(link_addr, 8, "nodes", i, "neighbors", k, "link")
+        for k, (addr, _) in enumerate(iface_addrs.values()):
+            _check_bytes(addr, 16, "nodes", i, "iface_addrs", k, "addr")
+        for k, rt in enumerate(routes):
+            if not isinstance(rt, RouteDesc):
+                raise _is_not(rt, "a RouteDesc", f"/nodes/{i}/routes/{k}")
+            _check_bytes(rt.prefix, 16, "nodes", i, "routes", k, "prefix")
             if rt.next_hop is not None:
-                sized.append((rt.next_hop, 16, f"/routes/{k}/next_hop"))
-        for value, size, where in sized:
-            if not (isinstance(value, bytes) and len(value) == size):
-                raise InvalidTopology(f"{value!r} is not {size} bytes",
-                                      at + where)
+                _check_bytes(rt.next_hop, 16, "nodes", i, "routes", k,
+                             "next_hop")
         if type(nd.buffer_capacity) is not int:  # nor a bool
             raise InvalidTopology(f"buffer capacity {nd.buffer_capacity!r} "
-                                  "is not an int", at + "/buffer_capacity")
+                                  "is not an int",
+                                  f"/nodes/{i}/buffer_capacity")
         if not isinstance(nd.backend, Backend):
             raise InvalidTopology(f"backend {nd.backend!r} is not a "
-                                  "pktbuf.Backend", at + "/backend")
+                                  "pktbuf.Backend", f"/nodes/{i}/backend")
         if not (type(nd.neighbor_cache) is str
                 and nd.neighbor_cache in NEIGHBOR_CACHES):
             raise InvalidTopology(f"no neighbor cache {nd.neighbor_cache!r}",
-                                  at + "/neighbor_cache")
+                                  f"/nodes/{i}/neighbor_cache")
         for key, entries in (
                 ("iface_addrs", [(iface, plen)
-                                 for iface, _, plen in iface_addrs]),
-                ("routes", [(rt.iface, rt.prefix_len) for rt in nd.routes])):
+                                 for iface, (_, plen)
+                                 in iface_addrs.items()]),
+                ("routes", [(rt.iface, rt.prefix_len) for rt in routes])):
             for k, (iface, plen) in enumerate(entries):
                 if not (type(iface) is int and (
-                        nd.offload or 0 <= iface < len(nd.devices))):
+                        nd.offload or 0 <= iface < len(devices))):
                     raise InvalidTopology(f"interface {iface!r} names no "
-                                          "device", f"{at}/{key}/{k}/iface")
+                                          "device",
+                                          f"/nodes/{i}/{key}/{k}/iface")
                 if type(plen) is not int or not 0 <= plen <= 128:
                     raise InvalidTopology(f"prefix length {plen!r} is not "
                                           "an int in 0..128",
-                                          f"{at}/{key}/{k}/prefix_len")
+                                          f"/nodes/{i}/{key}/{k}/prefix_len")
     for i, nd in enumerate(topology.nodes):
         peer = nodes.get(nd.offload_peer)
         if nd.offload_peer is not None and not (
@@ -153,33 +182,37 @@ def check_topology(topology: Topology) -> list:
                                   "offload node", f"/nodes/{i}/offload_peer")
     linked = {}  # each pair of devices -> the link's ends, in link order
     for i, ld in enumerate(topology.links):
-        at = f"/links/{i}"
+        if not isinstance(ld, LinkDesc):
+            raise _is_not(ld, "a LinkDesc", f"/links/{i}")
         ends = []
         for end in ("a", "b"):
             spec = getattr(ld, end)
             if type(spec) is not str:
                 raise InvalidTopology(f"link end {spec!r} is not a str",
-                                      f"{at}/{end}")
+                                      f"/links/{i}/{end}")
             name, colon, idx = spec.partition(":")
             if name not in nodes:
-                raise InvalidTopology(f"unknown node {name!r}", f"{at}/{end}")
+                raise InvalidTopology(f"unknown node {name!r}",
+                                      f"/links/{i}/{end}")
             if (colon and not (idx.isascii() and idx.isdigit())
                     or int(idx or 0) >= len(nodes[name].devices)):
                 raise InvalidTopology(f"{spec!r} names no device",
-                                      f"{at}/{end}")
+                                      f"/links/{i}/{end}")
             ends.append((name, int(idx or 0)))
         if ends[0] == ends[1]:
-            raise InvalidTopology("a link joins a device to itself", at)
-        if frozenset(ends) in linked:
+            raise InvalidTopology("a link joins a device to itself",
+                                  f"/links/{i}")
+        pair = frozenset(ends)
+        if pair in linked:
             raise InvalidTopology("an earlier link joins the same devices",
-                                  at)
-        linked[frozenset(ends)] = ends
+                                  f"/links/{i}")
+        linked[pair] = ends
         if type(ld.loss) not in (int, float) or not 0 <= ld.loss <= 1:
             raise InvalidTopology(f"loss {ld.loss!r} is not a number in "
-                                  "[0, 1]", at + "/loss")
+                                  "[0, 1]", f"/links/{i}/loss")
         if type(ld.delay_us) is not int or ld.delay_us < 0:
             raise InvalidTopology(f"delay {ld.delay_us!r} is not an int "
-                                  ">= 0", at + "/delay_us")
+                                  ">= 0", f"/links/{i}/delay_us")
     return list(linked.values())
 
 

@@ -1,5 +1,6 @@
 """Scenario loading/validation and the command-line front end."""
 
+import collections
 import copy
 import json
 import os
@@ -7,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from ipaddress import IPv6Address
 
 import jsonschema
 import pytest
@@ -122,6 +124,62 @@ def test_a_zoned_address_is_refused_at_its_pointer(name, path):
         load_scenario(doc)
     assert exc.value.pointer == "/" + "/".join(map(str, path))
     assert "zone" in exc.value.message
+
+
+# accepted: compressed, upper case, "::", IPv4-embedded, leading zeros;
+# refused: malformed, IPv4 alone, and zoned (IPv6Address takes a zone)
+_ADDRESS_TEXTS = [
+    "fd00::1", "FD00::1", "fd00:0:0:1::fe", "::", "::1",
+    "2001:0db8:0000:0000:0000:0000:0000:0001", "fd00:0000::0001", "fd00::01",
+    "::ffff:192.0.2.1", "64:ff9b::10.0.0.1",
+    "fd00::1::2", "fd00:::1", "12345::", "fd00::00001", "g::1", "192.0.2.1",
+    "::ffff:192.0.2.256", "::ffff:192.0.02.1", "fd00::1%eth0", "fe80::1%1",
+]
+
+
+@pytest.mark.parametrize("text", _ADDRESS_TEXTS)
+def test_cached_address_parse_matches_ipaddress(text):
+    try:
+        addr = IPv6Address(text)
+    except ValueError as exc:
+        addr, refusal = None, str(exc)
+    else:
+        refusal = (f"{text!r} has a zone; an address here has none"
+                   if addr.scope_id is not None else None)
+    doc = load_doc("echo.json")
+    doc["nodes"][1]["neighbors"][0]["addr"] = text
+    for _ in range(2):  # a refusal is not cached: the second load refuses
+        if refusal is None:
+            neighbors = load_scenario(doc).topology.nodes[1].neighbors
+            assert neighbors[0][0] == addr.packed
+            continue
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(doc)
+        assert exc.value.message == refusal
+        assert exc.value.pointer == "/nodes/1/neighbors/0/addr"
+
+
+def test_the_address_cache_is_bounded():
+    maxsize = scenario._packed_ip.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 1):
+        scenario._parse_ip(f"fd00::{n:x}", "address")
+    assert scenario._packed_ip.cache_info().currsize == maxsize
+
+
+def test_each_distinct_address_text_is_parsed_once(monkeypatch):
+    parsed = collections.Counter()
+
+    def counting(text):
+        parsed[text] += 1
+        return IPv6Address(text)
+    monkeypatch.setattr(scenario, "IPv6Address", counting)
+    scenario._packed_ip.cache_clear()
+    doc = load_doc("border_router.json")  # 13 addresses, 5 distinct texts
+    for _ in range(2):
+        load_scenario(copy.deepcopy(doc))
+    assert parsed == dict.fromkeys(["fd00:0:0:1::1", "fd00:0:0:1::fe", "::",
+                                    "fd00:0:0:2::fe", "fd00:0:0:2::1"], 1)
 
 
 def test_bad_send_args_pointer():
@@ -326,6 +384,23 @@ def test_send_the_buffer_refuses_is_counted():
      {0: (IP_R_A, 64), 1: IP_R_B}, "/nodes/1/iface_addrs/1"),
     (three_node_router, "nodes/1/iface_addrs",
      {0: (IP_R_A, 64, 0)}, "/nodes/1/iface_addrs/0"),
+    # entries and containers of the wrong type
+    (two_node, "nodes/1", None, "/nodes/1"),
+    (two_node, "nodes/0/devices", [None], "/nodes/0/devices/0"),
+    (three_node_router, "nodes/2/routes", [None], "/nodes/2/routes/0"),
+    (two_node, "links", [None], "/links/0"),
+    (three_node_router, "nodes/1/iface_addrs", [(IP_R_A, 64)],
+     "/nodes/1/iface_addrs"),
+    (two_node, "nodes/1/neighbors", None, "/nodes/1/neighbors"),
+    (offload_pair, "nodes/0/devices", None, "/nodes/0/devices"),
+    (three_node_router, "nodes/0/routes", None, "/nodes/0/routes"),
+    # the schema's seed range, and an offload flag that is a bool
+    (two_node, "seed", "x", "/seed"),
+    (two_node, "seed", True, "/seed"),
+    (two_node, "seed", -1, "/seed"),
+    (two_node, "seed", 2**64, "/seed"),
+    (two_node, "nodes/0/offload", "yes", "/nodes/0/offload"),
+    (offload_pair, "nodes/1/offload", 1, "/nodes/1/offload"),
 ])
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()
@@ -333,7 +408,10 @@ def test_hand_built_topology_rules(make, path, value, pointer):
     target = topology
     for key in parents:
         target = target[int(key)] if key.isdigit() else getattr(target, key)
-    setattr(target, last, value)
+    if last.isdigit():
+        target[int(last)] = value
+    else:
+        setattr(target, last, value)
     with pytest.raises(InvalidTopology) as exc:
         build(topology)
     assert exc.value.pointer == pointer
