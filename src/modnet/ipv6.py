@@ -15,8 +15,9 @@ from __future__ import annotations
 import struct
 from bisect import insort
 
+from . import netapi
 from .netapi import (_MSG_SND, DEMUX_RAW, Module, NetMessage, OptionKey,
-                     Unsupported, drop, recopy, up)
+                     Unsupported, drop, recopy)
 from .pktbuf import (_IPV6, _RECEIVE, _SEND_APP, _UDP, NoBufferSpace,
                      ProtocolType)
 
@@ -264,7 +265,8 @@ class Ipv6Module(Module):
             if chain is not None:
                 meta = {"src_ip": src, "dst_ip": dst,
                         "packet_id": pid, "hop_limit": hop_limit}
-                up(ctx, _IPV6, next_header, chain, meta, "ipv6_no_proto")
+                netapi.dispatch(node, _IPV6, next_header, chain, meta,
+                                "ipv6_no_proto")
             return
         # forwarding path
         if hop_limit <= 1:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import struct
 from collections import deque
 
+from . import netapi
 from .metrics import CopySite
-from .netapi import _MSG_SND, DEMUX_ALL, Module, drop, up
+from .netapi import _MSG_SND, DEMUX_ALL, Module, drop
 from .netdev import _BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace
 
@@ -144,7 +145,8 @@ class LinkModule(Module):
         if metrics.recording:
             metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(payload))
         meta = {"src_link": src, "dst_link": dst, "packet_id": pid}
-        up(ctx, _SIXLOWPAN, DEMUX_ALL, snip, meta, "link_rx_no_receiver")
+        netapi.dispatch(node, _SIXLOWPAN, DEMUX_ALL, snip, meta,
+                        "link_rx_no_receiver")
 
     # -- options: the device's own --------------------------------------------
     def get_option(self, key):

@@ -20,17 +20,18 @@ every layer's one reader of a command: it unpacks the option as one
 or a ``ValueError``, ``TypeError`` or ``OverflowError`` from a value that
 does not parse is answered ``ENOTSUP``.  Both hooks raise ``Unsupported``
 by default, so a layer names only the options it serves.  ``drop``,
-``recopy`` and ``up`` hold the code layers share.  Any plain
+``recopy`` and ``dispatch`` hold the code layers share; each, like ``post``,
+takes the caller's reference to its packet.  Any plain
 ``handler(ctx, msg)`` callable still works as a module.
 
 Upward packet flow is composed through the registry: modules and sockets
 bind (protocol, demux context) pairs to their mailboxes and ``dispatch``
 fans packets out to every match.  As in GNRC, n matches cost n - 1
-holds: the caller's own reference goes to a receiver.  A packet
-dispatched under (proto, demux) matches the targets registered under that
-exact key, then those registered under (proto, ``DEMUX_ALL``), each in
-registration order; dispatching under ``DEMUX_ALL`` itself matches the
-wildcard targets once.
+holds: the caller's own reference goes to a receiver, or is released as
+a counted miss.  A packet dispatched under (proto, demux) matches the
+targets registered under that exact key, then those registered under
+(proto, ``DEMUX_ALL``), each in registration order; dispatching under
+``DEMUX_ALL`` itself matches the wildcard targets once.
 Downward, a layer posts to the context below it, which ``simnet`` hands
 it when it builds the node.
 
@@ -189,15 +190,19 @@ class Registry:
         return [*get((proto, demux_ctx), ()), *get((proto, DEMUX_ALL), ())]
 
 
-def dispatch(node, proto, demux_ctx, pkt: Snip, meta=None) -> int:
+def dispatch(node, proto, demux_ctx, pkt: Snip, meta, miss_counter) -> int:
     """Fan a packet out to every registered receiver; returns how many.
 
     All holds come before any post, so a refused post releases only its
-    receiver's reference.  With zero matches the caller keeps its
-    reference and must release the packet itself.  Every receiver gets
-    the caller's ``meta`` dict itself, so no receiver may write it.
+    receiver's reference.  With zero matches the caller's reference is
+    released, counted as ``miss_counter``.  Every receiver gets the
+    caller's ``meta`` dict itself, so no receiver may write it.
     """
     targets = node.registry.lookup(proto, demux_ctx)
+    if not targets:
+        node.pktbuf.release(pkt)
+        node.metrics.count(miss_counter)
+        return 0
     for _ in range(len(targets) - 1):
         node.pktbuf.hold(pkt)
     for target in targets:
@@ -249,17 +254,6 @@ def recopy(ctx, pkt: Snip, payload: bytes, proto, pid,
     if node.metrics.recording:
         node.metrics.record_copy(CopySite.BUF_INTERNAL, pid, len(payload))
     return snip
-
-
-def up(ctx, proto, demux_ctx, pkt: Snip, meta, miss_counter: str):
-    """Deliver a packet upward through the registry and give up the
-    caller's reference: to a receiver, or released and counted as
-    ``miss_counter`` when nobody matched."""
-    node = ctx.node
-    # a global lookup, so a wrapper installed on ``netapi.dispatch`` sees it
-    if not dispatch(node, proto, demux_ctx, pkt, meta):
-        node.pktbuf.release(pkt)
-        node.metrics.count(miss_counter)
 
 
 class Module:

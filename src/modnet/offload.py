@@ -11,8 +11,9 @@ the chip's bytes in ``meta["raw"]`` and no chain.
 
 from __future__ import annotations
 
+from . import netapi
 from .metrics import CopySite
-from .netapi import Module, MsgKind, NetMessage, OptionKey, drop, up
+from .netapi import Module, MsgKind, NetMessage, OptionKey, drop
 from .pktbuf import AllocPriority, NoBufferSpace, ProtocolType
 
 BRIDGE_DELAY_US = 10
@@ -77,5 +78,5 @@ class OffloadModule(Module):
         meta = {"src_ip": msg.meta.get("src_ip"),
                 "src_port": msg.meta.get("src_port"),
                 "dst_port": msg.meta.get("dst_port"), "packet_id": pid}
-        up(ctx, ProtocolType.UDP, meta["dst_port"], snip, meta,
-           "offload_rx_no_port")
+        netapi.dispatch(node, ProtocolType.UDP, meta["dst_port"], snip, meta,
+                        "offload_rx_no_port")

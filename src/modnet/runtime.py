@@ -49,10 +49,12 @@ one thread, and a CPython lock costs more than most calls it guards.  No
 code holding one of those locks takes the pool's condition, so ``post``
 may count and release a dropped message's chain under the condition.
 
-Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV, counted,
-packet released) but never control messages -- option traffic back-pressures
+Mailbox policy: overflow drops data messages (MSG_SND/MSG_RCV) as
+``mailbox_drops``, never control messages -- option traffic back-pressures
 the sender instead of disappearing, which keeps the control plane deadlock-
-and loss-free.  Device notifications are treated as control.
+and loss-free.  Device notifications are treated as control.  A closed
+context's refused and drained messages are ``closed_drops``.  Both go
+through ``netapi.drop``, which releases the packet.
 """
 
 from __future__ import annotations
@@ -101,11 +103,6 @@ class ModuleContext:
         return f"<ModuleContext {self.node.name}/{self.name}>"
 
 
-def _release_pkt(msg):
-    if isinstance(msg, NetMessage) and msg.pkt is not None:
-        msg.pkt._buf.release(msg.pkt)
-
-
 class Node:
     """One simulated device: registry, packet buffer, module contexts."""
 
@@ -139,7 +136,8 @@ class Node:
             ctx.module.on_shutdown(ctx)
         for lane in (ctx._ctrl, ctx._data):
             while lane:
-                _release_pkt(lane.popleft())
+                netapi.drop(ctx, getattr(lane.popleft(), "pkt", None),
+                            "closed_drops")
         self.modules.pop(ctx.name, None)
         self.aux.pop(ctx.name, None)
 
@@ -194,7 +192,7 @@ class _SchedulerBase:
 
     def post(self, ctx: ModuleContext, msg) -> bool:
         if ctx.closed:
-            _release_pkt(msg)
+            netapi.drop(ctx, getattr(msg, "pkt", None), "closed_drops")
             return False
         kind = getattr(msg, "kind", None)
         if kind is not _MSG_SND and kind is not _MSG_RCV:
@@ -202,8 +200,7 @@ class _SchedulerBase:
         elif len(ctx._data) < ctx.capacity:
             ctx._data.append(msg)
         else:
-            self.metrics.count("mailbox_drops")
-            _release_pkt(msg)
+            netapi.drop(ctx, msg.pkt, "mailbox_drops")
             return False
         if self.trace is not None:  # par calls this under its condition
             self.trace.append(

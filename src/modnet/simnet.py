@@ -103,10 +103,15 @@ def check_topology(topology: Topology) -> list:
     seed = topology.seed
     if not (type(seed) is int and 0 <= seed < 1 << 64):  # nor a bool
         raise _is_not(seed, "an int in 0..2**64-1", "/seed")
+    for key, value in (("nodes", topology.nodes), ("links", topology.links)):
+        if not isinstance(value, _SEQUENCE):
+            raise _is_not(value, "a list", f"/{key}")
     nodes: dict[str, NodeDesc] = {}
     for i, nd in enumerate(topology.nodes):
         if not isinstance(nd, NodeDesc):
             raise _is_not(nd, "a NodeDesc", f"/nodes/{i}")
+        if not (type(nd.name) is str and nd.name):
+            raise _is_not(nd.name, "a non-empty str", f"/nodes/{i}/name")
         if nd.name in nodes:
             raise InvalidTopology(f"duplicate node name {nd.name!r}",
                                   f"/nodes/{i}/name")
@@ -116,6 +121,9 @@ def check_topology(topology: Topology) -> list:
                                   f"/nodes/{i}/devices")
         if type(nd.offload) is not bool:
             raise _is_not(nd.offload, "a bool", f"/nodes/{i}/offload")
+        if not (nd.offload_peer is None or type(nd.offload_peer) is str):
+            raise _is_not(nd.offload_peer, "None or a str",
+                          f"/nodes/{i}/offload_peer")
         devices, neighbors, routes = nd.devices, nd.neighbors, nd.routes
         iface_addrs = nd.iface_addrs
         for key, value in (("devices", devices), ("neighbors", neighbors),

@@ -23,10 +23,11 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 
+from . import netapi
 from .link import MAX_PAYLOAD
 from .metrics import REASSEMBLY_ENTRY_OVERHEAD, CopySite
 from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
-                     recopy, up)
+                     recopy)
 from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
                      ProtocolType)
 
@@ -304,16 +305,17 @@ class SixlowpanModule(Module):
             chain = recopy(ctx, msg.pkt, data, _IPV6, pid,
                            "sixlowpan_rx_drops_nobuf")
             if chain is not None:
-                up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": pid},
-                   "sixlowpan_rx_no_receiver")
+                netapi.dispatch(node, _IPV6, DEMUX_RAW, chain,
+                                {"packet_id": pid}, "sixlowpan_rx_no_receiver")
             return
         # fragmented path
         if node.metrics.recording and entry_pid and entry_pid != pid:
             node.metrics.merge_packet(entry_pid, pid)
         node.pktbuf.release(msg.pkt)
         if status is _COMPLETE:
-            up(ctx, _IPV6, DEMUX_RAW, chain, {"packet_id": entry_pid},
-               "sixlowpan_rx_no_receiver")
+            netapi.dispatch(node, _IPV6, DEMUX_RAW, chain,
+                            {"packet_id": entry_pid},
+                            "sixlowpan_rx_no_receiver")
         elif status is _INCOMPLETE:
             # the scheduler sets now_us to the due time before it fires
             due = node.sched.now_us + table.timeout_us + 1

@@ -23,9 +23,10 @@ from __future__ import annotations
 import struct
 from collections import deque
 
+from . import netapi
 from .ipv6 import NEXT_HEADER_UDP
 from .metrics import CopySite
-from .netapi import _MSG_SND, Module, NetMessage, drop, recopy, up
+from .netapi import _MSG_SND, Module, NetMessage, drop, recopy
 from .pktbuf import _APP, _SEND_APP, _UDP, NoBufferSpace, ProtocolType
 
 HEADER = struct.Struct("!HHHH")  # src_port, dst_port, length, checksum
@@ -139,7 +140,8 @@ class UdpModule(Module):
         meta = {"src_ip": msg.meta["src_ip"], "src_port": src_port,
                 "dst_port": dst_port, "packet_id": pid,
                 "hop_limit": msg.meta.get("hop_limit")}
-        up(ctx, _UDP, dst_port, chain, meta, "udp_rx_no_port")
+        netapi.dispatch(ctx.node, _UDP, dst_port, chain, meta,
+                        "udp_rx_no_port")
 
 
 class Socket:
@@ -207,7 +209,8 @@ class Socket:
         return self.recvfrom()
 
     def close(self):
-        """Unbind the port and release the queued datagrams; idempotent."""
+        """Unbind the port and release the queued datagrams, each counted
+        as ``sock_close_drops``; idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -215,7 +218,7 @@ class Socket:
         ctx.node.registry.unregister(ProtocolType.UDP, self.port, ctx)
         self.layer.ports.pop(self.port, None)
         while self.queue:
-            ctx.node.pktbuf.release(self.queue.popleft()[2])
+            drop(ctx, self.queue.popleft()[2], "sock_close_drops")
 
     # -- called from the sock context ------------------------------------------
     def _deliver(self, ctx, src_ip, src_port, pkt, pid, hop_limit=None):
@@ -248,6 +251,8 @@ class SocketLayer(Module):
         if type(queue_capacity) is not int or queue_capacity < 1:  # nor a bool
             raise UdpError(f"queue capacity {queue_capacity!r} is not an "
                            "int of at least 1")
+        if self.ctx.closed:
+            raise UdpError(f"port {port}: the sock context is shut down")
         if port in self.ports:
             raise PortInUse(f"port {port}")
         sock = Socket(self, port, queue_capacity)

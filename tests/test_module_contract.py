@@ -355,7 +355,8 @@ def test_the_benchmark_tracer_sees_the_stack(monkeypatch):
     figures = tracer.layer_metrics(ops=1)
     for name in ("runtime.mailbox_hwm", "runtime.heap_peak",
                  "pktbuf.alloc_calls_per_op", "pktbuf.to_bytes_bytes_per_op",
-                 "sixlowpan.expire_calls_per_op"):
+                 "sixlowpan.expire_calls_per_op",
+                 "netapi.dispatch_calls_per_op"):
         assert figures[name][0] > 0, name
     assert copies.bytes > 0
 
@@ -403,6 +404,20 @@ def test_no_module_state_is_read_through_a_handler():
                                  and parent.func is node)):
                     reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def test_no_module_imports_dispatch_by_name():
+    """``perfbench/tracer.py`` wraps ``netapi.dispatch`` on the module, so
+    a layer reaches it as ``netapi.dispatch``: a name bound by ``from
+    .netapi import dispatch`` would keep the unwrapped function and hide
+    every upward hop from the tracer."""
+    src = pathlib.Path(__file__).parent.parent / "src" / "modnet"
+    imports = [f"{path.name}:{node.lineno}"
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and any(alias.name == "dispatch" for alias in node.names)]
+    assert imports == []
 
 
 @pytest.mark.parametrize("name", ["echo_frag.json", "border_router.json"])

@@ -39,7 +39,7 @@ def test_register_then_dispatch_delivers():
     ctx = node.spawn_module("m", handler)
     node.registry.register(ProtocolType.UDP, 5683, ctx)
     pkt = node.pktbuf.alloc_snip(size=10)
-    n = netapi.dispatch(node, ProtocolType.UDP, 5683, pkt)
+    n = netapi.dispatch(node, ProtocolType.UDP, 5683, pkt, {}, "miss")
     assert n == 1
     assert pkt.users == 1  # the caller's reference went to the receiver
     sched.run_until()
@@ -77,7 +77,7 @@ def test_dispatch_two_receivers_holds_twice():
     node.registry.register(ProtocolType.UDP, 5683, c1)
     node.registry.register(ProtocolType.UDP, 5683, c2)
     pkt = node.pktbuf.alloc_snip(size=10)
-    assert netapi.dispatch(node, ProtocolType.UDP, 5683, pkt) == 2
+    assert netapi.dispatch(node, ProtocolType.UDP, 5683, pkt, {}, "miss") == 2
     assert pkt.users == 2  # one hold for the second receiver
     sched.run_until()
     assert len(r1) == len(r2) == 1
@@ -153,11 +153,11 @@ def test_lookup_lists_exact_then_wildcard_targets():
     assert len(reg) == 4
 
 
-def test_dispatch_no_receivers():
+def test_dispatch_no_receivers_releases_and_counts():
     sched, node = make_node()
     pkt = node.pktbuf.alloc_snip(size=10)
-    assert netapi.dispatch(node, ProtocolType.UDP, 1234, pkt) == 0
-    node.pktbuf.release(pkt)
+    assert netapi.dispatch(node, ProtocolType.UDP, 1234, pkt, {}, "miss") == 0
+    assert node.metrics.get("miss") == 1
     assert node.pktbuf.stats().used == 0
 
 
@@ -170,7 +170,7 @@ def test_dispatch_wildcard_union():
     node.registry.register(ProtocolType.UDP, DEMUX_ALL, c1)
     node.registry.register(ProtocolType.UDP, 80, c2)
     pkt = node.pktbuf.alloc_snip(size=4)
-    assert netapi.dispatch(node, ProtocolType.UDP, 80, pkt) == 2
+    assert netapi.dispatch(node, ProtocolType.UDP, 80, pkt, {}, "miss") == 2
     assert pkt.users == 2
     sched.run_until()
     assert len(r1) == len(r2) == 1
@@ -181,7 +181,7 @@ def test_dispatch_wildcard_union():
 def test_dispatch_holds_once_less_than_it_has_receivers(monkeypatch,
                                                          receivers):
     """GNRC's rule: the caller's reference goes to a receiver, so n
-    receivers cost n - 1 holds; with none it stays with the caller."""
+    receivers cost n - 1 holds; with none it is released, counted."""
     sched, node = make_node()
     holds = []
     hold = node.pktbuf.hold
@@ -191,11 +191,11 @@ def test_dispatch_holds_once_less_than_it_has_receivers(monkeypatch,
         ctx = node.spawn_module(f"m{i}", collector()[0])
         node.registry.register(ProtocolType.UDP, 7, ctx)
     pkt = node.pktbuf.alloc_snip(size=10)
-    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == receivers
+    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt, {},
+                           "miss") == receivers
     assert len(holds) == max(receivers - 1, 0)
-    assert pkt.users == max(receivers, 1)
-    if not receivers:
-        node.pktbuf.release(pkt)  # still the caller's to release
+    assert pkt.users == receivers
+    assert node.metrics.get("miss") == (not receivers)
     sched.run_until()
     assert node.pktbuf.stats().used == 0
 
@@ -210,7 +210,7 @@ def test_dispatch_refused_post_releases_that_receivers_reference():
     node.registry.register(ProtocolType.UDP, 7, other)
     assert sched.post(full, NetMessage(kind=MsgKind.MSG_RCV))  # lane full
     pkt = node.pktbuf.alloc_snip(size=10)
-    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt) == 2
+    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt, {}, "miss") == 2
     assert node.metrics.get("mailbox_drops") == 1
     assert pkt.users == 1  # the accepted receiver's reference
     sched.run_until()
@@ -397,9 +397,28 @@ def test_shutdown_module_reclaims_and_unregisters():
     node.shutdown_module(ctx)  # idempotent
     assert len(node.registry) == 0
     assert node.pktbuf.stats().used == 0
+    assert node.metrics.get("closed_drops") == 1  # the drained message
     pkt2 = node.pktbuf.alloc_snip(size=16)
-    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt2) == 0
-    node.pktbuf.release(pkt2)
+    assert netapi.dispatch(node, ProtocolType.UDP, 7, pkt2, {}, "miss") == 0
+    assert node.metrics.get("miss") == 1
+    sched.run_until()
+    assert not received
+    assert node.pktbuf.stats().used == 0
+
+
+def test_a_closed_context_refuses_every_message_counted():
+    """Data and commands posted to a closed context are refused, counted
+    as ``closed_drops``, and a data message's packet is released."""
+    sched, node = make_node()
+    handler, received = collector()
+    ctx = node.spawn_module("m", handler)
+    node.shutdown_module(ctx)
+    pkt = node.pktbuf.alloc_snip(size=16)
+    assert not sched.post(ctx, NetMessage(kind=MsgKind.MSG_RCV, pkt=pkt))
+    assert not sched.post(ctx, NetMessage(kind=MsgKind.MSG_GET,
+                                          option=(1, b"")))
+    assert node.metrics.get("closed_drops") == 2
+    assert node.pktbuf.stats().used == 0
     sched.run_until()
     assert not received
 

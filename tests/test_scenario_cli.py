@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import json
 import os
 import pathlib
@@ -19,7 +20,7 @@ from modnet.cli import main
 from modnet.ipv6 import SortedNeighborCache
 from modnet.pktbuf import DynamicBuffer
 from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
-                           Topology, build)
+                           RouteDesc, Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario,
                              validate_document)
@@ -314,7 +315,8 @@ def test_send_the_buffer_refuses_is_counted():
     assert stats["sends"] == 0
 
 
-@pytest.mark.parametrize("make,path,value,pointer", [
+# (topology builder, path of the field set, its value, pointer refused at)
+TOPOLOGY_RULES = [
     (two_node, "nodes/1/name", "a", "/nodes/1/name"),
     (two_node, "nodes/0/address", None, "/nodes/0/address"),
     (two_node, "nodes/1/devices/0/addr_short", b"\x0b", "/nodes/1/devices/0"),
@@ -401,7 +403,18 @@ def test_send_the_buffer_refuses_is_counted():
     (two_node, "seed", 2**64, "/seed"),
     (two_node, "nodes/0/offload", "yes", "/nodes/0/offload"),
     (offload_pair, "nodes/1/offload", 1, "/nodes/1/offload"),
-])
+    # names, peers and the top-level containers
+    (two_node, "nodes/0/name", ["a"], "/nodes/0/name"),
+    (two_node, "nodes/0/name", 5, "/nodes/0/name"),
+    (two_node, "nodes/1/name", "", "/nodes/1/name"),
+    (offload_pair, "nodes/0/offload_peer", ["b"], "/nodes/0/offload_peer"),
+    (two_node, "nodes", None, "/nodes"),
+    (two_node, "links", None, "/links"),
+    (two_node, "nodes", {0: None}, "/nodes"),
+]
+
+
+@pytest.mark.parametrize("make,path,value,pointer", TOPOLOGY_RULES)
 def test_hand_built_topology_rules(make, path, value, pointer):
     topology = make()
     *parents, last = path.split("/")
@@ -416,6 +429,15 @@ def test_hand_built_topology_rules(make, path, value, pointer):
         build(topology)
     assert exc.value.pointer == pointer
     assert str(exc.value).startswith(pointer + ": ")
+
+
+def test_every_description_field_has_a_topology_rule():
+    """A field added to a description without a rule in ``check_topology``
+    (and a row above) fails here."""
+    tested = {path.rsplit("/", 1)[-1] for _, path, _, _ in TOPOLOGY_RULES}
+    for desc in (Topology, NodeDesc, DeviceDesc, RouteDesc, LinkDesc):
+        missing = {f.name for f in dataclasses.fields(desc)} - tested
+        assert not missing, f"{desc.__name__}: {sorted(missing)}"
 
 
 def test_cli_run_stats_file(tmp_path):

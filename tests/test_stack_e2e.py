@@ -591,3 +591,52 @@ def test_link_shutdown_drops_the_frames_the_radio_holds():
     assert radio._rx == []
     assert sim.metrics.get("dev_rx_drops_no_owner") == 1
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_sock_shutdown_counts_each_queued_datagram():
+    sim = build(two_node())
+    b = sim.nodes["b"]
+    server = sim.socket_layer("b").open(7)  # no app: datagrams stay queued
+    client = sim.socket_layer("a").open(40000)
+    for _ in range(3):
+        client.sendto(IP_B, 7, pattern(20))
+    sim.run_until()
+    assert len(server.queue) == 3
+    b.shutdown_module(b.aux["sock"])
+    assert sim.metrics.get("sock_close_drops") == 3
+    assert b.pktbuf.used == 0
+
+
+def test_open_after_sock_shutdown_is_refused():
+    """A socket layer whose context is shut down binds no port, so a
+    datagram to that port is the udp layer's counted miss."""
+    sim = build(two_node())
+    b = sim.nodes["b"]
+    layer = sim.socket_layer("b")
+    b.shutdown_module(b.aux["sock"])
+    with pytest.raises(UdpError, match="shut down"):
+        layer.open(7)
+    assert layer.ports == {}
+    assert b.registry.lookup(ProtocolType.UDP, 7) == []
+    sim.socket_layer("a").open(40000).sendto(IP_B, 7, pattern(20))
+    sim.run_until()
+    assert sim.metrics.get("udp_rx_no_port") == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+@pytest.mark.parametrize("context,before_run", [("ipv6", True),
+                                                ("udp", False)])
+def test_a_datagram_a_closed_context_takes_is_counted(context, before_run):
+    """A datagram posted to a shut-down context, or left in its mailbox
+    when it shuts down, is counted as ``closed_drops``."""
+    sim = build(two_node())
+    a = sim.nodes["a"]
+    sock = sim.socket_layer("a").open(40000)
+    if before_run:
+        a.shutdown_module(a.modules[context])
+    sock.sendto(IP_B, 7, pattern(20))
+    if not before_run:
+        a.shutdown_module(a.modules[context])
+    sim.run_until()
+    assert sim.metrics.get("closed_drops") == 1
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
