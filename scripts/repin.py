@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Report every simulated value that differs between a git revision and
-the working tree, and re-pin the golden trace digests.
+the working tree, and re-pin the golden trace and wire digests.
 
-    python3 scripts/repin.py [--base REF] [--write]
+    python3 scripts/repin.py [--base REF] [--write] [--write-wire]
 
 ``REF`` (default ``HEAD``) is exported with ``git archive`` into a
 temporary directory, and the working tree is copied into another; both
@@ -13,11 +13,21 @@ runs below happen in those copies, so no file of the repository changes:
   trace line that differs the script prints the ``key=value`` fields that
   differ, and for the stats file every key whose value differs;
 * ``perfbench/replay.py --write`` records the exact benchmark values, and
-  the script prints each workload/seed/metric that differs, old and new.
+  the script prints each workload/seed/metric that differs, old and new;
+* the working tree's ``tests/wire.py`` computes each entry's wire digests
+  (the frames each device sent and the payloads each socket received)
+  against each tree's ``src``, and the script prints each device or
+  socket whose count or digest differs.
+
+The differences are counted in four groups: ``wire`` (what is sent and
+received), ``trace`` and ``stats`` (when and through which layers), and
+``replay`` (the benchmark's exact values).
 
 ``--write`` then rewrites ``tests/data/trace_digests.json`` with the
-working tree's digests and keeps its ``_about``.  Exit status 1 means a
-value differs.
+working tree's digests, and ``--write-wire`` rewrites
+``tests/data/wire_digests.json``; each keeps its file's ``_about``.  A
+change that moves the wire has to re-pin it on purpose.  Exit status 1
+means a value differs.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path("tests") / "data" / "trace_digests.json"
+WIRE = Path("tests") / "data" / "wire_digests.json"
 REPLAY = Path("perfbench") / "replay.json"
 
 
@@ -120,6 +131,17 @@ def mapping_differences(old: dict, new: dict):
             yield f"{key}: {a!r} -> {b!r}"
 
 
+def write_pinned(path: Path, runs: dict):
+    """Set the fields ``runs`` gives each run in the pinned file ``path``,
+    keeping the file's ``_about`` and each run's other fields."""
+    pinned = json.loads((ROOT / path).read_text())
+    for name, fields in runs.items():
+        pinned["runs"].setdefault(name, {}).update(fields)
+    (ROOT / path).write_text(json.dumps(pinned, indent=2, sort_keys=True)
+                             + "\n")
+    print(f"repin: wrote {len(runs)} runs to {path}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", metavar="REF",
@@ -127,16 +149,18 @@ def main(argv=None) -> int:
     ap.add_argument("--write", action="store_true",
                     help="rewrite tests/data/trace_digests.json with the "
                          "working tree's digests")
+    ap.add_argument("--write-wire", action="store_true",
+                    help="rewrite tests/data/wire_digests.json with the "
+                         "working tree's wire digests")
     args = ap.parse_args(argv)
     base = git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
     digests = json.loads((ROOT / DIGESTS).read_text())
     print(f"repin: {args.base} ({base[:12]}) -> working tree")
-    differences = 0
+    groups = dict.fromkeys(("wire", "trace", "stats", "replay", "run"), 0)
 
-    def report(line):
-        nonlocal differences
-        differences += 1
-        print(line)
+    def report(group, line):
+        groups[group] += 1
+        print(f"{group} {line}")
 
     with tempfile.TemporaryDirectory(prefix="repin-") as tmp:
         trees = {"base": Path(tmp) / "base", "work": Path(tmp) / "work"}
@@ -155,13 +179,28 @@ def main(argv=None) -> int:
         for name in sorted(digests["runs"]):
             a, b = old[name], new[name]
             if isinstance(a, str) or isinstance(b, str):
-                report(f"run {name}: base {a if isinstance(a, str) else 'ok'}"
-                       f", work {b if isinstance(b, str) else 'ok'}")
+                report("run", f"{name}: base "
+                       f"{a if isinstance(a, str) else 'ok'}, work "
+                       f"{b if isinstance(b, str) else 'ok'}")
                 continue
             for line in trace_differences(a[0], b[0]):
-                report(f"trace {name} {line}")
+                report("trace", f"{name} {line}")
             for line in mapping_differences(flatten(a[1]), flatten(b[1])):
-                report(f"stats {name} {line}")
+                report("stats", f"{name} {line}")
+        wire = {}
+        for side, tree in trees.items():
+            proc = subprocess.run(
+                [sys.executable, str(trees["work"] / "tests" / "wire.py"),
+                 "--scenarios", str(tree / "scenarios")],
+                cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                capture_output=True, text=True)
+            if proc.returncode:
+                sys.exit(f"repin: tests/wire.py failed in the {side} "
+                         f"tree:\n{proc.stderr}")
+            wire[side] = json.loads(proc.stdout)["runs"]
+        for line in mapping_differences(flatten(wire["base"]),
+                                        flatten(wire["work"])):
+            report("wire", line)
         recorded = {}
         for side, proc in replays.items():
             _, err = proc.communicate()
@@ -172,18 +211,20 @@ def main(argv=None) -> int:
         for key in sorted(recorded["base"].keys() | recorded["work"].keys()):
             for line in mapping_differences(recorded["base"].get(key, {}),
                                             recorded["work"].get(key, {})):
-                report(f"replay {key} {line}")
+                report("replay", f"{key} {line}")
         if args.write:
             failed = [name for name, r in new.items() if isinstance(r, str)]
             if failed:
                 sys.exit(f"repin: not written, runs failed: {failed}")
-            for name, entry in digests["runs"].items():
-                entry["trace"] = hashlib.sha256(new[name][2]).hexdigest()
-                entry["stats"] = hashlib.sha256(new[name][3]).hexdigest()
-            (ROOT / DIGESTS).write_text(
-                json.dumps(digests, indent=2, sort_keys=True) + "\n")
-            print(f"repin: wrote {len(digests['runs'])} runs to {DIGESTS}")
-    print(f"repin: {differences} difference(s)")
+            write_pinned(DIGESTS, {
+                name: {"trace": hashlib.sha256(r[2]).hexdigest(),
+                       "stats": hashlib.sha256(r[3]).hexdigest()}
+                for name, r in new.items()})
+        if args.write_wire:
+            write_pinned(WIRE, wire["work"])
+    differences = sum(groups.values())
+    print(f"repin: {differences} difference(s): " + ", ".join(
+        f"{group} {count}" for group, count in groups.items()))
     return 1 if differences else 0
 
 
