@@ -19,9 +19,10 @@ runs below happen in those copies, so no file of the repository changes:
   against each tree's ``src``, and the script prints each device or
   socket whose count or digest differs.
 
-The differences are counted in four groups: ``wire`` (what is sent and
-received), ``trace`` and ``stats`` (when and through which layers), and
-``replay`` (the benchmark's exact values).
+The differences are counted in groups: ``wire`` (what is sent and
+received), ``trace`` and ``stats`` (when and through which layers),
+``replay`` (the benchmark's exact values) and ``run`` (a scenario run
+that failed on one side).
 
 ``--write`` then rewrites ``tests/data/trace_digests.json`` with the
 working tree's digests, and ``--write-wire`` rewrites

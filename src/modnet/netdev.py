@@ -1,14 +1,15 @@
 """Synchronous driver interface plus the simulated radio device.
 
 Unlike the inter-module message protocol, driver interaction is plain
-procedure calls: the MAC/link module owns its device exclusively and calls
-``dev_send``/``dev_recv`` directly; another context's handler calling
-them (the scheduler's ``current``) raises ``OwnershipViolation``.  The
-device posts one ``DevNotify`` marker to the owner's mailbox per event,
-and the marker names the event (RX_READY or TX_DONE).  Each radio builds
-its two markers once; besides them it holds only its received frames.
-A frame that reaches a radio whose owner is closed is dropped, counted as
-``dev_rx_drops_no_owner``.
+procedure calls: each radio's link context (``owner``) owns it exclusively
+and calls ``dev_send``/``dev_recv`` directly; another context's handler
+calling them (the scheduler's ``current``) raises ``OwnershipViolation``.
+An offload node has no radio, so every radio has an owner and a medium.
+The device posts one ``DevNotify`` marker to the owner's mailbox per
+event, and the marker names the event (RX_READY or TX_DONE).  Each radio
+builds its two markers once; besides them it holds only its received
+frames.  A frame that reaches a radio whose owner is closed is dropped,
+counted as ``dev_rx_drops_no_owner``.
 
 The simulated radio is half-duplex with a single TX slot: a second
 ``dev_send`` before the TX_DONE event has been processed returns ``BUSY``,
@@ -76,8 +77,8 @@ class SimRadioDevice:
         self.id = dev_id
         self.addr_short = addr_short
         self.addr_long = addr_long
-        self.owner = None  # module context; it also takes the event markers
-        self.medium = None
+        self.owner = None  # its link context; it also takes the event markers
+        self.medium = None  # the simulator's medium
         self.loss_rate = 0.0  # sim-only knob
         self.channel = 11
         self._rx: list[bytes] = []
@@ -87,8 +88,6 @@ class SimRadioDevice:
 
     # -- ownership contract ----------------------------------------------
     def _check_owner(self):
-        if self.owner is None:
-            return  # not yet in a stack; direct use in tests
         current = self.owner.node.sched.current
         if current is not None and current is not self.owner:
             raise OwnershipViolation(
@@ -98,22 +97,21 @@ class SimRadioDevice:
     # -- driver calls ------------------------------------------------------
     def dev_send(self, frame: bytes) -> DevStatus:
         owner = self.owner
-        if owner is not None and owner.node.sched.current is not owner:
+        if owner.node.sched.current is not owner:
             self._check_owner()
         if len(frame) > MAX_FRAME:
             return _TOO_LARGE
         if self._tx_busy:
             return _BUSY
         self._tx_busy = True
-        if self.medium is not None:
-            self.medium.transmit(self, bytes(frame))
+        self.medium.transmit(self, bytes(frame))
         return _DEV_OK
 
     def dev_recv(self) -> bytes:
         """Copy the oldest received frame out of the device (the one
         device-to-buffer copy of the RX path; the caller tags it)."""
         owner = self.owner
-        if owner is not None and owner.node.sched.current is not owner:
+        if owner.node.sched.current is not owner:
             self._check_owner()
         if not self._rx:
             raise NoFrame(f"device {self.id}: RX queue empty")
@@ -140,15 +138,13 @@ class SimRadioDevice:
     # -- medium callbacks (scheduler context) ------------------------------
     def _tx_done(self):
         self._tx_busy = False
-        owner = self.owner
-        if owner is not None:  # a closed owner refuses the marker
-            owner.node.sched.post(owner, self._tx_marker)
+        owner = self.owner  # a closed owner refuses the marker
+        owner.node.sched.post(owner, self._tx_marker)
 
     def _rx_frame(self, frame: bytes):
         owner = self.owner
-        if owner is not None and owner.closed:
+        if owner.closed:
             owner.node.metrics.count("dev_rx_drops_no_owner")
             return
         self._rx.append(frame)
-        if owner is not None:
-            owner.node.sched.post(owner, self._rx_marker)
+        owner.node.sched.post(owner, self._rx_marker)

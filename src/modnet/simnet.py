@@ -4,6 +4,7 @@ medium between device handles, and full stack assembly per node.
 ``check_topology`` holds every rule on how nodes, devices, neighbours and
 links fit together.  ``Simulator`` runs it before it creates anything, and
 it raises ``InvalidTopology`` with a JSON pointer such as ``/links/0/b``.
+Only a stack node has radios, so each radio built has a link context.
 
 Determinism contract: identical seed + topology + workload produce a
 bit-identical trace log in deterministic scheduler mode.  All loss draws
@@ -116,11 +117,11 @@ def check_topology(topology: Topology) -> list:
             raise InvalidTopology(f"duplicate node name {nd.name!r}",
                                   f"/nodes/{i}/name")
         nodes[nd.name] = nd
-        if not (nd.offload or nd.devices):
-            raise InvalidTopology("a stack node needs a device",
-                                  f"/nodes/{i}/devices")
         if type(nd.offload) is not bool:
             raise _is_not(nd.offload, "a bool", f"/nodes/{i}/offload")
+        if nd.offload == bool(nd.devices):  # an offload chip has no radio
+            raise InvalidTopology("a stack node has a device, an offload "
+                                  "node none", f"/nodes/{i}/devices")
         if not (nd.offload_peer is None or type(nd.offload_peer) is str):
             raise _is_not(nd.offload_peer, "None or a str",
                           f"/nodes/{i}/offload_peer")

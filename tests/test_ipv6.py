@@ -35,6 +35,11 @@ def test_decode_bad_version():
         decode(bytes(wire))
 
 
+def test_decode_shorter_than_a_header():
+    with pytest.raises(LengthMismatch):
+        decode(bytes(HEADER_LEN - 1))  # 39 bytes
+
+
 def test_decode_length_mismatch():
     with pytest.raises(LengthMismatch):
         decode(encode_header(src=A, dst=B, payload_length=100)

@@ -15,26 +15,28 @@ from modnet.runtime import DetScheduler, Node
 from modnet.simnet import Medium
 
 
+def owned_dev(dev_id=0):
+    """A radio as a stack holds it: a stub owner collects the markers the
+    radio posts, and a stub medium carries its frames nowhere."""
+    markers = []
+    sched = SimpleNamespace(post=lambda ctx, msg: markers.append(msg),
+                            current=None)
+    dev = SimRadioDevice(dev_id, bytes([0, dev_id]),
+                         bytes(7) + bytes([dev_id + 1]))
+    dev.owner = SimpleNamespace(closed=False,
+                                node=SimpleNamespace(sched=sched))
+    dev.medium = SimpleNamespace(transmit=lambda dev, frame: None)
+    return dev, markers
+
+
 def make_dev(dev_id=0):
-    return SimRadioDevice(dev_id, bytes([0, dev_id]),
-                          bytes(7) + bytes([dev_id + 1]))
+    return owned_dev(dev_id)[0]
 
 
 def test_send_too_large():
     dev = make_dev()
     assert dev.dev_send(b"x" * 128) == DevStatus.TOO_LARGE
     assert dev.dev_send(b"x" * 127) == DevStatus.OK
-
-
-def owned_dev():
-    """A device whose stub owner collects the markers the device posts."""
-    markers = []
-    sched = SimpleNamespace(post=lambda ctx, msg: markers.append(msg),
-                            current=None)
-    dev = make_dev()
-    dev.owner = SimpleNamespace(closed=False,
-                                node=SimpleNamespace(sched=sched))
-    return dev, markers
 
 
 def test_busy_until_tx_done():

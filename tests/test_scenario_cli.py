@@ -57,7 +57,7 @@ def test_scenario_builds_the_dynamic_buffer_and_sorted_cache():
     sim, stats = run_scenario(load_scenario(doc))
     for node in sim.nodes.values():
         assert isinstance(node.pktbuf, DynamicBuffer)
-        assert isinstance(node.modules["ipv6"].handler.ncache,
+        assert isinstance(node.modules["ipv6"].module.ncache,
                           SortedNeighborCache)
         assert node.pktbuf.used == 0
     assert stats["sockets"]["a:40000"]["received"] == 1
@@ -286,11 +286,14 @@ def test_cli_run_missing_file_exit_2(capsys):
      "/links/1"),  # a device linked to itself
     ("echo.json", "/nodes/0/devices", [],
      "/nodes/0/devices"),  # a stack node with no device
+    ("offload_echo.json", "/nodes/1/devices",
+     [{"addr_short": "000b", "addr_long": "000000000000000b"}],
+     "/nodes/1/devices"),  # a radio on an offload node
 ], ids=["unknown-node", "index-x", "index-minus-1", "short-neighbor-link",
         "peer-on-stack-node", "route-iface", "iface-addr-iface",
         "iface-addr-twice", "unknown-dst", "open-after-send", "second-open",
         "duplicate-link", "duplicate-link-reversed", "huge-buffer",
-        "self-link", "no-device"])
+        "self-link", "no-device", "offload-device"])
 def test_cli_topology_defect_exit_2(tmp_path, capsys, name, at, value,
                                     pointer):
     doc = load_doc(name)
@@ -338,6 +341,11 @@ TOPOLOGY_RULES = [
     (three_node_router, "links",
      [LinkDesc("a", "r:0"), LinkDesc("r:1", "r:1")], "/links/1"),
     (two_node, "nodes/1/devices", [], "/nodes/1/devices"),
+    # an offload chip replaces the radio: a radio on an offload node would
+    # belong to no link, and every frame reaching it would stay there
+    (two_node, "nodes/1/offload", True, "/nodes/1/devices"),
+    (offload_pair, "nodes/0/devices", [DeviceDesc(b"\x00\x0a", LONG_A)],
+     "/nodes/0/devices"),
     (two_node, "nodes/0/backend", "static_arena", "/nodes/0/backend"),
     (two_node, "nodes/1/backend", None, "/nodes/1/backend"),
     (two_node, "nodes/1/neighbor_cache", "NOPE", "/nodes/1/neighbor_cache"),

@@ -8,7 +8,8 @@ import pytest
 from modnet.ipv6 import NEXT_HEADER_UDP, encode_header
 from modnet.link import link_encode
 from modnet.metrics import CopySite
-from modnet.netapi import DEMUX_ALL, DEMUX_RAW, MsgKind, NetMessage
+from modnet.netapi import (DEMUX_ALL, DEMUX_RAW, OK, MsgKind, NetMessage,
+                           OptionKey, send_cmd)
 from modnet.netdev import DevEventType, DevNotify
 from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority,
                            ProtocolType)
@@ -16,7 +17,8 @@ from modnet.scenario import load_scenario_file, run_scenario
 from modnet.simnet import build
 from modnet.sixlowpan import (DISPATCH_UNCOMPRESSED, FRAG1_DISPATCH,
                               FRAGN_DISPATCH)
-from modnet.udp import HEADER, UdpError, udp_checksum
+from modnet.udp import (HEADER, MAX_PAYLOAD, PayloadTooLarge, UdpError,
+                        udp_checksum)
 from topo import (IP_A, IP_A2, IP_B, IP_B2, LONG_A, LONG_B, LONG_R0,
                   echo_on, ip6, offload_pair, three_node_router, two_node)
 
@@ -451,6 +453,32 @@ def test_recvfrom_on_an_empty_socket_runs_nothing():
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
 
+def test_sendto_refuses_a_payload_over_the_maximum_and_does_nothing():
+    sim = build(two_node())
+    client = sim.socket_layer("a").open(40000)
+    with pytest.raises(PayloadTooLarge):
+        client.sendto(IP_B, 7, pattern(MAX_PAYLOAD + 1))  # 1,193 B
+    sim.run_until()
+    assert sim.metrics.counters == {}  # nothing sent, received or dropped
+    assert all(n.pktbuf.stats().peak == 0 for n in sim.nodes.values())
+
+
+def test_a_datagram_in_the_sock_mailbox_when_its_socket_closes_is_counted():
+    """The socket closes after udp handed the datagram up and before the
+    sock context reads it: the sock context finds no port."""
+    sim = build(two_node())
+    b = sim.nodes["b"]
+    server = sim.socket_layer("b").open(7)
+    sim.socket_layer("a").open(40000).sendto(IP_B, 7, pattern(20))
+    while not b.aux["sock"].mailbox:
+        assert sim.sched.step()
+    server.close()
+    sim.run_until()
+    assert sim.metrics.get("sock_no_port") == 1
+    assert sim.metrics.get("udp_delivered") == 0
+    assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
 def test_fragmentation_out_of_memory_releases_the_fragments():
     sim = build(two_node(buffer_capacity=1024))
     client, _ = open_echo_pair(sim)
@@ -459,6 +487,15 @@ def test_fragmentation_out_of_memory_releases_the_fragments():
     assert sim.metrics.get("sixlowpan_tx_drops_nobuf") == 1
     assert sim.metrics.get("frames_sent") == 0
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
+
+
+def test_an_offload_context_answers_get_address():
+    sim = build(offload_pair())
+    for name, address in (("a", IP_A), ("b", IP_B)):
+        ack = send_cmd(sim.sched, sim.nodes[name].modules["offload"],
+                       NetMessage(kind=MsgKind.MSG_GET,
+                                  option=(OptionKey.ADDRESS, b"")))
+        assert (ack.status, ack.value) == (OK, address)
 
 
 def test_close_releases_queued_datagrams():
@@ -485,12 +522,12 @@ def test_frame_sent_while_the_radio_is_busy_goes_out_on_tx_done():
     # the radio starts another frame before the link handler runs
     node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
-    assert len(link.handler._pending) == 1
+    assert len(link.module._pending) == 1
     # the waiting frame's chain stays in the packet buffer
-    assert link.handler._pending[0][1] is pkt
+    assert link.module._pending[0][1] is pkt
     assert node.pktbuf.used == held > 0
     sim.run_until()
-    assert not link.handler._pending
+    assert not link.module._pending
     assert sim.metrics.get("frames_sent") == 2
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
@@ -503,16 +540,16 @@ def test_a_frame_refused_again_on_tx_done_waits_for_the_next_one():
     sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
     radio.dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
-    assert len(link.handler._pending) == 1
+    assert len(link.module._pending) == 1
     while not link._ctrl:  # up to the first frame's TX_DONE
         sim.sched.step()
     # the radio starts another frame before the link reads the marker
     radio.dev_send(link_encode(LONG_B, LONG_A, 1, pattern(30)))
     sim.sched.step()  # the link handler: TX_DONE, and the radio is busy
-    assert len(link.handler._pending) == 1
-    assert link.handler._pending[0][1] is pkt
+    assert len(link.module._pending) == 1
+    assert link.module._pending[0][1] is pkt
     sim.run_until()
-    assert not link.handler._pending
+    assert not link.module._pending
     assert sim.metrics.get("frames_sent") == 3
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
@@ -564,10 +601,10 @@ def test_link_shutdown_drops_the_frames_waiting_for_the_radio():
     sim.sched.post(link, NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
     node.devices[0].dev_send(link_encode(LONG_B, LONG_A, 0, pattern(20)))
     sim.sched.step()  # the link handler finds the radio busy
-    assert len(link.handler._pending) == 1
+    assert len(link.module._pending) == 1
     assert node.pktbuf.used > 0
     node.shutdown_module(link)
-    assert not link.handler._pending
+    assert not link.module._pending
     assert sim.metrics.get("link_shutdown_drops") == 1
     assert node.pktbuf.used == 0  # the waiting frame's chain went back
     sim.run_until()
