@@ -19,10 +19,21 @@ runs below happen in those copies, so no file of the repository changes:
   against each tree's ``src``, and the script prints each device or
   socket whose count or digest differs.
 
-The differences are counted in groups: ``wire`` (what is sent and
-received), ``trace`` and ``stats`` (when and through which layers),
-``replay`` (the benchmark's exact values) and ``run`` (a scenario run
-that failed on one side).
+Every difference is counted in one group, and its line names the group
+and where it was found (``wire``, ``trace``, ``stats`` or ``replay``):
+
+* ``outcome``, what a user of the stack sees: the wire digests, the
+  socket counts, ``sends``, the counters (each counts a packet's fate)
+  and ``delivered_frac``;
+* ``schedule``, when and through which layers: the trace lines,
+  ``trace_lines``, ``now_us``, ``events_per_op`` and ``sim_lat_us_*``;
+* ``accounting``, what the stack counts of its own work: the copy ledger
+  (``packets``), ``copy_bytes_per_byte`` and ``buf_peak_bytes``;
+* ``run``, a scenario run that failed on one side.
+
+A stats key or benchmark value that ``GROUPS`` does not name counts as
+``outcome``, so a new key is held as tightly as the wire until it is
+given a group.
 
 ``--write`` then rewrites ``tests/data/trace_digests.json`` with the
 working tree's digests, and ``--write-wire`` rewrites
@@ -47,6 +58,20 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path("tests") / "data" / "trace_digests.json"
 WIRE = Path("tests") / "data" / "wire_digests.json"
 REPLAY = Path("perfbench") / "replay.json"
+# the group of a stats key or benchmark value, by the key's first part
+GROUPS = {
+    "sockets": "outcome", "sends": "outcome", "counters": "outcome",
+    "delivered_frac": "outcome",
+    "trace_lines": "schedule", "now_us": "schedule",
+    "events_per_op": "schedule", "sim_lat_us_p50": "schedule",
+    "sim_lat_us_p99": "schedule",
+    "packets": "accounting", "copy_bytes_per_byte": "accounting",
+    "buf_peak_bytes": "accounting",
+}
+
+
+def group_of(key: str) -> str:
+    return GROUPS.get(key.partition(".")[0], "outcome")
 
 
 def git(*args: str) -> str:
@@ -125,11 +150,12 @@ def trace_differences(old: list, new: list):
 
 
 def mapping_differences(old: dict, new: dict):
+    """``(key, line)`` for each key whose value differs."""
     missing = "(none)"
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, missing), new.get(key, missing)
         if a != b:
-            yield f"{key}: {a!r} -> {b!r}"
+            yield key, f"{key}: {a!r} -> {b!r}"
 
 
 def write_pinned(path: Path, runs: dict):
@@ -157,7 +183,7 @@ def main(argv=None) -> int:
     base = git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
     digests = json.loads((ROOT / DIGESTS).read_text())
     print(f"repin: {args.base} ({base[:12]}) -> working tree")
-    groups = dict.fromkeys(("wire", "trace", "stats", "replay", "run"), 0)
+    groups = dict.fromkeys(("outcome", "schedule", "accounting", "run"), 0)
 
     def report(group, line):
         groups[group] += 1
@@ -185,9 +211,10 @@ def main(argv=None) -> int:
                        f"{b if isinstance(b, str) else 'ok'}")
                 continue
             for line in trace_differences(a[0], b[0]):
-                report("trace", f"{name} {line}")
-            for line in mapping_differences(flatten(a[1]), flatten(b[1])):
-                report("stats", f"{name} {line}")
+                report("schedule", f"trace {name} {line}")
+            for key, line in mapping_differences(flatten(a[1]),
+                                                 flatten(b[1])):
+                report(group_of(key), f"stats {name} {line}")
         wire = {}
         for side, tree in trees.items():
             proc = subprocess.run(
@@ -199,9 +226,9 @@ def main(argv=None) -> int:
                 sys.exit(f"repin: tests/wire.py failed in the {side} "
                          f"tree:\n{proc.stderr}")
             wire[side] = json.loads(proc.stdout)["runs"]
-        for line in mapping_differences(flatten(wire["base"]),
-                                        flatten(wire["work"])):
-            report("wire", line)
+        for _, line in mapping_differences(flatten(wire["base"]),
+                                           flatten(wire["work"])):
+            report("outcome", f"wire {line}")
         recorded = {}
         for side, proc in replays.items():
             _, err = proc.communicate()
@@ -210,9 +237,10 @@ def main(argv=None) -> int:
                          f"tree:\n{err}")
             recorded[side] = json.loads((trees[side] / REPLAY).read_text())
         for key in sorted(recorded["base"].keys() | recorded["work"].keys()):
-            for line in mapping_differences(recorded["base"].get(key, {}),
-                                            recorded["work"].get(key, {})):
-                report("replay", f"{key} {line}")
+            for metric, line in mapping_differences(
+                    recorded["base"].get(key, {}),
+                    recorded["work"].get(key, {})):
+                report(group_of(metric), f"replay {key} {line}")
         if args.write:
             failed = [name for name, r in new.items() if isinstance(r, str)]
             if failed:

@@ -20,7 +20,7 @@ from collections import deque
 from . import netapi
 from .metrics import CopySite
 from .netapi import _MSG_SND, DEMUX_ALL, Module, drop
-from .netdev import _BUSY, _RX_READY, BROADCAST_LONG, MAX_FRAME, DevNotify
+from .netdev import _BUSY, _RX_READY, _TX_DONE, BROADCAST_LONG, MAX_FRAME
 from .pktbuf import _RECEIVE, _SIXLOWPAN, NoBufferSpace
 
 HEADER = struct.Struct("!8s8sB")
@@ -75,12 +75,12 @@ class LinkModule(Module):
         self.device.owner = ctx
 
     def __call__(self, ctx, msg):
-        # the device's markers stop here, one event per marker, so upper
+        # the device's events stop here, one frame per RX_READY, so upper
         # layers drain between frame arrivals instead of piling RX snips up
-        if msg.__class__ is DevNotify:
-            if msg.event is _RX_READY:
-                self._receive(ctx)
-            elif self._pending:  # TX_DONE: the radio is free again
+        if msg is _RX_READY:
+            self._receive(ctx)
+        elif msg is _TX_DONE:
+            if self._pending:  # the radio is free again
                 frame, head = self._pending.popleft()
                 if self.device.dev_send(frame) is _BUSY:
                     self._pending.append((frame, head))

@@ -67,7 +67,7 @@ class Metrics:
         self.recording = record
         self._copies = defaultdict(list)  # packet id -> [(site, nbytes)]
         self._next_packet_id = 1
-        self.counters: Counter[str] = Counter()
+        self.counters: dict[str, int] = {}  # a Counter's += costs twice
         if locked:
             lock_methods(self, threading.Lock(), self._LOCKED)
 
@@ -104,7 +104,7 @@ class Metrics:
 
     # -- generic counters ------------------------------------------------
     def count(self, name: str, n: int = 1):
-        self.counters[name] += n
+        self.counters[name] = self.counters.get(name, 0) + n
 
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)

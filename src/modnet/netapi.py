@@ -47,7 +47,7 @@ no receiver writes it:
     ipv6 -> udp              src_ip dst_ip packet_id hop_limit
     udp -> sock              src_ip src_port dst_port packet_id hop_limit
     offload -> sock          src_ip src_port dst_port packet_id
-    offload -> peer offload  raw src_ip src_port dst_port (and no chain)
+    offload -> peer offload  src_ip src_port dst_port packet_id
 """
 
 from __future__ import annotations

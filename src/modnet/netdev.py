@@ -5,9 +5,9 @@ procedure calls: each radio's link context (``owner``) owns it exclusively
 and calls ``dev_send``/``dev_recv`` directly; another context's handler
 calling them (the scheduler's ``current``) raises ``OwnershipViolation``.
 An offload node has no radio, so every radio has an owner and a medium.
-The device posts one ``DevNotify`` marker to the owner's mailbox per
-event, and the marker names the event (RX_READY or TX_DONE).  Each radio
-builds its two markers once; besides them it holds only its received
+The device posts the event itself, a ``DevNotify`` member (RX_READY or
+TX_DONE), to the owner's mailbox: the owner drives this one radio, so
+the event needs no device beside it.  A radio holds only its received
 frames.  A frame that reaches a radio whose owner is closed is dropped,
 counted as ``dev_rx_drops_no_owner``.
 
@@ -29,14 +29,17 @@ class DevStatus(enum.Enum):
     BUSY = 2
 
 
-class DevEventType(enum.Enum):
+class DevNotify(enum.Enum):
+    """A radio's event, posted as itself to its owner's mailbox; one
+    mailbox may hold the same member more than once."""
+
     RX_READY = 1
     TX_DONE = 2
 
 
 # aliases for the per-frame paths (see ``pktbuf``)
 _DEV_OK, _TOO_LARGE, _BUSY = DevStatus.OK, DevStatus.TOO_LARGE, DevStatus.BUSY
-_RX_READY, _TX_DONE = DevEventType.RX_READY, DevEventType.TX_DONE
+_RX_READY, _TX_DONE = DevNotify.RX_READY, DevNotify.TX_DONE
 
 
 class NoFrame(Exception):
@@ -45,17 +48,6 @@ class NoFrame(Exception):
 
 class OwnershipViolation(AssertionError):
     """Device call from a context that does not own the device."""
-
-
-class DevNotify:
-    """Mailbox marker: ``event`` happened on the named device.  Immutable,
-    so one mailbox may hold the same marker more than once."""
-
-    __slots__ = ("device", "event")
-
-    def __init__(self, device, event: DevEventType):
-        self.device = device
-        self.event = event
 
 
 BROADCAST_LONG = b"\xff" * 8
@@ -77,14 +69,12 @@ class SimRadioDevice:
         self.id = dev_id
         self.addr_short = addr_short
         self.addr_long = addr_long
-        self.owner = None  # its link context; it also takes the event markers
+        self.owner = None  # its link context; it also takes the events
         self.medium = None  # the simulator's medium
         self.loss_rate = 0.0  # sim-only knob
         self.channel = 11
         self._rx: list[bytes] = []
         self._tx_busy = False
-        self._rx_marker = DevNotify(self, _RX_READY)
-        self._tx_marker = DevNotify(self, _TX_DONE)
 
     # -- ownership contract ----------------------------------------------
     def _check_owner(self):
@@ -138,8 +128,8 @@ class SimRadioDevice:
     # -- medium callbacks (scheduler context) ------------------------------
     def _tx_done(self):
         self._tx_busy = False
-        owner = self.owner  # a closed owner refuses the marker
-        owner.node.sched.post(owner, self._tx_marker)
+        owner = self.owner  # a closed owner refuses the event
+        owner.node.sched.post(owner, _TX_DONE)
 
     def _rx_frame(self, frame: bytes):
         owner = self.owner
@@ -147,4 +137,4 @@ class SimRadioDevice:
             owner.node.metrics.count("dev_rx_drops_no_owner")
             return
         self._rx.append(frame)
-        owner.node.sched.post(owner, self._rx_marker)
+        owner.node.sched.post(owner, _RX_READY)

@@ -5,18 +5,37 @@ services the unified message interface at the transport level, so a node
 needs only the socket layer and this module.  Datagrams either loop back
 locally or cross a private channel to a paired offload module on another
 node; the chip's internals are opaque by definition, so no link frames are
-involved.  A datagram crossing the channel arrives as ``MSG_RCV`` carrying
-the chip's bytes in ``meta["raw"]`` and no chain.
+involved.  A datagram crossing the channel lands in the receiving node's
+buffer, as a radio's frame does, and arrives as ``MSG_RCV`` with its
+chain; a buffer that refuses it drops it, counted as
+``offload_rx_drops_nobuf``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import netapi
 from .metrics import CopySite
-from .netapi import Module, MsgKind, NetMessage, OptionKey, drop
+from .netapi import _MSG_RCV, Module, NetMessage, OptionKey
 from .pktbuf import AllocPriority, NoBufferSpace, ProtocolType
 
 BRIDGE_DELAY_US = 10
+
+
+def _arrive(target, data: bytes, meta: dict):
+    """The channel's delivery: ``data`` as a chain in ``target``'s node."""
+    node = target.node
+    try:
+        snip = node.pktbuf.alloc_snip(payload=data, proto=ProtocolType.APP,
+                                      prio=AllocPriority.RECEIVE)
+    except NoBufferSpace:
+        node.metrics.count("offload_rx_drops_nobuf")
+        return
+    meta["packet_id"] = pid = node.metrics.new_packet_id()
+    if node.metrics.recording:
+        node.metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(data))
+    node.sched.post(target, NetMessage(_MSG_RCV, snip, None, meta))
 
 
 class OffloadModule(Module):
@@ -44,39 +63,16 @@ class OffloadModule(Module):
             node.metrics.record_copy(CopySite.BUF_TO_DEV,
                                      msg.meta["packet_id"], len(data))
         node.pktbuf.release(msg.pkt)
-        bridge = {"raw": data, "src_ip": self.addr,
-                  "src_port": msg.meta.get("src_port"),
-                  "dst_port": msg.meta.get("dst_port")}
-        dst_ip = msg.meta.get("dst_ip")
-        if self.peer is not None and dst_ip != self.addr:
+        meta = {"src_ip": self.addr, "src_port": msg.meta.get("src_port"),
+                "dst_port": msg.meta.get("dst_port")}
+        if self.peer is not None and msg.meta.get("dst_ip") != self.addr:
             target = self.peer
         else:
             target = ctx  # loopback
-        node.sched.call_later(
-            BRIDGE_DELAY_US,
-            lambda: node.sched.post(target, NetMessage(
-                kind=MsgKind.MSG_RCV, meta=bridge)))
+        node.sched.call_later(BRIDGE_DELAY_US,
+                              partial(_arrive, target, data, meta))
 
-    # -- RX: datagram arriving from the chip -------------------------------
+    # -- RX: a datagram the channel put in this node's buffer --------------
     def on_rcv(self, ctx, msg):
-        data = msg.meta.get("raw")
-        if data is None or msg.pkt is not None:
-            # not from the channel: a chain carries no chip bytes
-            drop(ctx, msg.pkt, "offload_unexpected_rcv")
-            return
-        node = ctx.node
-        try:
-            snip = node.pktbuf.alloc_snip(payload=data,
-                                          proto=ProtocolType.APP,
-                                          prio=AllocPriority.RECEIVE)
-        except NoBufferSpace:
-            node.metrics.count("offload_rx_drops_nobuf")
-            return
-        pid = node.metrics.new_packet_id()
-        if node.metrics.recording:
-            node.metrics.record_copy(CopySite.DEV_TO_BUF, pid, len(data))
-        meta = {"src_ip": msg.meta.get("src_ip"),
-                "src_port": msg.meta.get("src_port"),
-                "dst_port": msg.meta.get("dst_port"), "packet_id": pid}
-        netapi.dispatch(node, ProtocolType.UDP, meta["dst_port"], snip, meta,
-                        "offload_rx_no_port")
+        netapi.dispatch(ctx.node, ProtocolType.UDP, msg.meta.get("dst_port"),
+                        msg.pkt, msg.meta, "offload_rx_no_port")

@@ -36,7 +36,7 @@ from .metrics import lock_methods
 
 ALIGN = 4
 SNIP_OVERHEAD = 16  # declared per-snip metadata cost, counted in `used`
-MIN_ARENA_CAPACITY = 256
+MIN_CAPACITY, MAX_CAPACITY = 256, 65536  # a node's buffer, in bytes
 MAX_CHAIN = 1 << 16  # chains are finite by invariant; longer means a cycle
 RESERVE_FRAC = 0.25  # share of capacity that SEND_APP allocations may not use
 
@@ -302,9 +302,9 @@ class ArenaBuffer(PacketBuffer):
     _LOCKED = PacketBuffer._LOCKED + ("free_list",)
 
     def __init__(self, capacity, locked=True):
-        if capacity < MIN_ARENA_CAPACITY:
+        if capacity < MIN_CAPACITY:
             raise CapacityTooSmall(
-                f"arena needs >= {MIN_ARENA_CAPACITY} B, got {capacity}")
+                f"arena needs >= {MIN_CAPACITY} B, got {capacity}")
         super().__init__(capacity, locked)
         self._arena = bytearray(capacity)
         self._view = memoryview(self._arena)  # sliced per snip

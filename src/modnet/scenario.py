@@ -26,7 +26,7 @@ from ipaddress import IPv6Address
 
 from . import udp
 from .ipv6 import IFACE_PREFIX_LEN, NEIGHBOR_CACHES
-from .pktbuf import Backend, NoBufferSpace
+from .pktbuf import MAX_CAPACITY, MIN_CAPACITY, Backend, NoBufferSpace
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
                      Topology, build)
 
@@ -110,8 +110,9 @@ SCHEMA = {
                         },
                     },
                     "offload_peer": {"type": "string"},
-                    "buffer_capacity": {"type": "integer", "minimum": 256,
-                                        "maximum": 65536},
+                    "buffer_capacity": {"type": "integer",
+                                        "minimum": MIN_CAPACITY,
+                                        "maximum": MAX_CAPACITY},
                     "backend": {"enum": [b.name for b in Backend]},
                     "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
                 },

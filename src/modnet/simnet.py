@@ -23,7 +23,7 @@ from .link import LinkModule
 from .metrics import Metrics
 from .netdev import SimRadioDevice
 from .offload import OffloadModule
-from .pktbuf import Backend, buffer_create
+from .pktbuf import MAX_CAPACITY, MIN_CAPACITY, Backend, buffer_create
 from .runtime import DetScheduler, Node, ThreadScheduler
 from .sixlowpan import SixlowpanModule
 from .udp import SocketLayer, UdpModule
@@ -156,9 +156,11 @@ def check_topology(topology: Topology) -> list:
             if rt.next_hop is not None:
                 _check_bytes(rt.next_hop, 16, "nodes", i, "routes", k,
                              "next_hop")
-        if type(nd.buffer_capacity) is not int:  # nor a bool
+        if not (type(nd.buffer_capacity) is int  # nor a bool
+                and MIN_CAPACITY <= nd.buffer_capacity <= MAX_CAPACITY):
             raise InvalidTopology(f"buffer capacity {nd.buffer_capacity!r} "
-                                  "is not an int",
+                                  f"is not an int in {MIN_CAPACITY}.."
+                                  f"{MAX_CAPACITY}",
                                   f"/nodes/{i}/buffer_capacity")
         if not isinstance(nd.backend, Backend):
             raise InvalidTopology(f"backend {nd.backend!r} is not a "

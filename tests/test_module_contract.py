@@ -24,7 +24,8 @@ UNKNOWN_KEY = 0xBEEF
 UNEXPECTED = {
     "link": (MsgKind.MSG_RCV, "link_unexpected_rcv"),
     "sock": (MsgKind.MSG_SND, "sock_unexpected_snd"),
-    "offload": (MsgKind.MSG_RCV, "offload_unexpected_rcv"),
+    # a chain from no channel names no port
+    "offload": (MsgKind.MSG_RCV, "offload_rx_no_port"),
 }
 
 
@@ -112,14 +113,16 @@ MESSAGE_KEYS = {
     ("sock", "MSG_RCV"): {  # from udp, and from offload
         ("dst_port", "hop_limit", "packet_id", "src_ip", "src_port"),
         ("dst_port", "packet_id", "src_ip", "src_port")},
-    ("offload", "MSG_RCV"): {("dst_port", "raw", "src_ip", "src_port")},
+    ("offload", "MSG_RCV"): {("dst_port", "packet_id", "src_ip", "src_port")},
 }
 
 
 def test_each_message_carries_only_what_its_receiver_reads(monkeypatch):
+    """Every data message also carries its packet: no edge hands a layer
+    bytes beside the chain, or no chain."""
     from modnet.runtime import DetScheduler
     from modnet.scenario import run_scenario
-    seen = {}
+    seen, chainless = {}, set()
     post = DetScheduler.post
 
     def recording_post(sched, ctx, msg):
@@ -127,12 +130,16 @@ def test_each_message_carries_only_what_its_receiver_reads(monkeypatch):
             receiver = "link" if ctx.name.startswith("link") else ctx.name
             seen.setdefault((receiver, msg.kind.name), set()).add(
                 tuple(sorted(msg.meta)))
+            if msg.kind in (MsgKind.MSG_SND, MsgKind.MSG_RCV) and (
+                    msg.pkt is None):
+                chainless.add((path.name, receiver, msg.kind.name))
         return post(sched, ctx, msg)
 
     monkeypatch.setattr(DetScheduler, "post", recording_post)
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         run_scenario(load_scenario_file(str(path)))
     assert seen == MESSAGE_KEYS
+    assert not chainless
 
 
 def test_shutting_down_sock_releases_queued_datagrams():

@@ -8,7 +8,7 @@ import pytest
 
 from modnet.metrics import Metrics
 from modnet.netapi import MsgKind, NetMessage, OptionKey
-from modnet.netdev import (DevEventType, DevStatus, NoFrame,
+from modnet.netdev import (DevNotify, DevStatus, NoFrame,
                            OwnershipViolation, SimRadioDevice, Unsupported)
 from modnet.pktbuf import buffer_create
 from modnet.runtime import DetScheduler, Node
@@ -16,10 +16,11 @@ from modnet.simnet import Medium
 
 
 def owned_dev(dev_id=0):
-    """A radio as a stack holds it: a stub owner collects the markers the
-    radio posts, and a stub medium carries its frames nowhere."""
+    """A radio as a stack holds it: a stub scheduler collects the (context,
+    event) posts of the radio, and a stub medium carries its frames
+    nowhere."""
     markers = []
-    sched = SimpleNamespace(post=lambda ctx, msg: markers.append(msg),
+    sched = SimpleNamespace(post=lambda ctx, msg: markers.append((ctx, msg)),
                             current=None)
     dev = SimRadioDevice(dev_id, bytes([0, dev_id]),
                          bytes(7) + bytes([dev_id + 1]))
@@ -45,8 +46,7 @@ def test_busy_until_tx_done():
     assert dev.dev_send(b"two") == DevStatus.BUSY
     assert markers == []
     dev._tx_done()
-    assert [(m.device, m.event) for m in markers] == \
-        [(dev, DevEventType.TX_DONE)]
+    assert markers == [(dev.owner, DevNotify.TX_DONE)]
     assert dev.dev_send(b"two") == DevStatus.OK
 
 
@@ -54,8 +54,7 @@ def test_rx_fifo_and_empty():
     dev, markers = owned_dev()
     dev._rx_frame(b"first")
     dev._rx_frame(b"second")
-    assert [(m.device, m.event) for m in markers] == \
-        [(dev, DevEventType.RX_READY)] * 2
+    assert markers == [(dev.owner, DevNotify.RX_READY)] * 2
     assert dev.dev_recv() == b"first"
     assert dev.dev_recv() == b"second"
     with pytest.raises(NoFrame):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from modnet import scenario
 from modnet.cli import main
 from modnet.ipv6 import SortedNeighborCache
-from modnet.pktbuf import DynamicBuffer
+from modnet.pktbuf import Backend, DynamicBuffer
 from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
                            RouteDesc, Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
@@ -318,6 +318,10 @@ def test_send_the_buffer_refuses_is_counted():
     assert stats["sends"] == 0
 
 
+def two_dynamic_nodes():
+    return two_node(backend=Backend.DYNAMIC)
+
+
 # (topology builder, path of the field set, its value, pointer refused at)
 TOPOLOGY_RULES = [
     (two_node, "nodes/1/name", "a", "/nodes/1/name"),
@@ -419,6 +423,11 @@ TOPOLOGY_RULES = [
     (two_node, "nodes", None, "/nodes"),
     (two_node, "links", None, "/links"),
     (two_node, "nodes", {0: None}, "/nodes"),
+    # the schema's range, for either backend
+    (two_node, "nodes/0/buffer_capacity", 255, "/nodes/0/buffer_capacity"),
+    (two_node, "nodes/1/buffer_capacity", 65537, "/nodes/1/buffer_capacity"),
+    (two_dynamic_nodes, "nodes/0/buffer_capacity", 100,
+     "/nodes/0/buffer_capacity"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Whole-stack integration: echo, fragmentation, forwarding, offload."""
 
+import collections
 import pathlib
 import struct
 
@@ -10,7 +11,7 @@ from modnet.link import link_encode
 from modnet.metrics import CopySite
 from modnet.netapi import (DEMUX_ALL, DEMUX_RAW, OK, MsgKind, NetMessage,
                            OptionKey, send_cmd)
-from modnet.netdev import DevEventType, DevNotify
+from modnet.netdev import DevNotify
 from modnet.pktbuf import (SNIP_OVERHEAD, AllocPriority,
                            ProtocolType)
 from modnet.scenario import load_scenario_file, run_scenario
@@ -555,9 +556,9 @@ def test_a_frame_refused_again_on_tx_done_waits_for_the_next_one():
 
 
 def test_a_radio_posts_one_marker_object_per_event_kind():
-    """Each radio builds its RX_READY and TX_DONE markers once.  Two frames
-    that reach b before its link runs leave the same RX_READY object twice
-    in the link's control lane, and the link reads both frames."""
+    """A radio posts the ``DevNotify`` member itself to its link.  Two
+    frames that reach b before its link runs leave RX_READY twice in the
+    link's control lane, and the link reads both frames."""
     sim = build(two_node())
     b = sim.nodes["b"]
     radio, link = b.devices[0], b.modules["link0"]
@@ -566,16 +567,14 @@ def test_a_radio_posts_one_marker_object_per_event_kind():
 
     def recording_post(ctx, msg):
         if isinstance(msg, DevNotify):
-            posted.append(msg)
+            posted.append((ctx, msg))
         return post(ctx, msg)
 
     sim.sched.post = recording_post
     sink = sim.socket_layer("b").open(7)
     for payload in (b"one", b"two"):
         radio._rx_frame(frame(LONG_B, IP_B, udp_bytes(payload)))
-    lane = list(link._ctrl)
-    assert len(lane) == 2 and lane[0] is lane[1]
-    assert (lane[0].device, lane[0].event) == (radio, DevEventType.RX_READY)
+    assert list(link._ctrl) == [DevNotify.RX_READY] * 2
     sim.run_until()
     assert [sink.recv_nowait()[2] for _ in range(2)] == [b"one", b"two"]
     client = sim.socket_layer("a").open(40000)
@@ -583,14 +582,11 @@ def test_a_radio_posts_one_marker_object_per_event_kind():
         client.sendto(IP_B, 7, payload)
     sim.run_until()
     assert len(sink.queue) == 2
-    # a's radio sent twice and b's received four frames: one object each
-    objects = {}
-    for m in posted:
-        objects.setdefault((m.device, m.event), set()).add(id(m))
-    assert {key: len(ids) for key, ids in objects.items()} == {
-        (radio, DevEventType.RX_READY): 1,
-        (sim.nodes["a"].devices[0], DevEventType.TX_DONE): 1}
-    assert [m.event for m in posted].count(DevEventType.TX_DONE) == 2
+    # a's radio sent twice and b's received four frames, each event posted
+    # to the radio's own link
+    assert collections.Counter(posted) == {
+        (link, DevNotify.RX_READY): 4,
+        (sim.nodes["a"].modules["link0"], DevNotify.TX_DONE): 2}
 
 
 def test_link_shutdown_drops_the_frames_waiting_for_the_radio():

@@ -12,9 +12,10 @@ import time
 
 import pytest
 
+from modnet import simnet
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
-from modnet.netdev import DevEventType, DevNotify
+from modnet.netdev import DevNotify
 from modnet.pktbuf import (AllocPriority, Backend, CapacityTooSmall,
                            ProtocolType, buffer_create)
 from modnet.runtime import DetScheduler, Node, ThreadScheduler
@@ -130,11 +131,15 @@ def test_failed_build_stops_the_pool():
     assert pool_threads() == before
 
 
-def test_construction_error_past_the_check_stops_the_pool():
+def test_construction_error_past_the_check_stops_the_pool(monkeypatch):
     before = pool_threads()
-    topology = two_node(buffer_capacity=128)  # no rule of check_topology
+
+    def refuse(capacity, backend, locked):  # a valid topology, refused late
+        raise CapacityTooSmall(f"no room for {capacity} B")
+
+    monkeypatch.setattr(simnet, "buffer_create", refuse)
     with pytest.raises(CapacityTooSmall):
-        build(topology, mode="par")
+        build(two_node(), mode="par")
     assert pool_threads() == before
 
 
@@ -263,7 +268,7 @@ def test_post_puts_each_kind_in_its_lane(sched_cls):
                  (chain_msg(MsgKind.MSG_RCV), "data"),
                  (NetMessage(kind=MsgKind.MSG_SET, option=(1, b"")), "ctrl"),
                  (NetMessage(kind=MsgKind.MSG_GET, option=(1, b"")), "ctrl"),
-                 (DevNotify(None, DevEventType.RX_READY), "ctrl")]
+                 (DevNotify.RX_READY, "ctrl")]
         assert all(sched.post(ctx, msg) for msg, _ in lanes)
         assert list(ctx._data) == [m for m, lane in lanes if lane == "data"]
         assert list(ctx._ctrl) == [m for m, lane in lanes if lane == "ctrl"]
