@@ -1,15 +1,17 @@
 """Instrumentation: payload-copy ledger, drop counters, memory accounting
 and the message-pass vs function-call overhead benchmark.
 
-The copy ledger is the measurable form of the copy-twice discipline.  The
-four boundary sites below record payload entering or leaving the buffer.
-Copies inside it are tagged ``BUF_INTERNAL``: fragments, reassembly, and
-each receiving layer's re-copy of what the next layer takes
-(``netapi.recopy``).  They are reported separately and do not count
-against the two-copies-per-direction budget.  The ledger does not see
-every byte that moves: the ``to_bytes`` flattenings in ``udp``, ``ipv6``
-and ``sixlowpan`` (to checksum, fragment and decode) record nothing
-(ROADMAP item 1).
+The copy ledger is the measurable form of the copy-twice discipline: a
+node copies a payload into its buffer once and out once, from the app to
+the device on the way out (``sendto``) and from the device to the app on
+the way in (``recvfrom``).  The four boundary sites below record those
+copies.  The stack copies more than that in between.  Copies inside the
+buffer are tagged ``BUF_INTERNAL``: fragments, reassembly, and each
+receiving layer's re-copy of what the next layer takes (``netapi.recopy``);
+they do not count against the two-copies-per-direction budget.  The
+``to_bytes`` flattenings in ``udp``, ``ipv6`` and ``sixlowpan`` (to
+checksum, fragment and decode) record nothing.  ROADMAP item 1 is the plan
+to keep the payload in place from the application to the device driver.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class Metrics:
     ``merge_packet`` only while it is set, so an unrecorded run leaves the
     ledger empty."""
 
-    _LOCKED = ("new_packet_id", "record_copy", "merge_packet", "copy_report",
-               "copy_bytes", "packet_ids", "count", "get", "as_dict")
+    _LOCKED = ("new_packet_id", "record_copy", "merge_packet", "copy_bytes",
+               "count", "get", "as_dict")
 
     def __init__(self, locked: bool = True, record: bool = False):
         self.recording = record
@@ -87,20 +89,11 @@ class Metrics:
         if into_id != from_id:
             self._copies[into_id].extend(self._copies.pop(from_id, ()))
 
-    def copy_report(self, packet_id: int) -> dict[CopySite, int]:
-        report: Counter[CopySite] = Counter()
-        for site, _ in self._copies.get(packet_id, ()):
-            report[site] += 1
-        return dict(report)
-
     def copy_bytes(self, packet_id: int) -> dict[CopySite, int]:
         out: Counter[CopySite] = Counter()
         for site, n in self._copies.get(packet_id, ()):
             out[site] += n
         return dict(out)
-
-    def packet_ids(self):
-        return list(self._copies)
 
     # -- generic counters ------------------------------------------------
     def count(self, name: str, n: int = 1):

@@ -2,13 +2,13 @@
 
 Stands in for a network chip that already runs UDP/IPv6 on-silicon: it
 services the unified message interface at the transport level, so a node
-needs only the socket layer and this module.  Datagrams either loop back
-locally or cross a private channel to a paired offload module on another
-node; the chip's internals are opaque by definition, so no link frames are
+needs only the socket layer and this module.  Datagrams cross a private
+channel to the paired offload module on another node (one for any other
+address, or from a chip with no peer, is dropped: ``offload_unreachable``);
+the chip's internals are opaque by definition, so no link frames are
 involved.  A datagram crossing the channel lands in the receiving node's
-buffer, as a radio's frame does, and arrives as ``MSG_RCV`` with its
-chain; a buffer that refuses it drops it, counted as
-``offload_rx_drops_nobuf``.
+buffer, as a radio's frame does, and arrives as ``MSG_RCV`` with its chain;
+a buffer that refuses it drops it, counted as ``offload_rx_drops_nobuf``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ class OffloadModule(Module):
 
     # -- TX: socket layer handed us a payload chain ------------------------
     def on_snd(self, ctx, msg):
+        peer = self.peer
+        if peer is None or msg.meta.get("dst_ip") != peer.module.addr:
+            netapi.drop(ctx, msg.pkt, "offload_unreachable")
+            return
         node = ctx.node
         data = msg.pkt.to_bytes()
         # handover into the chip's own buffer: copy #2 of the TX path
@@ -65,12 +69,8 @@ class OffloadModule(Module):
         node.pktbuf.release(msg.pkt)
         meta = {"src_ip": self.addr, "src_port": msg.meta.get("src_port"),
                 "dst_port": msg.meta.get("dst_port")}
-        if self.peer is not None and msg.meta.get("dst_ip") != self.addr:
-            target = self.peer
-        else:
-            target = ctx  # loopback
         node.sched.call_later(BRIDGE_DELAY_US,
-                              partial(_arrive, target, data, meta))
+                              partial(_arrive, peer, data, meta))
 
     # -- RX: a datagram the channel put in this node's buffer --------------
     def on_rcv(self, ctx, msg):

@@ -4,12 +4,8 @@ All header and payload memory for packets moving through a node's stack is
 provisioned here.  A packet is a chain of "snips", one buffer-resident
 segment per protocol layer (link header, IPv6 header, UDP header, payload
 ...) linked outermost-first, and as in GNRC it is passed as its head snip.
-Headers are prepended as fresh snips, so adding one moves no payload byte.
-The stack still copies more than twice: ``udp`` flattens the chain to
-checksum it and ``sixlowpan`` to fragment it, and each receiving layer
-flattens it to decode and copies what the next layer takes into a fresh
-snip (``netapi.recopy``).  ROADMAP item 1 is the plan to keep the payload
-in place from the application to the device driver.
+Headers are prepended as fresh snips, so adding one moves no payload byte;
+``metrics`` lists the copies the stack still makes.
 
 Two interchangeable backends satisfy the same contract: a statically sized
 arena with a first-fit free list (the constrained-device model) and a
@@ -20,8 +16,8 @@ arena block, or of its own bytearray), so ``to_bytes`` joins the views as
 they are, and both backends refuse the same payloads when they copy one in.
 
 Allocations carry a priority class.  A reserve (``RESERVE_FRAC`` of
-capacity) is off limits to ``SEND_APP`` allocations so that
-inbound frames and control traffic can always make progress while
+capacity) is off limits to ``SEND_APP`` allocations so that ``RECEIVE``
+allocations, inbound frames and reassembly, can always make progress while
 applications are back-pressured; nothing ever blocks waiting for memory.
 """
 
@@ -43,7 +39,6 @@ RESERVE_FRAC = 0.25  # share of capacity that SEND_APP allocations may not use
 
 class ProtocolType(enum.IntEnum):
     UNDEF = 0
-    LINK = 1
     SIXLOWPAN = 2
     IPV6 = 3
     UDP = 4
@@ -51,18 +46,15 @@ class ProtocolType(enum.IntEnum):
 
 
 class AllocPriority(enum.IntEnum):
-    """Allocation classes.  Only ``SEND_APP`` is kept out of the reserve;
-    ``RECEIVE`` and ``CONTROL`` are admitted alike."""
+    """Allocation classes.  Only ``SEND_APP`` is kept out of the reserve."""
 
     SEND_APP = 0
     RECEIVE = 1
-    CONTROL = 2
 
 
 # Reading a member off an enum class costs about three function calls on
 # CPython 3.11: the per-frame paths of every layer read module aliases.
-_SEND_APP, _RECEIVE, _CONTROL = (AllocPriority.SEND_APP,
-                                 AllocPriority.RECEIVE, AllocPriority.CONTROL)
+_SEND_APP, _RECEIVE = AllocPriority.SEND_APP, AllocPriority.RECEIVE
 _PRIORITIES = tuple(AllocPriority)
 _SIXLOWPAN, _IPV6, _UDP, _APP = (ProtocolType.SIXLOWPAN, ProtocolType.IPV6,
                                  ProtocolType.UDP, ProtocolType.APP)
@@ -115,16 +107,14 @@ class Snip:
     ``_block_cost(size)``, counted in ``used`` from allocation to release.
     """
 
-    __slots__ = ("data", "size", "proto", "users", "next", "_buf", "_cost",
-                 "_offset")
+    __slots__ = ("data", "size", "proto", "users", "next", "_cost", "_offset")
 
-    def __init__(self, data, size, proto, buf, cost, offset=None):
+    def __init__(self, data, size, proto, cost, offset=None):
         self.data = data
         self.size = size
         self.proto = proto
         self.users = 1
         self.next: Snip | None = None
-        self._buf = buf
         self._cost = cost
         self._offset = offset
 
@@ -146,8 +136,7 @@ class Snip:
     def to_bytes(self) -> bytes:
         """Serialize the chain from this snip on.  It records nothing: the
         boundary sites that copy out (``link``, ``offload``, ``recvfrom``)
-        record their own bytes, and the flattenings in ``udp``, ``ipv6``
-        and ``sixlowpan`` go unrecorded (ROADMAP item 1)."""
+        record their own bytes (see ``metrics``)."""
         if self.next is None:
             return bytes(self.data)
         snip, parts = self, []
@@ -322,7 +311,7 @@ class ArenaBuffer(PacketBuffer):
                     starts[i], lens[i] = off + cost, length - cost
                 start = off + SNIP_OVERHEAD
                 return Snip(self._view[start:start + size], size, proto,
-                            self, cost, off)
+                            cost, off)
         return None
 
     def _release_block(self, snip):
@@ -351,7 +340,7 @@ class DynamicBuffer(PacketBuffer):
 
     def _acquire(self, cost, size, proto):
         # no placement; a view, so a payload copy refuses what the arena's does
-        return Snip(memoryview(bytearray(size)), size, proto, self, cost)
+        return Snip(memoryview(bytearray(size)), size, proto, cost)
 
     def _release_block(self, snip):
         pass

@@ -442,7 +442,7 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
     ``collect_stats`` later reads (opened sockets, expected sends).  An op
     that finds its node's sock context shut down, or its socket closed by
     that, stops and is counted once as ``workload_ops_skipped``."""
-    book = {"sockets": {}, "sends": 0, "received": {}}
+    book = {"sockets": {}, "sends": 0}
 
     def send(sock, dst, port, payload) -> bool:
         """Send as an app does: a full buffer refuses the datagram."""
@@ -457,7 +457,6 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
         layer = sim.socket_layer(op.node)
         sock = layer.open(op.args["port"],
                           **_given(op.args, "queue_capacity"))
-        key = (op.node, op.args["port"])
         if op.args.get("app") == "echo":
             def bounce(s):
                 src_ip, src_port, payload = s.recvfrom()
@@ -465,11 +464,11 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
             sock.on_ready = bounce
         elif op.args.get("app") == "sink":
             # consume immediately so queued payloads never hold the buffer
-            def drain(s, k=key):
+            def drain(s):
                 while s.recv_nowait() is not None:
-                    book["received"][k] = book["received"].get(k, 0) + 1
+                    pass
             sock.on_ready = drain
-        book["sockets"][key] = sock
+        book["sockets"][(op.node, op.args["port"])] = sock
 
     def do_send(op: WorkloadOp):
         key = (op.node, op.args["src_port"])
@@ -508,10 +507,9 @@ def apply_workload(sim: Simulator, scenario: Scenario) -> dict:
 def collect_stats(sim: Simulator, book: dict) -> dict:
     sockets = {}
     for (node, port), sock in book["sockets"].items():
-        received = book["received"].get((node, port), 0)
         while sock.recv_nowait() is not None:
-            received += 1
-        sockets[f"{node}:{port}"] = {"received": received}
+            pass
+        sockets[f"{node}:{port}"] = {"received": sock.received}
     out = sim.metrics.as_dict()
     out["sockets"] = sockets
     out["sends"] = book["sends"]

@@ -28,7 +28,7 @@ from .link import MAX_PAYLOAD
 from .metrics import REASSEMBLY_ENTRY_OVERHEAD, CopySite
 from .netapi import (_MSG_SND, DEMUX_ALL, DEMUX_RAW, Module, NetMessage, drop,
                      recopy)
-from .pktbuf import (_CONTROL, _IPV6, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
+from .pktbuf import (_IPV6, _RECEIVE, _SEND_APP, _SIXLOWPAN, NoBufferSpace,
                      ProtocolType)
 
 DISPATCH_UNCOMPRESSED = 0x41
@@ -123,7 +123,7 @@ _INCOMPLETE, _COMPLETE, _DROPPED = (ReassemblyStatus.INCOMPLETE,
 class ReassemblyEntry:
     key: tuple
     size: int
-    snip: object  # CONTROL-priority buffer snip of datagram_size
+    snip: object  # RECEIVE-priority buffer snip of datagram_size
     deadline_us: int
     packet_id: int
     received: int = 0  # bitmap: bit u set once 8-byte unit u has arrived
@@ -162,9 +162,7 @@ class ReassemblyTable:
     def step(self, payload: bytes, src, dst, now_us: int):
         """Feed one adaptation-layer payload; returns
         (status, the datagram's head snip or None, packet_id or None)."""
-        kind, size, tag, offset, data = parse_payload(payload)  # may raise
-        if kind == "uncompressed":
-            raise MalformedFragment("unfragmented payload fed to reassembly")
+        _, size, tag, offset, data = parse_payload(payload)  # may raise
         end = offset + len(data)
         if end > size:
             raise MalformedFragment("fragment exceeds datagram size")
@@ -179,7 +177,7 @@ class ReassemblyTable:
                 return _DROPPED, None, None
             try:
                 snip = self.buffer.alloc_snip(
-                    size=size, proto=_IPV6, prio=_CONTROL)
+                    size=size, proto=_IPV6, prio=_RECEIVE)
             except NoBufferSpace:
                 self.metrics.count("reassembly_drops_nobuf")
                 return _DROPPED, None, None

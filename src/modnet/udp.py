@@ -6,12 +6,8 @@ it and the receive path unpacks it into a tuple.
 
 The socket layer is where the copy-twice discipline starts and ends:
 ``sendto`` copies the payload into the central buffer once, and
-``recvfrom`` copies it out once.  The stack between copies more than that
-today: ``UdpModule.on_snd`` flattens the chain to checksum it, and each
-receiving layer flattens the chain with ``to_bytes`` and copies what the
-next layer takes into a fresh snip (``netapi.recopy``).  The ledger records
-those re-copies as ``BUF_INTERNAL`` and the flattenings not at all; ROADMAP
-item 1 is the plan to remove both.
+``recvfrom`` copies it out once; ``metrics`` lists what the stack copies
+in between.
 
 A socket read never waits: ``recvfrom`` takes a queued datagram or raises
 ``UdpError``, and runs no event.  Apps read in the socket's ``on_ready``
@@ -156,6 +152,7 @@ class Socket:
         self.on_ready = None  # optional app callback, runs in sock context
         self.closed = False
         self.last_hop_limit = None  # hop limit of the last recvfrom datagram
+        self.received = 0  # datagrams recvfrom has handed to the app
 
     # -- app API -------------------------------------------------------------
     def sendto(self, dst_ip: bytes, dst_port: int, payload: bytes) -> int:
@@ -201,6 +198,7 @@ class Socket:
             node.metrics.record_copy(CopySite.BUF_TO_APP, pid, len(payload))
         node.metrics.count("udp_delivered")
         node.pktbuf.release(pkt)
+        self.received += 1
         return src_ip, src_port, payload
 
     def recv_nowait(self):

@@ -26,7 +26,7 @@ from modnet.udp import PortInUse
 
 from oracles import fragment_oracle, reassemble_oracle
 from test_ipv6 import random_script, run_cache_script
-from topo import (IP_A2, IP_B, IP_B2, echo_on, offload_pair,
+from topo import (IP_A, IP_A2, IP_B, IP_B2, echo_on, ip6, offload_pair,
                   three_node_router, two_node)
 
 
@@ -66,10 +66,9 @@ def test_01_copy_twice_boundary_counts():
     rx_shape = {CopySite.DEV_TO_BUF: 1, CopySite.BUF_TO_APP: 1}
     shapes = Counter()
     bad = []
-    for pid in sim.metrics.packet_ids():
-        report = {site: count
-                  for site, count in sim.metrics.copy_report(pid).items()
-                  if site in BOUNDARY_SITES}
+    for pid, sites in sim.metrics.as_dict()["packets"].items():
+        report = {CopySite(site): count for site, count in sites.items()
+                  if CopySite(site) in BOUNDARY_SITES}
         if report == tx_shape:
             shapes["tx"] += 1
         elif report == rx_shape:
@@ -100,10 +99,9 @@ def test_02_fragmented_echo_within_2048_byte_buffer():
     for node in sim.nodes.values():
         fails[node.name] = dict(node.pktbuf.failed_allocs)
         ok = (ok and node.pktbuf.failed_allocs[AllocPriority.RECEIVE] == 0
-              and node.pktbuf.failed_allocs[AllocPriority.CONTROL] == 0
               and node.pktbuf.stats().used == 0)
     verdict(2, "max-size fragmented echo completes in a 2048-byte buffer "
-            "with zero receive/control exhaustion", ok, f"fails={fails}")
+            "with zero receive exhaustion", ok, f"fails={fails}")
 
 
 def test_03_accounted_memory_budget():
@@ -272,9 +270,9 @@ def _check_08(mode):
             except NoBufferSpace:
                 break
         while buf.used + cost <= buf.capacity:
-            prio = rng.choice((AllocPriority.RECEIVE, AllocPriority.CONTROL))
             try:
-                held.append(buf.alloc_snip(size=size, prio=prio))
+                held.append(buf.alloc_snip(size=size,
+                                           prio=AllocPriority.RECEIVE))
             except NoBufferSpace:
                 ok = False  # reserve must carry the receive path
                 break
@@ -303,7 +301,7 @@ def _check_08(mode):
     ok = (ok and all(n.pktbuf.stats().used == 0 for n in sim.nodes.values())
           and all(n.pktbuf.failed_allocs[AllocPriority.RECEIVE] == 0
                   for n in sim.nodes.values()))
-    verdict(8, "receive/control allocations ride the reserve under send "
+    verdict(8, "receive allocations ride the reserve under send "
             f"saturation; 100 scripts and a flood all drain ({mode})", ok)
 
 
@@ -337,6 +335,11 @@ def _exercise_sockets(sim):
     client.sendto(IP_B, 9, pattern(25))
     sim.run_until()
     out.append(sink.recvfrom())
+    # to its own address and to one no node has: neither arrives anywhere
+    client.sendto(IP_A, 40000, pattern(12))
+    client.sendto(ip6("fd00::99"), 9, pattern(12))
+    sim.run_until()
+    out.append((client.recv_nowait(), sink.recv_nowait()))
     try:
         layer_b.open(7)
         out.append("reopened")

@@ -436,6 +436,39 @@ def test_no_module_imports_dispatch_by_name():
     assert imports == []
 
 
+def test_every_attribute_a_class_assigns_is_read():
+    """An attribute a ``src/modnet`` class assigns on ``self`` is read
+    somewhere, as an attribute or by name through ``getattr``, in
+    ``src/modnet``, ``tests``, ``perfbench`` or ``scripts``; one nothing
+    reads is dead weight every instance carries."""
+    root = pathlib.Path(__file__).parent.parent
+    assigned, read = [], set()
+    for folder in ("src/modnet", "tests", "perfbench", "scripts"):
+        for path in sorted((root / folder).glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    read.add(node.args[1].value)
+            if folder != "src/modnet":
+                continue
+            assigned += [
+                (f"{path.name}:{node.lineno}", f"{cls.name}.{node.attr}")
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"]
+    assert [(where, name) for where, name in assigned
+            if name.rpartition(".")[2] not in read] == []
+
+
 @pytest.mark.parametrize("name", ["echo_frag.json", "border_router.json"])
 def test_an_unrecorded_run_makes_no_ledger_calls(monkeypatch, name):
     """Turned off, the copy ledger costs nothing on the hot path: a run

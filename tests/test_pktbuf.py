@@ -280,10 +280,10 @@ def test_prepend_shared_head_leaves_original_intact():
 
 def test_prepend_failure_atomicity():
     buf = buffer_create(512)
-    payload = buf.alloc_snip(size=256, prio=AllocPriority.CONTROL)
+    payload = buf.alloc_snip(size=256, prio=AllocPriority.RECEIVE)
     used = buf.stats().used
     with pytest.raises(NoBufferSpace):
-        buf.prepend_header(payload, 400, prio=AllocPriority.CONTROL)
+        buf.prepend_header(payload, 400, prio=AllocPriority.RECEIVE)
     assert buf.stats().used == used
     assert payload.next is None
     assert payload.users == 1
@@ -401,7 +401,7 @@ def test_fragmentation_ratio_matches_free_list_walk():
         else:
             try:
                 live[i] = buf.alloc_snip(size=rng.randint(1, 300),
-                                         prio=AllocPriority.CONTROL)
+                                         prio=AllocPriority.RECEIVE)
             except NoBufferSpace:
                 pass
         stats = buf.stats()
@@ -442,13 +442,13 @@ FIXED_SCRIPTS = [
      ("alloc", 2, 900, AllocPriority.SEND_APP),  # over the 1536 line
      ("free", 0),
      ("alloc", 3, 500, AllocPriority.RECEIVE),
-     ("alloc", 4, 1800, AllocPriority.CONTROL),  # too big either way
+     ("alloc", 4, 1800, AllocPriority.RECEIVE),  # too big either way
      ("free", 1),
      ("alloc", 5, 600, AllocPriority.SEND_APP)],
-    [("alloc", 0, 1500, AllocPriority.CONTROL),
-     ("alloc", 1, 600, AllocPriority.CONTROL),
+    [("alloc", 0, 1500, AllocPriority.RECEIVE),
+     ("alloc", 1, 600, AllocPriority.RECEIVE),
      ("free", 0),
-     ("alloc", 2, 1400, AllocPriority.CONTROL)],
+     ("alloc", 2, 1400, AllocPriority.RECEIVE)],
 ]
 
 
@@ -484,8 +484,8 @@ def test_backend_differential_uniform_sizes(data):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=256), min_size=1,
                 max_size=20))
-def test_control_reserve_always_available(sizes):
-    # saturate with SEND_APP, then CONTROL still gets a reserve-sized block
+def test_receive_reserve_always_available(sizes):
+    # saturate with SEND_APP, then RECEIVE still gets a reserve-sized block
     buf = buffer_create(2048)
     for s in sizes:
         try:
@@ -493,7 +493,7 @@ def test_control_reserve_always_available(sizes):
         except NoBufferSpace:
             break
     snip = buf.alloc_snip(size=buf.reserve - SNIP_OVERHEAD - ALIGN,
-                          prio=AllocPriority.CONTROL)
+                          prio=AllocPriority.RECEIVE)
     assert snip.users == 1
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
 from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario,
                              validate_document)
+from modnet.udp import UdpModule
 from oracles import validate_document_oracle
 from topo import (IP_A, IP_R_A, IP_R_B, LONG_A, offload_pair,
                   three_node_router, two_node)
@@ -61,6 +63,16 @@ def test_scenario_builds_the_dynamic_buffer_and_sorted_cache():
                           SortedNeighborCache)
         assert node.pktbuf.used == 0
     assert stats["sockets"]["a:40000"]["received"] == 1
+
+
+@pytest.mark.parametrize("name", ["echo.json", "echo_frag.json",
+                                  "border_router.json", "lossy.json",
+                                  "offload_echo.json"])
+def test_stats_count_every_datagram_a_socket_received(name):
+    # an echo socket counts the datagram it read and sent back, as a sink's
+    _, stats = run_scenario(load_scenario(load_doc(name)))
+    received = sum(sock["received"] for sock in stats["sockets"].values())
+    assert received == stats["counters"].get("udp_delivered", 0)
 
 
 def test_lossy_scenario_bookkeeping():
@@ -526,6 +538,49 @@ def test_cli_fuzz_clean_and_deterministic(tmp_path, capsys):
     assert report["crashes"] == []
     assert report["unknown_key_non_enotsup"] == []
     assert report["enotsup"] > 0
+
+
+@pytest.mark.parametrize("mode", ["det", "par"])
+def test_cli_run_exits_3_on_an_invariant_violation(monkeypatch, capsys, mode):
+    def asserting(self, ctx, msg):
+        raise AssertionError("udp saw a bad datagram")
+    monkeypatch.setattr(UdpModule, "on_rcv", asserting)
+    assert main(["run", str(SCENARIO_DIR / "echo.json"), "--mode", mode]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ")
+    assert "udp saw a bad datagram" in err
+
+
+def _raise_runtime_error(self, key):
+    raise RuntimeError("option store corrupt")
+
+
+FUZZ_FAULTS = {  # udp's patched methods, the report entry, text in each line
+    "silent": ({"on_option": lambda self, ctx, msg: None}, "timeouts",
+               "/udp MSG_"),
+    "raises": ({"get_option": _raise_runtime_error}, "crashes",
+               r"/udp MSG_GET key=\d+: RuntimeError\('option store corrupt"),
+    "ok-to-all": ({"get_option": lambda self, key: 0,
+                   "set_option": lambda self, key, value: None},
+                  "unknown_key_non_enotsup", "/udp MSG_.*: status=0$"),
+}
+
+
+@pytest.mark.parametrize("fault", FUZZ_FAULTS)
+def test_cli_fuzz_exits_3_and_reports_a_faulty_option_handler(
+        monkeypatch, capsys, tmp_path, fault):
+    patches, entry, pattern = FUZZ_FAULTS[fault]
+    for name, fn in patches.items():
+        monkeypatch.setattr(UdpModule, name, fn)
+    path = tmp_path / "report.json"
+    assert main(["fuzz-enotsup", str(SCENARIO_DIR / "echo.json"),
+                 "--ops", "50", "--report", str(path)]) == 3
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    assert not report["clean"]
+    assert [key for key in ("timeouts", "crashes", "unknown_key_non_enotsup")
+            if report[key]] == [entry]
+    assert all(re.search(pattern, line) for line in report[entry])
 
 
 def test_par_run_reaches_quiescence():

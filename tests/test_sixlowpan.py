@@ -212,6 +212,14 @@ def test_malformed_fragment_rejected():
         parse_payload(b"")
 
 
+def test_an_unfragmented_payload_is_refused_by_reassembly():
+    # it parses with datagram size 0, so its data exceeds the datagram
+    table = make_table()
+    with pytest.raises(MalformedFragment, match="exceeds datagram size"):
+        table.step(b"\x41" + pattern(40), SRC, DST, 0)
+    assert not table.entries and table.buffer.stats().used == 0
+
+
 def test_concurrent_reassembly_two_sources():
     table = make_table()
     d1, d2 = pattern(500), pattern(400)[::-1]

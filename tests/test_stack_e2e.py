@@ -55,8 +55,8 @@ def test_echo_send_path_copies():
     sim.run_until()
     client.recv_nowait()
     # small datagram: one copy in at the app, one copy out to the device
-    assert sim.metrics.copy_report(pid) == {CopySite.APP_TO_BUF: 1,
-                                            CopySite.BUF_TO_DEV: 1}
+    assert sim.metrics.as_dict()["packets"][str(pid)] == {
+        CopySite.APP_TO_BUF.value: 1, CopySite.BUF_TO_DEV.value: 1}
 
 
 def test_fragmented_echo():
@@ -107,6 +107,27 @@ def test_offload_echo():
     assert sim.metrics.get("frames_sent") == 0  # radio never used
 
 
+@pytest.mark.parametrize("peer", ["b", None], ids=["paired", "unpaired"])
+def test_an_offload_chip_sends_only_to_its_peer(peer):
+    topology = offload_pair()
+    topology.nodes[0].offload_peer = peer
+    sim = build(topology, record=True)
+    client = sim.socket_layer("a").open(40000)
+    sink = sim.socket_layer("b").open(9)
+    sends = [(IP_A, 40000), (ip6("fd00::99"), 9)]
+    if peer is None:
+        sends.append((IP_B, 9))
+    for dst, port in sends:
+        client.sendto(dst, port, pattern(12))
+    sim.run_until()
+    assert client.recv_nowait() is None and sink.recv_nowait() is None
+    assert sim.metrics.get("offload_unreachable") == len(sends)
+    # dropped before the copy-out to the chip
+    assert all(sites == {CopySite.APP_TO_BUF.value: 1}
+               for sites in sim.metrics.as_dict()["packets"].values())
+    assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
+
+
 def test_threaded_mode_echo():
     sim = build(two_node(), mode="par")
     try:
@@ -141,12 +162,12 @@ def test_refused_sendto_leaves_no_trace():
         sock.sendto(IP_B, 7, pattern(20))
     with pytest.raises(UdpError, match="closed"):
         sock.recvfrom()
-    assert sim.metrics.packet_ids() == []
+    assert sim.metrics.as_dict()["packets"] == {}
     assert sim.metrics.get("udp_sent") == 0
     assert node.pktbuf.used == 0
     # the ledger is live: a send that goes out is recorded
     pid = sim.socket_layer("a").open(40001).sendto(IP_B, 7, pattern(20))
-    assert sim.metrics.packet_ids() == [pid]
+    assert list(sim.metrics.as_dict()["packets"]) == [str(pid)]
 
 
 @pytest.mark.parametrize("dst_ip,payload,match", [
@@ -162,7 +183,7 @@ def test_refused_sendto_allocates_nothing(dst_ip, payload, match):
     with pytest.raises(UdpError, match=match):
         sock.sendto(dst_ip, 7, payload)
     sim.run_until()
-    assert sim.metrics.packet_ids() == []
+    assert sim.metrics.as_dict()["packets"] == {}
     assert sim.metrics.get("udp_sent") == 0
     assert sim.nodes["a"].pktbuf.used == 0
 
@@ -182,7 +203,7 @@ def test_a_port_outside_0_to_65535_is_refused(call, port):
     sim.run_until()
     assert list(layer.ports) == [40000]
     assert len(sim.nodes["a"].registry) == registered
-    assert sim.metrics.packet_ids() == []
+    assert sim.metrics.as_dict()["packets"] == {}
     assert sim.metrics.get("udp_sent") == 0
     assert sim.nodes["a"].pktbuf.used == 0
 
@@ -236,9 +257,8 @@ def test_nothing_is_recorded_by_default():
         sim.run_until()
         assert client.recv_nowait() == (IP_B, 7, payload)
     assert off.sched.trace is None
-    assert off.metrics.packet_ids() == []
     assert off.metrics.as_dict()["packets"] == {}
-    assert len(on.sched.trace) > 0 and on.metrics.packet_ids()
+    assert len(on.sched.trace) > 0 and on.metrics.as_dict()["packets"]
     for sim in (off, on):
         assert sim.metrics.get("udp_delivered") == 2  # request + echo
         assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0]
@@ -340,7 +360,7 @@ def test_crafted_frame_is_a_counted_drop(make, node, raw, counter):
     assert all(n.pktbuf.used == 0 for n in sim.nodes.values())
 
 
-# Out of memory on the receive path.  A CONTROL filler snip leaves ``room``
+# Out of memory on the receive path.  A RECEIVE filler snip leaves ``room``
 # bytes of b's 2,048; a block costs 16 B plus its size rounded up to 4.  A
 # layer's re-copy releases the chain before it allocates, so it can fail
 # only while a second receiver, the tap bound to the same key, still holds
@@ -364,7 +384,7 @@ def fill(node, room):
     buf = node.pktbuf
     assert buf.used == 0
     return buf.alloc_snip(size=buf.capacity - room - SNIP_OVERHEAD,
-                          prio=AllocPriority.CONTROL)
+                          prio=AllocPriority.RECEIVE)
 
 
 @pytest.mark.parametrize("tap,room,raw,counter", RX_NOBUF_DROPS,
@@ -429,7 +449,7 @@ def test_an_unfragmented_send_without_room_for_its_dispatch_byte_is_a_drop():
     # the rest of the buffer, so the 1-byte dispatch header finds no room
     filler = node.pktbuf.alloc_snip(
         size=node.pktbuf.capacity - node.pktbuf.used - SNIP_OVERHEAD,
-        prio=AllocPriority.CONTROL)
+        prio=AllocPriority.RECEIVE)
     sim.sched.post(node.modules["6lo"],
                    NetMessage(kind=MsgKind.MSG_SND, pkt=pkt, meta={}))
     sim.run_until()

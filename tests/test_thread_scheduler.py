@@ -163,7 +163,7 @@ def test_shared_structures_lock_under_the_pool():
             metrics.count(f"pair{pid // 2}")  # a new key, raced for by both
             metrics.record_copy(CopySite.BUF_INTERNAL, 0, 1)
             for _ in range(3):
-                snip = buf.alloc_snip(size=40, prio=AllocPriority.CONTROL)
+                snip = buf.alloc_snip(size=40, prio=AllocPriority.RECEIVE)
                 buf.hold(snip)
                 buf.release(snip)
                 buf.release(snip)
