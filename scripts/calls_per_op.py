@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Python function calls per completed operation of a benchmark workload.
+"""Python function calls (or bytecodes) per completed operation of a
+benchmark workload.
 
     PYTHONPATH=src python scripts/calls_per_op.py --workload frag_echo \
-        --seed 1 --rounds 1 --top 10 [--max 1106]
+        --seed 1 --rounds 1 --top 10 [--opcodes] [--max 1106]
 
 Each of the workload's first ``--rounds`` rounds runs once, from scenario
 load through topology build to drain, under ``sys.setprofile``.  Every
@@ -13,6 +14,14 @@ replays the same events whatever the host, so two commits compare call for
 call.  The workloads come from ``perfbench/workloads.py``, imported as is.
 With ``--max N`` the script exits 1 when the calls per op exceed ``N``;
 since the count is exact, such a gate does not depend on the host.
+
+With ``--opcodes`` the script counts executed bytecodes instead, under
+``sys.settrace`` with ``frame.f_trace_opcodes`` set on every Python frame,
+and tallies each by the function whose frame ran it; ``--max`` then bounds
+bytecodes per op.  This count is exact too, for a given CPython minor
+version (the compiler and its bytecode change between versions), so a 1%
+change in interpreter work shows where wall time varies 2x.  It runs about
+ten times slower than the call count.
 """
 
 from __future__ import annotations
@@ -42,10 +51,10 @@ def label(frame) -> str:
     return f"{name}  ({where}:{code.co_firstlineno})"
 
 
-def count_calls(wl, seed: int, rounds: int):
-    """(calls by function label, completed operations) over ``rounds``
-    rounds."""
-    calls: Counter = Counter()  # code object -> calls
+def count_calls(wl, seed: int, rounds: int, opcodes: bool = False):
+    """(calls, or with ``opcodes`` executed bytecodes, by function label,
+    completed operations) over ``rounds`` rounds."""
+    calls: Counter = Counter()  # code object -> calls or bytecodes
     labels = {}
     completed = 0
 
@@ -56,13 +65,27 @@ def count_calls(wl, seed: int, rounds: int):
             if code not in labels:
                 labels[code] = label(frame)
 
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            calls[frame.f_code] += 1
+        return opcode
+
+    def trace(frame, event, arg):  # a "call": trace the new frame's opcodes
+        code = frame.f_code
+        if code not in labels:
+            labels[code] = label(frame)
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    hook, fn = (sys.settrace, trace) if opcodes else (sys.setprofile, profile)
     for index in range(rounds):
         rnd = wl.make_round(seed, index)
-        sys.setprofile(profile)
+        hook(fn)
         try:
             out = wl.run(rnd)
         finally:
-            sys.setprofile(None)
+            hook(None)
         if out.violations:
             sys.exit(f"round {index}: {out.violations[0]}")
         completed += out.completed
@@ -78,21 +101,24 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--top", type=int, default=20, metavar="N")
+    ap.add_argument("--opcodes", action="store_true",
+                    help="count executed bytecodes instead of calls")
     ap.add_argument("--max", type=float, default=None, metavar="N",
-                    help="exit 1 when the calls per op exceed N")
+                    help="exit 1 when the count per op exceeds N")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
     calls, completed = count_calls(WORKLOADS[args.workload], args.seed,
-                                   args.rounds)
+                                   args.rounds, args.opcodes)
+    what = "bytecodes" if args.opcodes else "calls"
     ops = max(completed, 1)
     total = sum(calls.values())
     print(f"{args.workload} seed {args.seed}, {args.rounds} round(s): "
-          f"{completed} ops, {total} calls, {total / ops:.1f} calls per op")
+          f"{completed} ops, {total} {what}, {total / ops:.1f} {what} per op")
     for name, n in calls.most_common(args.top):
         print(f"{n / ops:10.2f}  {name}")
     if args.max is not None and total / ops > args.max:
-        print(f"{total / ops:.1f} calls per op exceed --max {args.max:g}",
+        print(f"{total / ops:.1f} {what} per op exceed --max {args.max:g}",
               file=sys.stderr)
         return 1
     return 0

@@ -35,6 +35,8 @@ SNIP_OVERHEAD = 16  # declared per-snip metadata cost, counted in `used`
 MIN_CAPACITY, MAX_CAPACITY = 256, 65536  # a node's buffer, in bytes
 MAX_CHAIN = 1 << 16  # chains are finite by invariant; longer means a cycle
 RESERVE_FRAC = 0.25  # share of capacity that SEND_APP allocations may not use
+# _block_cost in one mask, since SNIP_OVERHEAD is a multiple of ALIGN
+_COST_PAD, _COST_MASK = SNIP_OVERHEAD + ALIGN - 1, -ALIGN
 
 
 class ProtocolType(enum.IntEnum):
@@ -180,6 +182,7 @@ class PacketBuffer:
     def __init__(self, capacity: int, locked: bool = True):
         self.capacity = capacity
         self.reserve = int(capacity * RESERVE_FRAC)
+        self._app_cap = capacity - self.reserve  # what SEND_APP may use
         self.used = 0
         self.peak = 0
         self.failed_allocs = dict.fromkeys(_PRIORITIES, 0)
@@ -206,12 +209,9 @@ class PacketBuffer:
             size = len(payload)
         if size is None or size <= 0:
             raise InvalidSize(f"snip size must be > 0, got {size}")
-        cost = SNIP_OVERHEAD + ((size + ALIGN - 1) & ~(ALIGN - 1))
-        cap = self.capacity
-        if prio == _SEND_APP:
-            cap -= self.reserve
+        cost = (size + _COST_PAD) & _COST_MASK
         used = self.used + cost
-        if used > cap:
+        if used > (self._app_cap if prio == _SEND_APP else self.capacity):
             self.failed_allocs[prio] += 1
             raise NoBufferSpace(
                 f"{size} B at {prio._name_}: used={self.used}/{self.capacity}")
@@ -222,7 +222,7 @@ class PacketBuffer:
                 f"{size} B at {prio._name_}: no contiguous block")
         if payload is not None:
             try:
-                snip.data[:size] = payload
+                snip.data[:] = payload
             except Exception:  # a str, or an array whose len is not its size
                 self._release_block(snip)
                 raise
@@ -281,11 +281,14 @@ class PacketBuffer:
 class ArenaBuffer(PacketBuffer):
     """First-fit allocator over a statically sized arena.
 
-    Free blocks sit in two parallel address-ordered lists, offsets in
-    ``_starts`` and lengths in ``_lens``.  An allocation takes the lowest
-    block that fits; a release finds its place by ``bisect_right`` and
-    merges at once with a free neighbour on either side.  Snip data starts
-    ``SNIP_OVERHEAD`` bytes into its block and stays 4-byte aligned.
+    Free blocks sit in one flat address-ordered list, ``_free`` = ``[start0,
+    end0, start1, end1, ...]``, closed by a sentinel block past the arena
+    that fits any request and that no release touches.  An allocation
+    takes the lowest block that fits, the first before any scan; only the
+    sentinel fitting means fragmentation.  A release finds both neighbours
+    by one ``bisect_right`` and merges by one list operation.  Snip data
+    starts ``SNIP_OVERHEAD`` bytes into its block, and stays 4-byte
+    aligned: the data of the block at ``off`` is ``_view[off:]``.
     """
 
     _LOCKED = PacketBuffer._LOCKED + ("free_list",)
@@ -295,44 +298,48 @@ class ArenaBuffer(PacketBuffer):
             raise CapacityTooSmall(
                 f"arena needs >= {MIN_CAPACITY} B, got {capacity}")
         super().__init__(capacity, locked)
-        self._arena = bytearray(capacity)
-        self._view = memoryview(self._arena)  # sliced per snip
-        self._starts: list[int] = [0]
-        self._lens: list[int] = [capacity]
+        self._view = memoryview(bytearray(capacity))[SNIP_OVERHEAD:]
+        self._free = [0, capacity, capacity + 1, 2 * capacity + 2]
 
     def _acquire(self, cost, size, proto):
-        starts, lens = self._starts, self._lens
-        for i, length in enumerate(lens):
-            if length >= cost:
-                off = starts[i]
-                if length == cost:
-                    del starts[i], lens[i]
-                else:
-                    starts[i], lens[i] = off + cost, length - cost
-                start = off + SNIP_OVERHEAD
-                return Snip(self._view[start:start + size], size, proto,
-                            cost, off)
-        return None
+        free = self._free  # alloc_snip saw enough free bytes: [0] is real
+        i, off = 0, free[0]
+        if free[1] - off < cost:
+            i = 2
+            while free[i + 1] - free[i] < cost:  # the sentinel fits
+                i += 2
+            off = free[i]
+            if off > self.capacity:  # only the sentinel fits
+                return None
+        end = off + cost
+        if end == free[i + 1]:  # an exact fit takes the whole block
+            del free[i:i + 2]
+        else:
+            free[i] = end
+        return Snip(self._view[off:off + size], size, proto, cost, off)
 
     def _release_block(self, snip):
-        off, cost = snip._offset, snip._cost
-        starts, lens = self._starts, self._lens
-        i = bisect_right(starts, off)
-        if i < len(starts) and starts[i] == off + cost:  # joins the next
-            cost += lens[i]
-            del starts[i], lens[i]
-        if i and starts[i - 1] + lens[i - 1] == off:  # joins the previous
-            lens[i - 1] += cost
+        off = snip._offset
+        end = off + snip._cost
+        free = self._free
+        i = bisect_right(free, off)  # even: no free block starts at off
+        if free[i - 1] == off:  # joins the previous (i == 0: the sentinel end)
+            if free[i] == end:  # and the next
+                del free[i - 1:i + 1]
+            else:
+                free[i - 1] = end
+        elif free[i] == end:  # joins the next
+            free[i] = off
         else:
-            starts.insert(i, off)
-            lens.insert(i, cost)
+            free[i:i] = off, end
 
     def _largest_free_block(self):
-        return max(self._lens, default=0)
+        return max([length for _, length in self.free_list()], default=0)
 
     def free_list(self):
         """Snapshot of (offset, length) free blocks, for oracle checks."""
-        return list(zip(self._starts, self._lens))
+        free = self._free
+        return [(s, e - s) for s, e in zip(free[:-2:2], free[1:-2:2])]
 
 
 class DynamicBuffer(PacketBuffer):

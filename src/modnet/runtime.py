@@ -269,14 +269,15 @@ class DetScheduler(_SchedulerBase):
     def run_until(self, t_us: int | None = None):
         """Run events up to simulated time ``t_us``, or until none are
         left when no bound is given; ``steps`` counts them."""
-        ready, heap = self._ready, self._heap
-        while ready or heap:
-            if t_us is not None and (
-                    self.now_us if ready else heap[0][0]) > t_us:
-                break
-            self.step()
-        if t_us is not None:
-            self.now_us = max(self.now_us, t_us)
+        ready, heap, step = self._ready, self._heap, self.step
+        if t_us is None:  # a drain tests no bound per event
+            while ready or heap:
+                step()
+            return
+        while (ready or heap) and (
+                self.now_us if ready else heap[0][0]) <= t_us:
+            step()
+        self.now_us = max(self.now_us, t_us)
 
     def wait_for(self, cmd, timeout_us: int) -> bool:
         """Step until ``cmd`` is answered; False when no event due by

@@ -294,6 +294,68 @@ def test_measured_names_stay_on_the_event_path(monkeypatch):
     assert calls["expire"] == 12
 
 
+@pytest.mark.parametrize("scenario", SWEPT)
+def test_step_runs_once_per_counted_event_however_the_run_is_driven(
+        monkeypatch, scenario):
+    """``DetScheduler.step`` is what the benchmark's tracer wraps to time
+    events, and ``steps`` is its event count.  Driven to quiescence by one
+    unbounded ``run_until``, by ``run_until(t)`` slices of 1,000 us, or
+    with a command whose ``wait_for`` steps nested inside a timer's step,
+    each shipped scenario (and ``echo.json`` without its echo app) calls
+    ``step`` once per counted event and ends with the same stats."""
+    from modnet.runtime import DetScheduler
+    step = DetScheduler.step
+    calls = {"step": 0, "depth": 0, "deepest": 0}
+
+    def counted(sched):
+        calls["step"] += 1
+        calls["depth"] += 1
+        calls["deepest"] = max(calls["deepest"], calls["depth"])
+        try:
+            return step(sched)
+        finally:
+            calls["depth"] -= 1
+
+    monkeypatch.setattr(DetScheduler, "step", counted)
+
+    def drive(run):
+        calls.update(step=0, deepest=0)
+        sim = build(scenario.topology)
+        book = apply_workload(sim, scenario)
+        run(sim)
+        assert sim.sched.pending_events() == 0
+        assert calls["step"] == sim.sched.steps > 0
+        return sim.sched.steps, calls["deepest"], collect_stats(sim, book)
+
+    steps, deepest, stats = drive(lambda sim: sim.run_until())
+    assert deepest == 1
+
+    def in_slices(sim):
+        while sim.sched.pending_events():
+            sim.run_until(sim.sched.now_us + 1000)
+
+    sliced_steps, _, sliced = drive(in_slices)
+    assert sliced_steps == steps
+    # the last slice moves the clock to its bound
+    assert sliced.pop("now_us") == -(-stats["now_us"] // 1000) * 1000
+    assert sliced == {k: v for k, v in stats.items() if k != "now_us"}
+
+    answers = []
+
+    def command(sim):
+        node = next(iter(sim.nodes.values()))
+        target = next(iter(node.modules.values()))
+        sim.sched.call_at(stats["now_us"] // 2, lambda: answers.append(
+            send_cmd(sim.sched, target, NetMessage(
+                kind=MsgKind.MSG_GET, option=(UNKNOWN_KEY, b""))).status))
+        sim.run_until()
+
+    cmd_steps, deepest, with_cmd = drive(command)
+    assert answers == [ENOTSUP] and deepest >= 2
+    assert cmd_steps == steps + 2  # the command's timer and its handler
+    assert with_cmd == stats
+
+
 def test_the_buffer_names_the_benchmark_patches_stay_live(monkeypatch):
     """A packet is its head snip, and ``pktbuf`` keeps two older names for
     the benchmark: ``perfbench/tracer.py`` replaces ``to_bytes`` and

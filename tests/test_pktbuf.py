@@ -538,30 +538,119 @@ class FirstFitModel:
 
 ALLOC_OPS = st.lists(st.one_of(
     st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=400),
-              st.sampled_from(list(AllocPriority))),
+              st.sampled_from(list(AllocPriority)), st.booleans()),
     st.tuples(st.just("free"), st.integers(min_value=0, max_value=63))),
     max_size=80)
+
+
+class ModelledArena:
+    """An arena driven beside a ``FirstFitModel``: every allocation lands
+    where the model puts it (or both refuse), and after every operation
+    the free list, ``used``, ``peak`` and the largest free block agree.
+    Each snip is filled with the next byte of a running count, and every
+    live snip must still hold its fill, so an overlap shows."""
+
+    def __init__(self, capacity):
+        self.buf = ArenaBuffer(capacity, locked=False)
+        self.model = FirstFitModel(capacity)
+        self.live = []  # (snip, offset the model chose, its fill)
+        self.allocs = 0
+
+    def check(self):
+        buf, model = self.buf, self.model
+        assert buf.free_list() == model.free
+        assert (buf.used, buf.peak) == (model.used, model.peak)
+        assert buf.stats().largest_free_block == max(
+            (length for _, length in model.free), default=0)
+        for snip, _, data in self.live:
+            assert bytes(snip.data) == data
+
+    def alloc(self, size, prio=AllocPriority.RECEIVE, by_payload=False):
+        """The new snip, or None when both refuse it."""
+        expected = self.model.alloc(size, prio)
+        self.allocs += 1
+        data = bytes([self.allocs & 0xFF]) * size
+        try:
+            if by_payload:
+                snip = self.buf.alloc_snip(payload=data, prio=prio)
+            else:
+                snip = self.buf.alloc_snip(size=size, prio=prio)
+                snip.data[:] = data
+        except NoBufferSpace:
+            assert expected is None
+            snip = None
+        else:
+            assert snip._offset == expected
+            self.live.append((snip, expected, data))
+        self.check()
+        return snip
+
+    def joins(self, snip):
+        """(joins the previous free block, joins the next) on release."""
+        end = snip._offset + snip._cost
+        return (any(o + n == snip._offset for o, n in self.model.free),
+                any(o == end for o, _ in self.model.free))
+
+    def release(self, snip):
+        index = next(i for i, (s, _, _) in enumerate(self.live)
+                     if s is snip)
+        _, off, _ = self.live.pop(index)
+        self.buf.release(snip)
+        self.model.release(off, snip.size)
+        self.check()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([256, 1000, 2048]), ALLOC_OPS)
 def test_arena_matches_a_first_fit_model(capacity, ops):
-    buf = ArenaBuffer(capacity, locked=False)
-    model = FirstFitModel(capacity)
-    live = []  # (snip, offset the model chose)
-    for op, arg, *prio in ops:
+    arena = ModelledArena(capacity)
+    for op, arg, *how in ops:
         if op == "alloc":
-            expected = model.alloc(arg, prio[0])
-            try:
-                snip = buf.alloc_snip(size=arg, prio=prio[0])
-            except NoBufferSpace:
-                assert expected is None
-            else:
-                assert snip._offset == expected
-                live.append((snip, expected))
-        elif live:
-            snip, off = live.pop(arg % len(live))
-            buf.release(snip)
-            model.release(off, snip.size)
-        assert buf.free_list() == model.free
-        assert (buf.used, buf.peak) == (model.used, model.peak)
+            arena.alloc(arg, *how)
+        elif arena.live:
+            arena.release(arena.live[arg % len(arena.live)][0])
+
+
+def test_a_release_joins_the_previous_the_next_both_or_neither():
+    arena = ModelledArena(1024)
+    a, b, c, d, e = (arena.alloc(48) for _ in range(5))  # 64 B blocks
+    for snip, joins in ((b, (False, False)), (a, (False, True)),
+                        (c, (True, False)), (e, (False, True)),
+                        (d, (True, True))):
+        assert arena.joins(snip) == joins
+        arena.release(snip)
+    assert arena.buf.free_list() == [(0, 1024)]
+
+
+def test_an_exact_fit_takes_the_whole_block():
+    arena = ModelledArena(1024)
+    a, b, c = (arena.alloc(48) for _ in range(3))
+    arena.release(b)
+    assert arena.buf.free_list() == [(64, 64), (192, 832)]
+    arena.alloc(45, by_payload=True)  # 16 + 48 = 64 B: the hole at 64
+    assert arena.buf.free_list() == [(192, 832)]
+
+
+def test_first_fit_skips_a_block_too_small():
+    arena = ModelledArena(1024)
+    a, b, c = (arena.alloc(48) for _ in range(3))
+    arena.release(b)
+    assert arena.alloc(100)._offset == 192  # 116 B: past the 64 B hole
+    assert arena.alloc(48)._offset == 64  # the hole, still first
+    assert arena.buf.free_list() == [(308, 716)]
+
+
+def test_fragmentation_refuses_with_enough_free_bytes():
+    arena = ModelledArena(256)
+    blocks = [arena.alloc(48) for _ in range(4)]  # 4 x 64 B fill it
+    assert arena.buf.free_list() == []
+    assert arena.buf.stats().largest_free_block == 0
+    arena.release(blocks[0])
+    arena.release(blocks[2])
+    free = arena.buf.capacity - arena.buf.used
+    with pytest.raises(NoBufferSpace, match="no contiguous block"):
+        arena.buf.alloc_snip(size=80, prio=AllocPriority.RECEIVE)
+    assert _block_cost(80) <= free
+    assert arena.buf.failed_allocs[AllocPriority.RECEIVE] == 1
+    assert arena.alloc(80) is None  # the model refuses it too
+    assert arena.buf.free_list() == [(0, 64), (128, 64)]
