@@ -25,7 +25,7 @@ KNOWN_KEYS = [k.value for k in OptionKey]
 
 def _nonneg_int(text: str) -> int:
     """An integer >= 0 from the command line.  A seed is one too, as the
-    scenario schema asks: ``random.Random(-n)`` equals ``Random(n)``."""
+    topology check asks: ``random.Random(-n)`` equals ``Random(n)``."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, got {text!r}")

@@ -291,6 +291,7 @@ class Ipv6Module(Module):
         return super().get_option(key)
 
     def set_option(self, key, value):
-        if key != OptionKey.HOP_LIMIT or not 0 <= int(value) <= 255:
+        if not (key == OptionKey.HOP_LIMIT and type(value) is int
+                and 0 <= value <= 255):  # nor a bool
             raise Unsupported(f"ipv6 option {key!r} = {value!r}")
-        self.hop_limit = int(value)
+        self.hop_limit = value

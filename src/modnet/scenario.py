@@ -1,284 +1,73 @@
-"""Scenario files: versioned JSON description of a topology plus a timed
-workload, validated against a schema with JSON-pointer error reporting.
-A plain-Python check compiled once from the schema accepts a valid
-document; only a document it refuses goes through jsonschema, which names
-the first error and its pointer.  jsonschema is imported on the first
-refused document, so a run of valid scenarios never loads it.
+"""Scenario files: a versioned JSON document that describes a topology and
+a timed workload, read straight into the simulator's descriptions.
 
 A scenario is the unit the command line runs: nodes (with their stack
 flavor and addressing), links, a seed, and a list of timed socket
 operations.  Loading produces the same ``Topology`` the tests build by
 hand, so behavior is identical either way: a field the document leaves
-out is not passed, and the description's own default applies.  The schema
-checks each field, and loading checks the workload against the nodes;
-``simnet.check_topology`` checks at build time how the topology's fields
-fit together, and its pointers are the same pointers into the document.
+out is not passed, and the description's own default applies.
+
+The reader checks only what reading needs: each object's keys, and no
+null; that hex and address texts parse; the module list; one address per
+interface; and the workload, against the nodes.  Every rule on a
+description's values belongs to ``simnet.check_topology``, which ``build``
+runs, and its pointers are the same pointers into the document.  A
+refusal is a ``ScenarioError`` at its JSON pointer, joined only then.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
-import re
 from dataclasses import dataclass, field
 from ipaddress import IPv6Address
 
 from . import udp
-from .ipv6 import IFACE_PREFIX_LEN, NEIGHBOR_CACHES
-from .pktbuf import MAX_CAPACITY, MIN_CAPACITY, Backend, NoBufferSpace
+from .ipv6 import IFACE_PREFIX_LEN
+from .pktbuf import Backend, NoBufferSpace
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
                      Topology, build)
 
 SCHEMA_VERSION = 1
 
 STACK_MODULES = ["link", "6lowpan", "ipv6", "udp"]
+_MODULES = (*STACK_MODULES, "offload")
 
-_HEX = {"type": "string", "pattern": "^([0-9a-fA-F]{2})+$"}
-_ADDR = {"type": "string", "minLength": 2}
-_PREFIX_LEN = {"type": "integer", "minimum": 0, "maximum": 128}
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "nodes"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer", "minimum": 0,
-                 "maximum": 2**64 - 1},
-        "nodes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "modules"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "modules": {
-                        "type": "array",
-                        "items": {"enum": STACK_MODULES + ["offload"]},
-                    },
-                    "devices": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["addr_short", "addr_long"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "addr_short": _HEX,
-                                "addr_long": _HEX,
-                            },
-                        },
-                    },
-                    "address": _ADDR,
-                    "iface_addrs": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["iface", "addr"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "iface": {"type": "integer", "minimum": 0},
-                                "addr": _ADDR,
-                                "prefix_len": _PREFIX_LEN,
-                            },
-                        },
-                    },
-                    "routes": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["prefix", "prefix_len", "iface"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "prefix": _ADDR,
-                                "prefix_len": _PREFIX_LEN,
-                                "iface": {"type": "integer", "minimum": 0},
-                                "next_hop": _ADDR,
-                            },
-                        },
-                    },
-                    "neighbors": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["addr", "link"],
-                            "additionalProperties": False,
-                            "properties": {"addr": _ADDR, "link": _HEX},
-                        },
-                    },
-                    "offload_peer": {"type": "string"},
-                    "buffer_capacity": {"type": "integer",
-                                        "minimum": MIN_CAPACITY,
-                                        "maximum": MAX_CAPACITY},
-                    "backend": {"enum": [b.name for b in Backend]},
-                    "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
-                },
-            },
-        },
-        "links": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["a", "b"],
-                "additionalProperties": False,
-                "properties": {
-                    "a": {"type": "string"},
-                    "b": {"type": "string"},
-                    "loss": {"type": "number", "minimum": 0.0,
-                             "maximum": 1.0},
-                    "delay_us": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "workload": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["t_us", "node", "op"],
-                "additionalProperties": False,
-                "properties": {
-                    "t_us": {"type": "integer", "minimum": 0},
-                    "node": {"type": "string"},
-                    "op": {"enum": ["open", "send"]},
-                    "args": {"type": "object"},
-                },
-            },
-        },
-    },
+def _keys(required: str, optional: str = "") -> tuple:
+    required = frozenset(required.split())
+    return required, required | frozenset(optional.split())
+
+
+# each object's required keys and every key it may have
+_DOC = _keys("version nodes", "seed links workload")
+_ENTRY = {  # of the objects in each list, by the list's key
+    "nodes": _keys("name modules", "devices address iface_addrs routes "
+                   "neighbors offload_peer buffer_capacity backend "
+                   "neighbor_cache"),
+    "devices": _keys("addr_short addr_long"),
+    "iface_addrs": _keys("iface addr", "prefix_len"),
+    "routes": _keys("prefix prefix_len iface", "next_hop"),
+    "neighbors": _keys("addr link"),
+    "links": _keys("a b", "loss delay_us"),
+    "workload": _keys("t_us node op", "args"),
 }
-
-_OPEN_ARGS = {
-    "type": "object",
-    "required": ["port"],
-    "additionalProperties": False,
-    "properties": {
-        "port": {"type": "integer", "minimum": 0, "maximum": 65535},
-        "app": {"enum": ["echo", "sink"]},
-        "queue_capacity": {"type": "integer", "minimum": 1},
-    },
+_PORT = (0, 65535)
+_OPS = {  # each op's argument keys, and each int argument's range
+    "open": (_keys("port", "app queue_capacity"),
+             {"port": _PORT, "queue_capacity": (1, None)}),
+    "send": (_keys("src_port dst dst_port size", "count interval_us"),
+             {"src_port": _PORT, "dst_port": _PORT,
+              "size": (1, udp.MAX_PAYLOAD), "count": (1, None),
+              "interval_us": (0, None)}),
 }
-
-_SEND_ARGS = {
-    "type": "object",
-    "required": ["src_port", "dst", "dst_port", "size"],
-    "additionalProperties": False,
-    "properties": {
-        "src_port": {"type": "integer", "minimum": 0, "maximum": 65535},
-        "dst": {"type": "string"},
-        "dst_port": {"type": "integer", "minimum": 0, "maximum": 65535},
-        "size": {"type": "integer", "minimum": 1,
-                 "maximum": udp.MAX_PAYLOAD},
-        "count": {"type": "integer", "minimum": 1},
-        "interval_us": {"type": "integer", "minimum": 0},
-    },
-}
-
-
-@functools.cache
-def _jsonschema():
-    """jsonschema's validator class for a scenario and its validators of
-    the document and of each op's args.  Built on the first refused
-    document: a valid one never imports jsonschema."""
-    import jsonschema
-    # JSON Schema counts 7.0 as an integer, and the stack needs an int
-    validator = jsonschema.validators.extend(
-        jsonschema.Draft202012Validator,
-        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-            "integer", lambda _, value: type(value) is int))
-    return validator, {"doc": validator(SCHEMA),
-                       "open": validator(_OPEN_ARGS),
-                       "send": validator(_SEND_ARGS)}
-
-_KEYWORDS = {"$schema", "type", "const", "enum", "minimum", "maximum",
-             "minLength", "pattern", "minItems", "items", "required",
-             "properties", "additionalProperties"}
-# the Python types of a JSON type; bool is neither integer nor number
-_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
-          "integer": (int,), "number": (int, float)}
-_NUMBER = _TYPES["number"]
-# the keywords whose own check refuses any value not of the JSON type
-_TYPED_BY = {"object": {"required", "properties", "additionalProperties"},
-             "array": {"minItems", "items"},
-             "string": {"minLength", "pattern"}}
-
-
-def _one_of(values: list):
-    # for str, int and float values jsonschema's equality is Python's
-    types = {type(e) for e in values}
-    if not types <= {str, int, float}:
-        raise ValueError(f"no fast check for the values {values!r}")
-    values = set(values)
-    return lambda v: type(v) in types and v in values
-
-
-def _predicate(schema: dict):
-    """Compile ``schema`` into a check that accepts nothing jsonschema's
-    validator refuses, though it may refuse more: each keyword also
-    refuses a value of a type it does not apply to.  A keyword without a
-    check here is an error, not a hole."""
-    unknown = schema.keys() - _KEYWORDS
-    if unknown or schema.get("additionalProperties", False) is not False:
-        raise ValueError(f"no fast check for {sorted(unknown)} or for an "
-                         "additionalProperties other than false")
-    s, checks = schema, []
-    if s.keys() & _TYPED_BY["object"]:  # one pass over an object's keys
-        props = {k: _predicate(sub)
-                 for k, sub in s.get("properties", {}).items()}
-        required = set(s.get("required", ()))
-        closed = "additionalProperties" in s
-
-        def obj(v):
-            if type(v) is not dict or not v.keys() >= required:
-                return False
-            if closed and not v.keys() <= props.keys():
-                return False
-            for k, x in v.items():
-                prop = props.get(k)
-                if prop is not None and not prop(x):
-                    return False
-            return True
-        checks.append(obj)
-    if "type" in s and not s.keys() & _TYPED_BY.get(s["type"], set()):
-        checks.append(lambda v, types=_TYPES[s["type"]]: type(v) in types)
-    if "const" in s:
-        checks.append(_one_of([s["const"]]))
-    if "enum" in s:
-        checks.append(_one_of(s["enum"]))
-    if "minimum" in s or "maximum" in s:
-        low, high = s.get("minimum", -math.inf), s.get("maximum", math.inf)
-        checks.append(lambda v: type(v) in _NUMBER and low <= v <= high)
-    if "minLength" in s:
-        checks.append(lambda v, n=s["minLength"]:
-                      type(v) is str and len(v) >= n)
-    if "pattern" in s:  # re.search, as jsonschema does
-        search = re.compile(s["pattern"]).search
-        checks.append(lambda v: type(v) is str and search(v) is not None)
-    if "minItems" in s:
-        checks.append(lambda v, n=s["minItems"]:
-                      type(v) is list and len(v) >= n)
-    if "items" in s:
-        item = _predicate(s["items"])
-        checks.append(lambda v: type(v) is list and all(map(item, v)))
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(v):
-        for c in checks:
-            if not c(v):
-                return False
-        return True
-    return check
 
 
 class ScenarioError(Exception):
     """Invalid scenario document; ``pointer`` locates the offending field."""
 
     def __init__(self, message: str, pointer: str = ""):
-        super().__init__(f"{pointer or '/'}: {message}" if pointer
-                         else message)
+        super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
         self.message = message
 
@@ -299,8 +88,64 @@ class Scenario:
     version: int = SCHEMA_VERSION
 
 
-def _pointer(error) -> str:
-    return "/" + "/".join(str(p) for p in error.absolute_path)
+def _error(message: str, *where) -> ScenarioError:
+    """``ScenarioError`` at the pointer whose parts are ``where``, joined
+    only now: a document that loads formats no pointer."""
+    return ScenarioError(message, "/" + "/".join(map(str, where)))
+
+
+def _object(obj, keys: tuple, *where) -> dict:
+    """``obj``, if it is an object with every required key of ``keys``, no
+    key it may not have, and no null."""
+    required, known = keys
+    if type(obj) is not dict:
+        raise _error(f"{obj!r} is not an object", *where)
+    if required <= obj.keys() <= known and None not in obj.values():
+        return obj
+    missing = sorted(required - obj.keys())
+    if missing:
+        raise _error(f"{missing[0]!r} is missing", *where)
+    for key, value in obj.items():
+        if key not in known:
+            raise _error(f"{key!r} is not a key here", *where)
+        if value is None:
+            raise _error("null is not a value", *where, key)
+
+
+def _entries(obj: dict, key: str, *where):
+    """``(k, entry)`` for each object in the list ``obj[key]``, if given."""
+    if key in obj:
+        value = obj[key]
+        if type(value) is not list:
+            raise _error(f"{value!r} is not a list", *where, key)
+        for k, entry in enumerate(value):
+            yield k, _object(entry, _ENTRY[key], *where, key, k)
+
+
+def _text(value, *where) -> str:
+    if type(value) is not str:
+        raise _error(f"{value!r} is not a str", *where)
+    return value
+
+
+def _int(value, low: int, high: int | None, *where) -> int:
+    if not (type(value) is int and low <= value  # nor a bool
+            and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise _error(f"{value!r} is not an int {span}", *where)
+    return value
+
+
+def _hex(value, *where) -> bytes:
+    """The bytes of a text of one or more pairs of hex digits."""
+    if type(value) is str:
+        try:
+            raw = bytes.fromhex(value)
+        except ValueError:
+            raw = b""
+        if raw and 2 * len(raw) == len(value):  # fromhex skips whitespace
+            return raw
+    raise _error(f"{value!r} is not a text of hex digit pairs", *where)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -314,37 +159,15 @@ def _packed_ip(text: str) -> bytes:
     return addr.packed
 
 
-def _parse_ip(text: str, *where) -> bytes:
-    """``text`` as packed bytes, or ``ScenarioError`` at the pointer whose
-    parts are ``where``, joined only then."""
+def _parse_ip(text, *where) -> bytes:
+    """``text`` as packed bytes, or ``ScenarioError`` at ``where``."""
     try:
-        return _packed_ip(text)
+        if type(text) is str:  # IPv6Address(7) is an address
+            return _packed_ip(text)
+        message = f"{text!r} is not a str"
     except ValueError as exc:
-        pointer = "/" + "/".join(map(str, where))
-        raise ScenarioError(str(exc), pointer) from None
-
-
-_CHECK_DOC = _predicate(SCHEMA)
-_CHECK_ARGS = {"open": _predicate(_OPEN_ARGS), "send": _predicate(_SEND_ARGS)}
-
-
-def validate_document(doc: dict) -> None:
-    if _CHECK_DOC(doc) and all(_CHECK_ARGS[item["op"]](item.get("args", {}))
-                               for item in doc.get("workload", ())):
-        return
-    # refused: jsonschema finds and names the error (or, rarely, none)
-    validators = _jsonschema()[1]
-    errors = sorted(validators["doc"].iter_errors(doc),
-                    key=lambda e: list(e.path))
-    if errors:
-        err = errors[0]
-        raise ScenarioError(err.message, _pointer(err))
-    # per-op argument shapes (schema conditionals kept out for readable errors)
-    for i, item in enumerate(doc.get("workload", ())):
-        validator = validators[item["op"]]  # the document passed: a known op
-        for err in validator.iter_errors(item.get("args", {})):
-            raise ScenarioError(err.message,
-                                f"/workload/{i}/args" + _pointer(err))
+        message = str(exc)
+    raise _error(message, *where)
 
 
 def _given(doc: dict, *keys) -> dict:
@@ -352,72 +175,95 @@ def _given(doc: dict, *keys) -> dict:
     return {k: doc[k] for k in keys if k in doc}
 
 
-def _node_desc(nj: dict, index: int) -> NodeDesc:
-    offload = "offload" in nj["modules"]
-    if offload and len(nj["modules"]) > 1:
-        raise ScenarioError("offload replaces the whole stack",
-                            f"/nodes/{index}/modules")
-    if not offload and sorted(nj["modules"]) != sorted(STACK_MODULES):
-        raise ScenarioError(f"modules must be {STACK_MODULES} or [offload]",
-                            f"/nodes/{index}/modules")
-    address = (_parse_ip(nj["address"], "nodes", index, "address")
-               if "address" in nj else None)
-    devices = [DeviceDesc(addr_short=bytes.fromhex(dj["addr_short"]),
-                          addr_long=bytes.fromhex(dj["addr_long"]))
-               for dj in nj.get("devices", ())]
+def _node_desc(nj: dict, *at) -> NodeDesc:
+    modules = nj["modules"]
+    if type(modules) is not list:
+        raise _error(f"{modules!r} is not a list", *at, "modules")
+    for k, module in enumerate(modules):
+        if module not in _MODULES:
+            raise _error(f"no module {module!r}", *at, "modules", k)
+    offload = modules == ["offload"]
+    if not offload and sorted(modules) != sorted(STACK_MODULES):
+        raise _error(f"modules are {STACK_MODULES} or ['offload']",
+                     *at, "modules")
     iface_addrs = {}
-    for k, ia in enumerate(nj.get("iface_addrs", ())):
-        if ia["iface"] in iface_addrs:  # one address per interface
-            raise ScenarioError(f"interface {ia['iface']} is given twice",
-                                f"/nodes/{index}/iface_addrs/{k}/iface")
-        iface_addrs[ia["iface"]] = (
-            _parse_ip(ia["addr"], "nodes", index, "iface_addrs", k, "addr"),
+    for k, ia in _entries(nj, "iface_addrs", *at):
+        iface = ia["iface"]
+        if type(iface) is not int:
+            raise _error(f"interface {iface!r} is not an int",
+                         *at, "iface_addrs", k, "iface")
+        if iface in iface_addrs:  # one address per interface
+            raise _error(f"interface {iface} is given twice",
+                         *at, "iface_addrs", k, "iface")
+        iface_addrs[iface] = (
+            _parse_ip(ia["addr"], *at, "iface_addrs", k, "addr"),
             ia.get("prefix_len", IFACE_PREFIX_LEN))
-    routes = [RouteDesc(prefix=_parse_ip(rj["prefix"], "nodes", index,
-                                         "routes", k, "prefix"),
-                        prefix_len=rj["prefix_len"], iface=rj["iface"],
-                        next_hop=(_parse_ip(rj["next_hop"], "nodes", index,
-                                            "routes", k, "next_hop")
-                                  if "next_hop" in rj else None))
-              for k, rj in enumerate(nj.get("routes", ()))]
-    neighbors = [(_parse_ip(ng["addr"], "nodes", index, "neighbors", k,
-                            "addr"),
-                  bytes.fromhex(ng["link"]))
-                 for k, ng in enumerate(nj.get("neighbors", ()))]
     opts = _given(nj, "offload_peer", "buffer_capacity", "neighbor_cache")
-    if "backend" in nj:
-        opts["backend"] = Backend[nj["backend"]]
+    if "backend" in nj:  # check_topology refuses a name Backend lacks
+        name = _text(nj["backend"], *at, "backend")
+        opts["backend"] = Backend.__members__.get(name, name)
     return NodeDesc(
-        name=nj["name"], devices=devices, address=address,
-        iface_addrs=iface_addrs, routes=routes, neighbors=neighbors,
+        name=_text(nj["name"], *at, "name"),
+        devices=[DeviceDesc(
+            addr_short=_hex(dj["addr_short"], *at, "devices", j,
+                            "addr_short"),
+            addr_long=_hex(dj["addr_long"], *at, "devices", j, "addr_long"))
+            for j, dj in _entries(nj, "devices", *at)],
+        address=(_parse_ip(nj["address"], *at, "address")
+                 if "address" in nj else None),
+        iface_addrs=iface_addrs,
+        routes=[RouteDesc(
+            prefix=_parse_ip(rj["prefix"], *at, "routes", k, "prefix"),
+            prefix_len=rj["prefix_len"], iface=rj["iface"],
+            next_hop=(_parse_ip(rj["next_hop"], *at, "routes", k,
+                                "next_hop") if "next_hop" in rj else None))
+            for k, rj in _entries(nj, "routes", *at)],
+        neighbors=[(_parse_ip(ng["addr"], *at, "neighbors", k, "addr"),
+                    _hex(ng["link"], *at, "neighbors", k, "link"))
+                   for k, ng in _entries(nj, "neighbors", *at)],
         offload=offload, **opts)
 
 
+def _workload_op(wj: dict, *at) -> WorkloadOp:
+    op = wj["op"]
+    if op not in ("open", "send"):
+        raise _error(f"no op {op!r}", *at, "op")
+    keys, ranges = _OPS[op]
+    args = _object(wj.get("args", {}), keys, *at, "args")
+    for key, (low, high) in ranges.items():
+        if key in args:
+            _int(args[key], low, high, *at, "args", key)
+    if "app" in args and args["app"] not in ("echo", "sink"):
+        raise _error(f"no app {args['app']!r}", *at, "args", "app")
+    return WorkloadOp(t_us=_int(wj["t_us"], 0, None, *at, "t_us"),
+                      node=_text(wj["node"], *at, "node"), op=op, args=args)
+
+
 def load_scenario(doc: dict) -> Scenario:
-    validate_document(doc)
-    nodes = [_node_desc(nj, i) for i, nj in enumerate(doc["nodes"])]
+    version = _object(doc, _DOC)["version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise _error(f"version {version!r} is not {SCHEMA_VERSION}",
+                     "version")
+    nodes = [_node_desc(nj, "nodes", i) for i, nj in _entries(doc, "nodes")]
+    links = [LinkDesc(**lj) for _, lj in _entries(doc, "links")]
+    ops = [_workload_op(wj, "workload", i)
+           for i, wj in _entries(doc, "workload")]
     addr_of = {nd.name: nd.address for nd in nodes}
-    # the schema admits exactly the fields of LinkDesc
-    links = [LinkDesc(**lj) for lj in doc.get("links", ())]
     # ops in the order apply_workload runs them: by t_us, ties in document
     # order.  A send opens its src_port unless it is open already, so only
     # an open can find its port taken.
     workload, opened = [], set()
-    for i, wj in sorted(enumerate(doc.get("workload", ())),
-                        key=lambda item: item[1]["t_us"]):
-        if wj["node"] not in addr_of:
-            raise ScenarioError(f"unknown node {wj['node']!r}",
-                                f"/workload/{i}/node")
-        op = WorkloadOp(t_us=wj["t_us"], node=wj["node"], op=wj["op"],
-                        args=wj.get("args", {}))
+    for i, op in sorted(enumerate(ops), key=lambda item: item[1].t_us):
+        if op.node not in addr_of:
+            raise _error(f"unknown node {op.node!r}", "workload", i, "node")
         if op.op == "open":
             key = (op.node, op.args["port"])
             if key in opened:
-                raise ScenarioError(f"port {key[1]} of node {op.node!r} is "
-                                    "already open", f"/workload/{i}/args/port")
+                raise _error(f"port {key[1]} of node {op.node!r} is already "
+                             "open", "workload", i, "args", "port")
         else:
             key = (op.node, op.args["src_port"])
-            dst = op.args["dst"]
+            dst = _text(op.args["dst"], "workload", i, "args", "dst")
             op.dst = (addr_of[dst] if dst in addr_of
                       else _parse_ip(dst, "workload", i, "args", "dst"))
         opened.add(key)

@@ -107,6 +107,8 @@ def check_topology(topology: Topology) -> list:
     for key, value in (("nodes", topology.nodes), ("links", topology.links)):
         if not isinstance(value, _SEQUENCE):
             raise _is_not(value, "a list", f"/{key}")
+    if not topology.nodes:
+        raise InvalidTopology("a topology has no node", "/nodes")
     nodes: dict[str, NodeDesc] = {}
     for i, nd in enumerate(topology.nodes):
         if not isinstance(nd, NodeDesc):
@@ -175,8 +177,8 @@ def check_topology(topology: Topology) -> list:
                                  in iface_addrs.items()]),
                 ("routes", [(rt.iface, rt.prefix_len) for rt in routes])):
             for k, (iface, plen) in enumerate(entries):
-                if not (type(iface) is int and (
-                        nd.offload or 0 <= iface < len(devices))):
+                if not (type(iface) is int and 0 <= iface and (
+                        nd.offload or iface < len(devices))):
                     raise InvalidTopology(f"interface {iface!r} names no "
                                           "device",
                                           f"/nodes/{i}/{key}/{k}/iface")

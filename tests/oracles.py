@@ -6,7 +6,10 @@ Deliberately written with different techniques than the production code
 
 import jsonschema
 
-from modnet.scenario import _OPEN_ARGS, _SEND_ARGS, SCHEMA, ScenarioError
+from modnet import udp
+from modnet.ipv6 import NEIGHBOR_CACHES
+from modnet.pktbuf import MAX_CAPACITY, MIN_CAPACITY, Backend
+from modnet.scenario import SCHEMA_VERSION, STACK_MODULES, ScenarioError
 
 
 def checksum_oracle(src_ip: bytes, dst_ip: bytes, udp_bytes: bytes) -> int:
@@ -137,6 +140,153 @@ class LruOracle:
         return None
 
 
+# The JSON Schema that scenario documents were once validated against, kept
+# as it was: the frozen reference for which documents the reader and
+# ``check_topology`` together refuse.
+
+_HEX = {"type": "string", "pattern": "^([0-9a-fA-F]{2})+$"}
+_ADDR = {"type": "string", "minLength": 2}
+_PREFIX_LEN = {"type": "integer", "minimum": 0, "maximum": 128}
+
+SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["version", "nodes"],
+    "additionalProperties": False,
+    "properties": {
+        "version": {"const": SCHEMA_VERSION},
+        "seed": {"type": "integer", "minimum": 0,
+                 "maximum": 2**64 - 1},
+        "nodes": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["name", "modules"],
+                "additionalProperties": False,
+                "properties": {
+                    "name": {"type": "string", "minLength": 1},
+                    "modules": {
+                        "type": "array",
+                        "items": {"enum": STACK_MODULES + ["offload"]},
+                    },
+                    "devices": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["addr_short", "addr_long"],
+                            "additionalProperties": False,
+                            "properties": {
+                                "addr_short": _HEX,
+                                "addr_long": _HEX,
+                            },
+                        },
+                    },
+                    "address": _ADDR,
+                    "iface_addrs": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["iface", "addr"],
+                            "additionalProperties": False,
+                            "properties": {
+                                "iface": {"type": "integer", "minimum": 0},
+                                "addr": _ADDR,
+                                "prefix_len": _PREFIX_LEN,
+                            },
+                        },
+                    },
+                    "routes": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["prefix", "prefix_len", "iface"],
+                            "additionalProperties": False,
+                            "properties": {
+                                "prefix": _ADDR,
+                                "prefix_len": _PREFIX_LEN,
+                                "iface": {"type": "integer", "minimum": 0},
+                                "next_hop": _ADDR,
+                            },
+                        },
+                    },
+                    "neighbors": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["addr", "link"],
+                            "additionalProperties": False,
+                            "properties": {"addr": _ADDR, "link": _HEX},
+                        },
+                    },
+                    "offload_peer": {"type": "string"},
+                    "buffer_capacity": {"type": "integer",
+                                        "minimum": MIN_CAPACITY,
+                                        "maximum": MAX_CAPACITY},
+                    "backend": {"enum": [b.name for b in Backend]},
+                    "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
+                },
+            },
+        },
+        "links": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["a", "b"],
+                "additionalProperties": False,
+                "properties": {
+                    "a": {"type": "string"},
+                    "b": {"type": "string"},
+                    "loss": {"type": "number", "minimum": 0.0,
+                             "maximum": 1.0},
+                    "delay_us": {"type": "integer", "minimum": 0},
+                },
+            },
+        },
+        "workload": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["t_us", "node", "op"],
+                "additionalProperties": False,
+                "properties": {
+                    "t_us": {"type": "integer", "minimum": 0},
+                    "node": {"type": "string"},
+                    "op": {"enum": ["open", "send"]},
+                    "args": {"type": "object"},
+                },
+            },
+        },
+    },
+}
+
+_OPEN_ARGS = {
+    "type": "object",
+    "required": ["port"],
+    "additionalProperties": False,
+    "properties": {
+        "port": {"type": "integer", "minimum": 0, "maximum": 65535},
+        "app": {"enum": ["echo", "sink"]},
+        "queue_capacity": {"type": "integer", "minimum": 1},
+    },
+}
+
+_SEND_ARGS = {
+    "type": "object",
+    "required": ["src_port", "dst", "dst_port", "size"],
+    "additionalProperties": False,
+    "properties": {
+        "src_port": {"type": "integer", "minimum": 0, "maximum": 65535},
+        "dst": {"type": "string"},
+        "dst_port": {"type": "integer", "minimum": 0, "maximum": 65535},
+        "size": {"type": "integer", "minimum": 1,
+                 "maximum": udp.MAX_PAYLOAD},
+        "count": {"type": "integer", "minimum": 1},
+        "interval_us": {"type": "integer", "minimum": 0},
+    },
+}
+
+
 # JSON Schema counts 7.0 as an integer, and the stack needs an int
 _IntValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
@@ -144,8 +294,8 @@ _IntValidator = jsonschema.validators.extend(
         "integer", lambda _, value: type(value) is int))
 
 
-def _pointer(error) -> str:
-    return "/" + "/".join(str(p) for p in error.absolute_path)
+def _pointer(*where) -> str:
+    return "/" + "/".join(map(str, where))
 
 
 def validate_document_oracle(doc) -> None:
@@ -156,9 +306,9 @@ def validate_document_oracle(doc) -> None:
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
     if errors:
         err = errors[0]
-        raise ScenarioError(err.message, _pointer(err))
+        raise ScenarioError(err.message, _pointer(*err.absolute_path))
     for i, item in enumerate(doc.get("workload", ())):
         sub = _OPEN_ARGS if item["op"] == "open" else _SEND_ARGS
         for err in _IntValidator(sub).iter_errors(item.get("args", {})):
-            raise ScenarioError(err.message,
-                                f"/workload/{i}/args" + _pointer(err))
+            raise ScenarioError(err.message, _pointer(
+                "workload", i, "args", *err.absolute_path))

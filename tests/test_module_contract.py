@@ -82,7 +82,7 @@ def test_a_malformed_command_or_bad_value_answers_enotsup(
         commands += [NetMessage(kind=MsgKind.MSG_SET,
                                 option=(OptionKey.HOP_LIMIT, value))
                      for value in (300, -1, 256, "x", float("inf"),
-                                   float("nan"))]
+                                   float("nan"), "64", 7.9, True, b"12")]
         commands += [NetMessage(kind=MsgKind.MSG_SET,
                                 option=(OptionKey.CHANNEL, value))
                      for value in (-7, 200, True)]
