@@ -24,6 +24,7 @@ from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
 from modnet.scenario import (ScenarioError, load_scenario,
                              load_scenario_file, run_scenario)
 from modnet.udp import UdpModule
+import oracles
 from oracles import validate_document_oracle
 from topo import (IP_A, IP_R_A, IP_R_B, LONG_A, offload_pair,
                   three_node_router, two_node)
@@ -830,6 +831,71 @@ def test_every_single_mutation_meets_the_oracle(name):
         if got[0] == want[0] == "refused" and _nameless(doc):
             continue
         assert got == want, mutation
+
+
+def _subschemas(schema, where=()):
+    """Each subschema with its place: property names and ``items``."""
+    yield where, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from _subschemas(sub, where + (key,))
+    if "items" in schema:
+        yield from _subschemas(schema["items"], where + ("items",))
+
+
+def _governed(doc, where, path=()):
+    """The path of every value in ``doc`` that the subschema at ``where``
+    describes."""
+    if not where:
+        yield path
+    elif where[0] == "items":
+        if type(doc) is list:
+            for i, item in enumerate(doc):
+                yield from _governed(item, where[1:], path + (i,))
+    elif type(doc) is dict and where[0] in doc:
+        yield from _governed(doc[where[0]], where[1:], path + (where[0],))
+
+
+def _places(top, where):
+    """Every (document, path) the subschema at ``where`` of ``top``
+    describes: the document itself for ``SCHEMA``, each op's ``args`` for
+    the schema of that op."""
+    for doc in DOCS.values():
+        if top is oracles.SCHEMA:
+            bases = [()]
+        else:
+            op = "open" if top is oracles._OPEN_ARGS else "send"
+            bases = [("workload", i, "args")
+                     for i, item in enumerate(doc.get("workload", ()))
+                     if item["op"] == op]
+        for base in bases:
+            for path in _governed(_at(doc, base), where, base):
+                yield doc, path
+
+
+_CHECK_VALUES = [v for x in (1, 1.0, "", []) for v in _wrong_values(x)] + [
+    1, 64, 0.0, 1.0, 2**64 - 1, False, "ff", "fd00::1", "link", "DYNAMIC",
+    "open", float("nan"), float("inf"), ["udp"], [{}], {"port": 7}]
+
+
+@pytest.mark.parametrize("schema", [
+    (top, where) for top in (oracles.SCHEMA, oracles._OPEN_ARGS,
+                             oracles._SEND_ARGS)
+    for where, _ in _subschemas(top)])
+def test_the_check_accepts_nothing_jsonschema_refuses(schema):
+    """Each value the schema's part describes, put in each place it
+    describes: load and build accept nothing that jsonschema refuses."""
+    top, where = schema
+    places = list(_places(top, where))
+    assert places, f"no shipped document holds {where}"
+    for base, path in places:
+        for value in _CHECK_VALUES:
+            doc = copy.deepcopy(base)
+            if path:
+                _at(doc, path[:-1])[path[-1]] = value
+            else:
+                doc = value
+            if _outcome(_load_and_build, doc)[0] == "accepted":
+                validate_document_oracle(doc)
 
 
 # run in a fresh interpreter: argv[1] the scenario directory, argv[2] a
