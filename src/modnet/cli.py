@@ -13,6 +13,7 @@ import random
 import sys
 
 from .netapi import ENOTSUP, OK, CmdTimeout, MsgKind, NetMessage, OptionKey, send_cmd
+from .runtime import SCHEDULERS
 from .scenario import ScenarioError, load_scenario_file, run_scenario
 from .simnet import InvalidTopology, build
 
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario")
-    run_p.add_argument("--mode", choices=("det", "par"), default="det")
+    run_p.add_argument("--mode", choices=SCHEDULERS, default="det")
     run_p.add_argument("--seed", type=_nonneg_int, default=None,
                        help="override the scenario seed")
     run_p.add_argument("--trace", metavar="PATH",

@@ -277,10 +277,14 @@ class Ipv6Module(Module):
         except (Unreachable, NeighborUnknown):
             drop(ctx, msg.pkt, "ipv6_forward_unroutable")
             return
-        # decrement hop limit in place; we hold the only reference by now
-        msg.pkt.data[7] = hop_limit - 1
+        pkt = msg.pkt
+        if pkt.users > 1:  # another receiver shares it: write a copy
+            pkt = recopy(ctx, pkt, data, _IPV6, pid, "ipv6_rx_drops_nobuf")
+            if pkt is None:
+                return
+        pkt.data[7] = hop_limit - 1  # held alone now, so writable
         node.metrics.count("ipv6_forwarded")
-        self._down(ctx, msg.pkt, iface, next_hop_link, pid, _RECEIVE)
+        self._down(ctx, pkt, iface, next_hop_link, pid, _RECEIVE)
 
     # -- options -------------------------------------------------------------
     def get_option(self, key):

@@ -7,9 +7,10 @@ segment per protocol layer (link header, IPv6 header, UDP header, payload
 Headers are prepended as fresh snips, so adding one moves no payload byte;
 ``metrics`` lists the copies the stack still makes.
 
-Two interchangeable backends satisfy the same contract: a statically sized
-arena with a first-fit free list (the constrained-device model) and a
-dynamic backend that allocates from the host heap under the same byte cap.
+Two interchangeable backends, named in ``BACKENDS``, satisfy the same
+contract: a statically sized arena with a first-fit free list (the
+constrained-device model) and a dynamic backend that allocates from the
+host heap under the same byte cap.
 
 Every snip's ``data`` is a memoryview of exactly ``size`` bytes (of its
 arena block, or of its own bytearray), so ``to_bytes`` joins the views as
@@ -60,11 +61,6 @@ _SEND_APP, _RECEIVE = AllocPriority.SEND_APP, AllocPriority.RECEIVE
 _PRIORITIES = tuple(AllocPriority)
 _SIXLOWPAN, _IPV6, _UDP, _APP = (ProtocolType.SIXLOWPAN, ProtocolType.IPV6,
                                  ProtocolType.UDP, ProtocolType.APP)
-
-
-class Backend(enum.Enum):
-    STATIC_ARENA = "static_arena"
-    DYNAMIC = "dynamic"
 
 
 class CapacityTooSmall(Exception):
@@ -356,8 +352,4 @@ class DynamicBuffer(PacketBuffer):
         return self.capacity - self.used
 
 
-def buffer_create(capacity: int, backend: Backend = Backend.STATIC_ARENA,
-                  locked: bool = True) -> PacketBuffer:
-    if backend == Backend.STATIC_ARENA:
-        return ArenaBuffer(capacity, locked)
-    return DynamicBuffer(capacity, locked)
+BACKENDS = {"STATIC_ARENA": ArenaBuffer, "DYNAMIC": DynamicBuffer}

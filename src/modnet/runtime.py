@@ -418,3 +418,6 @@ class ThreadScheduler(_SchedulerBase):
             self._cond.notify_all()
         for worker in self._workers:
             worker.join(timeout=1.0)
+
+
+SCHEDULERS = {"det": DetScheduler, "par": ThreadScheduler}

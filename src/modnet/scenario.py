@@ -24,7 +24,7 @@ from ipaddress import IPv6Address
 
 from . import udp
 from .ipv6 import IFACE_PREFIX_LEN
-from .pktbuf import Backend, NoBufferSpace
+from .pktbuf import NoBufferSpace
 from .simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc, Simulator,
                      Topology, build)
 
@@ -198,10 +198,8 @@ def _node_desc(nj: dict, *at) -> NodeDesc:
         iface_addrs[iface] = (
             _parse_ip(ia["addr"], *at, "iface_addrs", k, "addr"),
             ia.get("prefix_len", IFACE_PREFIX_LEN))
-    opts = _given(nj, "offload_peer", "buffer_capacity", "neighbor_cache")
-    if "backend" in nj:  # check_topology refuses a name Backend lacks
-        name = _text(nj["backend"], *at, "backend")
-        opts["backend"] = Backend.__members__.get(name, name)
+    opts = _given(nj, "offload_peer", "buffer_capacity", "backend",
+                  "neighbor_cache")
     return NodeDesc(
         name=_text(nj["name"], *at, "name"),
         devices=[DeviceDesc(

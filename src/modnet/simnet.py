@@ -23,8 +23,8 @@ from .link import LinkModule
 from .metrics import Metrics
 from .netdev import SimRadioDevice
 from .offload import OffloadModule
-from .pktbuf import MAX_CAPACITY, MIN_CAPACITY, Backend, buffer_create
-from .runtime import DetScheduler, Node, ThreadScheduler
+from .pktbuf import BACKENDS, MAX_CAPACITY, MIN_CAPACITY
+from .runtime import SCHEDULERS, Node
 from .sixlowpan import SixlowpanModule
 from .udp import SocketLayer, UdpModule
 
@@ -62,7 +62,7 @@ class NodeDesc:
     offload: bool = False
     offload_peer: str | None = None
     buffer_capacity: int = 2048
-    backend: Backend = Backend.STATIC_ARENA
+    backend: str = "STATIC_ARENA"
     neighbor_cache: str = "RING"
 
 
@@ -164,13 +164,12 @@ def check_topology(topology: Topology) -> list:
                                   f"is not an int in {MIN_CAPACITY}.."
                                   f"{MAX_CAPACITY}",
                                   f"/nodes/{i}/buffer_capacity")
-        if not isinstance(nd.backend, Backend):
-            raise InvalidTopology(f"backend {nd.backend!r} is not a "
-                                  "pktbuf.Backend", f"/nodes/{i}/backend")
-        if not (type(nd.neighbor_cache) is str
-                and nd.neighbor_cache in NEIGHBOR_CACHES):
-            raise InvalidTopology(f"no neighbor cache {nd.neighbor_cache!r}",
-                                  f"/nodes/{i}/neighbor_cache")
+        for key, table in (("backend", BACKENDS),
+                           ("neighbor_cache", NEIGHBOR_CACHES)):
+            name = getattr(nd, key)
+            if not (type(name) is str and name in table):
+                raise InvalidTopology(f"no {key} {name!r}",
+                                      f"/nodes/{i}/{key}")
         for key, entries in (
                 ("iface_addrs", [(iface, plen)
                                  for iface, (_, plen)
@@ -265,12 +264,11 @@ class Simulator:
 
     def __init__(self, topology: Topology, mode: str = "det",
                  record: bool = False):
-        if mode not in ("det", "par"):
-            raise ValueError(f"mode must be 'det' or 'par', got {mode!r}")
+        if mode not in SCHEDULERS:
+            raise ValueError(f"no scheduler {mode!r}")
         link_ends = check_topology(topology)  # before a par pool starts
         self.topology = topology
-        self.sched = (DetScheduler if mode == "det" else ThreadScheduler)(
-            record=record)
+        self.sched = SCHEDULERS[mode](record=record)
         self.metrics = self.sched.metrics
         self.medium = Medium(self.sched, random.Random(topology.seed),
                              self.metrics)
@@ -292,8 +290,7 @@ class Simulator:
 
     # -- construction -----------------------------------------------------
     def _build_node(self, nd: NodeDesc):
-        buf = buffer_create(nd.buffer_capacity, nd.backend,
-                            locked=self.sched.parallel)
+        buf = BACKENDS[nd.backend](nd.buffer_capacity, self.sched.parallel)
         node = Node(nd.name, self.sched, buf)
         self.nodes[nd.name] = node
         for i, dd in enumerate(nd.devices):

@@ -8,7 +8,7 @@ import jsonschema
 
 from modnet import udp
 from modnet.ipv6 import NEIGHBOR_CACHES
-from modnet.pktbuf import MAX_CAPACITY, MIN_CAPACITY, Backend
+from modnet.pktbuf import BACKENDS, MAX_CAPACITY, MIN_CAPACITY
 from modnet.scenario import SCHEMA_VERSION, STACK_MODULES, ScenarioError
 
 
@@ -223,7 +223,7 @@ SCHEMA = {
                     "buffer_capacity": {"type": "integer",
                                         "minimum": MIN_CAPACITY,
                                         "maximum": MAX_CAPACITY},
-                    "backend": {"enum": [b.name for b in Backend]},
+                    "backend": {"enum": sorted(BACKENDS)},
                     "neighbor_cache": {"enum": list(NEIGHBOR_CACHES)},
                 },
             },

@@ -11,16 +11,16 @@ rule that modules interact only through messages: a run under it that
 gives other stats than under ``det`` depends on the order of its mail.
 
 Tools install it from outside, as the benchmark's tracer installs its
-patches, with ``installed()``, which makes ``simnet.build`` build it for
-det mode.  ``scripts/arch_cost.py`` prices the message queue with it.
+patches, with ``installed()``, which names it as ``det`` in
+``runtime.SCHEDULERS``, the table every build picks its scheduler from.
+``scripts/arch_cost.py`` prices the message queue with it.
 """
 
 from __future__ import annotations
 
-import contextlib
+from unittest import mock
 
-from modnet import simnet
-from modnet.runtime import DetScheduler
+from modnet.runtime import SCHEDULERS, DetScheduler
 
 
 class RunToCompletion(DetScheduler):
@@ -53,13 +53,6 @@ class RunToCompletion(DetScheduler):
         return True
 
 
-@contextlib.contextmanager
 def installed():
-    """Within the block, ``simnet.build`` builds ``RunToCompletion`` for
-    det mode."""
-    saved = simnet.DetScheduler
-    simnet.DetScheduler = RunToCompletion
-    try:
-        yield
-    finally:
-        simnet.DetScheduler = saved
+    """Within the block, det mode builds ``RunToCompletion``."""
+    return mock.patch.dict(SCHEDULERS, det=RunToCompletion)

@@ -18,7 +18,7 @@ from modnet import cli
 from modnet.ipv6 import RingNeighborCache, SortedNeighborCache
 from modnet.metrics import (BOUNDARY_SITES, CopySite, Metrics,
                             ipc_overhead_bench, memory_report)
-from modnet.pktbuf import AllocPriority, NoBufferSpace, buffer_create
+from modnet.pktbuf import AllocPriority, ArenaBuffer, NoBufferSpace
 from modnet.scenario import load_scenario_file
 from modnet.simnet import build
 from modnet.sixlowpan import ReassemblyStatus, ReassemblyTable, fragment
@@ -115,7 +115,7 @@ def test_03_accounted_memory_budget():
 def test_04_fragmentation_matches_oracle():
     t0 = time.monotonic()
     rng = random.Random(4)
-    buf = buffer_create(4096)
+    buf = ArenaBuffer(4096)
     table = ReassemblyTable(buf, Metrics(locked=False))
     mismatches = 0
 
@@ -257,11 +257,11 @@ def _check_08(mode):
     for seed in range(100):
         rng = random.Random(seed)
         size = rng.choice((16, 32, 48, 64, 96, 128))
-        probe = buffer_create(2048)
+        probe = ArenaBuffer(2048)
         probe.alloc_snip(size=size)
         cost = probe.used  # accounted cost of one snip at this size
 
-        buf = buffer_create(2048)
+        buf = ArenaBuffer(2048)
         held = []
         while True:  # saturate the app-send class
             try:

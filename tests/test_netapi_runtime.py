@@ -6,15 +6,14 @@ import pytest
 from modnet import netapi
 from modnet.netapi import (CmdTimeout, DEMUX_ALL, ENOTSUP, MsgKind,
                           NetMessage, OK, Registry, RegistryFull, send_cmd)
-from modnet.pktbuf import (AllocPriority, ProtocolType,
-                           buffer_create)
+from modnet.pktbuf import AllocPriority, ArenaBuffer, ProtocolType
 from modnet.metrics import memory_report
 from modnet.runtime import DetScheduler, DuplicateName, Node
 
 
 def make_node(name="n0", capacity=2048, record=False):
     sched = DetScheduler(record=record)
-    node = Node(name, sched, buffer_create(capacity))
+    node = Node(name, sched, ArenaBuffer(capacity))
     return sched, node
 
 

@@ -10,7 +10,7 @@ from modnet.metrics import Metrics
 from modnet.netapi import MsgKind, NetMessage, OptionKey
 from modnet.netdev import (DevNotify, DevStatus, NoFrame,
                            OwnershipViolation, SimRadioDevice, Unsupported)
-from modnet.pktbuf import buffer_create
+from modnet.pktbuf import ArenaBuffer
 from modnet.runtime import DetScheduler, Node
 from modnet.simnet import Medium
 
@@ -91,7 +91,7 @@ def test_options():
 
 def test_ownership_enforced():
     sched = DetScheduler()
-    node = Node("n0", sched, buffer_create(2048))
+    node = Node("n0", sched, ArenaBuffer(2048))
     dev = make_dev()
     seen = []
 

@@ -5,15 +5,15 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modnet.pktbuf import (ALIGN, AllocPriority, ArenaBuffer, Backend,
+from modnet.pktbuf import (ALIGN, BACKENDS, AllocPriority, ArenaBuffer,
                            CapacityTooSmall, DynamicBuffer, InvalidSize,
                            NoBufferSpace, ProtocolType,
                            RESERVE_FRAC, ReleaseUnheld, SNIP_OVERHEAD,
-                           buffer_create, _block_cost)
+                           _block_cost)
 
 
 def test_fresh_buffer_stats():
-    buf = buffer_create(2048, Backend.STATIC_ARENA)
+    buf = ArenaBuffer(2048)
     stats = buf.stats()
     assert stats.capacity == 2048
     assert stats.used == 0
@@ -23,13 +23,13 @@ def test_fresh_buffer_stats():
 
 def test_capacity_floor():
     with pytest.raises(CapacityTooSmall):
-        buffer_create(128, Backend.STATIC_ARENA)
+        ArenaBuffer(128)
     # floor applies to the arena only
-    buffer_create(128, Backend.DYNAMIC)
+    DynamicBuffer(128)
 
 
 def test_alloc_basic():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     snip = buf.alloc_snip(size=128, proto=ProtocolType.APP,
                           prio=AllocPriority.SEND_APP)
     assert snip.users == 1
@@ -38,22 +38,22 @@ def test_alloc_basic():
 
 
 def test_alloc_zero_size():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     with pytest.raises(InvalidSize):
         buf.alloc_snip(size=0)
 
 
 def test_alloc_copies_payload():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     payload = bytes(range(100))
     snip = buf.alloc_snip(payload=payload)
     assert bytes(snip.data) == payload
 
 
-@pytest.mark.parametrize("backend", [Backend.STATIC_ARENA, Backend.DYNAMIC])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_send_app_reserve_rule(backend):
     # fill to ~1536/2048 with SEND_APP, then SEND_APP fails but RECEIVE works
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     live = []
     while True:
         try:
@@ -70,7 +70,7 @@ def test_send_app_reserve_rule(backend):
 
 
 def test_hold_release_cycle():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     before = buf.stats().used
     snip = buf.alloc_snip(size=64)
     buf.hold(snip)
@@ -83,7 +83,7 @@ def test_hold_release_cycle():
 
 
 def test_release_unheld():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     snip = buf.alloc_snip(size=64)
     buf.release(snip)
     with pytest.raises(ReleaseUnheld):
@@ -91,7 +91,7 @@ def test_release_unheld():
 
 
 def test_release_checks_whole_chain_before_changing_any_snip():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     tail = buf.alloc_snip(size=32)
     pkt = buf.prepend_header(tail, 8, ProtocolType.UDP)
     buf.release(tail)  # the tail is freed under the head
@@ -103,7 +103,7 @@ def test_release_checks_whole_chain_before_changing_any_snip():
 
 
 def test_chain_walks_stop_on_a_cycle():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     a = buf.alloc_snip(size=8)
     b = buf.alloc_snip(size=8)
     a.next, b.next = b, a
@@ -116,9 +116,6 @@ def test_chain_walks_stop_on_a_cycle():
         buf.hold(a)
 
 
-BACKENDS = [Backend.STATIC_ARENA, Backend.DYNAMIC]
-
-
 def free_state(buf):
     stats = buf.stats()
     blocks = buf.free_list() if isinstance(buf, ArenaBuffer) else None
@@ -127,7 +124,7 @@ def free_state(buf):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_release_freed_one_snip_chain_changes_nothing(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     a = buf.alloc_snip(size=64)
     buf.alloc_snip(size=40)  # keeps the free list in more than one piece
     buf.release(a)
@@ -140,7 +137,7 @@ def test_release_freed_one_snip_chain_changes_nothing(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_hold_checks_whole_chain_before_changing_any_snip(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     tail = buf.alloc_snip(size=40)
     pkt = buf.prepend_header(tail, 8, ProtocolType.UDP)
     buf.release(tail)  # the tail is freed under the head
@@ -156,7 +153,7 @@ def test_hold_checks_whole_chain_before_changing_any_snip(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_hold_adds_one_user_to_every_snip_of_a_chain(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     before = free_state(buf)
     pkt = buf.prepend_header(buf.alloc_snip(size=100), 8,
                              ProtocolType.UDP)
@@ -176,7 +173,7 @@ def test_hold_adds_one_user_to_every_snip_of_a_chain(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_release_one_snip_cycle_is_caught(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     a = buf.alloc_snip(size=8)
     a.next = a
     used = buf.stats().used
@@ -189,7 +186,7 @@ def test_release_one_snip_cycle_is_caught(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("headers", [0, 1, 2])
 def test_to_bytes_joins_snips(backend, headers):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     pkt = buf.alloc_snip(payload=b"payload!" * 5)
     expected = b"payload!" * 5
     for n in range(headers):
@@ -204,7 +201,7 @@ def test_to_bytes_joins_snips(backend, headers):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_to_bytes_after_prepend_on_shared_head(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     shared = buf.alloc_snip(payload=b"shared")
     buf.hold(shared)  # two receivers hold the same head
     one = buf.prepend_header(shared, 2, ProtocolType.UDP)
@@ -222,7 +219,7 @@ def test_to_bytes_after_prepend_on_shared_head(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_send_app_reserve_edge(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     edge = buf.capacity - buf.reserve
     # one ALIGN past the edge: refused for SEND_APP, granted for RECEIVE
     with pytest.raises(NoBufferSpace):
@@ -245,7 +242,7 @@ def test_send_app_reserve_edge(backend):
 
 
 def test_chain_release_frees_all():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     payload = buf.alloc_snip(size=100, proto=ProtocolType.APP)
     pkt = buf.prepend_header(payload, 8, ProtocolType.UDP)
     pkt = buf.prepend_header(pkt, 40, ProtocolType.IPV6)
@@ -258,7 +255,7 @@ def test_chain_release_frees_all():
 
 
 def test_prepend_does_not_touch_payload():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     payload = buf.alloc_snip(payload=b"x" * 100, proto=ProtocolType.APP)
     out = buf.prepend_header(payload, 8, ProtocolType.UDP)
     assert out.next is payload
@@ -267,7 +264,7 @@ def test_prepend_does_not_touch_payload():
 
 
 def test_prepend_shared_head_leaves_original_intact():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     payload = buf.alloc_snip(payload=b"p" * 50)
     buf.hold(payload)  # second holder simulates another receiver
     out = buf.prepend_header(payload, 8, ProtocolType.UDP)
@@ -279,7 +276,7 @@ def test_prepend_shared_head_leaves_original_intact():
 
 
 def test_prepend_failure_atomicity():
-    buf = buffer_create(512)
+    buf = ArenaBuffer(512)
     payload = buf.alloc_snip(size=256, prio=AllocPriority.RECEIVE)
     used = buf.stats().used
     with pytest.raises(NoBufferSpace):
@@ -291,7 +288,7 @@ def test_prepend_failure_atomicity():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_payload_that_cannot_be_copied_gives_its_block_back(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     buf.alloc_snip(size=40)  # the refused block would sit after a live one
     before = free_state(buf)
     with pytest.raises(TypeError):
@@ -309,7 +306,7 @@ def test_a_payload_that_cannot_be_copied_gives_its_block_back(backend):
     bytearray(b"\x01\x02\x03"),
 ], ids=["array_B", "memoryview", "bytearray"])
 def test_a_payload_of_bytes_is_copied_on_either_backend(backend, payload):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     snip = buf.alloc_snip(payload=payload)
     assert snip.size == len(snip.data) == 3
     assert snip.to_bytes() == b"\x01\x02\x03"
@@ -319,7 +316,7 @@ def test_a_payload_of_bytes_is_copied_on_either_backend(backend, payload):
 
 
 def test_arena_refuses_an_array_whose_len_is_not_its_byte_count():
-    buf = buffer_create(2048, Backend.STATIC_ARENA)
+    buf = ArenaBuffer(2048)
     before = free_state(buf)
     with pytest.raises(ValueError):
         buf.alloc_snip(payload=array("H", [1, 2, 3]))
@@ -328,7 +325,7 @@ def test_arena_refuses_an_array_whose_len_is_not_its_byte_count():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_prepend_of_no_header_is_an_invalid_size(backend):
-    buf = buffer_create(2048, backend)
+    buf = BACKENDS[backend](2048)
     payload = buf.alloc_snip(payload=b"p" * 50)
     before = free_state(buf)
     with pytest.raises(InvalidSize):
@@ -339,7 +336,7 @@ def test_prepend_of_no_header_is_an_invalid_size(backend):
 
 
 def test_dispatch_two_receivers_reclamation():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     snip = buf.alloc_snip(size=64)
     buf.hold(snip)  # receiver 1
     buf.hold(snip)  # receiver 2
@@ -350,14 +347,14 @@ def test_dispatch_two_receivers_reclamation():
 
 
 def test_arena_data_alignment():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     for size in (1, 2, 3, 5, 7, 13):
         snip = buf.alloc_snip(size=size)
         assert (snip._offset + SNIP_OVERHEAD) % ALIGN == 0
 
 
 def test_conservation_invariant():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     live = [buf.alloc_snip(size=s) for s in (17, 64, 3, 130)]
     expected = sum(_block_cost(s.size) for s in live)
     assert buf.stats().used == expected
@@ -367,7 +364,7 @@ def test_conservation_invariant():
 
 
 def test_no_overlap_between_live_snips():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     snips = [buf.alloc_snip(size=s) for s in (33, 64, 21, 100)]
     spans = sorted((s._offset, s._offset + _block_cost(s.size))
                    for s in snips)
@@ -390,7 +387,7 @@ def free_list_oracle(buf: ArenaBuffer):
 
 
 def test_fragmentation_ratio_matches_free_list_walk():
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     live = {}
     import random
     rng = random.Random(7)
@@ -454,8 +451,8 @@ FIXED_SCRIPTS = [
 
 @pytest.mark.parametrize("script", FIXED_SCRIPTS)
 def test_backend_differential_fixed(script):
-    arena = buffer_create(2048, Backend.STATIC_ARENA)
-    dyn = buffer_create(2048, Backend.DYNAMIC)
+    arena = ArenaBuffer(2048)
+    dyn = DynamicBuffer(2048)
     assert run_script(arena, script) == run_script(dyn, script)
 
 
@@ -476,8 +473,8 @@ def test_backend_differential_uniform_sizes(data):
             script.append(("free", victim))
         script.append(("alloc", key, size, data.draw(prios)))
         alive.append(key)
-    arena = buffer_create(4096, Backend.STATIC_ARENA)
-    dyn = buffer_create(4096, Backend.DYNAMIC)
+    arena = ArenaBuffer(4096)
+    dyn = DynamicBuffer(4096)
     assert run_script(arena, script) == run_script(dyn, script)
 
 
@@ -486,7 +483,7 @@ def test_backend_differential_uniform_sizes(data):
                 max_size=20))
 def test_receive_reserve_always_available(sizes):
     # saturate with SEND_APP, then RECEIVE still gets a reserve-sized block
-    buf = buffer_create(2048)
+    buf = ArenaBuffer(2048)
     for s in sizes:
         try:
             buf.alloc_snip(size=s, prio=AllocPriority.SEND_APP)

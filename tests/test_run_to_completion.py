@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from modnet.netapi import MsgKind, NetMessage
-from modnet.pktbuf import buffer_create
+from modnet.pktbuf import ArenaBuffer
 from modnet.runtime import Node
 from modnet.scenario import load_scenario_file, run_scenario
 from rtc import RunToCompletion, installed
@@ -19,7 +19,7 @@ def test_a_post_to_an_idle_context_runs_it_at_once():
     """A runs inside the outside post and posts to idle B, which runs at
     once, and to itself, which queues until A's handler has returned."""
     sched = RunToCompletion()
-    node = Node("n0", sched, buffer_create(2048))
+    node = Node("n0", sched, ArenaBuffer(2048))
     order = []
 
     def a(ctx, msg):

@@ -12,13 +12,15 @@ import sys
 import tempfile
 from ipaddress import IPv6Address
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modnet import scenario
 from modnet.cli import main
-from modnet.ipv6 import SortedNeighborCache
-from modnet.pktbuf import Backend, DynamicBuffer
+from modnet.ipv6 import NEIGHBOR_CACHES, SortedNeighborCache
+from modnet.pktbuf import BACKENDS, DynamicBuffer
 from modnet.simnet import (DeviceDesc, InvalidTopology, LinkDesc, NodeDesc,
                            RouteDesc, Topology, build)
 from modnet.scenario import (ScenarioError, load_scenario,
@@ -62,6 +64,25 @@ def test_scenario_builds_the_dynamic_buffer_and_sorted_cache():
                           SortedNeighborCache)
         assert node.pktbuf.used == 0
     assert stats["sockets"]["a:40000"]["received"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name
+                                        for p in SCENARIO_DIR.glob("*.json")))
+def test_every_backend_and_cache_gives_the_same_stats(name):
+    """The substitutable parts are substitutable: on a shipped scenario,
+    every buffer backend with every neighbour cache gives the recorded
+    stats document of ``STATIC_ARENA`` with ``RING``, and gives back every
+    buffer byte."""
+    docs = {}
+    for backend, cache in itertools.product(BACKENDS, NEIGHBOR_CACHES):
+        scenario = load_scenario_file(str(SCENARIO_DIR / name))
+        for nd in scenario.topology.nodes:
+            nd.backend, nd.neighbor_cache = backend, cache
+        sim, docs[backend, cache] = run_scenario(scenario, record=True)
+        assert [n.pktbuf.used for n in sim.nodes.values()] == \
+            [0] * len(sim.nodes)
+    for pair, doc in docs.items():
+        assert doc == docs["STATIC_ARENA", "RING"], pair
 
 
 @pytest.mark.parametrize("name", ["echo.json", "echo_frag.json",
@@ -363,7 +384,7 @@ def test_send_the_buffer_refuses_is_counted():
 
 
 def two_dynamic_nodes():
-    return two_node(backend=Backend.DYNAMIC)
+    return two_node(backend="DYNAMIC")
 
 
 # (topology builder, path of the field set, its value, pointer refused at)

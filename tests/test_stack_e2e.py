@@ -85,6 +85,33 @@ def test_router_forwards_and_decrements_hop_limit():
     assert sim.nodes["r"].pktbuf.stats().used == 0
 
 
+@pytest.mark.parametrize("mode", ["det", "par"])
+def test_forwarding_leaves_a_shared_datagram_as_it_came(mode):
+    """The router writes the decremented hop limit into a copy of its own
+    when a second receiver, a tap on every IPv6 key, shares the datagram:
+    the tap reads the hop limit it came with, b the one it left with."""
+    sim = build(three_node_router(), mode=mode)
+    try:
+        r = sim.nodes["r"]
+        tapped = []
+
+        def tap(ctx, msg):
+            tapped.append(msg.pkt.to_bytes()[7])
+            r.pktbuf.release(msg.pkt)
+
+        r.registry.register(ProtocolType.IPV6, DEMUX_ALL,
+                            r.spawn_module("tap", tap, aux=True))
+        sink = sim.socket_layer("b").open(7)
+        sim.socket_layer("a").open(40000).sendto(IP_B2, 7, pattern(30))
+        sim.run_until()
+        assert sink.recvfrom() == (IP_A2, 40000, pattern(30))
+        assert tapped == [64] and sink.last_hop_limit == 63
+        assert [n.pktbuf.used for n in sim.nodes.values()] == [0, 0, 0]
+        assert not getattr(sim.sched, "errors", [])
+    finally:
+        sim.stop()
+
+
 def test_router_round_trip():
     sim = build(three_node_router())
     client = sim.socket_layer("a").open(40000)

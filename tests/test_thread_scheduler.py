@@ -13,11 +13,12 @@ import time
 import pytest
 
 from modnet import simnet
+from modnet.ipv6 import NEIGHBOR_CACHES
 from modnet.metrics import CopySite, Metrics
 from modnet.netapi import MsgKind, NetMessage, OK, Registry, send_cmd
 from modnet.netdev import DevNotify
-from modnet.pktbuf import (AllocPriority, Backend, CapacityTooSmall,
-                           ProtocolType, buffer_create)
+from modnet.pktbuf import (AllocPriority, ArenaBuffer, CapacityTooSmall,
+                           BACKENDS, DynamicBuffer, ProtocolType)
 from modnet.runtime import DetScheduler, Node, ThreadScheduler
 from modnet.scenario import (apply_workload, collect_stats,
                              load_scenario_file, run_scenario)
@@ -29,7 +30,7 @@ SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
 def make_node(record=False):
     sched = ThreadScheduler(record=record)
-    return sched, Node("n0", sched, buffer_create(2048))
+    return sched, Node("n0", sched, ArenaBuffer(2048))
 
 
 def pool_threads():
@@ -134,10 +135,10 @@ def test_failed_build_stops_the_pool():
 def test_construction_error_past_the_check_stops_the_pool(monkeypatch):
     before = pool_threads()
 
-    def refuse(capacity, backend, locked):  # a valid topology, refused late
+    def refuse(capacity, locked):  # a valid topology, refused late
         raise CapacityTooSmall(f"no room for {capacity} B")
 
-    monkeypatch.setattr(simnet, "buffer_create", refuse)
+    monkeypatch.setitem(simnet.BACKENDS, "STATIC_ARENA", refuse)
     with pytest.raises(CapacityTooSmall):
         build(two_node(), mode="par")
     assert pool_threads() == before
@@ -243,7 +244,7 @@ def test_post_puts_each_kind_in_its_lane(sched_cls):
     refused, counted as ``mailbox_drops``, with its chain back in the
     buffer."""
     sched = sched_cls()
-    node = Node("n0", sched, buffer_create(2048, locked=sched.parallel))
+    node = Node("n0", sched, ArenaBuffer(2048, locked=sched.parallel))
     started, go = threading.Event(), threading.Event()
 
     def handler(ctx, msg):
@@ -280,6 +281,41 @@ def test_post_puts_each_kind_in_its_lane(sched_cls):
         assert node.pktbuf.used == 0
     finally:
         go.set()
+        sched.stop()
+
+
+def test_a_context_shut_down_while_it_waits_ready_is_skipped():
+    """A worker that takes a context closed while it waited in the ready
+    FIFO skips it: the handler never runs and the context is unmarked.
+    ``c`` holds one worker and ``a`` the other while ``a`` posts to ``b``
+    and shuts ``b`` down, so ``b`` is still queued when a worker frees."""
+    sched, node = make_node()
+    started, release = threading.Event(), threading.Event()
+    ran = []
+
+    def hold(ctx, msg):
+        started.set()
+        release.wait(10)
+
+    def post_then_shut(ctx, msg):
+        sched.post(b, "note")
+        node.shutdown_module(b)
+        release.set()
+
+    try:
+        c = node.spawn_module("c", hold)
+        a = node.spawn_module("a", post_then_shut)
+        b = node.spawn_module("b", lambda ctx, msg: ran.append(msg))
+        sched.post(c, "go")
+        assert started.wait(10)
+        sched.post(a, "go")
+        sched.run_until()
+        assert ran == []
+        assert b._scheduled is False
+        assert sched.metrics.get("closed_drops") == 1
+        assert sched.errors == []
+    finally:
+        release.set()
         sched.stop()
 
 
@@ -346,7 +382,7 @@ def test_pool_nodes_and_unspecified_structures_lock():
     sched, node = make_node()  # the buffer is not told its scheduler
     sched.stop()
     for obj in (sched.metrics, node.registry, node.pktbuf, Metrics(),
-                Registry(), buffer_create(2048, Backend.DYNAMIC)):
+                Registry(), DynamicBuffer(2048)):
         assert locked(obj)
 
 
@@ -358,15 +394,20 @@ def delivered(stats):
             stats["counters"].get("udp_delivered", 0))
 
 
+@pytest.mark.parametrize("cache", NEIGHBOR_CACHES)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", SHIPPED)
-def test_par_matches_det_on_shipped_scenario(name):
+def test_par_matches_det_on_shipped_scenario(name, backend, cache):
     """``par`` delivers what ``det`` delivers at the same simulated time,
-    and both end with every buffer byte released, no mailbox drop and,
-    under ``par``, no handler error."""
+    on every buffer backend and neighbour cache, and both end with every
+    buffer byte released, no mailbox drop and, under ``par``, no handler
+    error."""
     seen = {}
     for mode in ("det", "par"):
-        sim, stats = run_scenario(
-            load_scenario_file(str(SCENARIO_DIR / name)), mode=mode)
+        scenario = load_scenario_file(str(SCENARIO_DIR / name))
+        for nd in scenario.topology.nodes:
+            nd.backend, nd.neighbor_cache = backend, cache
+        sim, stats = run_scenario(scenario, mode=mode)
         seen[mode] = delivered(stats), stats["now_us"]
         assert [n.pktbuf.used for n in sim.nodes.values()] == \
             [0] * len(sim.nodes)

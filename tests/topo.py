@@ -2,7 +2,6 @@
 
 from ipaddress import IPv6Address
 
-from modnet.pktbuf import Backend
 from modnet.simnet import (DeviceDesc, LinkDesc, NodeDesc, RouteDesc,
                            Topology)
 
@@ -29,7 +28,7 @@ def dev(short, long_addr):
 
 
 def two_node(loss=0.0, seed=1, buffer_capacity=2048,
-             backend=Backend.STATIC_ARENA, neighbor_cache="RING", delay_us=1):
+             backend="STATIC_ARENA", neighbor_cache="RING", delay_us=1):
     """A -- B on one shared /64, neighbor caches pre-populated."""
     a = NodeDesc("a", devices=[dev(b"\x00\x0a", LONG_A)], address=IP_A,
                  neighbors=[(IP_B, LONG_B)], buffer_capacity=buffer_capacity,
